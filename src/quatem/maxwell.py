@@ -1,8 +1,9 @@
-"""Chiral-medium parameters, field normalization and the Phi/Psi splitting.
+"""Chiral-medium parameters and the Phi/Psi splitting.
 
 Material constants enter through the Drude-Born-Fedorov constitutive form,
 in which each field couples to its own curl with the chirality measure
-beta.  After normalization the two circular modes decouple into first-order
+beta.  For fields normalized by the material weights (E~/sqrt(mu),
+H~/sqrt(eps)) the two circular modes decouple into first-order
 quaternionic equations with wave parameters alpha1 and alpha2.
 """
 
@@ -75,24 +76,6 @@ def make_medium(omega, epsilon, mu, beta, branch: int = 1) -> ChiralMedium:
     return ChiralMedium(float(omega), complex(epsilon), complex(mu), float(beta), branch)
 
 
-def normalize_values(e_tilde, h_tilde, j_tilde, medium: ChiralMedium):
-    """Strip the material weights: E = E~/sqrt(mu), H = H~/sqrt(eps),
-    j = j~/sqrt(eps)."""
-    e = np.asarray(e_tilde, dtype=complex) / medium.sqrt_mu
-    h = np.asarray(h_tilde, dtype=complex) / medium.sqrt_epsilon
-    j = np.asarray(j_tilde, dtype=complex) / medium.sqrt_epsilon
-    return e, h, j
-
-
-def denormalize_values(e, h, j, medium: ChiralMedium):
-    """Inverse of normalize_values."""
-    return (
-        np.asarray(e, dtype=complex) * medium.sqrt_mu,
-        np.asarray(h, dtype=complex) * medium.sqrt_epsilon,
-        np.asarray(j, dtype=complex) * medium.sqrt_epsilon,
-    )
-
-
 def split_values(e, h):
     """Circular-mode splitting phi = e + i h, psi = e - i h (any shape)."""
     e = np.asarray(e, dtype=complex)
@@ -107,35 +90,6 @@ def merge_values(phi, psi):
     return 0.5 * (phi + psi), (phi - psi) / 2j
 
 
-def split_fields(e_field: AnalyticField, h_field: AnalyticField):
-    """Field-level splitting, preserving the exact derivative oracles."""
-    phi = AnalyticField(
-        value=lambda x: e_field.value(x) + 1j * h_field.value(x),
-        d_value=lambda x: e_field.d_value(x) + 1j * h_field.d_value(x),
-        family="split-phi",
-    )
-    psi = AnalyticField(
-        value=lambda x: e_field.value(x) - 1j * h_field.value(x),
-        d_value=lambda x: e_field.d_value(x) - 1j * h_field.d_value(x),
-        family="split-psi",
-    )
-    return phi, psi
-
-
-def merge_fields(phi_field: AnalyticField, psi_field: AnalyticField):
-    e = AnalyticField(
-        value=lambda x: 0.5 * (phi_field.value(x) + psi_field.value(x)),
-        d_value=lambda x: 0.5 * (phi_field.d_value(x) + psi_field.d_value(x)),
-        family="merged-E",
-    )
-    h = AnalyticField(
-        value=lambda x: (phi_field.value(x) - psi_field.value(x)) / 2j,
-        d_value=lambda x: (phi_field.d_value(x) - psi_field.d_value(x)) / 2j,
-        family="merged-H",
-    )
-    return e, h
-
-
 @dataclass(frozen=True)
 class SourceData:
     """Current density with its analytic divergence.
@@ -146,9 +100,6 @@ class SourceData:
 
     j: AnalyticField                      # purely vectorial
     div_j: Callable[[np.ndarray], np.ndarray]
-
-    def rho_over_eps(self, medium: ChiralMedium) -> Callable[[np.ndarray], np.ndarray]:
-        return continuity_rho(self, medium)
 
 
 def continuity_rho(source: SourceData, medium: ChiralMedium):

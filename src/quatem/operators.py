@@ -22,6 +22,9 @@ from .kernels import upsilon
 EXCLUSION_FACTOR = 0.5      # volume nodes closer than this times the local
                             # node spacing are skipped
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
+BOUNDARY_CHUNK = 16         # targets per block of the boundary potential;
+                            # larger blocks were slower per target at 1280
+                            # and 5120 triangles (temporaries leave cache)
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -115,8 +118,7 @@ def _near_rule(level: int = 1):
 def teodorescu(alpha, sign: int, density: VolumeDensity, x,
                near_rule: str = "cutoff",
                cutoff_factor: float = 3.0,
-               exclusion_factor: float = EXCLUSION_FACTOR,
-               kernel=None) -> np.ndarray:
+               exclusion_factor: float = EXCLUSION_FACTOR) -> np.ndarray:
     """Volume potential sum_j w_j * Ups(x - y_j) * f(y_j) over the rule.
 
     Three treatments of the weakly singular region around x:
@@ -129,19 +131,16 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x,
     - "exclude": nodes closer than exclusion_factor times the local node
       spacing w_j**(1/3) are simply skipped (first-order accurate).
     - "none": plain sum; raises if x coincides with a node.
-
-    `kernel` overrides the built-in fundamental solution (used to
-    cross-check sign conventions) and is only honored by the plain paths.
     """
     x = np.asarray(x, dtype=float)
     quad = density.quadrature
     diff = x - quad.points
     r = np.linalg.norm(diff, axis=1)
 
-    if near_rule == "none" or kernel is not None:
+    if near_rule == "none":
         if np.any(r == 0.0):
             raise SingularityError("evaluation point coincides with a quadrature node")
-        ker = kernel(diff) if kernel is not None else upsilon(alpha, sign, diff)
+        ker = upsilon(alpha, sign, diff)
         return np.einsum("n,nk->k", quad.weights.astype(complex),
                          q.qmul(ker, density.values))
     if near_rule == "exclude":
@@ -184,43 +183,33 @@ def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x,
                     min_distance_factor: float = MIN_DISTANCE_FACTOR) -> np.ndarray:
     """Boundary potential -sum_j a_j * Ups(x - y_j) * n(y_j) * f(y_j).
 
-    The quaternionic triple product is taken in exactly this order.  Raises
-    NearSingularityError when x comes closer to the surface than
+    x is one target (3,) or many (M, 3); the result has shape (4,) or
+    (M, 4).  Targets are evaluated BOUNDARY_CHUNK at a time.  The
+    quaternionic triple product is taken in exactly this order.  Raises
+    NearSingularityError when a target comes closer to the surface than
     min_distance_factor mesh spacings.
     """
     mesh = density.mesh
     x = np.asarray(x, dtype=float)
-    diff = x - mesh.flat_points
-    r = np.linalg.norm(diff, axis=1)
-    dist = float(r.min())
-    d_min = min_distance_factor * mesh.spacing
-    if dist < d_min * (1.0 - 1e-9):
-        raise NearSingularityError(dist, d_min)
-    ker = upsilon(alpha, sign, diff)
-    terms = q.qmul(ker, q.qmul(q.vector(mesh.flat_normals), density.flat_values))
-    return -np.einsum("n,nk->k", mesh.flat_weights.astype(complex), terms)
-
-
-def cauchy_boundary_many(alpha, sign: int, density: BoundaryDensity, xs,
-                         min_distance_factor: float = MIN_DISTANCE_FACTOR,
-                         chunk: int = 256) -> np.ndarray:
-    """cauchy_boundary evaluated at many interior points, blockwise."""
-    mesh = density.mesh
-    xs = np.asarray(xs, dtype=float)
-    pts = mesh.flat_points
-    nf = q.qmul(q.vector(mesh.flat_normals), density.flat_values)  # (N, 4)
-    w = mesh.flat_weights.astype(complex)
+    if x.ndim not in (1, 2) or x.shape[-1] != 3:
+        raise ValueError("targets must have shape (3,) or (M, 3)")
+    xs = x.reshape(-1, 3)
+    g = mesh.flat_weights[:, None] * q.qmul(q.vector(mesh.flat_normals),
+                                            density.flat_values)  # (N, 4)
+    units = np.array(q.UNITS)
     d_min = min_distance_factor * mesh.spacing
     out = np.empty((len(xs), 4), dtype=complex)
-    for start in range(0, len(xs), chunk):
-        block = xs[start:start + chunk]
-        diff = block[:, None, :] - pts[None, :, :]
+    for start in range(0, len(xs), BOUNDARY_CHUNK):
+        diff = xs[start:start + BOUNDARY_CHUNK, None, :] - mesh.flat_points[None, :, :]
         dist = float(np.linalg.norm(diff, axis=2).min())
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)
         ker = upsilon(alpha, sign, diff)
-        out[start:start + chunk] = -np.einsum("n,mnk->mk", w, q.qmul(ker, nf))
-    return out
+        # sum_n Ups_n * g_n = sum_a i_a * (sum_n Ups_{n,a} g_n): one
+        # (4, N) @ (N, 4) product per target, then four unit products
+        partial = np.swapaxes(ker, 1, 2) @ g
+        out[start:start + BOUNDARY_CHUNK] = -q.qmul(units, partial).sum(axis=1)
+    return out.reshape(x.shape[:-1] + (4,))
 
 
 def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,

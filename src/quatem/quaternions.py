@@ -71,20 +71,11 @@ def qmul(a, b) -> np.ndarray:
 def qconj(q) -> np.ndarray:
     """Quaternionic conjugate: scalar part kept, vector part negated.
 
-    The complex coefficients are NOT conjugated; see conj_coefficients for
-    the componentwise complex involution.
+    The complex coefficients are NOT conjugated.
     """
     out = np.array(q, dtype=complex, copy=True)
     out[..., 1:] *= -1
     return out
-
-
-def conj_coefficients(q) -> np.ndarray:
-    """Componentwise complex conjugation (the other involution on H(C)).
-
-    Provided for completeness; none of the integral identities use it.
-    """
-    return np.conj(np.asarray(q, dtype=complex))
 
 
 def dot_c(u, v) -> np.ndarray:

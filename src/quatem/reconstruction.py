@@ -1,9 +1,10 @@
 """Field reconstruction from boundary traces and the extendibility check.
 
-Both electromagnetic assemblies are provided: the mode path (reconstruct
-Phi and Psi, then merge) and the direct path that evaluates the explicit
-two-kernel displays for E and H.  They are algebraically identical and are
-cross-checked against each other in the tests.
+E and H are assembled one way: reconstruct the modes Phi = E + iH and
+Psi = E - iH from their traces, then merge.  The source-free two-kernel
+displays, which apply K1 = K_{+alpha1} and K2 = K_{-alpha2} to the e and h
+traces separately, sum the same quantity in a different grouping; they
+serve as an independent cross-check that must agree to roundoff.
 
 The boundary criterion ("are e, h traces of an interior solution?") is
 evaluated as an interior limit: the layer potentials are computed at
@@ -24,14 +25,13 @@ from . import quaternions as q
 from .fields import AnalyticField
 from .geometry import SurfaceMesh, VolumeQuadrature, interior_offset_points
 from .kernels import DEFAULT_FD_STEP, fd_curl
-from .maxwell import ChiralMedium, SourceData, phi_psi_rhs, split_values
+from .maxwell import ChiralMedium, SourceData, merge_values, phi_psi_rhs, split_values
 from .operators import (
     MIN_DISTANCE_FACTOR,
     RESIDUAL_FLOOR,
     BoundaryDensity,
     VolumeDensity,
     cauchy_boundary,
-    cauchy_boundary_many,
     teodorescu,
 )
 
@@ -58,78 +58,61 @@ def phi_psi_representation(phi_trace: BoundaryDensity, psi_trace: BoundaryDensit
 
     Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
     Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
+
+    x is one point (3,) or many (M, 3); the volume terms are evaluated
+    point by point.
     """
+    if source is not None and quadrature is None:
+        raise ValueError("a volume quadrature is required when a source is present")
     (a1, s1), (a2, s2) = _mode_operator_pair(medium)
     phi_x = cauchy_boundary(a1, s1, phi_trace, x, **operator_options)
     psi_x = cauchy_boundary(a2, s2, psi_trace, x, **operator_options)
     if source is not None:
-        if quadrature is None:
-            raise ValueError("a volume quadrature is required when a source is present")
         rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
-        phi_x = phi_x + teodorescu(a1, s1, VolumeDensity.from_function(quadrature, rhs_phi), x)
-        psi_x = psi_x + teodorescu(a2, s2, VolumeDensity.from_function(quadrature, rhs_psi), x)
+        volume_phi = VolumeDensity.from_function(quadrature, rhs_phi)
+        volume_psi = VolumeDensity.from_function(quadrature, rhs_psi)
+        points = np.reshape(x, (-1, 3))
+        t1 = [teodorescu(a1, s1, volume_phi, p) for p in points]
+        t2 = [teodorescu(a2, s2, volume_psi, p) for p in points]
+        phi_x = phi_x + np.reshape(t1, phi_x.shape)
+        psi_x = psi_x + np.reshape(t2, psi_x.shape)
     return phi_x, psi_x
-
-
-def _mode_traces(mesh: SurfaceMesh, e_trace, h_trace):
-    """Panel-constant Phi/Psi boundary densities from per-triangle e, h."""
-    phi_b, psi_b = split_values(e_trace, h_trace)
-    return (
-        BoundaryDensity.from_triangle_values(mesh, q.vector(phi_b)),
-        BoundaryDensity.from_triangle_values(mesh, q.vector(psi_b)),
-    )
 
 
 def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
                    source: Optional[SourceData], medium: ChiralMedium,
-                   quadrature: Optional[VolumeQuadrature], x,
-                   assembly: str = "direct", **operator_options):
-    """E and H at an interior point from per-triangle boundary traces.
+                   quadrature: Optional[VolumeQuadrature], x, **operator_options):
+    """E and H at interior points from per-triangle boundary traces.
 
-    assembly="direct" evaluates the explicit two-kernel displays;
-    assembly="modes" reconstructs Phi, Psi and merges.  The two paths are
-    the same sums grouped differently and must agree to roundoff.
-    Returns full quaternions (the scalar parts measure discretization
-    error; they vanish in the continuum).
+    Splits the traces into panel-constant Phi/Psi densities, reconstructs
+    both modes and merges.  x is one point (3,) or many (M, 3); E and H
+    have shape (4,) or (M, 4).  Returns full quaternions (the scalar parts
+    measure discretization error; they vanish in the continuum).
     """
-    phi_trace, psi_trace = _mode_traces(mesh, e_trace, h_trace)
-    (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-
-    if assembly == "modes":
-        phi_x, psi_x = phi_psi_representation(
-            phi_trace, psi_trace, source, medium, quadrature, x, **operator_options)
-        return 0.5 * (phi_x + psi_x), (phi_x - psi_x) / 2j
-    if assembly != "direct":
-        raise ValueError("assembly must be 'direct' or 'modes'")
-
-    k1 = cauchy_boundary(a1, s1, phi_trace, x, **operator_options)
-    k2 = cauchy_boundary(a2, s2, psi_trace, x, **operator_options)
-    if source is not None:
-        if quadrature is None:
-            raise ValueError("a volume quadrature is required when a source is present")
-        rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
-        t1 = teodorescu(a1, s1, VolumeDensity.from_function(quadrature, rhs_phi), x)
-        t2 = teodorescu(a2, s2, VolumeDensity.from_function(quadrature, rhs_psi), x)
-    else:
-        t1 = t2 = np.zeros(4, dtype=complex)
-    e_x = 0.5 * (t1 + k1) + 0.5 * (t2 + k2)
-    h_x = ((t1 + k1) - (t2 + k2)) / 2j
-    return e_x, h_x
+    phi_b, psi_b = split_values(e_trace, h_trace)
+    phi_trace = BoundaryDensity.from_triangle_values(mesh, q.vector(phi_b))
+    psi_trace = BoundaryDensity.from_triangle_values(mesh, q.vector(psi_b))
+    return merge_values(*phi_psi_representation(
+        phi_trace, psi_trace, source, medium, quadrature, x, **operator_options))
 
 
-def boundary_criterion_values(mesh: SurfaceMesh, e_trace, h_trace,
-                              medium: ChiralMedium, x, **operator_options):
-    """Right-hand sides of the extendibility equalities at an interior x:
+def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
+                  **operator_options):
+    """Source-free E and H from the explicit two-kernel displays
 
-    e_pred = (K1 Phi + K2 Psi) / 2,   h_pred = (K1 Phi - K2 Psi) / (2i)
+    E = (K1 + K2) e / 2 + i (K1 - K2) h / 2
+    H = (K1 - K2) e / (2i) + (K1 + K2) h / 2
 
-    with K1 = K_{+alpha1}, K2 = K_{-alpha2} and Phi, Psi the split traces.
+    with K1 = K_{+alpha1}, K2 = K_{-alpha2} applied to the e and h traces
+    separately.  Equal to reconstruct_eh up to roundoff.
     """
-    phi_trace, psi_trace = _mode_traces(mesh, e_trace, h_trace)
+    e_b = BoundaryDensity.from_triangle_values(mesh, q.vector(e_trace))
+    h_b = BoundaryDensity.from_triangle_values(mesh, q.vector(h_trace))
     (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-    k1 = cauchy_boundary(a1, s1, phi_trace, x, **operator_options)
-    k2 = cauchy_boundary(a2, s2, psi_trace, x, **operator_options)
-    return 0.5 * (k1 + k2), (k1 - k2) / 2j
+    k1e, k1h = (cauchy_boundary(a1, s1, d, x, **operator_options) for d in (e_b, h_b))
+    k2e, k2h = (cauchy_boundary(a2, s2, d, x, **operator_options) for d in (e_b, h_b))
+    return (0.5 * (k1e + k2e) + 0.5j * (k1h - k2h),
+            (k1e - k2e) / 2j + 0.5 * (k1h + k2h))
 
 
 @dataclass(frozen=True)
@@ -171,11 +154,11 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace,
                            floor: float = RESIDUAL_FLOOR) -> ExtendibilityReport:
     """Residuals of the boundary-trace criterion, per triangle.
 
-    The criterion's right-hand sides are evaluated at points offset inward
-    by multiples of `depth` and extrapolated to the surface, then compared
-    with the given traces at the centroids.  Residuals are quaternion
-    norms (the scalar part of the prediction must vanish too) relative to
-    the overall trace magnitude.
+    The source-free reconstruction is evaluated at points offset inward by
+    multiples of `depth` (all depths in one batch) and extrapolated to the
+    surface, then compared with the given traces at the centroids.
+    Residuals are quaternion norms (the scalar part of the prediction must
+    vanish too) relative to the overall trace magnitude.
     """
     if extrapolation not in EXTRAPOLATIONS:
         raise ValueError("extrapolation must be one of %s" % sorted(EXTRAPOLATIONS))
@@ -189,18 +172,12 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace,
         float(np.max(np.sqrt(np.sum(np.abs(e_trace)**2 + np.abs(h_trace)**2, axis=1)))),
         floor,
     )
-    phi_trace, psi_trace = _mode_traces(mesh, e_trace, h_trace)
-    (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-    e_pred = np.zeros((n_tri, 4), dtype=complex)
-    h_pred = np.zeros((n_tri, 4), dtype=complex)
-    for mult, coeff in EXTRAPOLATIONS[extrapolation]:
-        pts, _ = interior_offset_points(mesh, mult * depth)
-        k1 = cauchy_boundary_many(a1, s1, phi_trace, pts,
-                                  min_distance_factor=min_distance_factor)
-        k2 = cauchy_boundary_many(a2, s2, psi_trace, pts,
-                                  min_distance_factor=min_distance_factor)
-        e_pred += coeff * 0.5 * (k1 + k2)
-        h_pred += coeff * (k1 - k2) / 2j
+    rule = EXTRAPOLATIONS[extrapolation]
+    pts = np.concatenate([interior_offset_points(mesh, mult * depth)[0] for mult, _ in rule])
+    e_x, h_x = reconstruct_eh(mesh, e_trace, h_trace, None, medium, None, pts,
+                              min_distance_factor=min_distance_factor)
+    e_pred = sum(c * v for (_, c), v in zip(rule, e_x.reshape(len(rule), n_tri, 4)))
+    h_pred = sum(c * v for (_, c), v in zip(rule, h_x.reshape(len(rule), n_tri, 4)))
 
     residual_e = q.norm(e_pred - q.vector(e_trace)) / scale
     residual_h = q.norm(h_pred - q.vector(h_trace)) / scale

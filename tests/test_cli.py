@@ -168,3 +168,22 @@ def test_config_errors(tmp_path):
     main(["gen-mesh", "--level", "0", "--out", mesh])
     assert main(["gen-field", "--family", "chiral-exact", "--mesh", mesh,
                  "--beta", "1.0", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("fault, message", [("short row", "has 7 columns"),
+                                            ("repeated triangle", "repeats triangle 1")])
+def test_malformed_trace_file(workspace, tmp_path, capsys, fault, message):
+    _, mesh_path, traces = workspace
+    with open(traces, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if fault == "short row":
+        rows[3] = rows[3][:7]
+    else:  # triangle 1 twice, triangle 6 missing
+        rows[7] = rows[2]
+    bad = str(tmp_path / "bad.csv")
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    for command in ("reconstruct", "extend-check"):
+        assert main([command, "--mesh", mesh_path, "--traces", bad,
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert message in capsys.readouterr().err

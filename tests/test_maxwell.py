@@ -1,4 +1,4 @@
-"""Medium parameters, normalization, mode splitting and continuity."""
+"""Medium parameters, mode splitting and continuity."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,9 @@ from quatem.kernels import fd_div
 from quatem.maxwell import (
     SourceData,
     continuity_rho,
-    denormalize_values,
     make_medium,
-    merge_fields,
     merge_values,
-    normalize_values,
     phi_psi_rhs,
-    split_fields,
     split_values,
 )
 from quatem.reconstruction import maxwell_residual
@@ -57,16 +53,6 @@ def test_resonant_medium_rejected():
         make_medium(1.0, 1.0, 1.0, 0.1, branch=0)
 
 
-def test_normalization_roundtrip():
-    m = make_medium(1.0, 3.0 - 0.2j, 1.7, 0.05)
-    rng = np.random.default_rng(12)
-    e, h, j = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-               for _ in range(3))
-    back = denormalize_values(*normalize_values(e, h, j, m), m)
-    for a, b in zip(back, (e, h, j)):
-        assert np.allclose(a, b, rtol=1e-14)
-
-
 def test_split_merge_roundtrip():
     rng = np.random.default_rng(13)
     e = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
@@ -75,15 +61,6 @@ def test_split_merge_roundtrip():
     assert np.allclose(phi, e + 1j * h)
     e2, h2 = merge_values(phi, psi)
     assert np.allclose(e2, e) and np.allclose(h2, h)
-
-
-def test_split_merge_fields_roundtrip():
-    m = make_medium(1.0, 1.0, 1.0, 0.25)
-    e_field, h_field = exact_chiral_solution(m)
-    e2, h2 = merge_fields(*split_fields(e_field, h_field))
-    x = np.array([0.3, -0.2, 0.5])
-    assert np.allclose(e2.value(x), e_field.value(x))
-    assert np.allclose(h2.d_value(x), h_field.d_value(x))
 
 
 def _beltrami_source(lam):

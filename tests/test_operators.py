@@ -15,12 +15,12 @@ from quatem.fields import (
 from quatem.geometry import build_ball_quadrature, build_sphere_mesh
 from quatem.kernels import upsilon
 from quatem.operators import (
+    BOUNDARY_CHUNK,
     BoundaryDensity,
     VolumeDensity,
     borel_pompeiu_residual,
     boundary_distance,
     cauchy_boundary,
-    cauchy_boundary_many,
     teodorescu,
 )
 
@@ -80,27 +80,26 @@ def test_teodorescu_linearity():
 def test_teodorescu_sign_coherence():
     # both sign conventions share the same Helmholtz kernel; only the
     # alpha*theta scalar term flips.  Rebuild each kernel from the raw
-    # closed forms and cross-check through the kernel override.
+    # closed forms and sum it over the rule by hand.
     from quatem.kernels import grad_theta, theta
 
     d = _const_volume(q.quat(1, 0.5, -0.25, 2j))
     alpha = 1.0 + 0.2j
-    for s in (1, -1):
-        def manual(x, s=s):
-            out = q.scalar(s * alpha * theta(alpha, x))
-            out[..., 1:] = -grad_theta(alpha, x)
-            return out
+    diff = PROBE - QUAD2.points
+    w = QUAD2.weights.astype(complex)
 
+    def reference(kernel):
+        return np.einsum("n,nk->k", w, q.qmul(kernel, d.values))
+
+    for s in (1, -1):
+        manual = q.scalar(s * alpha * theta(alpha, diff))
+        manual[..., 1:] = -grad_theta(alpha, diff)
         built_in = teodorescu(alpha, s, d, PROBE, near_rule="none")
-        via_kernel = teodorescu(alpha, s, d, PROBE, kernel=manual)
-        assert np.allclose(built_in, via_kernel, atol=1e-13)
+        assert np.allclose(built_in, reference(manual), atol=1e-13)
     # the two signs differ exactly by twice the scalar-kernel term
     plus = teodorescu(alpha, 1, d, PROBE, near_rule="none")
     minus = teodorescu(alpha, -1, d, PROBE, near_rule="none")
-    twice_scalar = teodorescu(
-        alpha, 1, d, PROBE,
-        kernel=lambda x: q.scalar(2.0 * alpha * theta(alpha, x)),
-    )
+    twice_scalar = reference(q.scalar(2.0 * alpha * theta(alpha, diff)))
     assert np.allclose(plus - minus, twice_scalar, atol=1e-13)
 
 
@@ -156,14 +155,29 @@ def test_cauchy_near_singularity_guard():
     assert q.is_finite(
         cauchy_boundary(1.0, 1, d, 0.9 * MESH2.flat_points[0], min_distance_factor=0.05)
     )
+    # a too-close target in a later block of a batch is caught as well
+    batch = np.vstack([np.tile(PROBE, (BOUNDARY_CHUNK, 1)), too_close])
+    with pytest.raises(NearSingularityError):
+        cauchy_boundary(1.0, 1, d, batch)
 
 
 def test_cauchy_many_matches_single():
+    # more targets than one block holds, so the batch spans a block boundary
     d = BoundaryDensity.from_function(MESH2, abc_beltrami(-0.8).value)
-    xs = np.array([[0.2, 0.1, 0.0], [-0.3, 0.2, 0.1], [0.0, 0.0, 0.4]])
-    many = cauchy_boundary_many(0.8, 1, d, xs, chunk=2)
-    for x, row in zip(xs, many):
-        assert np.allclose(row, cauchy_boundary(0.8, 1, d, x), atol=1e-14)
+    rng = np.random.default_rng(23)
+    xs = rng.uniform(-0.3, 0.3, (BOUNDARY_CHUNK + 5, 3))
+    many = cauchy_boundary(0.8, 1, d, xs)
+    assert many.shape == (len(xs), 4)
+    single = np.array([cauchy_boundary(0.8, 1, d, x) for x in xs])
+    assert single.shape == (len(xs), 4)
+    assert np.allclose(many, single, rtol=0.0, atol=1e-14)
+    # reference: the triple product -w * Ups * (n * f) summed node by node
+    nf = q.qmul(q.vector(MESH2.flat_normals), d.flat_values)
+    terms = q.qmul(upsilon(0.8, 1, xs[:, None, :] - MESH2.flat_points), nf)
+    reference = -np.einsum("n,mnk->mk", MESH2.flat_weights.astype(complex), terms)
+    assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
+    with pytest.raises(ValueError):
+        cauchy_boundary(0.8, 1, d, xs[:, :2])
 
 
 def test_cauchy_reproduces_monogenic_field():
