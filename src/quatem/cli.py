@@ -98,29 +98,31 @@ def _c(z) -> list:
 
 
 def _load_traces(path, n_triangles: int):
-    e = np.zeros((n_triangles, 3), dtype=complex)
-    h = np.zeros((n_triangles, 3), dtype=complex)
-    seen = set()
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("triangle", ""):
-                continue
-            if len(row) != 13:
-                raise ConfigError("trace row %r has %d columns, expected 13"
-                                  % (row[0], len(row)))
-            t = int(row[0])
-            vals = [float(v) for v in row[1:13]]
-            if t < 0 or t >= n_triangles:
-                raise ConfigError("trace row for triangle %d out of range" % t)
-            if t in seen:
-                raise ConfigError("trace file repeats triangle %d" % t)
-            seen.add(t)
-            e[t] = [complex(vals[2 * i], vals[2 * i + 1]) for i in range(3)]
-            h[t] = [complex(vals[6 + 2 * i], vals[7 + 2 * i]) for i in range(3)]
-    if len(seen) != n_triangles:
+        rows = [row for row in csv.reader(fh)
+                if row and row[0].strip().lower() not in ("triangle", "")]
+    for row in rows:
+        if len(row) != 13:
+            raise ConfigError("trace row %r has %d columns, expected 13"
+                              % (row[0], len(row)))
+    tri = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    # re/im pairs of e1..e3, h1..h3, read as six complex columns
+    values = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 12).view(complex)
+    out_of_range = (tri < 0) | (tri >= n_triangles)
+    if out_of_range.any():
+        raise ConfigError("trace row for triangle %d out of range"
+                          % tri[np.argmax(out_of_range)])
+    counts = np.bincount(tri, minlength=n_triangles)
+    if (counts > 1).any():
+        raise ConfigError("trace file repeats triangle %d" % np.argmax(counts > 1))
+    if len(tri) != n_triangles:
         raise ConfigError(
-            "trace file holds %d rows, mesh has %d triangles" % (len(seen), n_triangles)
+            "trace file holds %d rows, mesh has %d triangles" % (len(tri), n_triangles)
         )
+    e = np.empty((n_triangles, 3), dtype=complex)
+    h = np.empty((n_triangles, 3), dtype=complex)
+    e[tri] = values[:, :3]
+    h[tri] = values[:, 3:]
     return e, h
 
 
@@ -247,11 +249,8 @@ def cmd_verify_bp(args) -> int:
         quad = build_ball_quadrature(args.radius, level)
         for name in names:
             f = _bp_field(name, alpha)
-            res = max(
-                borel_pompeiu_residual(f, alpha, 1, mesh, quad, x * args.radius)
-                for x in _BP_PROBES
-            )
-            table[name].append(res)
+            res = borel_pompeiu_residual(f, alpha, 1, mesh, quad, _BP_PROBES * args.radius)
+            table[name].append(float(res.max()))
     slack = 1.0 + args.slack
     decreasing = all(
         col[i + 1] <= slack * col[i] for col in table.values() for i in range(len(col) - 1)

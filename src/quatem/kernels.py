@@ -24,10 +24,22 @@ def _radii(x) -> np.ndarray:
     return r
 
 
+def radial_factors(alpha, r):
+    """The two radial factors of upsilon at distances r > 0.
+
+    Returns (theta, c) with theta = -exp(i*alpha*r) / (4*pi*r) and
+    c = theta * (1/r**2 - i*alpha/r) = -theta'(r)/r, so that
+    upsilon(d) = (sign*alpha*theta(|d|), c(|d|) * d).  The caller owns r
+    and the check that it is nonzero.
+    """
+    inv_r = 1.0 / r
+    th = np.exp(1j * alpha * r) * (inv_r * (-0.25 / np.pi))
+    return th, th * (inv_r * (inv_r - 1j * alpha))
+
+
 def theta(alpha, x) -> np.ndarray:
     """Helmholtz fundamental solution -exp(i*alpha*|x|) / (4*pi*|x|)."""
-    r = _radii(x)
-    return -np.exp(1j * alpha * r) / (4.0 * np.pi * r)
+    return radial_factors(alpha, _radii(x))[0]
 
 
 def grad_theta(alpha, x) -> np.ndarray:
@@ -46,11 +58,10 @@ def upsilon(alpha, sign: int, x) -> np.ndarray:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x = np.asarray(x, dtype=float)
-    r = _radii(x)
-    th = theta(alpha, x)
-    out = np.zeros(x.shape[:-1] + (4,), dtype=complex)
+    th, c = radial_factors(alpha, _radii(x))
+    out = np.empty(x.shape[:-1] + (4,), dtype=complex)
     out[..., 0] = sign * alpha * th
-    out[..., 1:] = (th * (1.0 / r**2 - 1j * alpha / r))[..., None] * x
+    out[..., 1:] = c[..., None] * x
     return out
 
 

@@ -4,7 +4,12 @@ The volume operator sums the weakly singular kernel over a ball quadrature,
 skipping nodes inside a small exclusion radius around the evaluation point
 (the omitted contribution vanishes under refinement).  The boundary
 operator is only evaluated at interior points a few mesh spacings away
-from the surface; no principal-value quadrature exists here.
+from the surface; no principal-value quadrature exists here.  Its kernel
+Ups(d) = sign*alpha*theta(r) + c(r) d depends on d = x - y only through
+two scalar radial factors, so the node sum is two complex matrix products
+per block of targets (see cauchy_boundary).  The distance guard reads the
+same r = |x - y|, computed from the explicit differences, that the
+factors use.
 """
 
 from __future__ import annotations
@@ -17,14 +22,16 @@ from . import quaternions as q
 from .errors import NearSingularityError, SingularityError
 from .fields import AnalyticField
 from .geometry import SurfaceMesh, VolumeQuadrature
-from .kernels import upsilon
+from .kernels import radial_factors, upsilon
 
 EXCLUSION_FACTOR = 0.5      # volume nodes closer than this times the local
                             # node spacing are skipped
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
 BOUNDARY_CHUNK = 16         # targets per block of the boundary potential;
-                            # larger blocks were slower per target at 1280
-                            # and 5120 triangles (temporaries leave cache)
+                            # blocks of 4-32 cost the same per target within
+                            # 10 % at 1280 and 5120 triangles, blocks of 64
+                            # and 128 cost 1.25x and 1.5x more at 5120 (the
+                            # B x N kernel temporaries leave cache)
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -181,34 +188,47 @@ def boundary_distance(mesh: SurfaceMesh, x) -> float:
 
 def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x,
                     min_distance_factor: float = MIN_DISTANCE_FACTOR) -> np.ndarray:
-    """Boundary potential -sum_j a_j * Ups(x - y_j) * n(y_j) * f(y_j).
+    """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = a_j n(y_j) f(y_j).
 
     x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  Targets are evaluated BOUNDARY_CHUNK at a time.  The
-    quaternionic triple product is taken in exactly this order.  Raises
-    NearSingularityError when a target comes closer to the surface than
-    min_distance_factor mesh spacings.
+    (M, 4).  The kernel is Ups(d) = sign*alpha*theta(r) + c(r) d with
+    d = x - y and r = |d| (kernels.radial_factors), so the node sum factors
+    into two complex scalar matrices Theta[m, j] and C[m, j]:
+
+        sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
+
+    with quaternion products and the right-hand sides g and y*g formed once
+    per call.  Targets go BOUNDARY_CHUNK at a time; each block computes
+    r = |x - y| once from the explicit differences, and that r serves both
+    the guard and both matrices.  Raises NearSingularityError when a target
+    comes closer to a surface node than min_distance_factor mesh spacings.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     mesh = density.mesh
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 3:
         raise ValueError("targets must have shape (3,) or (M, 3)")
     xs = x.reshape(-1, 3)
+    y = mesh.flat_points
     g = mesh.flat_weights[:, None] * q.qmul(q.vector(mesh.flat_normals),
                                             density.flat_values)  # (N, 4)
-    units = np.array(q.UNITS)
+    g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=1)       # (N, 8)
+    y_cols = np.ascontiguousarray(y.T)
     d_min = min_distance_factor * mesh.spacing
-    out = np.empty((len(xs), 4), dtype=complex)
+    theta_g = np.empty((len(xs), 4), dtype=complex)
+    c_g_yg = np.empty((len(xs), 8), dtype=complex)
     for start in range(0, len(xs), BOUNDARY_CHUNK):
-        diff = xs[start:start + BOUNDARY_CHUNK, None, :] - mesh.flat_points[None, :, :]
-        dist = float(np.linalg.norm(diff, axis=2).min())
+        block = slice(start, start + BOUNDARY_CHUNK)
+        diff = xs[block].T[:, :, None] - y_cols[:, None, :]
+        r = np.sqrt(np.einsum("kmj,kmj->mj", diff, diff))
+        dist = float(r.min())
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)
-        ker = upsilon(alpha, sign, diff)
-        # sum_n Ups_n * g_n = sum_a i_a * (sum_n Ups_{n,a} g_n): one
-        # (4, N) @ (N, 4) product per target, then four unit products
-        partial = np.swapaxes(ker, 1, 2) @ g
-        out[start:start + BOUNDARY_CHUNK] = -q.qmul(units, partial).sum(axis=1)
+        th, c = radial_factors(alpha, r)
+        theta_g[block] = th @ g
+        c_g_yg[block] = c @ g_yg
+    out = -(sign * alpha * theta_g + q.qmul(q.vector(xs), c_g_yg[:, :4]) - c_g_yg[:, 4:])
     return out.reshape(x.shape[:-1] + (4,))
 
 
@@ -216,17 +236,22 @@ def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,
                            mesh: SurfaceMesh, quadrature: VolumeQuadrature, x,
                            floor: float = RESIDUAL_FLOOR,
                            near_rule: str = "cutoff",
-                           min_distance_factor: float = MIN_DISTANCE_FACTOR) -> float:
+                           min_distance_factor: float = MIN_DISTANCE_FACTOR):
     """Relative defect of the reproduction identity (K + T D) f = f at x.
 
-    The boundary trace and the exact derivative come from the field's
-    analytic oracles, so the residual measures quadrature error only.
+    x is one target (3,) or many (M, 3); the result is a float or an (M,)
+    array.  The boundary trace and the exact derivative come from the
+    field's analytic oracles, so the residual measures quadrature error
+    only; both densities are built once for all targets.
     """
+    x = np.asarray(x, dtype=float)
     trace = BoundaryDensity.from_function(mesh, f.value)
     volume = VolumeDensity.from_function(quadrature, f.d_alpha(alpha, sign))
-    reproduced = (
-        cauchy_boundary(alpha, sign, trace, x, min_distance_factor=min_distance_factor)
-        + teodorescu(alpha, sign, volume, x, near_rule=near_rule)
-    )
-    fx = f.value(np.asarray(x, dtype=float))
-    return float(q.norm(reproduced - fx) / max(q.norm(fx), floor))
+    reproduced = cauchy_boundary(alpha, sign, trace, x,
+                                 min_distance_factor=min_distance_factor)
+    reproduced += np.reshape(
+        [teodorescu(alpha, sign, volume, p, near_rule=near_rule) for p in x.reshape(-1, 3)],
+        reproduced.shape)
+    fx = f.value(x)
+    res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), floor)
+    return float(res) if x.ndim == 1 else res

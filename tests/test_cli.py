@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quatem import quaternions as q
-from quatem.cli import main
+from quatem.cli import _load_traces, main
 from quatem.fields import exact_chiral_solution
 from quatem.geometry import load_off
 from quatem.maxwell import make_medium
@@ -185,5 +185,38 @@ def test_malformed_trace_file(workspace, tmp_path, capsys, fault, message):
         csv.writer(fh).writerows(rows)
     for command in ("reconstruct", "extend-check"):
         assert main([command, "--mesh", mesh_path, "--traces", bad,
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_trace_file_values_and_bad_rows(workspace, tmp_path, capsys):
+    _, mesh_path, traces = workspace
+    with open(traces, newline="") as fh:
+        rows = list(csv.reader(fh))
+    n_triangles = len(rows) - 1
+
+    def write(body):
+        path = str(tmp_path / "t.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0]] + body)
+        return path
+
+    # rows in reverse order: each lands at its own triangle, bit for bit
+    e, h = _load_traces(write(rows[:0:-1]), n_triangles)
+    for row in rows[1:]:
+        v = [float(s) for s in row[1:]]
+        pairs = [complex(v[2 * i], v[2 * i + 1]) for i in range(6)]
+        assert e[int(row[0])].tolist() == pairs[:3]
+        assert h[int(row[0])].tolist() == pairs[3:]
+
+    out_of_range = [list(r) for r in rows[1:]]
+    out_of_range[2][0] = str(n_triangles)
+    non_numeric = [list(r) for r in rows[1:]]
+    non_numeric[2][5] = "abc"
+    missing = rows[1:3] + rows[4:]
+    for body, message in ((out_of_range, "out of range"),
+                          (non_numeric, "could not convert"),
+                          (missing, "holds %d rows" % (n_triangles - 1))):
+        assert main(["reconstruct", "--mesh", mesh_path, "--traces", write(body),
                      "--out", str(tmp_path / "x.json")]) == 2
         assert message in capsys.readouterr().err

@@ -137,6 +137,16 @@ def test_borel_pompeiu_both_signs():
         assert borel_pompeiu_residual(f, 1.0, sign, mesh, quad, PROBE) < 2e-2
 
 
+def test_borel_pompeiu_batch_matches_pointwise():
+    f = abc_beltrami(-1.0)
+    xs = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
+    batch = borel_pompeiu_residual(f, 1.0, -1, MESH2, QUAD2, xs)
+    assert batch.shape == (len(xs),)
+    single = [borel_pompeiu_residual(f, 1.0, -1, MESH2, QUAD2, x) for x in xs]
+    assert all(isinstance(v, float) for v in single)
+    assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
+
+
 def test_boundary_distance():
     assert boundary_distance(MESH2, np.zeros(3)) == pytest.approx(1.0, rel=2.5e-2)
     surface_node = MESH2.flat_points[0]
@@ -162,22 +172,37 @@ def test_cauchy_near_singularity_guard():
 
 
 def test_cauchy_many_matches_single():
-    # more targets than one block holds, so the batch spans a block boundary
-    d = BoundaryDensity.from_function(MESH2, abc_beltrami(-0.8).value)
+    # more targets than one block holds, so the batch spans a block boundary;
+    # real and complex alpha, both signs, one and three nodes per triangle
     rng = np.random.default_rng(23)
     xs = rng.uniform(-0.3, 0.3, (BOUNDARY_CHUNK + 5, 3))
-    many = cauchy_boundary(0.8, 1, d, xs)
-    assert many.shape == (len(xs), 4)
-    single = np.array([cauchy_boundary(0.8, 1, d, x) for x in xs])
-    assert single.shape == (len(xs), 4)
-    assert np.allclose(many, single, rtol=0.0, atol=1e-14)
-    # reference: the triple product -w * Ups * (n * f) summed node by node
-    nf = q.qmul(q.vector(MESH2.flat_normals), d.flat_values)
-    terms = q.qmul(upsilon(0.8, 1, xs[:, None, :] - MESH2.flat_points), nf)
-    reference = -np.einsum("n,mnk->mk", MESH2.flat_weights.astype(complex), terms)
-    assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
+
+    def random_density(mesh):
+        shape = (mesh.n_triangles, mesh.nodes_per_triangle, 4)
+        return BoundaryDensity(mesh, rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape))
+
+    cases = [
+        (0.8, 1, BoundaryDensity.from_function(MESH2, abc_beltrami(-0.8).value)),
+        (0.8 + 0.3j, -1, random_density(MESH2)),
+        (0.8 + 0.3j, 1, random_density(build_sphere_mesh(1.0, 2, nodes_per_triangle=3))),
+    ]
+    for alpha, sign, d in cases:
+        mesh = d.mesh
+        many = cauchy_boundary(alpha, sign, d, xs)
+        assert many.shape == (len(xs), 4)
+        single = np.array([cauchy_boundary(alpha, sign, d, x) for x in xs])
+        assert single.shape == (len(xs), 4)
+        assert np.allclose(many, single, rtol=0.0, atol=1e-14)
+        # reference: the triple product -w * Ups * (n * f) summed node by node
+        nf = q.qmul(q.vector(mesh.flat_normals), d.flat_values)
+        terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - mesh.flat_points), nf)
+        reference = -np.einsum("n,mnk->mk", mesh.flat_weights.astype(complex), terms)
+        assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
     with pytest.raises(ValueError):
         cauchy_boundary(0.8, 1, d, xs[:, :2])
+    with pytest.raises(ValueError):
+        cauchy_boundary(0.8, 2, d, xs)
 
 
 def test_cauchy_reproduces_monogenic_field():
