@@ -241,11 +241,9 @@ def checked_normals(mesh: SurfaceMesh) -> NormalCheck:
 
 
 def interior_offset_points(mesh: SurfaceMesh, depth: float):
-    """Collocation points displaced inward from triangle centroids.
-
-    Returns (points, warn) where warn[t] is set when the offset point ends
-    up closer to some other part of the surface than `depth`, i.e. the
-    displacement exceeded the local feature size.
+    """Collocation points displaced inward by `depth` from the triangle
+    centroids, shape (T, 3).  Whether they keep a safe distance from the
+    surface is checked where they are used (operators.cauchy_boundary).
     """
     if depth <= 0:
         raise ValueError("offset depth must be positive")
@@ -255,15 +253,7 @@ def interior_offset_points(mesh: SurfaceMesh, depth: float):
         raise ValueError(
             "offset depth %g exceeds the inradius estimate %g" % (depth, inradius)
         )
-    points = mesh.centroids - depth * mesh.normals
-    surface = mesh.flat_points
-    warn = np.zeros(len(points), dtype=bool)
-    chunk = 2048
-    for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
-        d = np.linalg.norm(block[:, None, :] - surface[None, :, :], axis=2)
-        warn[start:start + chunk] = d.min(axis=1) < depth * (1.0 - 1e-9)
-    return points, warn
+    return mesh.centroids - depth * mesh.normals
 
 
 def save_off(mesh: SurfaceMesh, path) -> None:

@@ -1,37 +1,37 @@
 """Discretized volume and boundary integral operators.
 
-The volume operator sums the weakly singular kernel over a ball quadrature,
-skipping nodes inside a small exclusion radius around the evaluation point
-(the omitted contribution vanishes under refinement).  The boundary
-operator is only evaluated at interior points a few mesh spacings away
-from the surface; no principal-value quadrature exists here.  Its kernel
-Ups(d) = sign*alpha*theta(r) + c(r) d depends on d = x - y only through
-two scalar radial factors, so the node sum is two complex matrix products
-per block of targets (see cauchy_boundary).  The distance guard reads the
-same r = |x - y|, computed from the explicit differences, that the
-factors use.
+Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
+d = x - y, over quadrature nodes in one routine (_kernel_sum), as two
+complex scalar-matrix products per block of targets; they differ only in
+the right-hand side and in the weight each (target, node) pair gets from
+its distance r.  The volume operator's smooth cutoff removes a small ball
+around each target, whose integral is summed in polar coordinates instead.
+The boundary operator is only evaluated at interior points a few mesh
+spacings away from the surface (no principal-value quadrature exists
+here); its guard reads the same r that the kernel factors use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import quaternions as q
-from .errors import NearSingularityError, SingularityError
+from .errors import NearSingularityError
 from .fields import AnalyticField
 from .geometry import SurfaceMesh, VolumeQuadrature
 from .kernels import radial_factors, upsilon
 
-EXCLUSION_FACTOR = 0.5      # volume nodes closer than this times the local
-                            # node spacing are skipped
+CUTOFF_FACTOR = 3.0         # volume rule: cutoff radius in mean node spacings
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
-BOUNDARY_CHUNK = 16         # targets per block of the boundary potential;
-                            # blocks of 4-32 cost the same per target within
-                            # 10 % at 1280 and 5120 triangles, blocks of 64
-                            # and 128 cost 1.25x and 1.5x more at 5120 (the
-                            # B x N kernel temporaries leave cache)
+BLOCK_PAIRS = 16 * 1280     # target-node pairs per block of a kernel sum: 16
+                            # targets at 1280 surface nodes (blocks of 4-32
+                            # targets cost the same per target within 10 % at
+                            # 1280 and 5120 nodes; 64 and 128 cost 1.25x and
+                            # 1.5x more at 5120, the B x N temporaries leave
+                            # cache), one target per block for the volume rules
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -69,16 +69,13 @@ class BoundaryDensity:
 
 @dataclass(frozen=True)
 class VolumeDensity:
-    """Quaternion values attached to the nodes of a volume rule.
-
-    An optional batched evaluator enables the near-field treatment of the
-    volume potential to sample the density off-node; without it the value
-    of the nearest node is used instead.
-    """
+    """Quaternion values attached to the nodes of a volume rule, with the
+    batched evaluator they came from; the near-field treatment of the
+    volume potential samples the density off-node through it."""
 
     quadrature: VolumeQuadrature
     values: np.ndarray  # (N, 4)
-    evaluator: object = None
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         expected = (len(self.quadrature.points), 4)
@@ -92,14 +89,7 @@ class VolumeDensity:
         return cls(quadrature, np.asarray(f(quadrature.points), dtype=complex), f)
 
     def sample(self, pts: np.ndarray) -> np.ndarray:
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(pts), dtype=complex)
-        flat = pts.reshape(-1, 3)
-        nearest = np.empty(len(flat), dtype=int)
-        nodes = self.quadrature.points
-        for i, p in enumerate(flat):
-            nearest[i] = int(np.argmin(np.sum((nodes - p) ** 2, axis=1)))
-        return self.values[nearest].reshape(pts.shape[:-1] + (4,))
+        return np.asarray(self.evaluator(pts), dtype=complex)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -122,121 +112,114 @@ def _near_rule(level: int = 1):
     return _NEAR_DIRECTIONS[level]
 
 
-def teodorescu(alpha, sign: int, density: VolumeDensity, x,
-               near_rule: str = "cutoff",
-               cutoff_factor: float = 3.0,
-               exclusion_factor: float = EXCLUSION_FACTOR) -> np.ndarray:
+def _targets(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 3:
+        raise ValueError("targets must have shape (3,) or (M, 3)")
+    return x
+
+
+def _kernel_sum(alpha, sign: int, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
+                pair_weights) -> np.ndarray:
+    """sum_j W[m, j] Ups(x_m - y_j) g_j for targets xs (M, 3), nodes y (N, 3)
+    and quaternions g (N, 4); the result has shape (M, 4).
+
+    The kernel is Ups(d) = sign*alpha*theta(r) + c(r) d with d = x - y and
+    r = |d| (kernels.radial_factors), so the node sum factors into two
+    complex scalar matrices Theta[m, j] and C[m, j]:
+
+        sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
+
+    with quaternion products and y*g formed once per call.  Targets go in
+    blocks of about BLOCK_PAIRS target-node pairs; each block computes
+    r = |x - y| once from the explicit differences, and pair_weights(r)
+    returns the real weights W of the block (shape (B, N) or (N,)).
+    Pairs of zero weight are left out: their radius is replaced by 1 before
+    the factors are formed, so a target on a node stays finite.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=1)  # (N, 8)
+    y_cols = np.ascontiguousarray(y.T)
+    block = max(1, BLOCK_PAIRS // len(y))
+    theta_g = np.empty((len(xs), 4), dtype=complex)
+    c_g_yg = np.empty((len(xs), 8), dtype=complex)
+    for start in range(0, len(xs), block):
+        rows = slice(start, start + block)
+        diff = xs[rows].T[:, :, None] - y_cols[:, None, :]
+        r = np.sqrt(np.einsum("kmj,kmj->mj", diff, diff))
+        w = pair_weights(r)
+        np.copyto(r, 1.0, where=w == 0.0)
+        th, c = radial_factors(alpha, r)
+        th *= w
+        c *= w
+        theta_g[rows] = th @ g
+        c_g_yg[rows] = c @ g_yg
+    return sign * alpha * theta_g + q.qmul(q.vector(xs), c_g_yg[:, :4]) - c_g_yg[:, 4:]
+
+
+def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
     """Volume potential sum_j w_j * Ups(x - y_j) * f(y_j) over the rule.
 
-    Three treatments of the weakly singular region around x:
-
-    - "cutoff" (default): a smooth partition of unity removes the ball of
-      radius rho = cutoff_factor * mean node spacing from the global sum;
-      the complementary near integral is evaluated in polar coordinates
-      centered at x, where the volume element cancels the 1/r**2 kernel
-      growth exactly.  Off-node density values come from density.sample.
-    - "exclude": nodes closer than exclusion_factor times the local node
-      spacing w_j**(1/3) are simply skipped (first-order accurate).
-    - "none": plain sum; raises if x coincides with a node.
+    x is one target (3,) or many (M, 3); the result has shape (4,) or
+    (M, 4).  A smooth partition of unity removes the ball of radius
+    rho = CUTOFF_FACTOR * mean node spacing around each target from the
+    node sum (_kernel_sum); the complementary near integral is evaluated
+    in polar coordinates centered at the target, where the volume element
+    cancels the 1/r**2 kernel growth exactly.  Its kernel values do not
+    depend on the target; its off-node density values come from one
+    density.sample call for all targets.
     """
-    x = np.asarray(x, dtype=float)
+    x = _targets(x)
+    xs = x.reshape(-1, 3)
     quad = density.quadrature
-    diff = x - quad.points
-    r = np.linalg.norm(diff, axis=1)
-
-    if near_rule == "none":
-        if np.any(r == 0.0):
-            raise SingularityError("evaluation point coincides with a quadrature node")
-        ker = upsilon(alpha, sign, diff)
-        return np.einsum("n,nk->k", quad.weights.astype(complex),
-                         q.qmul(ker, density.values))
-    if near_rule == "exclude":
-        keep = r >= exclusion_factor * quad.weights ** (1.0 / 3.0)
-        ker = upsilon(alpha, sign, diff[keep])
-        return np.einsum("n,nk->k", quad.weights[keep].astype(complex),
-                         q.qmul(ker, density.values[keep]))
-    if near_rule != "cutoff":
-        raise ValueError("near_rule must be 'cutoff', 'exclude' or 'none'")
-
-    rho = cutoff_factor * float(np.mean(quad.weights ** (1.0 / 3.0)))
-    chi = _smoothstep(r / rho - 1.0)  # 0 inside rho, 1 beyond 2*rho
-    w = quad.weights * chi
-    m = w > 0.0
-    ker = upsilon(alpha, sign, diff[m])
-    out = np.einsum("n,nk->k", w[m].astype(complex), q.qmul(ker, density.values[m]))
+    rho = CUTOFF_FACTOR * float(np.mean(quad.weights ** (1.0 / 3.0)))
+    out = _kernel_sum(alpha, sign, xs, quad.points, density.values,
+                      lambda r: quad.weights * _smoothstep(r / rho - 1.0))
 
     t, gw = np.polynomial.legendre.leggauss(8)
     rr = (t + 1.0) * rho           # radii in (0, 2*rho)
     wr = gw * rho
     dirs, ang_w = _near_rule()
     offsets = rr[:, None, None] * dirs[None, :, :]
-    y = x + offsets
+    y = xs[:, None, None, :] + offsets
     inside = np.linalg.norm(y, axis=-1) <= quad.radius
-    near_vals = density.sample(y)
     near_ker = upsilon(alpha, sign, -offsets)
     near_w = ((wr * rr**2)[:, None] * ang_w[None, :]) \
         * (1.0 - _smoothstep(rr[:, None] / rho - 1.0)) * inside
-    return out + np.einsum("nd,ndk->k", near_w.astype(complex),
-                           q.qmul(near_ker, near_vals))
+    out += np.einsum("mnd,mndk->mk", near_w.astype(complex),
+                     q.qmul(near_ker, density.sample(y)))
+    return out.reshape(x.shape[:-1] + (4,))
 
 
-def boundary_distance(mesh: SurfaceMesh, x) -> float:
-    """Distance from x to the discrete boundary (its quadrature nodes)."""
-    x = np.asarray(x, dtype=float)
-    return float(np.min(np.linalg.norm(x - mesh.flat_points, axis=1)))
-
-
-def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x,
-                    min_distance_factor: float = MIN_DISTANCE_FACTOR) -> np.ndarray:
+def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x) -> np.ndarray:
     """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = a_j n(y_j) f(y_j).
 
     x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  The kernel is Ups(d) = sign*alpha*theta(r) + c(r) d with
-    d = x - y and r = |d| (kernels.radial_factors), so the node sum factors
-    into two complex scalar matrices Theta[m, j] and C[m, j]:
-
-        sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
-
-    with quaternion products and the right-hand sides g and y*g formed once
-    per call.  Targets go BOUNDARY_CHUNK at a time; each block computes
-    r = |x - y| once from the explicit differences, and that r serves both
-    the guard and both matrices.  Raises NearSingularityError when a target
-    comes closer to a surface node than min_distance_factor mesh spacings.
+    (M, 4).  The node sum is _kernel_sum with the surface weights a_j; the
+    same per-block radii serve the guard, which raises NearSingularityError
+    when a target comes closer to a surface node than MIN_DISTANCE_FACTOR
+    mesh spacings.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     mesh = density.mesh
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 3:
-        raise ValueError("targets must have shape (3,) or (M, 3)")
-    xs = x.reshape(-1, 3)
-    y = mesh.flat_points
-    g = mesh.flat_weights[:, None] * q.qmul(q.vector(mesh.flat_normals),
-                                            density.flat_values)  # (N, 4)
-    g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=1)       # (N, 8)
-    y_cols = np.ascontiguousarray(y.T)
-    d_min = min_distance_factor * mesh.spacing
-    theta_g = np.empty((len(xs), 4), dtype=complex)
-    c_g_yg = np.empty((len(xs), 8), dtype=complex)
-    for start in range(0, len(xs), BOUNDARY_CHUNK):
-        block = slice(start, start + BOUNDARY_CHUNK)
-        diff = xs[block].T[:, :, None] - y_cols[:, None, :]
-        r = np.sqrt(np.einsum("kmj,kmj->mj", diff, diff))
+    x = _targets(x)
+    d_min = MIN_DISTANCE_FACTOR * mesh.spacing
+    weights = mesh.flat_weights
+
+    def guarded_weights(r):
         dist = float(r.min())
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)
-        th, c = radial_factors(alpha, r)
-        theta_g[block] = th @ g
-        c_g_yg[block] = c @ g_yg
-    out = -(sign * alpha * theta_g + q.qmul(q.vector(xs), c_g_yg[:, :4]) - c_g_yg[:, 4:])
+        return weights
+
+    nf = q.qmul(q.vector(mesh.flat_normals), density.flat_values)
+    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), mesh.flat_points, nf,
+                       guarded_weights)
     return out.reshape(x.shape[:-1] + (4,))
 
 
 def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,
-                           mesh: SurfaceMesh, quadrature: VolumeQuadrature, x,
-                           floor: float = RESIDUAL_FLOOR,
-                           near_rule: str = "cutoff",
-                           min_distance_factor: float = MIN_DISTANCE_FACTOR):
+                           mesh: SurfaceMesh, quadrature: VolumeQuadrature, x):
     """Relative defect of the reproduction identity (K + T D) f = f at x.
 
     x is one target (3,) or many (M, 3); the result is a float or an (M,)
@@ -247,11 +230,7 @@ def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,
     x = np.asarray(x, dtype=float)
     trace = BoundaryDensity.from_function(mesh, f.value)
     volume = VolumeDensity.from_function(quadrature, f.d_alpha(alpha, sign))
-    reproduced = cauchy_boundary(alpha, sign, trace, x,
-                                 min_distance_factor=min_distance_factor)
-    reproduced += np.reshape(
-        [teodorescu(alpha, sign, volume, p, near_rule=near_rule) for p in x.reshape(-1, 3)],
-        reproduced.shape)
+    reproduced = cauchy_boundary(alpha, sign, trace, x) + teodorescu(alpha, sign, volume, x)
     fx = f.value(x)
-    res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), floor)
+    res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)
     return float(res) if x.ndim == 1 else res

@@ -27,7 +27,6 @@ from .geometry import SurfaceMesh, VolumeQuadrature, interior_offset_points
 from .kernels import DEFAULT_FD_STEP, fd_curl
 from .maxwell import ChiralMedium, SourceData, merge_values, phi_psi_rhs, split_values
 from .operators import (
-    MIN_DISTANCE_FACTOR,
     RESIDUAL_FLOOR,
     BoundaryDensity,
     VolumeDensity,
@@ -52,36 +51,31 @@ def _mode_operator_pair(medium: ChiralMedium):
 
 def phi_psi_representation(phi_trace: BoundaryDensity, psi_trace: BoundaryDensity,
                            source: Optional[SourceData], medium: ChiralMedium,
-                           quadrature: Optional[VolumeQuadrature], x,
-                           **operator_options):
+                           quadrature: Optional[VolumeQuadrature], x):
     """Interior values of the two modes from their boundary traces.
 
     Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
     Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
 
-    x is one point (3,) or many (M, 3); the volume terms are evaluated
-    point by point.
+    x is one point (3,) or many (M, 3).
     """
     if source is not None and quadrature is None:
         raise ValueError("a volume quadrature is required when a source is present")
     (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-    phi_x = cauchy_boundary(a1, s1, phi_trace, x, **operator_options)
-    psi_x = cauchy_boundary(a2, s2, psi_trace, x, **operator_options)
+    phi_x = cauchy_boundary(a1, s1, phi_trace, x)
+    psi_x = cauchy_boundary(a2, s2, psi_trace, x)
     if source is not None:
         rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
         volume_phi = VolumeDensity.from_function(quadrature, rhs_phi)
         volume_psi = VolumeDensity.from_function(quadrature, rhs_psi)
-        points = np.reshape(x, (-1, 3))
-        t1 = [teodorescu(a1, s1, volume_phi, p) for p in points]
-        t2 = [teodorescu(a2, s2, volume_psi, p) for p in points]
-        phi_x = phi_x + np.reshape(t1, phi_x.shape)
-        psi_x = psi_x + np.reshape(t2, psi_x.shape)
+        phi_x = phi_x + teodorescu(a1, s1, volume_phi, x)
+        psi_x = psi_x + teodorescu(a2, s2, volume_psi, x)
     return phi_x, psi_x
 
 
 def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
                    source: Optional[SourceData], medium: ChiralMedium,
-                   quadrature: Optional[VolumeQuadrature], x, **operator_options):
+                   quadrature: Optional[VolumeQuadrature], x):
     """E and H at interior points from per-triangle boundary traces.
 
     Splits the traces into panel-constant Phi/Psi densities, reconstructs
@@ -93,11 +87,10 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
     phi_trace = BoundaryDensity.from_triangle_values(mesh, q.vector(phi_b))
     psi_trace = BoundaryDensity.from_triangle_values(mesh, q.vector(psi_b))
     return merge_values(*phi_psi_representation(
-        phi_trace, psi_trace, source, medium, quadrature, x, **operator_options))
+        phi_trace, psi_trace, source, medium, quadrature, x))
 
 
-def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
-                  **operator_options):
+def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x):
     """Source-free E and H from the explicit two-kernel displays
 
     E = (K1 + K2) e / 2 + i (K1 - K2) h / 2
@@ -109,8 +102,8 @@ def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
     e_b = BoundaryDensity.from_triangle_values(mesh, q.vector(e_trace))
     h_b = BoundaryDensity.from_triangle_values(mesh, q.vector(h_trace))
     (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-    k1e, k1h = (cauchy_boundary(a1, s1, d, x, **operator_options) for d in (e_b, h_b))
-    k2e, k2h = (cauchy_boundary(a2, s2, d, x, **operator_options) for d in (e_b, h_b))
+    k1e, k1h = (cauchy_boundary(a1, s1, d, x) for d in (e_b, h_b))
+    k2e, k2h = (cauchy_boundary(a2, s2, d, x) for d in (e_b, h_b))
     return (0.5 * (k1e + k2e) + 0.5j * (k1h - k2h),
             (k1e - k2e) / 2j + 0.5 * (k1h + k2h))
 
@@ -149,9 +142,7 @@ class ExtendibilityReport:
 
 def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace,
                            medium: ChiralMedium, depth: float,
-                           extrapolation: str = "quadratic",
-                           min_distance_factor: float = MIN_DISTANCE_FACTOR,
-                           floor: float = RESIDUAL_FLOOR) -> ExtendibilityReport:
+                           extrapolation: str = "quadratic") -> ExtendibilityReport:
     """Residuals of the boundary-trace criterion, per triangle.
 
     The source-free reconstruction is evaluated at points offset inward by
@@ -170,12 +161,11 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace,
 
     scale = max(
         float(np.max(np.sqrt(np.sum(np.abs(e_trace)**2 + np.abs(h_trace)**2, axis=1)))),
-        floor,
+        RESIDUAL_FLOOR,
     )
     rule = EXTRAPOLATIONS[extrapolation]
-    pts = np.concatenate([interior_offset_points(mesh, mult * depth)[0] for mult, _ in rule])
-    e_x, h_x = reconstruct_eh(mesh, e_trace, h_trace, None, medium, None, pts,
-                              min_distance_factor=min_distance_factor)
+    pts = np.concatenate([interior_offset_points(mesh, mult * depth) for mult, _ in rule])
+    e_x, h_x = reconstruct_eh(mesh, e_trace, h_trace, None, medium, None, pts)
     e_pred = sum(c * v for (_, c), v in zip(rule, e_x.reshape(len(rule), n_tri, 4)))
     h_pred = sum(c * v for (_, c), v in zip(rule, h_x.reshape(len(rule), n_tri, 4)))
 

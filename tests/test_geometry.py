@@ -130,9 +130,9 @@ def test_ball_quadrature_radial_order_scales():
 
 def test_interior_offset_points():
     mesh = build_sphere_mesh(1.0, 2)
-    pts, warn = interior_offset_points(mesh, 0.1)
+    pts = interior_offset_points(mesh, 0.1)
     assert pts.shape == (mesh.n_triangles, 3)
-    assert not warn.any()
+    assert np.allclose(np.linalg.norm(pts - mesh.centroids, axis=1), 0.1)
     r = np.linalg.norm(pts, axis=1)
     assert np.all(r < 1.0)
     with pytest.raises(ValueError):

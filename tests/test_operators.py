@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quatem import quaternions as q
-from quatem.errors import NearSingularityError, SingularityError
+from quatem.errors import NearSingularityError
 from quatem.fields import (
     abc_beltrami,
     constant_field,
@@ -13,13 +13,13 @@ from quatem.fields import (
     scalar_monomial,
 )
 from quatem.geometry import build_ball_quadrature, build_sphere_mesh
-from quatem.kernels import upsilon
+from quatem.kernels import grad_theta, theta, upsilon
 from quatem.operators import (
-    BOUNDARY_CHUNK,
+    BLOCK_PAIRS,
+    CUTOFF_FACTOR,
     BoundaryDensity,
     VolumeDensity,
     borel_pompeiu_residual,
-    boundary_distance,
     cauchy_boundary,
     teodorescu,
 )
@@ -34,13 +34,51 @@ def _const_volume(value):
     return VolumeDensity.from_function(QUAD2, f.value)
 
 
+def _block(n_nodes):
+    """Targets per block of a kernel sum over n_nodes nodes."""
+    return max(1, BLOCK_PAIRS // n_nodes)
+
+
+def _smoothstep(t):
+    t = np.clip(t, 0.0, 1.0)
+    return t**3 * (t * (6.0 * t - 15.0) + 10.0)
+
+
+def _cutoff_reference(density, x, kernel):
+    """The cutoff rule for one target, summed node by node with the given
+    kernel: the far nodes weighted by the smooth cutoff, plus the polar
+    near sum (8 Gauss-Legendre radii times the 80 level-1 icosphere cells)."""
+    quad = density.quadrature
+    rho = CUTOFF_FACTOR * np.mean(quad.weights ** (1.0 / 3.0))
+    diff = x - quad.points
+    w = quad.weights * _smoothstep(np.linalg.norm(diff, axis=1) / rho - 1.0)
+    far = w > 0.0
+    out = np.einsum("n,nk->k", w[far].astype(complex),
+                    q.qmul(kernel(diff[far]), density.values[far]))
+    t, gw = np.polynomial.legendre.leggauss(8)
+    rr = (t + 1.0) * rho
+    sphere = build_sphere_mesh(1.0, 1)
+    dirs = sphere.centroids / np.linalg.norm(sphere.centroids, axis=1)[:, None]
+    ang_w = sphere.areas * (4.0 * np.pi / sphere.area)
+    offsets = rr[:, None, None] * dirs
+    y = x + offsets
+    near_w = (gw * rho * rr**2)[:, None] * ang_w * (1.0 - _smoothstep(rr[:, None] / rho - 1.0))
+    near_w = near_w * (np.linalg.norm(y, axis=-1) <= quad.radius)
+    return out + np.einsum("nd,ndk->k", near_w.astype(complex),
+                           q.qmul(kernel(-offsets), density.evaluator(y)))
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         BoundaryDensity(MESH2, np.zeros((3, 1, 4), dtype=complex))
-    bad = np.zeros((len(QUAD2.points), 4), dtype=complex)
-    bad[0, 0] = np.nan
+
+    def nan_at_first_point(pts):
+        out = np.ones(pts.shape[:-1] + (4,), dtype=complex)
+        out[0, 0] = np.nan
+        return out
+
     with pytest.raises(ValueError):
-        VolumeDensity(QUAD2, bad)
+        VolumeDensity.from_function(QUAD2, nan_at_first_point)
 
 
 def test_panel_constant_density():
@@ -53,66 +91,83 @@ def test_panel_constant_density():
 
 def test_volume_density_sampling():
     f = identity_vector_field()
-    with_eval = VolumeDensity.from_function(QUAD2, f.value)
-    pts = np.array([[0.11, 0.22, 0.33], [-0.4, 0.1, 0.2]])
-    assert np.allclose(with_eval.sample(pts), f.value(pts))
-    # without an evaluator the nearest node value is used
-    nearest_only = VolumeDensity(QUAD2, with_eval.values)
-    out = nearest_only.sample(pts)
-    for p, v in zip(pts, out):
-        i = np.argmin(np.linalg.norm(QUAD2.points - p, axis=1))
-        assert np.array_equal(v, with_eval.values[i])
+    d = VolumeDensity.from_function(QUAD2, f.value)
+    assert np.array_equal(d.values, f.value(QUAD2.points))
+    pts = np.array([[[0.11, 0.22, 0.33], [-0.4, 0.1, 0.2]]])
+    assert d.sample(pts).shape == (1, 2, 4)
+    assert np.array_equal(d.sample(pts), f.value(pts))
+    with pytest.raises(TypeError):
+        VolumeDensity(QUAD2, d.values)  # the evaluator is required
 
 
 def test_teodorescu_linearity():
     rng = np.random.default_rng(21)
-    v1 = rng.standard_normal((len(QUAD2.points), 4)) + 0j
-    v2 = rng.standard_normal((len(QUAD2.points), 4)) + 0j
-    d1, d2 = VolumeDensity(QUAD2, v1), VolumeDensity(QUAD2, v2)
-    d12 = VolumeDensity(QUAD2, 2.0 * v1 + (1 - 1j) * v2)
-    for rule in ("cutoff", "exclude", "none"):
-        t1 = teodorescu(1.0, 1, d1, PROBE, near_rule=rule)
-        t2 = teodorescu(1.0, 1, d2, PROBE, near_rule=rule)
-        t12 = teodorescu(1.0, 1, d12, PROBE, near_rule=rule)
+    f1 = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
+    f2 = polynomial_field(rng.standard_normal((4, 10)))
+    d1 = VolumeDensity.from_function(QUAD2, f1.value)
+    d2 = VolumeDensity.from_function(QUAD2, f2.value)
+    d12 = VolumeDensity.from_function(
+        QUAD2, lambda p: 2.0 * f1.value(p) + (1 - 1j) * f2.value(p))
+    xs = np.array([PROBE, QUAD2.points[10], [-0.5, 0.4, 0.6]])
+    for alpha, sign in ((1.0, 1), (0.7 + 0.2j, -1)):
+        t1 = teodorescu(alpha, sign, d1, xs)
+        t2 = teodorescu(alpha, sign, d2, xs)
+        t12 = teodorescu(alpha, sign, d12, xs)
         assert np.allclose(t12, 2.0 * t1 + (1 - 1j) * t2, atol=1e-10)
 
 
 def test_teodorescu_sign_coherence():
     # both sign conventions share the same Helmholtz kernel; only the
     # alpha*theta scalar term flips.  Rebuild each kernel from the raw
-    # closed forms and sum it over the rule by hand.
-    from quatem.kernels import grad_theta, theta
-
+    # closed forms and sum the cutoff rule with it by hand.
     d = _const_volume(q.quat(1, 0.5, -0.25, 2j))
     alpha = 1.0 + 0.2j
-    diff = PROBE - QUAD2.points
-    w = QUAD2.weights.astype(complex)
 
-    def reference(kernel):
-        return np.einsum("n,nk->k", w, q.qmul(kernel, d.values))
+    def manual(s):
+        def kernel(diff):
+            out = q.scalar(s * alpha * theta(alpha, diff))
+            out[..., 1:] = -grad_theta(alpha, diff)
+            return out
+        return kernel
 
     for s in (1, -1):
-        manual = q.scalar(s * alpha * theta(alpha, diff))
-        manual[..., 1:] = -grad_theta(alpha, diff)
-        built_in = teodorescu(alpha, s, d, PROBE, near_rule="none")
-        assert np.allclose(built_in, reference(manual), atol=1e-13)
+        built_in = teodorescu(alpha, s, d, PROBE)
+        assert np.allclose(built_in, _cutoff_reference(d, PROBE, manual(s)), atol=1e-13)
     # the two signs differ exactly by twice the scalar-kernel term
-    plus = teodorescu(alpha, 1, d, PROBE, near_rule="none")
-    minus = teodorescu(alpha, -1, d, PROBE, near_rule="none")
-    twice_scalar = reference(q.scalar(2.0 * alpha * theta(alpha, diff)))
+    plus = teodorescu(alpha, 1, d, PROBE)
+    minus = teodorescu(alpha, -1, d, PROBE)
+    twice_scalar = _cutoff_reference(
+        d, PROBE, lambda diff: q.scalar(2.0 * alpha * theta(alpha, diff)))
     assert np.allclose(plus - minus, twice_scalar, atol=1e-13)
 
 
 def test_teodorescu_singular_point():
+    # a target on a node is finite: the cutoff gives that node zero weight
     d = _const_volume(q.ONE)
-    node = QUAD2.points[10]
-    with pytest.raises(SingularityError):
-        teodorescu(1.0, 1, d, node, near_rule="none")
-    # cutoff and exclude both handle the node hit
-    for rule in ("cutoff", "exclude"):
-        assert q.is_finite(teodorescu(1.0, 1, d, node, near_rule=rule))
+    assert q.is_finite(teodorescu(1.0, 1, d, QUAD2.points[10]))
+
+
+def test_teodorescu_many_matches_single():
+    # more targets than one block holds, one of them on a node; real and
+    # complex alpha, both signs
+    rng = np.random.default_rng(24)
+    xs = rng.uniform(-0.5, 0.5, (_block(len(QUAD2.points)) + 3, 3))
+    xs[2] = QUAD2.points[10]
+    f = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
+    d = VolumeDensity.from_function(QUAD2, f.value)
+    for alpha, sign in ((1.0, 1), (0.8 + 0.3j, -1), (0.8 + 0.3j, 1)):
+        many = teodorescu(alpha, sign, d, xs)
+        assert many.shape == (len(xs), 4)
+        single = np.array([teodorescu(alpha, sign, d, x) for x in xs])
+        assert single.shape == (len(xs), 4)
+        assert np.allclose(many, single, rtol=0.0, atol=1e-14 * np.abs(single).max())
+        reference = np.array([_cutoff_reference(d, x, lambda diff: upsilon(alpha, sign, diff))
+                              for x in xs])
+        assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
     with pytest.raises(ValueError):
-        teodorescu(1.0, 1, d, PROBE, near_rule="bogus")
+        teodorescu(0.8, 1, d, xs[:, :2])
+    with pytest.raises(ValueError):
+        teodorescu(0.8, 0, d, xs)
 
 
 def test_teodorescu_right_inverse_converges():
@@ -147,12 +202,6 @@ def test_borel_pompeiu_batch_matches_pointwise():
     assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
 
 
-def test_boundary_distance():
-    assert boundary_distance(MESH2, np.zeros(3)) == pytest.approx(1.0, rel=2.5e-2)
-    surface_node = MESH2.flat_points[0]
-    assert boundary_distance(MESH2, surface_node) == 0.0
-
-
 def test_cauchy_near_singularity_guard():
     d = BoundaryDensity.from_function(MESH2, constant_field(q.ONE).value)
     too_close = 0.999 * MESH2.flat_points[0]
@@ -161,12 +210,8 @@ def test_cauchy_near_singularity_guard():
     assert exc.value.distance < exc.value.min_distance
     # far enough inside is fine
     assert q.is_finite(cauchy_boundary(1.0, 1, d, PROBE))
-    # the guard scale can be relaxed explicitly
-    assert q.is_finite(
-        cauchy_boundary(1.0, 1, d, 0.9 * MESH2.flat_points[0], min_distance_factor=0.05)
-    )
     # a too-close target in a later block of a batch is caught as well
-    batch = np.vstack([np.tile(PROBE, (BOUNDARY_CHUNK, 1)), too_close])
+    batch = np.vstack([np.tile(PROBE, (_block(len(MESH2.flat_points)), 1)), too_close])
     with pytest.raises(NearSingularityError):
         cauchy_boundary(1.0, 1, d, batch)
 
@@ -175,7 +220,7 @@ def test_cauchy_many_matches_single():
     # more targets than one block holds, so the batch spans a block boundary;
     # real and complex alpha, both signs, one and three nodes per triangle
     rng = np.random.default_rng(23)
-    xs = rng.uniform(-0.3, 0.3, (BOUNDARY_CHUNK + 5, 3))
+    xs = rng.uniform(-0.3, 0.3, (_block(len(MESH2.flat_points)) + 5, 3))
 
     def random_density(mesh):
         shape = (mesh.n_triangles, mesh.nodes_per_triangle, 4)
