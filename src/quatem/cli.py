@@ -97,21 +97,33 @@ def _c(z) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _load_traces(path, n_triangles: int):
+_TRACE_HEADER = ["triangle"] + ["%s%d_%s" % (f, i, p)
+                               for f in "eh" for i in (1, 2, 3) for p in ("re", "im")]
+
+
+def _check_trace_columns(path) -> None:
+    """Name the first row below the header that does not hold 13 columns."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh)
-                if row and row[0].strip().lower() not in ("triangle", "")]
-    for row in rows:
-        if len(row) != 13:
-            raise ConfigError("trace row %r has %d columns, expected 13"
-                              % (row[0], len(row)))
-    tri = np.array([int(row[0]) for row in rows], dtype=np.int64)
-    # re/im pairs of e1..e3, h1..h3, read as six complex columns
-    values = np.array([row[1:] for row in rows], dtype=float).reshape(-1, 12).view(complex)
-    out_of_range = (tri < 0) | (tri >= n_triangles)
+        for row in list(csv.reader(fh))[1:]:
+            if row and len(row) != len(_TRACE_HEADER):
+                raise ConfigError("trace row %r has %d columns, expected %d"
+                                  % (row[0], len(row), len(_TRACE_HEADER)))
+
+
+def _load_traces(path, n_triangles: int):
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        _check_trace_columns(path)
+        raise ConfigError("trace file %s: %s" % (path, exc)) from None
+    if table.shape[1] != len(_TRACE_HEADER):
+        _check_trace_columns(path)
+    index = table[:, 0]
+    out_of_range = (index != np.floor(index)) | (index < 0) | (index >= n_triangles)
     if out_of_range.any():
-        raise ConfigError("trace row for triangle %d out of range"
-                          % tri[np.argmax(out_of_range)])
+        raise ConfigError("trace row for triangle %g out of range"
+                          % index[np.argmax(out_of_range)])
+    tri = index.astype(np.int64)
     counts = np.bincount(tri, minlength=n_triangles)
     if (counts > 1).any():
         raise ConfigError("trace file repeats triangle %d" % np.argmax(counts > 1))
@@ -119,6 +131,8 @@ def _load_traces(path, n_triangles: int):
         raise ConfigError(
             "trace file holds %d rows, mesh has %d triangles" % (len(tri), n_triangles)
         )
+    # re/im pairs of e1..e3, h1..h3, read as six complex columns
+    values = table[:, 1:].view(complex)
     e = np.empty((n_triangles, 3), dtype=complex)
     h = np.empty((n_triangles, 3), dtype=complex)
     e[tri] = values[:, :3]
@@ -127,18 +141,13 @@ def _load_traces(path, n_triangles: int):
 
 
 def _save_traces(path, e, h) -> None:
+    """One row per triangle: its index, then re/im of e1..e3 and h1..h3,
+    with CRLF line ends as the csv module writes them."""
+    pairs = np.concatenate([e, h], axis=1).view(float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["triangle"]
-            + ["%s%d_%s" % (f, i, p) for f in "eh" for i in (1, 2, 3) for p in ("re", "im")]
-        )
-        for t in range(len(e)):
-            row = [t]
-            for vec3 in (e[t], h[t]):
-                for z in vec3:
-                    row += ["%.17g" % z.real, "%.17g" % z.imag]
-            writer.writerow(row)
+        np.savetxt(fh, np.column_stack([np.arange(len(pairs)), pairs]),
+                   fmt=["%d"] + ["%.17g"] * 12, delimiter=",",
+                   newline="\r\n", header=",".join(_TRACE_HEADER), comments="")
 
 
 def cmd_gen_mesh(args) -> int:

@@ -8,7 +8,7 @@ the angular directions of an icosphere of the same subdivision level.
 
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +104,6 @@ class VolumeQuadrature:
     points: np.ndarray   # (N, 3), strictly interior
     weights: np.ndarray  # (N,), positive, summing to the ball volume
     radius: float
-    description: str
 
     @property
     def volume(self) -> float:
@@ -134,25 +133,34 @@ def mesh_from_arrays(vertices, triangles, nodes_per_triangle: int = 1) -> Surfac
     return SurfaceMesh(vertices, triangles, normals, areas, quad_points, quad_weights)
 
 
+def _edges(faces: np.ndarray):
+    """Directed edges (a, b), (b, c), (c, a) of each face, shape (F, 3, 2),
+    and the id of each one's undirected edge, shape (F, 3), numbered in
+    order of first appearance."""
+    directed = np.stack([faces, faces[:, [1, 2, 0]]], axis=-1)
+    keys = directed.min(axis=-1) * (int(faces.max()) + 1) + directed.max(axis=-1)
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return directed, rank[inverse].reshape(faces.shape)
+
+
 def _subdivide(vertices: np.ndarray, faces: np.ndarray):
-    """One midpoint subdivision step with vertices kept on the unit sphere."""
-    verts = list(vertices)
-    cache: dict[tuple[int, int], int] = {}
+    """One midpoint subdivision step with vertices kept on the unit sphere.
 
-    def midpoint(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            m = verts[i] + verts[j]
-            m /= np.linalg.norm(m)
-            cache[key] = len(verts)
-            verts.append(m)
-        return cache[key]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts), np.array(new_faces, dtype=int)
+    The midpoint of each edge is appended in order of the edge's first
+    appearance, so vertex numbering follows the faces.
+    """
+    directed, ids = _edges(faces)
+    ends = np.empty((int(ids.max()) + 1, 2), dtype=faces.dtype)
+    ends[ids] = directed
+    m = vertices[ends[:, 0]] + vertices[ends[:, 1]]
+    # sqrt of the 3-term dot product rounds like np.linalg.norm of one vector
+    m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    a, b, c = faces.T
+    ab, bc, ca = (len(vertices) + ids).T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([vertices, m]), new_faces.reshape(-1, 3)
 
 
 def build_sphere_mesh(radius: float, level: int, nodes_per_triangle: int = 1) -> SurfaceMesh:
@@ -172,34 +180,25 @@ def build_sphere_mesh(radius: float, level: int, nodes_per_triangle: int = 1) ->
     return mesh_from_arrays(vertices * radius, faces, nodes_per_triangle)
 
 
-def build_ball_quadrature(radius: float, level: int,
-                          radial_order: int | None = None) -> VolumeQuadrature:
+def build_ball_quadrature(radius: float, level: int) -> VolumeQuadrature:
     """Product rule on the ball: Gauss-Legendre in radius times the angular
     cells of a level-`level` icosphere (cell weights normalized to 4*pi).
 
-    By default the radial order doubles with each level (8 at level <= 2),
-    so that `level` refines the rule isotropically; pass radial_order to
-    pin it instead.
+    The radial order doubles with each level (8 at level <= 2), so that
+    `level` refines the rule isotropically.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if radial_order is None:
-        radial_order = max(8, 2 ** (level + 1))
-    if radial_order < 1:
-        raise ValueError("radial_order must be >= 1")
     sphere = build_sphere_mesh(1.0, level)
     dirs = sphere.centroids
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     ang_w = sphere.areas * (4.0 * np.pi / sphere.area)
-    t, w = np.polynomial.legendre.leggauss(radial_order)
+    t, w = np.polynomial.legendre.leggauss(max(8, 2 ** (level + 1)))
     r = 0.5 * radius * (t + 1.0)
     wr = 0.5 * radius * w
     points = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
     weights = ((wr * r**2)[:, None] * ang_w[None, :]).reshape(-1)
-    return VolumeQuadrature(
-        points, weights, float(radius),
-        "ball r=%g, GL%d x icosphere level %d" % (radius, radial_order, level),
-    )
+    return VolumeQuadrature(points, weights, float(radius))
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,13 @@ class NormalCheck:
 
 def checked_normals(mesh: SurfaceMesh) -> NormalCheck:
     """Closedness/orientation report.  Raises TopologyError on an open mesh."""
-    directed: dict[tuple[int, int], int] = {}
-    undirected: dict[tuple[int, int], int] = {}
-    for a, b, c in mesh.triangles:
-        for i, j in ((a, b), (b, c), (c, a)):
-            directed[(i, j)] = directed.get((i, j), 0) + 1
-            key = (i, j) if i < j else (j, i)
-            undirected[key] = undirected.get(key, 0) + 1
-    if any(count != 2 for count in undirected.values()):
+    directed, ids = _edges(mesh.triangles)
+    if np.any(np.bincount(ids.ravel()) != 2):
         raise TopologyError("mesh is not closed: an edge is not shared by exactly 2 triangles")
-    consistent = all(count == 1 for count in directed.values())
+    # each shared edge is consistent when its two triangles run it in
+    # opposite directions, i.e. exactly one of them from low to high index
+    ascending = directed[..., 0] < directed[..., 1]
+    consistent = bool(np.all(np.bincount(ids.ravel(), weights=ascending.ravel()) == 1))
 
     corners = mesh.vertices[mesh.triangles]
     signed_volume = float(
@@ -260,40 +256,39 @@ def save_off(mesh: SurfaceMesh, path) -> None:
     """Write the mesh in ASCII OFF format."""
     with open(path, "w") as fh:
         fh.write("OFF\n%d %d 0\n" % (len(mesh.vertices), len(mesh.triangles)))
-        for v in mesh.vertices:
-            fh.write("%.17g %.17g %.17g\n" % tuple(v))
-        for t in mesh.triangles:
-            fh.write("3 %d %d %d\n" % tuple(t))
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
+        np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
 
 
 def load_off(path, nodes_per_triangle: int = 1) -> SurfaceMesh:
-    """Read an ASCII OFF file (triangles only)."""
+    """Read an ASCII OFF file (triangles only).
+
+    Raises TopologyError on a file that is not OFF, is cut short, has a
+    non-triangular face or indexes a vertex it does not hold.
+    """
     with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
+        tokens = re.sub(r"#.*", "", fh.read()).split()
+    if len(tokens) < 4 or tokens[0] != "OFF":
         raise TopologyError("not an ASCII OFF file: %s" % path)
     nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    vertices = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
-    pos += 3 * nv
-    faces = []
-    for _ in range(nf):
-        n = int(tokens[pos])
-        if n != 3:
-            raise TopologyError("only triangular faces are supported")
-        faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-        pos += n + 1
-    return mesh_from_arrays(vertices, np.array(faces, dtype=int), nodes_per_triangle)
+    start = 4 + 3 * nv
+    end = start + 4 * nf
+    if min(nv, nf) < 1 or len(tokens) < end:
+        raise TopologyError("OFF file %s is empty or truncated (it declares %d vertices "
+                            "and %d faces)" % (path, nv, nf))
+    vertices = np.array(tokens[4:start], dtype=float).reshape(nv, 3)
+    faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)
+    if np.any(faces[:, 0] != 3):
+        raise TopologyError("only triangular faces are supported")
+    faces = faces[:, 1:]
+    if np.any((faces < 0) | (faces >= nv)):
+        raise TopologyError("OFF face index out of range 0..%d in %s" % (nv - 1, path))
+    return mesh_from_arrays(vertices, faces, nodes_per_triangle)
 
 
 def save_quadrature_csv(quadrature: VolumeQuadrature, path) -> None:
-    """Dump a volume rule as CSV with columns x,y,z,w."""
+    """Dump a volume rule as CSV with columns x,y,z,w (CRLF line ends)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "w"])
-        for p, w in zip(quadrature.points, quadrature.weights):
-            writer.writerow(["%.17g" % p[0], "%.17g" % p[1], "%.17g" % p[2], "%.17g" % w])
+        np.savetxt(fh, np.column_stack([quadrature.points, quadrature.weights]),
+                   fmt="%.17g", delimiter=",", newline="\r\n",
+                   header="x,y,z,w", comments="")

@@ -5,7 +5,10 @@ d = x - y, over quadrature nodes in one routine (_kernel_sum), as two
 complex scalar-matrix products per block of targets; they differ only in
 the right-hand side and in the weight each (target, node) pair gets from
 its distance r.  The volume operator's smooth cutoff removes a small ball
-around each target, whose integral is summed in polar coordinates instead.
+around each target, whose integral is summed instead with the level-1
+ball rule (geometry.build_ball_quadrature) of radius 2*rho centered at the
+target: a polar product rule, whose volume element cancels the kernel's
+1/r**2 growth.
 The boundary operator is only evaluated at interior points a few mesh
 spacings away from the surface (no principal-value quadrature exists
 here); its guard reads the same r that the kernel factors use.
@@ -21,7 +24,7 @@ import numpy as np
 from . import quaternions as q
 from .errors import NearSingularityError
 from .fields import AnalyticField
-from .geometry import SurfaceMesh, VolumeQuadrature
+from .geometry import SurfaceMesh, VolumeQuadrature, build_ball_quadrature
 from .kernels import radial_factors, upsilon
 
 CUTOFF_FACTOR = 3.0         # volume rule: cutoff radius in mean node spacings
@@ -97,21 +100,6 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-_NEAR_DIRECTIONS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _near_rule(level: int = 1):
-    """Angular directions/weights for the polar near-field rule (cached)."""
-    if level not in _NEAR_DIRECTIONS:
-        from .geometry import build_sphere_mesh
-
-        s = build_sphere_mesh(1.0, level)
-        d = s.centroids
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        _NEAR_DIRECTIONS[level] = (d, s.areas * (4.0 * np.pi / s.area))
-    return _NEAR_DIRECTIONS[level]
-
-
 def _targets(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != 3:
@@ -164,11 +152,12 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
     x is one target (3,) or many (M, 3); the result has shape (4,) or
     (M, 4).  A smooth partition of unity removes the ball of radius
     rho = CUTOFF_FACTOR * mean node spacing around each target from the
-    node sum (_kernel_sum); the complementary near integral is evaluated
-    in polar coordinates centered at the target, where the volume element
-    cancels the 1/r**2 kernel growth exactly.  Its kernel values do not
-    depend on the target; its off-node density values come from one
-    density.sample call for all targets.
+    node sum (_kernel_sum); the complementary near integral uses the
+    level-1 ball rule of radius 2*rho centered at the target (GL8 radii
+    times 80 icosphere directions), whose volume element cancels the
+    1/r**2 kernel growth exactly.  Its kernel values do not depend on the
+    target; its off-node density values come from one density.sample call
+    for all targets.
     """
     x = _targets(x)
     xs = x.reshape(-1, 3)
@@ -177,17 +166,14 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
     out = _kernel_sum(alpha, sign, xs, quad.points, density.values,
                       lambda r: quad.weights * _smoothstep(r / rho - 1.0))
 
-    t, gw = np.polynomial.legendre.leggauss(8)
-    rr = (t + 1.0) * rho           # radii in (0, 2*rho)
-    wr = gw * rho
-    dirs, ang_w = _near_rule()
-    offsets = rr[:, None, None] * dirs[None, :, :]
-    y = xs[:, None, None, :] + offsets
+    near = build_ball_quadrature(2.0 * rho, 1)
+    offsets = near.points
+    y = xs[:, None, :] + offsets
     inside = np.linalg.norm(y, axis=-1) <= quad.radius
     near_ker = upsilon(alpha, sign, -offsets)
-    near_w = ((wr * rr**2)[:, None] * ang_w[None, :]) \
-        * (1.0 - _smoothstep(rr[:, None] / rho - 1.0)) * inside
-    out += np.einsum("mnd,mndk->mk", near_w.astype(complex),
+    near_cut = 1.0 - _smoothstep(np.linalg.norm(offsets, axis=1) / rho - 1.0)
+    near_w = near.weights * near_cut * inside
+    out += np.einsum("mn,mnk->mk", near_w.astype(complex),
                      q.qmul(near_ker, density.sample(y)))
     return out.reshape(x.shape[:-1] + (4,))
 
