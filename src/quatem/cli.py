@@ -35,8 +35,9 @@ from .geometry import (
 )
 from .kernels import theta, upsilon
 from .maxwell import make_medium
-from .operators import borel_pompeiu_residual
+from .operators import BoundaryDensity, borel_pompeiu_residual, cauchy_boundary
 from .reconstruction import (
+    EXTRAPOLATIONS,
     extendibility_residual,
     perturb_traces,
     reconstruct_eh,
@@ -151,7 +152,7 @@ def _save_traces(path, e, h) -> None:
 
 
 def cmd_gen_mesh(args) -> int:
-    mesh = build_sphere_mesh(args.radius, args.level, args.nodes_per_triangle)
+    mesh = build_sphere_mesh(args.radius, args.level)
     save_off(mesh, args.out)
     if args.ball_csv:
         save_quadrature_csv(build_ball_quadrature(args.radius, args.level), args.ball_csv)
@@ -298,6 +299,15 @@ def cmd_reconstruct(args) -> int:
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
     probes = _parse_probes(args.probes)
+    # K_0 of the constant 1: 1 inside the surface, 0 outside, -1 inside an inward-wound mesh
+    ones = BoundaryDensity(mesh, np.broadcast_to(q.ONE, (mesh.n_triangles, 4)))
+    indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
+    for x, value in zip(probes, indicator):
+        if abs(value - 1.0) > 0.5:
+            print("numeric precondition violated: probe %g,%g,%g is not inside the outward-"
+                  "wound surface (interior indicator %.4g, expected 1)" % (*x, value),
+                  file=sys.stderr)
+            return EXIT_NUMERIC
     e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, None, medium, None, probes)
     e_k, h_k = two_kernel_eh(mesh, e_tr, h_tr, medium, probes)
     gaps = np.maximum(q.norm(e_x - e_k), q.norm(h_x - h_k))
@@ -333,10 +343,11 @@ def cmd_extend_check(args) -> int:
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
     if args.perturb:
         e_tr, h_tr = perturb_traces(mesh, e_tr, h_tr, args.perturb, args.seed)
-    depth = args.depth_factor * mesh.spacing
-    report = extendibility_residual(
-        mesh, e_tr, h_tr, medium, depth, extrapolation=args.extrapolation
-    )
+    check = checked_normals(mesh)
+    if not check.consistent_orientation or check.signed_volume <= 0:
+        raise TopologyError("mesh %s is not wound consistently outward (signed volume %g)"
+                            % (args.mesh, check.signed_volume))
+    report = extendibility_residual(mesh, e_tr, h_tr, medium, args.extrapolation)
     verdict_ok = report.rms <= args.threshold
     _write_json(args.out, {
         "command": "extend-check",
@@ -377,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-mesh", help="generate an icosphere mesh (OFF)")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--level", type=int, default=3)
-    p.add_argument("--nodes-per-triangle", type=int, choices=(1, 3), default=1)
     p.add_argument("--ball-csv", default=None,
                    help="also dump the matching ball quadrature as CSV (x,y,z,w)")
     p.add_argument("--out", required=True)
@@ -434,10 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="boundary-trace extendibility criterion (JSON)")
     p.add_argument("--mesh", required=True)
     p.add_argument("--traces", required=True)
-    p.add_argument("--depth-factor", type=float, default=2.0,
-                   help="offset depth in units of mesh spacing")
-    p.add_argument("--extrapolation", choices=("none", "linear", "quadratic"),
-                   default="quadratic")
+    p.add_argument("--extrapolation", choices=sorted(EXTRAPOLATIONS), default="quadratic")
     p.add_argument("--threshold", type=float, default=0.05,
                    help="aggregate rms residual below which traces count as extendible")
     p.add_argument("--perturb", type=float, default=0.0,

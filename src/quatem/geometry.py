@@ -40,44 +40,27 @@ _ICO_FACES = np.array(
     dtype=int,
 )
 
-# Barycentric nodes of the per-triangle rules.  The 3-point edge-midpoint
-# rule is exact for quadratics on the flat triangle.
-_TRI_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    3: (
-        np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-}
-
-
 @dataclass(frozen=True)
 class SurfaceMesh:
-    """Closed triangulated surface with outward unit normals and a
-    per-triangle quadrature rule."""
+    """Closed triangulated surface with outward unit normals.
 
-    vertices: np.ndarray      # (V, 3)
-    triangles: np.ndarray     # (T, 3) vertex indices
-    normals: np.ndarray       # (T, 3) outward unit normals
-    areas: np.ndarray         # (T,)
-    quad_points: np.ndarray   # (T, K, 3)
-    quad_weights: np.ndarray  # (T, K), rows sum to areas
+    Surface integrals use one node per triangle: its centroid, weighted by
+    its area.  The same centroids are where boundary traces are sampled.
+    """
+
+    vertices: np.ndarray   # (V, 3)
+    triangles: np.ndarray  # (T, 3) vertex indices
+    normals: np.ndarray    # (T, 3) outward unit normals
+    areas: np.ndarray      # (T,)
+    centroids: np.ndarray  # (T, 3)
 
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
 
     @property
-    def nodes_per_triangle(self) -> int:
-        return self.quad_points.shape[1]
-
-    @property
     def area(self) -> float:
         return float(self.areas.sum())
-
-    @property
-    def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
 
     @property
     def spacing(self) -> float:
@@ -85,16 +68,14 @@ class SurfaceMesh:
         return float(np.sqrt(self.areas.mean()))
 
     @property
+    def inradius(self) -> float:
+        """Smallest centroid distance from the vertex mean (star-shaped surfaces)."""
+        center = self.vertices.mean(axis=0)
+        return float(np.min(np.linalg.norm(self.centroids - center, axis=1)))
+
+    @property
     def flat_points(self) -> np.ndarray:
-        return self.quad_points.reshape(-1, 3)
-
-    @property
-    def flat_weights(self) -> np.ndarray:
-        return self.quad_weights.reshape(-1)
-
-    @property
-    def flat_normals(self) -> np.ndarray:
-        return np.repeat(self.normals, self.nodes_per_triangle, axis=0)
+        return self.centroids
 
 
 @dataclass(frozen=True)
@@ -110,7 +91,7 @@ class VolumeQuadrature:
         return float(self.weights.sum())
 
 
-def mesh_from_arrays(vertices, triangles, nodes_per_triangle: int = 1) -> SurfaceMesh:
+def mesh_from_arrays(vertices, triangles) -> SurfaceMesh:
     """Assemble a SurfaceMesh from vertex/triangle arrays.
 
     Normals follow the triangle winding; callers are responsible for
@@ -118,19 +99,13 @@ def mesh_from_arrays(vertices, triangles, nodes_per_triangle: int = 1) -> Surfac
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=int)
-    if nodes_per_triangle not in _TRI_RULES:
-        raise ValueError("nodes_per_triangle must be one of %s" % sorted(_TRI_RULES))
     corners = vertices[triangles]  # (T, 3, 3)
     cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     doubled = np.linalg.norm(cross, axis=1)
     if np.any(doubled == 0.0):
         raise TopologyError("degenerate (zero-area) triangle in mesh")
-    areas = 0.5 * doubled
-    normals = cross / doubled[:, None]
-    bary, wts = _TRI_RULES[nodes_per_triangle]
-    quad_points = np.einsum("kb,tbi->tki", bary, corners)
-    quad_weights = areas[:, None] * wts[None, :]
-    return SurfaceMesh(vertices, triangles, normals, areas, quad_points, quad_weights)
+    return SurfaceMesh(vertices, triangles, cross / doubled[:, None], 0.5 * doubled,
+                       corners.mean(axis=1))
 
 
 def _edges(faces: np.ndarray):
@@ -163,7 +138,7 @@ def _subdivide(vertices: np.ndarray, faces: np.ndarray):
     return np.concatenate([vertices, m]), new_faces.reshape(-1, 3)
 
 
-def build_sphere_mesh(radius: float, level: int, nodes_per_triangle: int = 1) -> SurfaceMesh:
+def build_sphere_mesh(radius: float, level: int) -> SurfaceMesh:
     """Icosphere of the given radius: 20 * 4**level triangles."""
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -177,7 +152,7 @@ def build_sphere_mesh(radius: float, level: int, nodes_per_triangle: int = 1) ->
     faces = _ICO_FACES
     for _ in range(level):
         vertices, faces = _subdivide(vertices, faces)
-    return mesh_from_arrays(vertices * radius, faces, nodes_per_triangle)
+    return mesh_from_arrays(vertices * radius, faces)
 
 
 def build_ball_quadrature(radius: float, level: int) -> VolumeQuadrature:
@@ -190,8 +165,7 @@ def build_ball_quadrature(radius: float, level: int) -> VolumeQuadrature:
     if radius <= 0:
         raise ValueError("radius must be positive")
     sphere = build_sphere_mesh(1.0, level)
-    dirs = sphere.centroids
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs = sphere.centroids / np.linalg.norm(sphere.centroids, axis=1)[:, None]
     ang_w = sphere.areas * (4.0 * np.pi / sphere.area)
     t, w = np.polynomial.legendre.leggauss(max(8, 2 ** (level + 1)))
     r = 0.5 * radius * (t + 1.0)
@@ -243,12 +217,9 @@ def interior_offset_points(mesh: SurfaceMesh, depth: float):
     """
     if depth <= 0:
         raise ValueError("offset depth must be positive")
-    center = mesh.vertices.mean(axis=0)
-    inradius = float(np.min(np.linalg.norm(mesh.centroids - center, axis=1)))
-    if depth >= inradius:
-        raise ValueError(
-            "offset depth %g exceeds the inradius estimate %g" % (depth, inradius)
-        )
+    if depth >= mesh.inradius:
+        raise ValueError("offset depth %g exceeds the inradius estimate %g"
+                         % (depth, mesh.inradius))
     return mesh.centroids - depth * mesh.normals
 
 
@@ -260,7 +231,7 @@ def save_off(mesh: SurfaceMesh, path) -> None:
         np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
 
 
-def load_off(path, nodes_per_triangle: int = 1) -> SurfaceMesh:
+def load_off(path) -> SurfaceMesh:
     """Read an ASCII OFF file (triangles only).
 
     Raises TopologyError on a file that is not OFF, is cut short, has a
@@ -283,7 +254,7 @@ def load_off(path, nodes_per_triangle: int = 1) -> SurfaceMesh:
     faces = faces[:, 1:]
     if np.any((faces < 0) | (faces >= nv)):
         raise TopologyError("OFF face index out of range 0..%d in %s" % (nv - 1, path))
-    return mesh_from_arrays(vertices, faces, nodes_per_triangle)
+    return mesh_from_arrays(vertices, faces)
 
 
 def save_quadrature_csv(quadrature: VolumeQuadrature, path) -> None:

@@ -40,34 +40,23 @@ RESIDUAL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BoundaryDensity:
-    """Quaternion values attached to the quadrature nodes of a surface."""
+    """One quaternion per triangle of a surface, the value at its centroid
+    node; the values are stored as complex."""
 
     mesh: SurfaceMesh
-    values: np.ndarray  # (T, K, 4)
+    values: np.ndarray  # (T, 4)
 
     def __post_init__(self):
-        expected = (self.mesh.n_triangles, self.mesh.nodes_per_triangle, 4)
-        if self.values.shape != expected:
-            raise ValueError("values must have shape %s" % (expected,))
-        if not q.is_finite(self.values):
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (self.mesh.n_triangles, 4):
+            raise ValueError("values must have shape %s" % ((self.mesh.n_triangles, 4),))
+        if not q.is_finite(values):
             raise ValueError("boundary density contains non-finite values")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_function(cls, mesh: SurfaceMesh, f) -> "BoundaryDensity":
-        return cls(mesh, np.asarray(f(mesh.quad_points), dtype=complex))
-
-    @classmethod
-    def from_triangle_values(cls, mesh: SurfaceMesh, values) -> "BoundaryDensity":
-        """Panel-constant density: one quaternion per triangle, replicated
-        onto every quadrature node of that triangle."""
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (mesh.n_triangles, 4):
-            raise ValueError("expected one quaternion per triangle")
-        return cls(mesh, np.repeat(values[:, None, :], mesh.nodes_per_triangle, axis=1))
-
-    @property
-    def flat_values(self) -> np.ndarray:
-        return self.values.reshape(-1, 4)
+        return cls(mesh, f(mesh.centroids))
 
 
 @dataclass(frozen=True)
@@ -179,10 +168,11 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
 
 
 def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x) -> np.ndarray:
-    """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = a_j n(y_j) f(y_j).
+    """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = a_j n_j f_j,
+    one node y_j per triangle: its centroid, with area a_j and normal n_j.
 
     x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  The node sum is _kernel_sum with the surface weights a_j; the
+    (M, 4).  The node sum is _kernel_sum with the areas as weights; the
     same per-block radii serve the guard, which raises NearSingularityError
     when a target comes closer to a surface node than MIN_DISTANCE_FACTOR
     mesh spacings.
@@ -190,16 +180,15 @@ def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x) -> np.ndarray
     mesh = density.mesh
     x = _targets(x)
     d_min = MIN_DISTANCE_FACTOR * mesh.spacing
-    weights = mesh.flat_weights
 
     def guarded_weights(r):
         dist = float(r.min())
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)
-        return weights
+        return mesh.areas
 
-    nf = q.qmul(q.vector(mesh.flat_normals), density.flat_values)
-    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), mesh.flat_points, nf,
+    nf = q.qmul(q.vector(mesh.normals), density.values)
+    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), mesh.centroids, nf,
                        guarded_weights)
     return out.reshape(x.shape[:-1] + (4,))
 

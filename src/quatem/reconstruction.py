@@ -34,10 +34,11 @@ from .operators import (
     teodorescu,
 )
 
+DEPTH_FACTOR = 2.0  # offset depth of the extendibility check, in mesh spacings
+
 # Coefficients of the inward-depth extrapolation toward the surface:
 # values at depth*m are combined with weight c for each (m, c).
 EXTRAPOLATIONS = {
-    "none": ((1, 1.0),),
     "linear": ((1, 2.0), (2, -1.0)),
     "quadratic": ((1, 3.0), (2, -3.0), (3, 1.0)),
 }
@@ -78,14 +79,14 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
                    quadrature: Optional[VolumeQuadrature], x):
     """E and H at interior points from per-triangle boundary traces.
 
-    Splits the traces into panel-constant Phi/Psi densities, reconstructs
+    Splits the traces into per-triangle Phi/Psi densities, reconstructs
     both modes and merges.  x is one point (3,) or many (M, 3); E and H
     have shape (4,) or (M, 4).  Returns full quaternions (the scalar parts
     measure discretization error; they vanish in the continuum).
     """
     phi_b, psi_b = split_values(e_trace, h_trace)
-    phi_trace = BoundaryDensity.from_triangle_values(mesh, q.vector(phi_b))
-    psi_trace = BoundaryDensity.from_triangle_values(mesh, q.vector(psi_b))
+    phi_trace = BoundaryDensity(mesh, q.vector(phi_b))
+    psi_trace = BoundaryDensity(mesh, q.vector(psi_b))
     return merge_values(*phi_psi_representation(
         phi_trace, psi_trace, source, medium, quadrature, x))
 
@@ -99,8 +100,8 @@ def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x):
     with K1 = K_{+alpha1}, K2 = K_{-alpha2} applied to the e and h traces
     separately.  Equal to reconstruct_eh up to roundoff.
     """
-    e_b = BoundaryDensity.from_triangle_values(mesh, q.vector(e_trace))
-    h_b = BoundaryDensity.from_triangle_values(mesh, q.vector(h_trace))
+    e_b = BoundaryDensity(mesh, q.vector(e_trace))
+    h_b = BoundaryDensity(mesh, q.vector(h_trace))
     (a1, s1), (a2, s2) = _mode_operator_pair(medium)
     k1e, k1h = (cauchy_boundary(a1, s1, d, x) for d in (e_b, h_b))
     k2e, k2h = (cauchy_boundary(a2, s2, d, x) for d in (e_b, h_b))
@@ -140,16 +141,16 @@ class ExtendibilityReport:
         return float(np.sqrt(0.5 * (self.rms_e**2 + self.rms_h**2)))
 
 
-def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace,
-                           medium: ChiralMedium, depth: float,
+def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium,
                            extrapolation: str = "quadratic") -> ExtendibilityReport:
     """Residuals of the boundary-trace criterion, per triangle.
 
     The source-free reconstruction is evaluated at points offset inward by
-    multiples of `depth` (all depths in one batch) and extrapolated to the
-    surface, then compared with the given traces at the centroids.
-    Residuals are quaternion norms (the scalar part of the prediction must
-    vanish too) relative to the overall trace magnitude.
+    multiples of depth = DEPTH_FACTOR * mesh.spacing (all depths in one
+    batch) and extrapolated to the surface, then compared with the given
+    traces at the centroids.  Residuals are quaternion norms (the scalar
+    part of the prediction must vanish too) relative to the overall trace
+    magnitude.  ValueError if the deepest offset reaches mesh.inradius.
     """
     if extrapolation not in EXTRAPOLATIONS:
         raise ValueError("extrapolation must be one of %s" % sorted(EXTRAPOLATIONS))
@@ -164,6 +165,13 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace,
         RESIDUAL_FLOOR,
     )
     rule = EXTRAPOLATIONS[extrapolation]
+    depth = DEPTH_FACTOR * mesh.spacing
+    deepest = max(mult for mult, _ in rule)
+    if deepest * depth >= mesh.inradius:
+        hint = "" if extrapolation == "linear" else " or --extrapolation linear"
+        raise ValueError("the %s extrapolation offsets down to %d x depth %g = %g, past the "
+                         "inradius estimate %g: a finer mesh%s would run"
+                         % (extrapolation, deepest, depth, deepest * depth, mesh.inradius, hint))
     pts = np.concatenate([interior_offset_points(mesh, mult * depth) for mult, _ in rule])
     e_x, h_x = reconstruct_eh(mesh, e_trace, h_trace, None, medium, None, pts)
     e_pred = sum(c * v for (_, c), v in zip(rule, e_x.reshape(len(rule), n_tri, 4)))
@@ -176,7 +184,7 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace,
         residual_e=residual_e,
         residual_h=residual_h,
         scale=scale,
-        depth=float(depth),
+        depth=depth,
         extrapolation=extrapolation,
     )
 

@@ -178,10 +178,9 @@ def test_criterion_7_extendibility(capsys, tmp_path):
     e_field, h_field = exact_chiral_solution(MEDIUM)
     pts = mesh.centroids
     e_tr, h_tr = q.vec(e_field.value(pts)), q.vec(h_field.value(pts))
-    depth = 2.0 * mesh.spacing
-    r0 = extendibility_residual(mesh, e_tr, h_tr, MEDIUM, depth).rms
+    r0 = extendibility_residual(mesh, e_tr, h_tr, MEDIUM).rms
     e_p, h_p = perturb_traces(mesh, e_tr, h_tr, 0.10, seed=42)
-    r1 = extendibility_residual(mesh, e_p, h_p, MEDIUM, depth).rms
+    r1 = extendibility_residual(mesh, e_p, h_p, MEDIUM).rms
 
     mesh_path = str(tmp_path / "m.off")
     traces = str(tmp_path / "t.csv")

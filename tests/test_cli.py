@@ -9,7 +9,7 @@ import pytest
 from quatem import quaternions as q
 from quatem.cli import _load_traces, main
 from quatem.fields import exact_chiral_solution
-from quatem.geometry import load_off
+from quatem.geometry import load_off, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
 
 
@@ -129,6 +129,38 @@ def test_reconstruct_near_boundary_exit_code(workspace, tmp_path):
     code = main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
                  "--probes", "0.99,0,0", "--out", out])
     assert code == 4
+
+
+def _rewound(mesh_path, path, flipped):
+    """The mesh with the winding of the `flipped` triangles reversed."""
+    mesh = load_off(mesh_path)
+    triangles = mesh.triangles.copy()
+    triangles[flipped] = triangles[flipped, ::-1]
+    save_off(mesh_from_arrays(mesh.vertices, triangles), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("inward, probes, message", [
+    pytest.param(False, "0.3,0.1,-0.2;3,0,0", "probe 3,0,0 ", id="exterior probe"),
+    pytest.param(True, "0.3,0.1,-0.2", "indicator -1", id="inward-wound mesh"),
+])
+def test_reconstruct_rejects_probes_outside_the_surface(workspace, tmp_path, capsys,
+                                                        inward, probes, message):
+    _, mesh_path, traces = workspace
+    if inward:
+        mesh_path = _rewound(mesh_path, tmp_path / "inward.off", slice(None))
+    assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
+                 "--probes=" + probes, "--out", str(tmp_path / "rec.json")]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_extend_check_rejects_misoriented_mesh(workspace, tmp_path, capsys):
+    _, mesh_path, traces = workspace
+    for flipped in (slice(None), [5]):  # wound inward; one triangle flipped
+        bad = _rewound(mesh_path, tmp_path / "bad.off", flipped)
+        assert main(["extend-check", "--mesh", bad, "--traces", traces,
+                     "--extrapolation", "linear", "--out", str(tmp_path / "e.json")]) == 2
+        assert "not wound consistently outward" in capsys.readouterr().err
 
 
 def test_extend_check_exit_codes(workspace, tmp_path):

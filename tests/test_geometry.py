@@ -92,28 +92,6 @@ def test_signed_volume_converges():
     assert vol == pytest.approx(4.0 * np.pi / 3.0, rel=3e-3)
 
 
-def test_quadrature_weights_sum_to_areas():
-    for k in (1, 3):
-        mesh = build_sphere_mesh(1.0, 1, nodes_per_triangle=k)
-        assert mesh.nodes_per_triangle == k
-        assert np.allclose(mesh.quad_weights.sum(axis=1), mesh.areas)
-        assert mesh.quad_points.shape == (mesh.n_triangles, k, 3)
-
-
-def test_three_point_rule_exact_for_quadratics():
-    # integrate x*y over one flat triangle and compare with the exact value
-    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    # closed tetra so mesh_from_arrays is happy about shape; use face 0 only
-    mesh = mesh_from_arrays(
-        np.vstack([verts, [[0.3, 0.3, 1.0]]]),
-        np.array([[0, 1, 2], [0, 3, 1], [1, 3, 2], [0, 2, 3]]),
-        nodes_per_triangle=3,
-    )
-    pts, wts = mesh.quad_points[0], mesh.quad_weights[0]
-    integral = np.sum(wts * pts[:, 0] * pts[:, 1])
-    assert integral == pytest.approx(1.0 / 24.0, rel=1e-12)
-
-
 def test_open_mesh_rejected():
     with pytest.raises(TopologyError):
         checked_normals(mesh_from_arrays(TETRA_VERTICES, TETRA_FACES_OUT[:3]))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatem import quaternions as q
 from quatem.errors import NearSingularityError
@@ -12,7 +14,7 @@ from quatem.fields import (
     polynomial_field,
     scalar_monomial,
 )
-from quatem.geometry import build_ball_quadrature, build_sphere_mesh
+from quatem.geometry import build_ball_quadrature, build_sphere_mesh, mesh_from_arrays
 from quatem.kernels import grad_theta, theta, upsilon
 from quatem.operators import (
     BLOCK_PAIRS,
@@ -27,6 +29,10 @@ from quatem.operators import (
 MESH2 = build_sphere_mesh(1.0, 2)
 QUAD2 = build_ball_quadrature(1.0, 2)
 PROBE = np.array([0.3, 0.1, -0.2])
+ELLIPSOID2 = mesh_from_arrays(MESH2.vertices * [1.0, 0.7, 0.4], MESH2.triangles)
+# at least 2 spacings inside both MESH2 and ELLIPSOID2
+INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
+                         [0.1, -0.15, 0.03]])
 
 
 def _const_volume(value):
@@ -71,6 +77,8 @@ def _cutoff_reference(density, x, kernel):
 def test_density_validation():
     with pytest.raises(ValueError):
         BoundaryDensity(MESH2, np.zeros((3, 1, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        BoundaryDensity(MESH2, np.full((MESH2.n_triangles, 4), np.nan))
 
     def nan_at_first_point(pts):
         out = np.ones(pts.shape[:-1] + (4,), dtype=complex)
@@ -82,11 +90,12 @@ def test_density_validation():
 
 
 def test_panel_constant_density():
-    vals = np.zeros((MESH2.n_triangles, 4), dtype=complex)
+    vals = np.zeros((MESH2.n_triangles, 4))
     vals[:, 0] = 2.0
-    d = BoundaryDensity.from_triangle_values(MESH2, vals)
-    assert d.values.shape == (MESH2.n_triangles, MESH2.nodes_per_triangle, 4)
-    assert np.all(d.flat_values[:, 0] == 2.0)
+    d = BoundaryDensity(MESH2, vals)
+    assert d.values.shape == (MESH2.n_triangles, 4)
+    assert d.values.dtype == complex
+    assert np.all(d.values[:, 0] == 2.0)
 
 
 def test_volume_density_sampling():
@@ -204,33 +213,33 @@ def test_borel_pompeiu_batch_matches_pointwise():
 
 def test_cauchy_near_singularity_guard():
     d = BoundaryDensity.from_function(MESH2, constant_field(q.ONE).value)
-    too_close = 0.999 * MESH2.flat_points[0]
+    too_close = 0.999 * MESH2.centroids[0]
     with pytest.raises(NearSingularityError) as exc:
         cauchy_boundary(1.0, 1, d, too_close)
     assert exc.value.distance < exc.value.min_distance
     # far enough inside is fine
     assert q.is_finite(cauchy_boundary(1.0, 1, d, PROBE))
     # a too-close target in a later block of a batch is caught as well
-    batch = np.vstack([np.tile(PROBE, (_block(len(MESH2.flat_points)), 1)), too_close])
+    batch = np.vstack([np.tile(PROBE, (_block(MESH2.n_triangles), 1)), too_close])
     with pytest.raises(NearSingularityError):
         cauchy_boundary(1.0, 1, d, batch)
 
 
 def test_cauchy_many_matches_single():
     # more targets than one block holds, so the batch spans a block boundary;
-    # real and complex alpha, both signs, one and three nodes per triangle
+    # real and complex alpha, both signs, two meshes
     rng = np.random.default_rng(23)
-    xs = rng.uniform(-0.3, 0.3, (_block(len(MESH2.flat_points)) + 5, 3))
+    xs = rng.uniform(-0.3, 0.3, (_block(MESH2.n_triangles) + 5, 3))
 
     def random_density(mesh):
-        shape = (mesh.n_triangles, mesh.nodes_per_triangle, 4)
+        shape = (mesh.n_triangles, 4)
         return BoundaryDensity(mesh, rng.standard_normal(shape)
                                + 1j * rng.standard_normal(shape))
 
     cases = [
         (0.8, 1, BoundaryDensity.from_function(MESH2, abc_beltrami(-0.8).value)),
         (0.8 + 0.3j, -1, random_density(MESH2)),
-        (0.8 + 0.3j, 1, random_density(build_sphere_mesh(1.0, 2, nodes_per_triangle=3))),
+        (0.8 + 0.3j, 1, random_density(build_sphere_mesh(2.0, 2))),
     ]
     for alpha, sign, d in cases:
         mesh = d.mesh
@@ -240,14 +249,32 @@ def test_cauchy_many_matches_single():
         assert single.shape == (len(xs), 4)
         assert np.allclose(many, single, rtol=0.0, atol=1e-14)
         # reference: the triple product -w * Ups * (n * f) summed node by node
-        nf = q.qmul(q.vector(mesh.flat_normals), d.flat_values)
-        terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - mesh.flat_points), nf)
-        reference = -np.einsum("n,mnk->mk", mesh.flat_weights.astype(complex), terms)
+        nf = q.qmul(q.vector(mesh.normals), d.values)
+        terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - mesh.centroids), nf)
+        reference = -np.einsum("n,mnk->mk", mesh.areas.astype(complex), terms)
         assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
     with pytest.raises(ValueError):
         cauchy_boundary(0.8, 1, d, xs[:, :2])
     with pytest.raises(ValueError):
         cauchy_boundary(0.8, 2, d, xs)
+
+
+_COEFF = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+
+
+@pytest.mark.parametrize("mesh", [MESH2, ELLIPSOID2], ids=["sphere", "ellipsoid"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a=_COEFF, b=_COEFF,
+       alpha=st.sampled_from([0.8, 0.8 + 0.3j]), sign=st.sampled_from([1, -1]))
+def test_cauchy_linear_in_density(mesh, seed, a, b, alpha, sign):
+    rng = np.random.default_rng(seed)
+    shape = (mesh.n_triangles, 4)
+    f1, f2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "12")
+    k1, k2, k12 = (cauchy_boundary(alpha, sign, BoundaryDensity(mesh, f), INNER_PROBES)
+                   for f in (f1, f2, a * f1 + b * f2))
+    scale = abs(a) * np.abs(k1).max() + abs(b) * np.abs(k2).max()
+    # plus 1e-300: coefficients near the subnormal range round absolutely
+    assert np.abs(k12 - (a * k1 + b * k2)).max() <= 1e-12 * scale + 1e-300
 
 
 def test_cauchy_reproduces_monogenic_field():
@@ -262,9 +289,7 @@ def test_cauchy_reproduces_monogenic_field():
 
 
 def test_cauchy_of_zero_density_is_zero():
-    d = BoundaryDensity.from_triangle_values(
-        MESH2, np.zeros((MESH2.n_triangles, 4), dtype=complex)
-    )
+    d = BoundaryDensity(MESH2, np.zeros((MESH2.n_triangles, 4)))
     assert q.norm(cauchy_boundary(1.0, 1, d, PROBE)) == 0.0
 
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatem import quaternions as q
 from quatem.fields import exact_chiral_solution
-from quatem.geometry import build_ball_quadrature, build_sphere_mesh
+from quatem.geometry import build_ball_quadrature, build_sphere_mesh, mesh_from_arrays
 from quatem.maxwell import SourceData, make_medium
 from quatem.reconstruction import (
     ExtendibilityReport,
@@ -19,6 +21,11 @@ from quatem.operators import BoundaryDensity
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 PROBES = np.array([[0.3, 0.1, -0.2], [0.1, -0.15, 0.2], [-0.2, 0.4, 0.1]])
+SPHERE2 = build_sphere_mesh(1.0, 2)
+ELLIPSOID2 = mesh_from_arrays(SPHERE2.vertices * [1.0, 0.7, 0.4], SPHERE2.triangles)
+# at least 2 spacings inside both SPHERE2 and ELLIPSOID2
+INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
+                         [0.1, -0.15, 0.03]])
 
 
 def _traces(mesh, medium=MEDIUM):
@@ -102,17 +109,44 @@ def test_phi_psi_representation_matches_modes():
     from quatem.maxwell import split_values
 
     phi_v, psi_v = split_values(q.vector(e_tr), q.vector(h_tr))
-    phi_d = BoundaryDensity.from_triangle_values(mesh, phi_v)
-    psi_d = BoundaryDensity.from_triangle_values(mesh, psi_v)
+    phi_d = BoundaryDensity(mesh, phi_v)
+    psi_d = BoundaryDensity(mesh, psi_v)
     phi_x, psi_x = phi_psi_representation(phi_d, psi_d, None, MEDIUM, None, PROBES[0])
     exact_phi = e_field.value(PROBES[0]) + 1j * h_field.value(PROBES[0])
     assert q.norm(phi_x - exact_phi) / q.norm(exact_phi) < 0.1
 
 
+def _proper_rotation(rng):
+    qmat, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    qmat = qmat * np.sign(np.diag(r))
+    return qmat if np.linalg.det(qmat) > 0 else -qmat
+
+
+@pytest.mark.parametrize("mesh", [SPHERE2, ELLIPSOID2], ids=["sphere", "ellipsoid"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_reconstruction_equivariant_under_rigid_motion(mesh, seed, shift):
+    # x -> R x + b moves mesh and probes; traces rotate with R, so E and H
+    # rotate too and their scalar parts stay (any traces, not only genuine)
+    rng = np.random.default_rng(seed)
+    rot = _proper_rotation(rng)
+    shape = (mesh.n_triangles, 3)
+    e_tr, h_tr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for _ in "eh")
+    moved = mesh_from_arrays(mesh.vertices @ rot.T + shift, mesh.triangles)
+    before = reconstruct_eh(mesh, e_tr, h_tr, None, MEDIUM, None, INNER_PROBES)
+    after = reconstruct_eh(moved, e_tr @ rot.T, h_tr @ rot.T, None, MEDIUM, None,
+                           INNER_PROBES @ rot.T + shift)
+    for old, new in zip(before, after):
+        expected = np.concatenate([old[:, :1], old[:, 1:] @ rot.T], axis=1)
+        assert np.abs(new - expected).max() <= 1e-12 * q.norm(old).max()
+
+
 def test_extendibility_genuine_traces_pass():
     mesh = build_sphere_mesh(1.0, 3)
     e_tr, h_tr, _, _ = _traces(mesh)
-    report = extendibility_residual(mesh, e_tr, h_tr, MEDIUM, 2.0 * mesh.spacing)
+    report = extendibility_residual(mesh, e_tr, h_tr, MEDIUM)
     assert isinstance(report, ExtendibilityReport)
     assert report.extrapolation == "quadratic"
     assert report.rms < 5e-2
@@ -123,10 +157,9 @@ def test_extendibility_genuine_traces_pass():
 def test_extendibility_discriminates_perturbation():
     mesh = build_sphere_mesh(1.0, 3)
     e_tr, h_tr, _, _ = _traces(mesh)
-    depth = 2.0 * mesh.spacing
-    r0 = extendibility_residual(mesh, e_tr, h_tr, MEDIUM, depth).rms
+    r0 = extendibility_residual(mesh, e_tr, h_tr, MEDIUM).rms
     e_p, h_p = perturb_traces(mesh, e_tr, h_tr, 0.10, seed=42)
-    r1 = extendibility_residual(mesh, e_p, h_p, MEDIUM, depth).rms
+    r1 = extendibility_residual(mesh, e_p, h_p, MEDIUM).rms
     assert r1 >= 5.0 * r0
 
 
@@ -134,9 +167,13 @@ def test_extendibility_validation():
     mesh = build_sphere_mesh(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
     with pytest.raises(ValueError):
-        extendibility_residual(mesh, e_tr, h_tr, MEDIUM, 0.1, extrapolation="cubic")
+        extendibility_residual(mesh, e_tr, h_tr, MEDIUM, extrapolation="cubic")
     with pytest.raises(ValueError):
-        extendibility_residual(mesh, e_tr[:5], h_tr[:5], MEDIUM, 0.1)
+        extendibility_residual(mesh, e_tr[:5], h_tr[:5], MEDIUM)
+    # level 2 is too coarse for the quadratic rule's offsets at 3 depths
+    with pytest.raises(ValueError, match=r"quadratic extrapolation offsets down to 3 x "
+                                         r"depth 0\.392585 = 1\.17776, .* or --extrapolation linear"):
+        extendibility_residual(mesh, e_tr, h_tr, MEDIUM)
 
 
 def test_perturbation_is_tangential_and_deterministic():
