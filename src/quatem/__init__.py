@@ -20,7 +20,6 @@ from .geometry import (
     build_ball_quadrature,
     build_sphere_mesh,
     checked_normals,
-    interior_offset_points,
 )
 from .kernels import fd_d_alpha, fd_moisil_theodoresco, theta, upsilon
 from .maxwell import (

@@ -24,7 +24,13 @@ from .errors import (
     SingularMediumError,
     TopologyError,
 )
-from .fields import abc_beltrami, exact_chiral_solution, polynomial_field
+from .fields import (
+    abc_beltrami,
+    exact_chiral_solution,
+    identity_vector_field,
+    polynomial_field,
+    scalar_monomial,
+)
 from .geometry import (
     build_ball_quadrature,
     build_sphere_mesh,
@@ -51,7 +57,14 @@ EXIT_CONFIG = 2
 EXIT_CRITERION = 3
 EXIT_NUMERIC = 4
 
-_BP_FIELDS = ("scalar-poly", "vector-poly", "beltrami")
+# verify-bp's test fields, built for its alpha, and the relative increase of a
+# residual between levels that still counts as decreasing
+_BP_FIELDS = {
+    "scalar-poly": lambda alpha: scalar_monomial(1),
+    "vector-poly": lambda alpha: identity_vector_field(),
+    "beltrami": lambda alpha: abc_beltrami(-alpha),
+}
+_BP_SLACK = 0.10
 
 _BP_PROBES = np.array(
     [
@@ -84,6 +97,12 @@ def _add_medium_args(parser: argparse.ArgumentParser) -> None:
 
 def _medium_from_args(args) -> "object":
     return make_medium(args.omega, args.epsilon, args.mu, args.beta, args.branch)
+
+
+def _medium_json(medium) -> dict:
+    return {"omega": medium.omega, "epsilon": _c(medium.epsilon), "mu": _c(medium.mu),
+            "beta": medium.beta, "k": _c(medium.k), "alpha1": _c(medium.alpha1),
+            "alpha2": _c(medium.alpha2)}
 
 
 def _write_json(path, payload: dict) -> None:
@@ -195,20 +214,15 @@ def cmd_gen_field(args) -> int:
     if second is not None:  # an (E, H) pair: trace CSV
         e = q.vec(first.value(pts))
         h = q.vec(second.value(pts))
-        if args.perturb:
-            e, h = perturb_traces(mesh, e, h, args.perturb, args.seed)
         _save_traces(args.out, e, h)
         print("gen-field: %s traces on %d triangles -> %s"
               % (args.family, len(pts), args.out))
-    else:  # single quaternion field: sample CSV
-        vals = first.value(pts)
+    else:  # single quaternion field: sample CSV, the q column as in q.to_text
+        vals = np.ascontiguousarray(first.value(pts), dtype=complex).view(float)
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["triangle", "x", "y", "z", "q"])
-            for t, (p, v) in enumerate(zip(pts, vals)):
-                writer.writerow(
-                    [t, "%.17g" % p[0], "%.17g" % p[1], "%.17g" % p[2], q.to_text(v)]
-                )
+            np.savetxt(fh, np.column_stack([np.arange(len(pts)), pts, vals]),
+                       fmt="%d" + ",%.17g" * 4 + " %.17g" * 7, newline="\r\n",
+                       header="triangle,x,y,z,q", comments="")
         print("gen-field: %s sampled at %d points -> %s"
               % (args.family, len(pts), args.out))
     return EXIT_OK
@@ -237,33 +251,20 @@ def cmd_kernel_probe(args) -> int:
     return EXIT_OK
 
 
-def _bp_field(name: str, alpha):
-    from .fields import identity_vector_field, scalar_monomial
-
-    if name == "scalar-poly":
-        return scalar_monomial(1)
-    if name == "vector-poly":
-        return identity_vector_field()
-    if name == "beltrami":
-        return abc_beltrami(-alpha)
-    raise ConfigError("unknown test field %r" % name)
-
-
 def cmd_verify_bp(args) -> int:
     levels = [int(v) for v in args.levels.split(",")]
-    names = [v for v in args.fields.split(",") if v]
     alpha = args.alpha
-    table = {name: [] for name in names}
+    table = {name: [] for name in _BP_FIELDS}
     for level in levels:
         mesh = build_sphere_mesh(args.radius, level)
         quad = build_ball_quadrature(args.radius, level)
-        for name in names:
-            f = _bp_field(name, alpha)
-            res = borel_pompeiu_residual(f, alpha, 1, mesh, quad, _BP_PROBES * args.radius)
+        for name, make_field in _BP_FIELDS.items():
+            res = borel_pompeiu_residual(make_field(alpha), alpha, 1, mesh, quad,
+                                         _BP_PROBES * args.radius)
             table[name].append(float(res.max()))
-    slack = 1.0 + args.slack
     decreasing = all(
-        col[i + 1] <= slack * col[i] for col in table.values() for i in range(len(col) - 1)
+        col[i + 1] <= (1.0 + _BP_SLACK) * col[i]
+        for col in table.values() for i in range(len(col) - 1)
     )
     _write_json(args.out, {
         "command": "verify-bp",
@@ -325,10 +326,7 @@ def cmd_reconstruct(args) -> int:
     ]
     _write_json(args.out, {
         "command": "reconstruct",
-        "medium": {"omega": args.omega, "epsilon": _c(args.epsilon),
-                   "mu": _c(args.mu), "beta": args.beta,
-                   "k": _c(medium.k), "alpha1": _c(medium.alpha1),
-                   "alpha2": _c(medium.alpha2)},
+        "medium": _medium_json(medium),
         "results": results,
         "max_assembly_gap": worst_gap,
     })
@@ -351,9 +349,7 @@ def cmd_extend_check(args) -> int:
     verdict_ok = report.rms <= args.threshold
     _write_json(args.out, {
         "command": "extend-check",
-        "medium": {"omega": args.omega, "epsilon": _c(args.epsilon),
-                   "mu": _c(args.mu), "beta": args.beta, "k": _c(medium.k),
-                   "alpha1": _c(medium.alpha1), "alpha2": _c(medium.alpha2)},
+        "medium": _medium_json(medium),
         "depth": report.depth,
         "extrapolation": report.extrapolation,
         "threshold": args.threshold,
@@ -402,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Beltrami eigenvalue (abc-beltrami only)")
     p.add_argument("--coeffs-file", default=None,
                    help="JSON 4x10 table of [re, im] pairs (polynomial only)")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="relative tangential noise added to chiral-exact traces")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     _add_medium_args(p)
     p.set_defaults(func=cmd_gen_field)
@@ -424,9 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="2,3")
     p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0j)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--fields", default=",".join(_BP_FIELDS))
-    p.add_argument("--slack", type=float, default=0.10,
-                   help="allowed relative increase between levels")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify_bp)
 

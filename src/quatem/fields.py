@@ -7,7 +7,7 @@ separated from modeling errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,8 @@ DEFAULT_AMPLITUDES = (1.0, 0.7, 0.3)
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Quaternion-valued field with an exact derivative oracle.
+    """Quaternion-valued field given by two batched evaluators: its values
+    and the exact values of its derivative (the oracle).
 
     value  : (..., 3) points -> (..., 4) quaternions
     d_value: same signature, returning the exact Moisil-Theodoresco
@@ -28,8 +29,6 @@ class AnalyticField:
 
     value: Callable[[np.ndarray], np.ndarray]
     d_value: Callable[[np.ndarray], np.ndarray]
-    family: str
-    params: dict = field(default_factory=dict)
 
     def d_alpha(self, alpha, sign: int = 1) -> Callable[[np.ndarray], np.ndarray]:
         """Exact (D + sign*alpha) f as a batched evaluator."""
@@ -69,8 +68,6 @@ def abc_beltrami(lam, a=None, b=None, c=None) -> AnalyticField:
     return AnalyticField(
         value=value,
         d_value=lambda x: lam * value(x),
-        family="abc-beltrami",
-        params={"lambda": lam, "a": a, "b": b, "c": c},
     )
 
 
@@ -140,8 +137,6 @@ def polynomial_field(coeffs) -> AnalyticField:
     return AnalyticField(
         value=lambda x: _poly_eval(coeffs, x),
         d_value=lambda x: _poly_eval(d_coeffs, x),
-        family="polynomial",
-        params={"coeffs": coeffs},
     )
 
 
@@ -181,15 +176,9 @@ def exact_chiral_solution(medium, phi_amplitudes=DEFAULT_AMPLITUDES,
     e_field = AnalyticField(
         value=lambda x: 0.5 * (phi.value(x) + psi.value(x)),
         d_value=lambda x: 0.5 * (phi.d_value(x) + psi.d_value(x)),
-        family="chiral-exact-E",
-        params={"alpha1": medium.alpha1, "alpha2": medium.alpha2,
-                "phi_amplitudes": tuple(phi_amplitudes),
-                "psi_amplitudes": tuple(psi_amplitudes)},
     )
     h_field = AnalyticField(
         value=lambda x: (phi.value(x) - psi.value(x)) / 2j,
         d_value=lambda x: (phi.d_value(x) - psi.d_value(x)) / 2j,
-        family="chiral-exact-H",
-        params=dict(e_field.params),
     )
     return e_field, h_field

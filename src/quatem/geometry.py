@@ -210,19 +210,6 @@ def checked_normals(mesh: SurfaceMesh) -> NormalCheck:
     )
 
 
-def interior_offset_points(mesh: SurfaceMesh, depth: float):
-    """Collocation points displaced inward by `depth` from the triangle
-    centroids, shape (T, 3).  Whether they keep a safe distance from the
-    surface is checked where they are used (operators.cauchy_boundary).
-    """
-    if depth <= 0:
-        raise ValueError("offset depth must be positive")
-    if depth >= mesh.inradius:
-        raise ValueError("offset depth %g exceeds the inradius estimate %g"
-                         % (depth, mesh.inradius))
-    return mesh.centroids - depth * mesh.normals
-
-
 def save_off(mesh: SurfaceMesh, path) -> None:
     """Write the mesh in ASCII OFF format."""
     with open(path, "w") as fh:

@@ -10,7 +10,7 @@ quaternionic equations with wave parameters alpha1 and alpha2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -108,31 +108,24 @@ def continuity_rho(source: SourceData, medium: ChiralMedium):
     return lambda x: -source.div_j(x) / (1j * k)
 
 
-def phi_psi_rhs(source: Optional[SourceData], medium: ChiralMedium):
+def phi_psi_rhs(source: SourceData, medium: ChiralMedium):
     """Quaternionic right-hand sides of the decoupled mode equations.
 
     (D + alpha1) Phi = (i/k) [alpha1 j - div j]
     (D - alpha2) Psi = -(i/k) [alpha2 j + div j]
 
-    div j lands in the scalar part, j in the vector part.  Returns a pair
-    of batched evaluators; a None source yields identically zero fields.
+    Both read (i/k) [a j - div j] with the signed wave parameter a =
+    +alpha1 or -alpha2; div j lands in the scalar part, j in the vector
+    part.  Returns the pair of batched evaluators (Phi's, then Psi's).
     """
-    k, a1, a2 = medium.k, medium.alpha1, medium.alpha2
+    k = medium.k
 
-    def rhs_phi(x):
-        x = np.asarray(x, dtype=float)
-        if source is None:
-            return np.zeros(x.shape[:-1] + (4,), dtype=complex)
-        out = q.vector((1j * a1 / k) * q.vec(source.j.value(x)))
-        out[..., 0] = -(1j / k) * source.div_j(x)
-        return out
+    def rhs(a):
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            out = q.vector((1j * a / k) * q.vec(source.j.value(x)))
+            out[..., 0] = -(1j / k) * source.div_j(x)
+            return out
+        return evaluate
 
-    def rhs_psi(x):
-        x = np.asarray(x, dtype=float)
-        if source is None:
-            return np.zeros(x.shape[:-1] + (4,), dtype=complex)
-        out = q.vector(-(1j * a2 / k) * q.vec(source.j.value(x)))
-        out[..., 0] = -(1j / k) * source.div_j(x)
-        return out
-
-    return rhs_phi, rhs_psi
+    return rhs(medium.alpha1), rhs(-medium.alpha2)

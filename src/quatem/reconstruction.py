@@ -23,8 +23,8 @@ import numpy as np
 
 from . import quaternions as q
 from .fields import AnalyticField
-from .geometry import SurfaceMesh, VolumeQuadrature, interior_offset_points
-from .kernels import DEFAULT_FD_STEP, fd_curl
+from .geometry import SurfaceMesh, VolumeQuadrature
+from .kernels import fd_curl
 from .maxwell import ChiralMedium, SourceData, merge_values, phi_psi_rhs, split_values
 from .operators import (
     RESIDUAL_FLOOR,
@@ -145,12 +145,13 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMe
                            extrapolation: str = "quadratic") -> ExtendibilityReport:
     """Residuals of the boundary-trace criterion, per triangle.
 
-    The source-free reconstruction is evaluated at points offset inward by
-    multiples of depth = DEPTH_FACTOR * mesh.spacing (all depths in one
-    batch) and extrapolated to the surface, then compared with the given
-    traces at the centroids.  Residuals are quaternion norms (the scalar
-    part of the prediction must vanish too) relative to the overall trace
-    magnitude.  ValueError if the deepest offset reaches mesh.inradius.
+    The source-free reconstruction is evaluated at the centroids moved
+    inward along the normals by multiples of depth = DEPTH_FACTOR *
+    mesh.spacing (all depths in one batch), extrapolated to the surface
+    and compared with the traces there.  Residuals are quaternion norms
+    (the scalar part of the prediction must vanish too) relative to the
+    overall trace magnitude.  ValueError if the deepest offset reaches
+    mesh.inradius; its message names a finer mesh as the remedy.
     """
     if extrapolation not in EXTRAPOLATIONS:
         raise ValueError("extrapolation must be one of %s" % sorted(EXTRAPOLATIONS))
@@ -168,11 +169,10 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMe
     depth = DEPTH_FACTOR * mesh.spacing
     deepest = max(mult for mult, _ in rule)
     if deepest * depth >= mesh.inradius:
-        hint = "" if extrapolation == "linear" else " or --extrapolation linear"
         raise ValueError("the %s extrapolation offsets down to %d x depth %g = %g, past the "
-                         "inradius estimate %g: a finer mesh%s would run"
-                         % (extrapolation, deepest, depth, deepest * depth, mesh.inradius, hint))
-    pts = np.concatenate([interior_offset_points(mesh, mult * depth) for mult, _ in rule])
+                         "inradius estimate %g: a finer mesh would run"
+                         % (extrapolation, deepest, depth, deepest * depth, mesh.inradius))
+    pts = np.concatenate([mesh.centroids - (mult * depth) * mesh.normals for mult, _ in rule])
     e_x, h_x = reconstruct_eh(mesh, e_trace, h_trace, None, medium, None, pts)
     e_pred = sum(c * v for (_, c), v in zip(rule, e_x.reshape(len(rule), n_tri, 4)))
     h_pred = sum(c * v for (_, c), v in zip(rule, h_x.reshape(len(rule), n_tri, 4)))
@@ -211,27 +211,24 @@ def perturb_traces(mesh: SurfaceMesh, e_trace, h_trace, amplitude: float,
 
 
 def maxwell_residual(e_field: AnalyticField, h_field: AnalyticField,
-                     medium: ChiralMedium, x, h_step: float = DEFAULT_FD_STEP,
-                     source: Optional[SourceData] = None,
-                     floor: float = RESIDUAL_FLOOR):
-    """Finite-difference residuals of the two chiral curl equations at x.
+                     medium: ChiralMedium, x):
+    """Finite-difference residuals of the source-free chiral curl equations at x.
 
     rot E = -ik (H + beta rot H)
-    rot H =  ik (E + beta rot E) + j
+    rot H =  ik (E + beta rot E)
 
     Each residual is normalized by the larger of its two sides.
     """
     x = np.asarray(x, dtype=float)
     k, beta = medium.k, medium.beta
-    rot_e = fd_curl(e_field.vector_value, x, h_step)
-    rot_h = fd_curl(h_field.vector_value, x, h_step)
+    rot_e = fd_curl(e_field.vector_value, x)
+    rot_h = fd_curl(h_field.vector_value, x)
     e_x = e_field.vector_value(x)
     h_x = h_field.vector_value(x)
 
     rhs1 = -1j * k * (h_x + beta * rot_h)
     rhs2 = 1j * k * (e_x + beta * rot_e)
-    if source is not None:
-        rhs2 = rhs2 + q.vec(source.j.value(x))
-    r1 = np.linalg.norm(rot_e - rhs1) / max(np.linalg.norm(rot_e), np.linalg.norm(rhs1), floor)
-    r2 = np.linalg.norm(rot_h - rhs2) / max(np.linalg.norm(rot_h), np.linalg.norm(rhs2), floor)
+    norm = np.linalg.norm
+    r1 = norm(rot_e - rhs1) / max(norm(rot_e), norm(rhs1), RESIDUAL_FLOOR)
+    r2 = norm(rot_h - rhs2) / max(norm(rot_h), norm(rhs2), RESIDUAL_FLOOR)
     return float(r1), float(r2)

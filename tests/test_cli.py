@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver: artifacts and exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from quatem import quaternions as q
-from quatem.cli import _load_traces, main
+from quatem.cli import _load_traces, build_parser, main
 from quatem.fields import exact_chiral_solution
 from quatem.geometry import load_off, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
@@ -189,6 +190,28 @@ def test_extend_check_json_deterministic(workspace, tmp_path):
     main(args + ["--out", a])
     main(args + ["--out", b])
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+_MEDIUM_FLAGS = {"--omega", "--epsilon", "--mu", "--beta", "--branch"}
+
+
+def test_cli_option_surface():
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: {flag for action in sub._actions for flag in action.option_strings}
+                     - {"-h", "--help"}
+               for name, sub in subcommands.choices.items()}
+    assert surface == {
+        "gen-mesh": {"--radius", "--level", "--ball-csv", "--out"},
+        "gen-field": {"--family", "--mesh", "--amplitudes", "--wave-parameter",
+                      "--coeffs-file", "--out"} | _MEDIUM_FLAGS,
+        "kernel-probe": {"--alpha", "--sign", "--direction", "--rmin", "--rmax", "--count",
+                         "--out"},
+        "verify-bp": {"--levels", "--alpha", "--radius", "--out"},
+        "reconstruct": {"--mesh", "--traces", "--probes", "--out"} | _MEDIUM_FLAGS,
+        "extend-check": {"--mesh", "--traces", "--extrapolation", "--threshold", "--perturb",
+                         "--seed", "--out"} | _MEDIUM_FLAGS,
+    }
 
 
 def test_config_errors(tmp_path):

@@ -14,7 +14,6 @@ from quatem.geometry import (
     build_ball_quadrature,
     build_sphere_mesh,
     checked_normals,
-    interior_offset_points,
     load_off,
     mesh_from_arrays,
     save_off,
@@ -175,19 +174,6 @@ def test_ball_quadrature_polynomial_moment():
 def test_ball_quadrature_radial_order_scales():
     n_dirs = 20 * 4**3
     assert len(build_ball_quadrature(1.0, 3).points) == 16 * n_dirs  # order doubles
-
-
-def test_interior_offset_points():
-    mesh = build_sphere_mesh(1.0, 2)
-    pts = interior_offset_points(mesh, 0.1)
-    assert pts.shape == (mesh.n_triangles, 3)
-    assert np.allclose(np.linalg.norm(pts - mesh.centroids, axis=1), 0.1)
-    r = np.linalg.norm(pts, axis=1)
-    assert np.all(r < 1.0)
-    with pytest.raises(ValueError):
-        interior_offset_points(mesh, 5.0)  # deeper than the inradius
-    with pytest.raises(ValueError):
-        interior_offset_points(mesh, -0.1)
 
 
 def test_off_roundtrip(tmp_path):

@@ -95,8 +95,6 @@ def test_phi_psi_rhs_structure():
     assert np.allclose(q.vec(rhs_phi(x)), (1j * m.alpha1 / m.k) * jv)
     assert np.allclose(q.vec(rhs_psi(x)), -(1j * m.alpha2 / m.k) * jv)
     assert rhs_phi(x)[0] == 0 and rhs_psi(x)[0] == 0  # divergence-free source
-    rhs_phi0, rhs_psi0 = phi_psi_rhs(None, m)
-    assert q.norm(rhs_phi0(x)) == 0 and q.norm(rhs_psi0(x)) == 0
 
 
 def test_exact_solution_satisfies_curl_equations():

@@ -14,7 +14,14 @@ from quatem.fields import (
     polynomial_field,
     scalar_monomial,
 )
-from quatem.geometry import build_ball_quadrature, build_sphere_mesh, mesh_from_arrays
+from quatem.geometry import (
+    _ICO_FACES,
+    _ICO_VERTICES,
+    VolumeQuadrature,
+    build_ball_quadrature,
+    build_sphere_mesh,
+    mesh_from_arrays,
+)
 from quatem.kernels import grad_theta, theta, upsilon
 from quatem.operators import (
     BLOCK_PAIRS,
@@ -177,6 +184,48 @@ def test_teodorescu_many_matches_single():
         teodorescu(0.8, 1, d, xs[:, :2])
     with pytest.raises(ValueError):
         teodorescu(0.8, 0, d, xs)
+
+
+def _axis_rotation(axis, angle):
+    """Rotation by angle about axis (Rodrigues)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * cross @ cross
+
+
+# Two generators of the icosahedral rotation group: 2*pi/5 about vertex 0 and
+# 2*pi/3 about the centroid of face (0, 11, 5).  They map every icosphere, so
+# the ball rules and the fixed directions of teodorescu's near rule, onto
+# themselves.  A generic rotation moves the near rule against the density and
+# agrees only to quadrature error (1e-9 to 9e-9 on this Beltrami field at
+# level 2; a polynomial density of degree <= 2 would not show it, the near
+# rule integrates it exactly in every orientation).
+_ICO_ROTATIONS = (_axis_rotation(_ICO_VERTICES[0], 2.0 * np.pi / 5.0),
+                  _axis_rotation(_ICO_VERTICES[_ICO_FACES[0]].mean(axis=0), 2.0 * np.pi / 3.0))
+_ROTATION_FIELD = abc_beltrami(-1.0)
+
+
+def _rotate_vector_part(rot, values):
+    out = np.array(values, dtype=complex)
+    out[..., 1:] = values[..., 1:] @ rot.T
+    return out
+
+
+@pytest.mark.parametrize("alpha,sign", [(1.0, 1), (0.7 + 0.3j, -1)])
+@settings(max_examples=20, deadline=None)
+@given(word=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8))
+def test_teodorescu_equivariant_under_icosahedral_rotations(alpha, sign, word):
+    rot = np.eye(3)
+    for letter in word:
+        rot = _ICO_ROTATIONS[letter] @ rot
+    xs = np.array([PROBE, [-0.25, 0.3, 0.1]])
+    density = VolumeDensity.from_function(QUAD2, _ROTATION_FIELD.value)
+    rotated_quad = VolumeQuadrature(QUAD2.points @ rot.T, QUAD2.weights, QUAD2.radius)
+    rotated = VolumeDensity.from_function(
+        rotated_quad, lambda y: _rotate_vector_part(rot, _ROTATION_FIELD.value(y @ rot)))
+    expected = _rotate_vector_part(rot, teodorescu(alpha, sign, density, xs))
+    got = teodorescu(alpha, sign, rotated, xs @ rot.T)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_teodorescu_right_inverse_converges():

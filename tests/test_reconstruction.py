@@ -172,7 +172,8 @@ def test_extendibility_validation():
         extendibility_residual(mesh, e_tr[:5], h_tr[:5], MEDIUM)
     # level 2 is too coarse for the quadratic rule's offsets at 3 depths
     with pytest.raises(ValueError, match=r"quadratic extrapolation offsets down to 3 x "
-                                         r"depth 0\.392585 = 1\.17776, .* or --extrapolation linear"):
+                                         r"depth 0\.392585 = 1\.17776, .*: a finer mesh "
+                                         r"would run$"):
         extendibility_residual(mesh, e_tr, h_tr, MEDIUM)
 
 
