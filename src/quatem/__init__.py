@@ -42,7 +42,6 @@ from .reconstruction import (
     ExtendibilityReport,
     extendibility_residual,
     maxwell_residual,
-    phi_psi_representation,
     reconstruct_eh,
 )
 

@@ -36,6 +36,7 @@ from .geometry import (
     build_sphere_mesh,
     checked_normals,
     load_off,
+    save_csv,
     save_off,
     save_quadrature_csv,
 )
@@ -91,12 +92,10 @@ def _add_medium_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=_complex_arg, default=1.0 + 0j,
                         help="permeability (complex)")
     parser.add_argument("--beta", type=float, default=0.25, help="chirality measure")
-    parser.add_argument("--branch", type=int, choices=(1, -1), default=1,
-                        help="square-root branch for k (1: Im k >= 0 preferred)")
 
 
 def _medium_from_args(args) -> "object":
-    return make_medium(args.omega, args.epsilon, args.mu, args.beta, args.branch)
+    return make_medium(args.omega, args.epsilon, args.mu, args.beta)
 
 
 def _medium_json(medium) -> dict:
@@ -161,13 +160,10 @@ def _load_traces(path, n_triangles: int):
 
 
 def _save_traces(path, e, h) -> None:
-    """One row per triangle: its index, then re/im of e1..e3 and h1..h3,
-    with CRLF line ends as the csv module writes them."""
+    """One row per triangle: its index, then re/im of e1..e3 and h1..h3."""
     pairs = np.concatenate([e, h], axis=1).view(float)
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack([np.arange(len(pairs)), pairs]),
-                   fmt=["%d"] + ["%.17g"] * 12, delimiter=",",
-                   newline="\r\n", header=",".join(_TRACE_HEADER), comments="")
+    save_csv(path, np.column_stack([np.arange(len(pairs)), pairs]),
+             ["%d"] + ["%.17g"] * 12, _TRACE_HEADER)
 
 
 def cmd_gen_mesh(args) -> int:
@@ -184,15 +180,6 @@ def cmd_gen_mesh(args) -> int:
 
 
 def _field_from_args(args, medium):
-    if args.family == "chiral-exact":
-        amps = tuple(float(v) for v in args.amplitudes.split(","))
-        return exact_chiral_solution(medium, amps, amps)
-    if args.family == "abc-beltrami":
-        amps = tuple(float(v) for v in args.amplitudes.split(","))
-        lam = args.wave_parameter
-        if lam is None:
-            raise ConfigError("abc-beltrami requires --wave-parameter")
-        return (abc_beltrami(lam, *amps), None)
     if args.family == "polynomial":
         if not args.coeffs_file:
             raise ConfigError("polynomial requires --coeffs-file")
@@ -203,7 +190,18 @@ def _field_from_args(args, medium):
              for row in raw]
         )
         return (polynomial_field(table), None)
-    raise ConfigError("unknown field family %r" % args.family)
+    try:
+        amps = tuple(float(v) for v in args.amplitudes.split(","))
+    except ValueError:
+        amps = ()
+    if len(amps) != 3 or not np.all(np.isfinite(amps)):
+        raise ConfigError("--amplitudes must be three finite numbers 'a,b,c', got %r"
+                          % args.amplitudes)
+    if args.family == "chiral-exact":
+        return exact_chiral_solution(medium, amps, amps)
+    if args.wave_parameter is None:
+        raise ConfigError("abc-beltrami requires --wave-parameter")
+    return (abc_beltrami(args.wave_parameter, *amps), None)
 
 
 def cmd_gen_field(args) -> int:
@@ -219,10 +217,8 @@ def cmd_gen_field(args) -> int:
               % (args.family, len(pts), args.out))
     else:  # single quaternion field: sample CSV, the q column as in q.to_text
         vals = np.ascontiguousarray(first.value(pts), dtype=complex).view(float)
-        with open(args.out, "w", newline="") as fh:
-            np.savetxt(fh, np.column_stack([np.arange(len(pts)), pts, vals]),
-                       fmt="%d" + ",%.17g" * 4 + " %.17g" * 7, newline="\r\n",
-                       header="triangle,x,y,z,q", comments="")
+        save_csv(args.out, np.column_stack([np.arange(len(pts)), pts, vals]),
+                 "%d" + ",%.17g" * 4 + " %.17g" * 7, ["triangle", "x", "y", "z", "q"])
         print("gen-field: %s sampled at %d points -> %s"
               % (args.family, len(pts), args.out))
     return EXIT_OK
@@ -233,19 +229,17 @@ def cmd_kernel_probe(args) -> int:
     if direction.shape != (3,) or not np.linalg.norm(direction) > 0:
         raise ConfigError("--direction must be a nonzero 3-vector 'x,y,z'")
     direction = direction / np.linalg.norm(direction)
-    radii = np.linspace(args.rmin, args.rmax, args.count)
-    if radii[0] <= 0:
+    if args.count < 1:
+        raise ConfigError("--count must be at least 1")
+    if args.rmin <= 0:
         raise ConfigError("--rmin must be positive")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "theta_re", "theta_im", "upsilon"])
-        for r in radii:
-            x = r * direction
-            th = theta(args.alpha, x)
-            up = upsilon(args.alpha, args.sign, x)
-            writer.writerow(
-                ["%.17g" % r, "%.17g" % th.real, "%.17g" % th.imag, q.to_text(up)]
-            )
+    radii = np.linspace(args.rmin, args.rmax, args.count)
+    xs = radii[:, None] * direction
+    th = theta(args.alpha, xs)
+    up = upsilon(args.alpha, args.sign, xs)
+    # r, re/im of theta, then the upsilon column as in q.to_text
+    save_csv(args.out, np.column_stack([radii, th.real, th.imag, up.view(float)]),
+             "%.17g" + ",%.17g" * 3 + " %.17g" * 7, ["r", "theta_re", "theta_im", "upsilon"])
     print("kernel-probe: alpha=%s sign=%+d, %d radii -> %s"
           % (args.alpha, args.sign, args.count, args.out))
     return EXIT_OK
@@ -289,6 +283,8 @@ def _parse_probes(text: str) -> np.ndarray:
         vals = [float(v) for v in chunk.split(",")]
         if len(vals) != 3:
             raise ConfigError("probe %r is not a 3-vector" % chunk)
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError("probe %r is not finite" % chunk)
         pts.append(vals)
     if not pts:
         raise ConfigError("no probe points given")
@@ -363,7 +359,7 @@ def cmd_extend_check(args) -> int:
         "per_point": [
             {"point": [float(v) for v in p],
              "residual_e": float(re), "residual_h": float(rh)}
-            for p, re, rh in zip(report.points, report.residual_e, report.residual_h)
+            for p, re, rh in zip(mesh.centroids, report.residual_e, report.residual_h)
         ],
         "extendible": verdict_ok,
     })

@@ -41,14 +41,13 @@ class AnalyticField:
         return q.vec(self.value(x))
 
 
-def abc_beltrami(lam, a=None, b=None, c=None) -> AnalyticField:
+def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
+                 c=DEFAULT_AMPLITUDES[2]) -> AnalyticField:
     """Arnold-Beltrami-Childress flow: a purely vectorial field with
     rot F = lam * F and div F = 0, hence D F = lam * F.
 
     Valid for complex lam (the trigonometric form continues analytically).
     """
-    if a is None:
-        a, b, c = DEFAULT_AMPLITUDES
     lam = complex(lam)
 
     def value(x):

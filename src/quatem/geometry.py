@@ -244,9 +244,17 @@ def load_off(path) -> SurfaceMesh:
     return mesh_from_arrays(vertices, faces)
 
 
-def save_quadrature_csv(quadrature: VolumeQuadrature, path) -> None:
-    """Dump a volume rule as CSV with columns x,y,z,w (CRLF line ends)."""
+def save_csv(path, table, fmt, header) -> None:
+    """Write a 2-D table as CSV: a row of the `header` names, then one row
+    per table row, formatted by `fmt` (one format for all columns, one per
+    column, or the whole row), with CRLF line ends as the csv module
+    writes them."""
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack([quadrature.points, quadrature.weights]),
-                   fmt="%.17g", delimiter=",", newline="\r\n",
-                   header="x,y,z,w", comments="")
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
+def save_quadrature_csv(quadrature: VolumeQuadrature, path) -> None:
+    """Dump a volume rule as CSV with columns x,y,z,w."""
+    save_csv(path, np.column_stack([quadrature.points, quadrature.weights]), "%.17g",
+             ["x", "y", "z", "w"])

@@ -65,18 +65,9 @@ def upsilon(alpha, sign: int, x) -> np.ndarray:
     return out
 
 
-def _stencil(x, h: float) -> np.ndarray:
-    """The six central-difference points x +- h*e_k, shape (3, 2, 3)."""
-    x = np.asarray(x, dtype=float)
-    pts = np.broadcast_to(x, (3, 2, 3)).copy()
-    for k in range(3):
-        pts[k, 0, k] += h
-        pts[k, 1, k] -= h
-    return pts
-
-
 def fd_partial(f, x, axis: int, h: float = DEFAULT_FD_STEP):
-    """Central difference of a batched evaluator along one axis."""
+    """Central difference of a batched evaluator along one axis, at one
+    point (3,) or many (..., 3)."""
     x = np.asarray(x, dtype=float)
     plus = x.copy()
     minus = x.copy()
@@ -88,28 +79,25 @@ def fd_partial(f, x, axis: int, h: float = DEFAULT_FD_STEP):
 def fd_moisil_theodoresco(f, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Central-difference Moisil-Theodoresco operator sum_k i_k * df/dx_k.
 
-    `f` maps points (..., 3) to quaternions (..., 4); the product i_k * f
-    is the quaternionic one, so the result carries -div, grad and rot
-    contributions in its scalar/vector parts.
+    `f` maps points (..., 3) to quaternions (..., 4); x is one point (3,)
+    or many (..., 3).  The product i_k * f is the quaternionic one, so the
+    result carries -div, grad and rot contributions in its scalar/vector
+    parts.
     """
-    vals = f(_stencil(x, h))  # (3, 2, 4)
-    out = np.zeros(4, dtype=complex)
-    for k in range(3):
-        out += q.qmul(q.UNITS[k + 1], (vals[k, 0] - vals[k, 1]) / (2.0 * h))
-    return out
+    return sum(q.qmul(q.UNITS[k + 1], fd_partial(f, x, k, h)) for k in range(3))
 
 
 def fd_d_alpha(f, alpha, sign: int, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference (D + sign*alpha) f at x."""
+    """Central-difference (D + sign*alpha) f at one point (3,) or many (..., 3)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return fd_moisil_theodoresco(f, x, h) + sign * alpha * f(np.asarray(x, dtype=float))
 
 
 def fd_jacobian(fvec, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """J[i, j] = d f_i / d x_j for a C^3-valued batched evaluator."""
-    vals = fvec(_stencil(x, h))  # (3, 2, 3)
-    return np.stack([(vals[j, 0] - vals[j, 1]) / (2.0 * h) for j in range(3)], axis=-1)
+    """J[..., i, j] = d f_i / d x_j for a C^3-valued batched evaluator, at
+    one point (3,) or many (..., 3)."""
+    return np.stack([fd_partial(fvec, x, j, h) for j in range(3)], axis=-1)
 
 
 def fd_div(fvec, x, h: float = DEFAULT_FD_STEP):

@@ -21,20 +21,20 @@ from .fields import AnalyticField
 _SINGULAR_TOL = 1e-9
 
 
-def _root(z, branch: int = 1) -> complex:
-    """Complex square root with Im >= 0 preferred; branch=-1 flips it."""
+def _root(z) -> complex:
+    """Complex square root with Im >= 0 (Re >= 0 on the real axis)."""
     s = complex(np.sqrt(complex(z)))
     if s.imag < 0 or (s.imag == 0 and s.real < 0):
         s = -s
-    return s if branch == 1 else -s
+    return s
 
 
 @dataclass(frozen=True)
 class ChiralMedium:
     """Material constants and the derived wave parameters.
 
-    k      = omega * sqrt(mu) * sqrt(epsilon) (roots on the chosen branch,
-             so the normalization and the wave number stay consistent)
+    k      = omega * sqrt(mu) * sqrt(epsilon), each root with Im >= 0
+             (flipping both roots would leave k unchanged)
     alpha1 = k / (1 + k*beta),  alpha2 = k / (1 - k*beta)
     """
 
@@ -42,21 +42,14 @@ class ChiralMedium:
     epsilon: complex
     mu: complex
     beta: float
-    branch: int = 1
-    sqrt_mu: complex = field(init=False)
-    sqrt_epsilon: complex = field(init=False)
     k: complex = field(init=False)
     alpha1: complex = field(init=False)
     alpha2: complex = field(init=False)
 
     def __post_init__(self):
-        if self.branch not in (1, -1):
-            raise ValueError("branch must be +1 or -1")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        sqrt_mu = _root(self.mu, self.branch)
-        sqrt_eps = _root(self.epsilon, self.branch)
-        k = self.omega * sqrt_mu * sqrt_eps
+        k = self.omega * _root(self.mu) * _root(self.epsilon)
         kb = k * self.beta
         scale = max(1.0, abs(kb))
         for s in (1.0, -1.0):
@@ -64,16 +57,14 @@ class ChiralMedium:
                 raise SingularMediumError(
                     "k*beta = %s sits on a resonance of the mode splitting" % kb
                 )
-        object.__setattr__(self, "sqrt_mu", sqrt_mu)
-        object.__setattr__(self, "sqrt_epsilon", sqrt_eps)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "alpha1", k / (1.0 + kb))
         object.__setattr__(self, "alpha2", k / (1.0 - kb))
 
 
-def make_medium(omega, epsilon, mu, beta, branch: int = 1) -> ChiralMedium:
+def make_medium(omega, epsilon, mu, beta) -> ChiralMedium:
     """Validate material constants and derive k, alpha1, alpha2."""
-    return ChiralMedium(float(omega), complex(epsilon), complex(mu), float(beta), branch)
+    return ChiralMedium(float(omega), complex(epsilon), complex(mu), float(beta))
 
 
 def split_values(e, h):

@@ -50,45 +50,33 @@ def _mode_operator_pair(medium: ChiralMedium):
     return (medium.alpha1, 1), (medium.alpha2, -1)
 
 
-def phi_psi_representation(phi_trace: BoundaryDensity, psi_trace: BoundaryDensity,
-                           source: Optional[SourceData], medium: ChiralMedium,
-                           quadrature: Optional[VolumeQuadrature], x):
-    """Interior values of the two modes from their boundary traces.
-
-    Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
-    Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
-
-    x is one point (3,) or many (M, 3).
-    """
-    if source is not None and quadrature is None:
-        raise ValueError("a volume quadrature is required when a source is present")
-    (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-    phi_x = cauchy_boundary(a1, s1, phi_trace, x)
-    psi_x = cauchy_boundary(a2, s2, psi_trace, x)
-    if source is not None:
-        rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
-        volume_phi = VolumeDensity.from_function(quadrature, rhs_phi)
-        volume_psi = VolumeDensity.from_function(quadrature, rhs_psi)
-        phi_x = phi_x + teodorescu(a1, s1, volume_phi, x)
-        psi_x = psi_x + teodorescu(a2, s2, volume_psi, x)
-    return phi_x, psi_x
-
-
 def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
                    source: Optional[SourceData], medium: ChiralMedium,
                    quadrature: Optional[VolumeQuadrature], x):
     """E and H at interior points from per-triangle boundary traces.
 
-    Splits the traces into per-triangle Phi/Psi densities, reconstructs
-    both modes and merges.  x is one point (3,) or many (M, 3); E and H
-    have shape (4,) or (M, 4).  Returns full quaternions (the scalar parts
-    measure discretization error; they vanish in the continuum).
+    Splits the traces into per-triangle densities of the modes
+    Phi = e + i h and Psi = e - i h, reconstructs both,
+
+    Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
+    Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
+
+    (the volume terms only with a source, which needs a quadrature), and
+    merges them.  x is one point (3,) or many (M, 3); E and H have shape
+    (4,) or (M, 4).  Returns full quaternions (the scalar parts measure
+    discretization error; they vanish in the continuum).
     """
+    if source is not None and quadrature is None:
+        raise ValueError("a volume quadrature is required when a source is present")
     phi_b, psi_b = split_values(e_trace, h_trace)
-    phi_trace = BoundaryDensity(mesh, q.vector(phi_b))
-    psi_trace = BoundaryDensity(mesh, q.vector(psi_b))
-    return merge_values(*phi_psi_representation(
-        phi_trace, psi_trace, source, medium, quadrature, x))
+    (a1, s1), (a2, s2) = _mode_operator_pair(medium)
+    phi_x = cauchy_boundary(a1, s1, BoundaryDensity(mesh, q.vector(phi_b)), x)
+    psi_x = cauchy_boundary(a2, s2, BoundaryDensity(mesh, q.vector(psi_b)), x)
+    if source is not None:
+        rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
+        phi_x = phi_x + teodorescu(a1, s1, VolumeDensity.from_function(quadrature, rhs_phi), x)
+        psi_x = psi_x + teodorescu(a2, s2, VolumeDensity.from_function(quadrature, rhs_psi), x)
+    return merge_values(phi_x, psi_x)
 
 
 def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x):
@@ -113,8 +101,7 @@ def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x):
 class ExtendibilityReport:
     """Per-collocation-point and aggregate residuals of the criterion."""
 
-    points: np.ndarray       # (T, 3) surface collocation points (centroids)
-    residual_e: np.ndarray   # (T,) relative residual of the e equality
+    residual_e: np.ndarray   # (T,) relative residual of the e equality at each centroid
     residual_h: np.ndarray   # (T,)
     scale: float             # trace magnitude used for normalization
     depth: float
@@ -180,7 +167,6 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMe
     residual_e = q.norm(e_pred - q.vector(e_trace)) / scale
     residual_h = q.norm(h_pred - q.vector(h_trace)) / scale
     return ExtendibilityReport(
-        points=mesh.centroids,
         residual_e=residual_e,
         residual_h=residual_h,
         scale=scale,

@@ -100,6 +100,25 @@ def test_kernel_probe(tmp_path):
     assert main(["kernel-probe", "--alpha", "nope", "--out", out]) == 2
 
 
+def test_kernel_probe_rejects_empty_ray(tmp_path, capsys):
+    assert main(["kernel-probe", "--alpha", "1", "--count", "0",
+                 "--out", str(tmp_path / "kp.csv")]) == 2
+    assert "--count must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, amplitudes", [
+    ("chiral-exact", "1,2"), ("chiral-exact", "1,2,3,4"), ("abc-beltrami", "1"),
+    ("abc-beltrami", "1,x,3"), ("chiral-exact", "1,nan,3"),
+])
+def test_gen_field_rejects_amplitudes_that_are_not_three_numbers(workspace, tmp_path, capsys,
+                                                                  family, amplitudes):
+    _, mesh_path, _ = workspace
+    assert main(["gen-field", "--family", family, "--mesh", mesh_path,
+                 "--wave-parameter", "1.3", "--amplitudes", amplitudes,
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    assert "--amplitudes must be three finite numbers" in capsys.readouterr().err
+
+
 def test_verify_bp_json(tmp_path):
     out = str(tmp_path / "bp.json")
     assert main(["verify-bp", "--levels", "2,3", "--out", out]) == 0
@@ -122,6 +141,16 @@ def test_reconstruct_json(workspace, tmp_path):
     got = np.array([complex(a, b) for a, b in doc["results"][0]["E"]])
     exact = q.vec(e_field.value(np.array([0.3, 0.1, -0.2])))
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < 5e-2
+
+
+@pytest.mark.parametrize("probe", ["nan,0,0", "inf,0,0", "0.1,-inf,0"])
+def test_reconstruct_rejects_non_finite_probes(workspace, tmp_path, capsys, probe):
+    _, mesh_path, traces = workspace
+    out = tmp_path / "rec.json"
+    assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
+                 "--probes=0.3,0.1,-0.2;" + probe, "--out", str(out)]) == 2
+    assert "probe %r is not finite" % probe in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_near_boundary_exit_code(workspace, tmp_path):
@@ -192,7 +221,7 @@ def test_extend_check_json_deterministic(workspace, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-_MEDIUM_FLAGS = {"--omega", "--epsilon", "--mu", "--beta", "--branch"}
+_MEDIUM_FLAGS = {"--omega", "--epsilon", "--mu", "--beta"}
 
 
 def test_cli_option_surface():

@@ -1,6 +1,7 @@
-"""The array writers of the OFF, ball-rule, trace and field-sample files,
-byte for byte against line-by-line reference writers, and the trace reader
-on their output."""
+"""The array writers of the OFF, ball-rule, trace, field-sample and
+kernel-probe files against line-by-line reference writers (byte for byte
+except the kernel probe's upsilon column), and the trace reader on their
+output."""
 
 import csv
 import json
@@ -12,6 +13,7 @@ from quatem import quaternions as q
 from quatem.cli import _load_traces, _save_traces, main
 from quatem.errors import ConfigError
 from quatem.fields import abc_beltrami, polynomial_field
+from quatem.kernels import theta, upsilon
 from quatem.geometry import (
     build_ball_quadrature,
     build_sphere_mesh,
@@ -89,6 +91,34 @@ def test_field_sample_csv_bytes(tmp_path, family):
     assert main(["gen-field", "--family", family, "--mesh", str(tmp_path / "m.off"),
                  "--out", str(path)] + options) == 0
     assert path.read_bytes() == reference.read_bytes()
+
+
+def test_kernel_probe_csv(tmp_path):
+    alpha, sign, count = 1.0 + 0.3j, -1, 50
+    direction = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "theta_re", "theta_im", "upsilon"])
+        for r in np.linspace(0.1, 2.0, count):
+            th = theta(alpha, r * direction)
+            writer.writerow(["%.17g" % r, "%.17g" % th.real, "%.17g" % th.imag,
+                             q.to_text(upsilon(alpha, sign, r * direction))])
+    path = tmp_path / "kp.csv"
+    assert main(["kernel-probe", "--alpha", "1+0.3j", "--sign", "-1", "--direction",
+                 "1,2,-0.5", "--count", str(count), "--out", str(path)]) == 0
+    with open(reference, newline="") as fh:
+        expected = list(csv.reader(fh))
+    with open(path, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert path.read_bytes().count(b"\r\n") == count + 1
+    assert got[0] == expected[0] and len(got) == len(expected) == count + 1
+    assert all(len(row) == 4 and row[:3] == ref[:3] for row, ref in zip(got, expected))
+    # the batched evaluation may round the last digit of upsilon differently
+    for row, ref in zip(got[1:], expected[1:]):
+        ups, ups_ref = (q.from_text(text) for text in (row[3], ref[3]))
+        assert len(row[3].split(" ")) == 8
+        assert q.norm(ups - ups_ref) <= 1e-14 * q.norm(ups_ref)
 
 
 def test_trace_reader_rejects_fractional_triangle(tmp_path):

@@ -88,6 +88,20 @@ def test_fd_moisil_theodoresco_on_polynomial():
         assert q.norm(fd - f.d_value(x)) < 1e-7 * max(q.norm(f.d_value(x)), 1.0)
 
 
+def test_fd_moisil_theodoresco_takes_batches():
+    # an (M, 3) batch gives what a per-point loop gives, up to the roundoff
+    # of the field values that the 1/(2h) of the difference amplifies
+    rng = np.random.default_rng(9)
+    coeffs = rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10))
+    f = polynomial_field(coeffs)
+    fields = (f.value, lambda p: upsilon(1.0 + 0.3j, -1, p))
+    for field in fields:
+        batch = fd_moisil_theodoresco(field, PROBES)
+        assert batch.shape == (len(PROBES), 4)
+        loop = np.stack([fd_moisil_theodoresco(field, x) for x in PROBES])
+        assert np.all(q.norm(batch - loop) <= 1e-10 * q.norm(loop))
+
+
 def test_d_squared_equals_minus_laplacian():
     # D(Df) = -Delta f for quadratic polynomials, where -Delta is computed
     # symbolically from the coefficient table.

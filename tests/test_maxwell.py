@@ -28,13 +28,8 @@ def test_canonical_medium_parameters():
 def test_lossy_medium_roots():
     m = make_medium(2.0, 2.0 + 1.0j, 1.5, 0.1)
     assert m.k == pytest.approx(2.0 * np.sqrt(1.5) * np.sqrt(2.0 + 1.0j))
-    assert m.sqrt_mu.imag >= 0 and m.sqrt_epsilon.imag >= 0
     assert m.alpha1 == pytest.approx(m.k / (1.0 + m.k * 0.1))
     assert m.alpha2 == pytest.approx(m.k / (1.0 - m.k * 0.1))
-    # the other branch flips both roots, so k is unchanged
-    m2 = make_medium(2.0, 2.0 + 1.0j, 1.5, 0.1, branch=-1)
-    assert m2.sqrt_mu == -m.sqrt_mu
-    assert m2.k == m.k
 
 
 def test_achiral_reduction_bitwise():
@@ -49,8 +44,6 @@ def test_resonant_medium_rejected():
         make_medium(1.0, 1.0, 1.0, -1.0)  # k*beta = -1
     with pytest.raises(ValueError):
         make_medium(-1.0, 1.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        make_medium(1.0, 1.0, 1.0, 0.1, branch=0)
 
 
 def test_split_merge_roundtrip():

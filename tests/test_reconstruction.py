@@ -13,11 +13,9 @@ from quatem.reconstruction import (
     ExtendibilityReport,
     extendibility_residual,
     perturb_traces,
-    phi_psi_representation,
     reconstruct_eh,
     two_kernel_eh,
 )
-from quatem.operators import BoundaryDensity
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 PROBES = np.array([[0.3, 0.1, -0.2], [0.1, -0.15, 0.2], [-0.2, 0.4, 0.1]])
@@ -101,19 +99,6 @@ def test_batched_reconstruction_matches_pointwise():
             assert np.allclose(e_row, e_x, rtol=0.0, atol=1e-14)
             assert np.allclose(h_row, h_x, rtol=0.0, atol=1e-14)
     assert q.is_finite(e_all) and q.norm(e_all - free_e).max() > 1e-3
-
-
-def test_phi_psi_representation_matches_modes():
-    mesh = build_sphere_mesh(1.0, 2)
-    e_tr, h_tr, e_field, h_field = _traces(mesh)
-    from quatem.maxwell import split_values
-
-    phi_v, psi_v = split_values(q.vector(e_tr), q.vector(h_tr))
-    phi_d = BoundaryDensity(mesh, phi_v)
-    psi_d = BoundaryDensity(mesh, psi_v)
-    phi_x, psi_x = phi_psi_representation(phi_d, psi_d, None, MEDIUM, None, PROBES[0])
-    exact_phi = e_field.value(PROBES[0]) + 1j * h_field.value(PROBES[0])
-    assert q.norm(phi_x - exact_phi) / q.norm(exact_phi) < 0.1
 
 
 def _proper_rotation(rng):
