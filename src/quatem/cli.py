@@ -80,9 +80,12 @@ _BP_PROBES = np.array(
 
 def _complex_arg(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ConfigError("cannot parse complex number %r" % text) from exc
+    if not np.isfinite(value):
+        raise ConfigError("complex number %r is not finite" % text)
+    return value
 
 
 def _add_medium_args(parser: argparse.ArgumentParser) -> None:
@@ -231,8 +234,9 @@ def cmd_kernel_probe(args) -> int:
     direction = direction / np.linalg.norm(direction)
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
-    if args.rmin <= 0:
-        raise ConfigError("--rmin must be positive")
+    if not 0 < args.rmin <= args.rmax:
+        raise ConfigError("--rmin must be positive and --rmax at least --rmin, got %g and %g"
+                          % (args.rmin, args.rmax))
     radii = np.linspace(args.rmin, args.rmax, args.count)
     xs = radii[:, None] * direction
     th = theta(args.alpha, xs)

@@ -24,22 +24,41 @@ def _radii(x) -> np.ndarray:
     return r
 
 
-def radial_factors(alpha, r):
-    """The two radial factors of upsilon at distances r > 0.
+def radial_factors(alpha, r, w):
+    """(re, im) planes of the two radial factors of upsilon at distances
+    r > 0 times real weights w (broadcast against r): shape (2,) + r.shape
+    for one alpha, (K, 2) + r.shape for K.
 
-    Returns (theta, c) with theta = -exp(i*alpha*r) / (4*pi*r) and
-    c = theta * (1/r**2 - i*alpha/r) = -theta'(r)/r, so that
-    upsilon(d) = (sign*alpha*theta(|d|), c(|d|) * d).  The caller owns r
-    and the check that it is nonzero.
+    theta = -exp(i*alpha*r) / (4*pi*r) and c = theta * (1/r**2 - i*alpha/r)
+    = -theta'(r)/r, so that upsilon(d) = (sign*alpha*theta(|d|), c(|d|) * d).
+    With a = -w/(4*pi*r), formed once for all alphas, w*theta =
+    a exp(-Im(alpha) r) (cos + i sin)(Re(alpha) r) and w*c = w*theta (s - i t),
+    s = (1/r + Im(alpha))/r, t = Re(alpha)/r.  The caller owns r > 0.
     """
+    alphas = np.asarray(alpha, dtype=complex)
     inv_r = 1.0 / r
-    th = np.exp(1j * alpha * r) * (inv_r * (-0.25 / np.pi))
-    return th, th * (inv_r * (inv_r - 1j * alpha))
+    a = inv_r * (np.asarray(w, dtype=float) * (-0.25 / np.pi))
+    th, c = np.empty((2, alphas.size, 2) + np.shape(r))
+    s, t = np.empty_like(r), np.empty_like(r)  # work planes, overwritten in place
+    for k, al in enumerate(alphas.reshape(-1)):
+        th_re, th_im, c_re, c_im = th[k, 0, ...], th[k, 1, ...], c[k, 0, ...], c[k, 1, ...]
+        np.cos(np.multiply(al.real, r, out=t), out=th_re)
+        np.sin(t, out=th_im)
+        if al.imag != 0:
+            th[k] *= np.exp(np.multiply(-al.imag, r, out=t), out=t)
+        th[k] *= a
+        np.multiply(np.add(inv_r, al.imag, out=s), inv_r, out=s)
+        np.multiply(th[k], s, out=c[k])
+        np.multiply(al.real, inv_r, out=t)
+        c_re += np.multiply(th_im, t, out=s)
+        c_im -= np.multiply(th_re, t, out=s)
+    return tuple(p.reshape(alphas.shape + (2,) + np.shape(r)) for p in (th, c))
 
 
 def theta(alpha, x) -> np.ndarray:
     """Helmholtz fundamental solution -exp(i*alpha*|x|) / (4*pi*|x|)."""
-    return radial_factors(alpha, _radii(x))[0]
+    th = radial_factors(alpha, _radii(x), 1.0)[0]
+    return th[0] + 1j * th[1]
 
 
 def grad_theta(alpha, x) -> np.ndarray:
@@ -58,7 +77,7 @@ def upsilon(alpha, sign: int, x) -> np.ndarray:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     x = np.asarray(x, dtype=float)
-    th, c = radial_factors(alpha, _radii(x))
+    th, c = (p[0] + 1j * p[1] for p in radial_factors(alpha, _radii(x), 1.0))
     out = np.empty(x.shape[:-1] + (4,), dtype=complex)
     out[..., 0] = sign * alpha * th
     out[..., 1:] = c[..., None] * x

@@ -47,8 +47,9 @@ class ChiralMedium:
     alpha2: complex = field(init=False)
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (np.all(np.isfinite([self.omega, self.epsilon, self.mu, self.beta]))
+                and self.omega > 0):
+            raise ValueError("omega, epsilon, mu and beta must be finite, omega positive")
         k = self.omega * _root(self.mu) * _root(self.epsilon)
         kb = k * self.beta
         scale = max(1.0, abs(kb))

@@ -1,14 +1,16 @@
 """Discretized volume and boundary integral operators.
 
 Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
-d = x - y, over quadrature nodes in one routine (_kernel_sum), as two
-complex scalar-matrix products per block of targets; they differ only in
-the right-hand side and in the weight each (target, node) pair gets from
-its distance r.  The volume operator's smooth cutoff removes a small ball
-around each target, whose integral is summed instead with the level-1
-ball rule (geometry.build_ball_quadrature) of radius 2*rho centered at the
-target: a polar product rule, whose volume element cancels the kernel's
-1/r**2 growth.
+d = x - y, over quadrature nodes in one routine (_kernel_sum); per block of
+targets it forms the radii, the pair weights and the factors' prefactor
+once for all (alpha, sign, density) terms, such as the two chiral modes,
+and applies the factors as real (re, im) planes in real matrix products.
+The operators differ only in the right-hand side and in the weight each
+(target, node) pair gets from its distance r.  The volume operator's
+smooth cutoff removes a small ball around each target, whose integral is
+summed instead with the level-1 ball rule (geometry.build_ball_quadrature)
+of radius 2*rho centered at the target: a polar product rule, whose volume
+element cancels the kernel's 1/r**2 growth.
 The boundary operator is only evaluated at interior points a few mesh
 spacings away from the surface (no principal-value quadrature exists
 here); its guard reads the same r that the kernel factors use.
@@ -41,15 +43,15 @@ RESIDUAL_FLOOR = 1e-12
 @dataclass(frozen=True)
 class BoundaryDensity:
     """One quaternion per triangle of a surface, the value at its centroid
-    node; the values are stored as complex."""
+    node (or K such densities); the values are stored as complex."""
 
     mesh: SurfaceMesh
-    values: np.ndarray  # (T, 4)
+    values: np.ndarray  # (T, 4) or (K, T, 4)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.mesh.n_triangles, 4):
-            raise ValueError("values must have shape %s" % ((self.mesh.n_triangles, 4),))
+        if values.ndim not in (2, 3) or values.shape[-2:] != (self.mesh.n_triangles, 4):
+            raise ValueError("values must have shape [K,] %s" % ((self.mesh.n_triangles, 4),))
         if not q.is_finite(values):
             raise ValueError("boundary density contains non-finite values")
         object.__setattr__(self, "values", values)
@@ -96,43 +98,51 @@ def _targets(x) -> np.ndarray:
     return x
 
 
-def _kernel_sum(alpha, sign: int, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
+def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
                 pair_weights) -> np.ndarray:
-    """sum_j W[m, j] Ups(x_m - y_j) g_j for targets xs (M, 3), nodes y (N, 3)
-    and quaternions g (N, 4); the result has shape (M, 4).
+    """sum_j W[m, j] Ups(x_m - y_j) g_j at targets xs (M, 3) and nodes y (N, 3)
+    for quaternions g (N, 4), one alpha and one sign; the result is (M, 4).
+    K terms take g (K, N, 4), K alphas and K signs and give (K, M, 4).
 
-    The kernel is Ups(d) = sign*alpha*theta(r) + c(r) d with d = x - y and
-    r = |d| (kernels.radial_factors), so the node sum factors into two
-    complex scalar matrices Theta[m, j] and C[m, j]:
+    With Ups(d) = sign*alpha*theta(r) + c(r) d, d = x - y and r = |d|
+    (kernels.radial_factors), the node sum factors into two scalar
+    matrices Theta[m, j] and C[m, j] per alpha:
 
         sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
 
     with quaternion products and y*g formed once per call.  Targets go in
-    blocks of about BLOCK_PAIRS target-node pairs; each block computes
-    r = |x - y| once from the explicit differences, and pair_weights(r)
-    returns the real weights W of the block (shape (B, N) or (N,)).
-    Pairs of zero weight are left out: their radius is replaced by 1 before
-    the factors are formed, so a target on a node stays finite.
+    blocks of about BLOCK_PAIRS target-node pairs.  Once per block for all
+    terms, r comes from the explicit differences, pair_weights(r) gives the
+    real weights W ((B, N) or (N,)) and radial_factors the weighted (re, im)
+    planes of each distinct alpha for real matrix products with the real
+    views of g and [g, y*g].  A pair of zero weight gets radius 1 before the
+    factors are formed, so a target on a node stays finite.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=1)  # (N, 8)
+    alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
+    terms = g.shape[:-2]
+    if alphas.shape != terms or signs.shape != terms or not np.all(np.abs(signs) == 1):
+        raise ValueError("need one alpha and one sign (+1 or -1) per density")
+    alphas, signs, g = alphas.reshape(-1), signs.reshape(-1), g.reshape(-1, len(y), 4)
+    distinct, which = np.unique(alphas, return_inverse=True)
+    g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=2).view(float)  # (K, N, 16) real
     y_cols = np.ascontiguousarray(y.T)
     block = max(1, BLOCK_PAIRS // len(y))
-    theta_g = np.empty((len(xs), 4), dtype=complex)
-    c_g_yg = np.empty((len(xs), 8), dtype=complex)
+    theta_g = np.empty((len(g), len(xs), 4), dtype=complex)
+    c_g_yg = np.empty((len(g), len(xs), 8), dtype=complex)
     for start in range(0, len(xs), block):
         rows = slice(start, start + block)
         diff = xs[rows].T[:, :, None] - y_cols[:, None, :]
         r = np.sqrt(np.einsum("kmj,kmj->mj", diff, diff))
         w = pair_weights(r)
         np.copyto(r, 1.0, where=w == 0.0)
-        th, c = radial_factors(alpha, r)
-        th *= w
-        c *= w
-        theta_g[rows] = th @ g
-        c_g_yg[rows] = c @ g_yg
-    return sign * alpha * theta_g + q.qmul(q.vector(xs), c_g_yg[:, :4]) - c_g_yg[:, 4:]
+        th, c = radial_factors(distinct, r, w)
+        for k, u in enumerate(which):
+            for dest, fac, rhs in ((theta_g, th[u], g_yg[k, :, :8]), (c_g_yg, c[u], g_yg[k])):
+                re, im = (fac.reshape(-1, len(y)) @ rhs).reshape(2, -1, rhs.shape[1])
+                dest[k, rows] = re.view(complex) + 1j * im.view(complex)
+    out = ((signs * alphas)[:, None, None] * theta_g
+           + q.qmul(q.vector(xs), c_g_yg[..., :4]) - c_g_yg[..., 4:])
+    return out.reshape(terms + out.shape[1:])
 
 
 def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
@@ -167,15 +177,16 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (4,))
 
 
-def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x) -> np.ndarray:
+def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = a_j n_j f_j,
     one node y_j per triangle: its centroid, with area a_j and normal n_j.
 
     x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  The node sum is _kernel_sum with the areas as weights; the
-    same per-block radii serve the guard, which raises NearSingularityError
-    when a target comes closer to a surface node than MIN_DISTANCE_FACTOR
-    mesh spacings.
+    (M, 4).  Density values (K, T, 4) with K alphas and signs give K terms
+    in one _kernel_sum call and a result (K, 4) or (K, M, 4).  The node sum
+    takes the areas as weights; the same per-block radii serve the guard,
+    which raises NearSingularityError when a target comes closer to a
+    surface node than MIN_DISTANCE_FACTOR mesh spacings.
     """
     mesh = density.mesh
     x = _targets(x)
@@ -188,9 +199,8 @@ def cauchy_boundary(alpha, sign: int, density: BoundaryDensity, x) -> np.ndarray
         return mesh.areas
 
     nf = q.qmul(q.vector(mesh.normals), density.values)
-    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), mesh.centroids, nf,
-                       guarded_weights)
-    return out.reshape(x.shape[:-1] + (4,))
+    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), mesh.centroids, nf, guarded_weights)
+    return out.reshape(nf.shape[:-2] + x.shape[:-1] + (4,))
 
 
 def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,

@@ -44,12 +44,6 @@ EXTRAPOLATIONS = {
 }
 
 
-def _mode_operator_pair(medium: ChiralMedium):
-    """(alpha, sign) pairs of the two mode operators: D + alpha1 for Phi
-    and D - alpha2 for Psi."""
-    return (medium.alpha1, 1), (medium.alpha2, -1)
-
-
 def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
                    source: Optional[SourceData], medium: ChiralMedium,
                    quadrature: Optional[VolumeQuadrature], x):
@@ -61,21 +55,21 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
     Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
     Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
 
-    (the volume terms only with a source, which needs a quadrature), and
-    merges them.  x is one point (3,) or many (M, 3); E and H have shape
-    (4,) or (M, 4).  Returns full quaternions (the scalar parts measure
-    discretization error; they vanish in the continuum).
+    (the volume terms only with a source, which needs a quadrature; both
+    boundary terms in one cauchy_boundary call), and merges them.  x is one
+    point (3,) or many (M, 3); E and H have shape (4,) or (M, 4).  Returns
+    full quaternions (the scalar parts measure discretization error; they
+    vanish in the continuum).
     """
     if source is not None and quadrature is None:
         raise ValueError("a volume quadrature is required when a source is present")
-    phi_b, psi_b = split_values(e_trace, h_trace)
-    (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-    phi_x = cauchy_boundary(a1, s1, BoundaryDensity(mesh, q.vector(phi_b)), x)
-    psi_x = cauchy_boundary(a2, s2, BoundaryDensity(mesh, q.vector(psi_b)), x)
+    a1, a2 = medium.alpha1, medium.alpha2
+    modes = BoundaryDensity(mesh, q.vector(np.stack(split_values(e_trace, h_trace))))
+    phi_x, psi_x = cauchy_boundary((a1, a2), (1, -1), modes, x)
     if source is not None:
         rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
-        phi_x = phi_x + teodorescu(a1, s1, VolumeDensity.from_function(quadrature, rhs_phi), x)
-        psi_x = psi_x + teodorescu(a2, s2, VolumeDensity.from_function(quadrature, rhs_psi), x)
+        phi_x = phi_x + teodorescu(a1, 1, VolumeDensity.from_function(quadrature, rhs_phi), x)
+        psi_x = psi_x + teodorescu(a2, -1, VolumeDensity.from_function(quadrature, rhs_psi), x)
     return merge_values(phi_x, psi_x)
 
 
@@ -86,13 +80,12 @@ def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x):
     H = (K1 - K2) e / (2i) + (K1 + K2) h / 2
 
     with K1 = K_{+alpha1}, K2 = K_{-alpha2} applied to the e and h traces
-    separately.  Equal to reconstruct_eh up to roundoff.
+    separately (four terms of one cauchy_boundary call).  Equal to
+    reconstruct_eh up to roundoff.
     """
-    e_b = BoundaryDensity(mesh, q.vector(e_trace))
-    h_b = BoundaryDensity(mesh, q.vector(h_trace))
-    (a1, s1), (a2, s2) = _mode_operator_pair(medium)
-    k1e, k1h = (cauchy_boundary(a1, s1, d, x) for d in (e_b, h_b))
-    k2e, k2h = (cauchy_boundary(a2, s2, d, x) for d in (e_b, h_b))
+    a1, a2 = medium.alpha1, medium.alpha2
+    e_h = BoundaryDensity(mesh, q.vector(np.stack([e_trace, h_trace] * 2)))
+    k1e, k1h, k2e, k2h = cauchy_boundary((a1, a1, a2, a2), (1, 1, -1, -1), e_h, x)
     return (0.5 * (k1e + k2e) + 0.5j * (k1h - k2h),
             (k1e - k2e) / 2j + 0.5 * (k1h + k2h))
 

@@ -106,6 +106,38 @@ def test_kernel_probe_rejects_empty_ray(tmp_path, capsys):
     assert "--count must be at least 1" in capsys.readouterr().err
 
 
+def test_kernel_probe_rejects_reversed_radii(tmp_path, capsys):
+    out = str(tmp_path / "kp.csv")
+    assert main(["kernel-probe", "--alpha", "1", "--rmin", "0.1", "--rmax", "-1",
+                 "--count", "5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--rmax" in err and "--rmin" in err
+    # one radius is a valid ray
+    assert main(["kernel-probe", "--alpha", "1", "--rmin", "0.5", "--rmax", "0.5",
+                 "--count", "1", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-probe", "--alpha", "nan"], ["kernel-probe", "--alpha", "1+infj"],
+    ["verify-bp", "--alpha", "inf"],
+])
+def test_non_finite_wave_parameter_rejected(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--omega", "nan"), ("--epsilon", "nan"),
+                                         ("--mu", "1+nanj"), ("--beta", "inf")])
+def test_gen_field_rejects_non_finite_medium(workspace, tmp_path, capsys, flag, value):
+    _, mesh, _ = workspace
+    out = tmp_path / "traces.csv"
+    assert main(["gen-field", "--family", "chiral-exact", "--mesh", mesh,
+                 flag, value, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, amplitudes", [
     ("chiral-exact", "1,2"), ("chiral-exact", "1,2,3,4"), ("abc-beltrami", "1"),
     ("abc-beltrami", "1,x,3"), ("chiral-exact", "1,nan,3"),

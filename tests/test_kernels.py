@@ -1,9 +1,12 @@
 """Fundamental solutions and the finite-difference verification oracles."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from quatem import quaternions as q
+from quatem.cli import main
 from quatem.errors import SingularityError
 from quatem.fields import abc_beltrami, polynomial_field
 from quatem.kernels import (
@@ -13,6 +16,7 @@ from quatem.kernels import (
     fd_moisil_theodoresco,
     fd_partial,
     grad_theta,
+    radial_factors,
     theta,
     upsilon,
 )
@@ -26,6 +30,58 @@ def test_theta_closed_form():
     assert theta(1.0, x) == pytest.approx(-np.exp(2j) / (8.0 * np.pi))
     # static limit alpha = 0 is the Laplace fundamental solution
     assert theta(0.0, x) == pytest.approx(-1.0 / (8.0 * np.pi))
+
+
+@pytest.mark.parametrize("alpha", [0.8, 4.0 / 3.0, 0.0, 0.8 + 0.3j, 0.8 - 0.3j, -0.5 + 0.02j])
+def test_radial_factors_match_complex_exponential(alpha):
+    # the cos/sin planes against -exp(i*alpha*r)/(4*pi*r) built from the
+    # complex exponential, over six decades of r, with and without weights
+    rng = np.random.default_rng(31)
+    r = np.geomspace(1e-3, 1e3, 603).reshape(3, 201)
+    w = rng.uniform(0.5, 2.0, 201)
+    th_ref = -np.exp(1j * alpha * r) / (4.0 * np.pi * r)
+    c_ref = th_ref * (1.0 / r**2 - 1j * alpha / r)
+    for weights in (1.0, w):
+        th, c = radial_factors(alpha, r, weights)
+        assert th.shape == c.shape == (2,) + r.shape
+        for planes, ref in ((th, weights * th_ref), (c, weights * c_ref)):
+            got = planes[0] + 1j * planes[1]
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_radial_factors_stack_parameters():
+    # several parameters in one call give the single-parameter planes, the
+    # shared prefactor formed once for all of them
+    r = np.geomspace(0.05, 5.0, 40).reshape(4, 10)
+    w = np.linspace(0.1, 1.0, 10)
+    alphas = (0.8, 4.0 / 3.0, 0.8 + 0.3j, 0.0)
+    th, c = radial_factors(alphas, r, w)
+    assert th.shape == c.shape == (len(alphas), 2) + r.shape
+    for k, alpha in enumerate(alphas):
+        th_k, c_k = radial_factors(alpha, r, w)
+        assert np.array_equal(th[k], th_k) and np.array_equal(c[k], c_k)
+
+
+def test_kernel_shapes():
+    for x, shape in ((PROBES[0], ()), (PROBES, (3,)), (PROBES.reshape(3, 1, 3), (3, 1))):
+        assert theta(0.8 + 0.3j, x).shape == shape
+        assert theta(0.8 + 0.3j, x).dtype == complex
+        assert upsilon(0.8, -1, x).shape == shape + (4,)
+
+
+def test_kernel_probe_csv_layout(tmp_path):
+    out = str(tmp_path / "kp.csv")
+    assert main(["kernel-probe", "--alpha", "0.8+0.3j", "--sign", "-1", "--count", "4",
+                 "--rmin", "0.5", "--rmax", "2", "--out", out]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["r", "theta_re", "theta_im", "upsilon"]
+    assert len(rows) == 5
+    for row in rows[1:]:
+        assert len(row) == 4 and len(row[3].split(" ")) == 8
+        r = float(row[0])
+        up = np.array([float(v) for v in row[3].split(" ")]).view(complex)
+        assert np.allclose(up, upsilon(0.8 + 0.3j, -1, [r, 0.0, 0.0]), rtol=1e-15, atol=0.0)
 
 
 def test_theta_singularity():

@@ -46,6 +46,15 @@ def test_resonant_medium_rejected():
         make_medium(-1.0, 1.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("constants", [
+    (np.nan, 1.0, 1.0, 0.25), (np.inf, 1.0, 1.0, 0.25), (1.0, complex(np.nan, 0.0), 1.0, 0.25),
+    (1.0, 1.0, complex(1.0, np.inf), 0.25), (1.0, 1.0, 1.0, np.nan), (1.0, 1.0, 1.0, -np.inf),
+])
+def test_non_finite_medium_rejected(constants):
+    with pytest.raises(ValueError, match="finite"):
+        make_medium(*constants)
+
+
 def test_split_merge_roundtrip():
     rng = np.random.default_rng(13)
     e = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))

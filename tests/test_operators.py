@@ -308,6 +308,69 @@ def test_cauchy_many_matches_single():
         cauchy_boundary(0.8, 2, d, xs)
 
 
+def _random_density(mesh, rng, k=None):
+    shape = (mesh.n_triangles, 4) if k is None else (k, mesh.n_triangles, 4)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _node_by_node(alpha, sign, mesh, values, xs):
+    """-sum_j w_j Ups(x - y_j) (n_j f_j), one node at a time."""
+    nf = q.qmul(q.vector(mesh.normals), values)
+    terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - mesh.centroids), nf)
+    return -np.einsum("n,mnk->mk", mesh.areas.astype(complex), terms)
+
+
+@pytest.mark.parametrize("alphas, signs", [
+    ((0.8, 4.0 / 3.0), (1, -1)),                  # the two chiral modes
+    ((0.8 + 0.3j, 0.8 - 0.3j), (1, -1)),          # complex, conjugate pair
+    ((0.0, 0.8 + 0.3j, 0.0), (1, 1, -1)),         # alpha = 0 twice
+    ((0.8, 0.8, 1.1, 0.8), (1, -1, -1, 1)),       # one alpha repeated, both signs
+], ids=["modes", "conjugates", "zero", "repeated"])
+def test_cauchy_stacked_matches_single(alphas, signs):
+    # one call for K (alpha, sign, density) terms, on more targets than one
+    # block holds, against K single calls and the node-by-node sum
+    rng = np.random.default_rng(25)
+    xs = rng.uniform(-0.3, 0.3, (_block(MESH2.n_triangles) + 5, 3))
+    values = _random_density(MESH2, rng, len(alphas))
+    stacked = cauchy_boundary(alphas, signs, BoundaryDensity(MESH2, values), xs)
+    assert stacked.shape == (len(alphas), len(xs), 4)
+    assert cauchy_boundary(alphas, signs, BoundaryDensity(MESH2, values), xs[0]).shape == (
+        len(alphas), 4)
+    for k, (alpha, sign) in enumerate(zip(alphas, signs)):
+        single = cauchy_boundary(alpha, sign, BoundaryDensity(MESH2, values[k]), xs)
+        assert np.abs(stacked[k] - single).max() <= 1e-14 * np.abs(single).max()
+        reference = _node_by_node(alpha, sign, MESH2, values[k], xs)
+        assert np.allclose(stacked[k], reference, rtol=0.0,
+                           atol=1e-12 * np.abs(reference).max())
+
+
+def test_cauchy_stacked_guard_in_later_block():
+    # the only too-close target sits in the last block of a stacked call
+    d = BoundaryDensity(MESH2, _random_density(MESH2, np.random.default_rng(26), 2))
+    batch = np.vstack([np.tile(PROBE, (2 * _block(MESH2.n_triangles), 1)),
+                       0.999 * MESH2.centroids[7]])
+    assert q.is_finite(cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, batch[:-1]))
+    with pytest.raises(NearSingularityError):
+        cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, batch)
+
+
+def test_cauchy_stacked_rejects_mismatched_terms():
+    rng = np.random.default_rng(27)
+    stacked = BoundaryDensity(MESH2, _random_density(MESH2, rng, 2))
+    single = BoundaryDensity(MESH2, _random_density(MESH2, rng))
+    for alpha, sign, d in [
+        ((0.8, 1.1, 1.2), (1, -1, 1), stacked),   # three terms, two densities
+        ((0.8, 1.1), (1,), stacked),              # sign too short
+        (0.8, 1, stacked),                        # one term, two densities
+        ((0.8, 1.1), (1, -1), single),            # two terms, one density
+        ((0.8, 1.1), (1, 0), stacked),            # invalid sign
+    ]:
+        with pytest.raises(ValueError):
+            cauchy_boundary(alpha, sign, d, INNER_PROBES)
+    with pytest.raises(ValueError):
+        BoundaryDensity(MESH2, np.zeros((2, 2, MESH2.n_triangles, 4)))
+
+
 _COEFF = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 
 
