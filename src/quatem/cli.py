@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -110,9 +111,13 @@ def _medium_json(medium) -> dict:
 def _write_json(path, payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError:  # a NaN or infinity: no partial artifact stays behind
+        os.remove(path)
+        raise
 
 
 def _c(z) -> list:
@@ -250,6 +255,8 @@ def cmd_kernel_probe(args) -> int:
 
 
 def cmd_verify_bp(args) -> int:
+    if not 0 < args.radius < np.inf:
+        raise ConfigError("--radius must be finite and positive, got %g" % args.radius)
     levels = [int(v) for v in args.levels.split(",")]
     alpha = args.alpha
     table = {name: [] for name in _BP_FIELDS}
@@ -336,6 +343,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_extend_check(args) -> int:
+    if not 0 < args.threshold < np.inf:
+        raise ConfigError("--threshold must be finite and positive, got %g" % args.threshold)
+    if not 0 <= args.perturb < np.inf:
+        raise ConfigError("--perturb must be finite and not negative, got %g" % args.perturb)
     mesh = load_off(args.mesh)
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)

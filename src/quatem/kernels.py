@@ -24,7 +24,7 @@ def _radii(x) -> np.ndarray:
     return r
 
 
-def radial_factors(alpha, r, w):
+def radial_factors(alpha, r, w, out=None):
     """(re, im) planes of the two radial factors of upsilon at distances
     r > 0 times real weights w (broadcast against r): shape (2,) + r.shape
     for one alpha, (K, 2) + r.shape for K.
@@ -34,25 +34,34 @@ def radial_factors(alpha, r, w):
     With a = -w/(4*pi*r), formed once for all alphas, w*theta =
     a exp(-Im(alpha) r) (cos + i sin)(Re(alpha) r) and w*c = w*theta (s - i t),
     s = (1/r + Im(alpha))/r, t = Re(alpha)/r.  The caller owns r > 0.
+
+    Every plane, the work planes 1/r, a, s and t included, is written into
+    out, a float buffer of shape (K + 1, 4) + r.shape that is allocated when
+    not given: row k holds the theta (re, im) and c (re, im) planes of the
+    k-th alpha, and the returned planes are views of it.  w is read before
+    anything is written, so it may share memory with out.
     """
     alphas = np.asarray(alpha, dtype=complex)
-    inv_r = 1.0 / r
-    a = inv_r * (np.asarray(w, dtype=float) * (-0.25 / np.pi))
-    th, c = np.empty((2, alphas.size, 2) + np.shape(r))
-    s, t = np.empty_like(r), np.empty_like(r)  # work planes, overwritten in place
+    n = alphas.size
+    if out is None:
+        out = np.empty((n + 1, 4) + np.shape(r))
+    inv_r, a, s, t = (out[n, i, ...] for i in range(4))
+    np.multiply(w, -0.25 / np.pi, out=a)
+    a *= np.divide(1.0, r, out=inv_r)
     for k, al in enumerate(alphas.reshape(-1)):
-        th_re, th_im, c_re, c_im = th[k, 0, ...], th[k, 1, ...], c[k, 0, ...], c[k, 1, ...]
+        th, c = out[k, :2], out[k, 2:]
+        th_re, th_im, c_re, c_im = (out[k, i, ...] for i in range(4))
         np.cos(np.multiply(al.real, r, out=t), out=th_re)
         np.sin(t, out=th_im)
         if al.imag != 0:
-            th[k] *= np.exp(np.multiply(-al.imag, r, out=t), out=t)
-        th[k] *= a
+            th *= np.exp(np.multiply(-al.imag, r, out=t), out=t)
+        th *= a
         np.multiply(np.add(inv_r, al.imag, out=s), inv_r, out=s)
-        np.multiply(th[k], s, out=c[k])
+        np.multiply(th, s, out=c)
         np.multiply(al.real, inv_r, out=t)
         c_re += np.multiply(th_im, t, out=s)
         c_im -= np.multiply(th_re, t, out=s)
-    return tuple(p.reshape(alphas.shape + (2,) + np.shape(r)) for p in (th, c))
+    return tuple(p.reshape(alphas.shape + (2,) + np.shape(r)) for p in (out[:n, :2], out[:n, 2:]))
 
 
 def theta(alpha, x) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Discretized volume and boundary integral operators.
 
 Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
-d = x - y, over quadrature nodes in one routine (_kernel_sum); per block of
-targets it forms the radii, the pair weights and the factors' prefactor
-once for all (alpha, sign, density) terms, such as the two chiral modes,
-and applies the factors as real (re, im) planes in real matrix products.
+d = x - y, over quadrature nodes in one routine (_kernel_sum).  It walks
+the target x node pairs in tiles of at most BLOCK_PAIRS pairs, the first
+half on the calling thread and the second on a thread of its own, and
+adds the two sides' sums in a fixed order, so results do not depend on
+scheduling.  Per tile it forms the radii, the pair weights and the
+factors' prefactor once for all (alpha, sign, density) terms, such as the
+two chiral modes, and applies the factors as real (re, im) planes in real
+matrix products.
 The operators differ only in the right-hand side and in the weight each
 (target, node) pair gets from its distance r.  The volume operator's
 smooth cutoff removes a small ball around each target, whose integral is
@@ -18,6 +22,8 @@ here); its guard reads the same r that the kernel factors use.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,12 +37,15 @@ from .kernels import radial_factors, upsilon
 
 CUTOFF_FACTOR = 3.0         # volume rule: cutoff radius in mean node spacings
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
-BLOCK_PAIRS = 16 * 1280     # target-node pairs per block of a kernel sum: 16
+BLOCK_PAIRS = 16 * 1280     # target-node pairs per tile of a kernel sum: 16
                             # targets at 1280 surface nodes (blocks of 4-32
                             # targets cost the same per target within 10 % at
                             # 1280 and 5120 nodes; 64 and 128 cost 1.25x and
                             # 1.5x more at 5120, the B x N temporaries leave
-                            # cache), one target per block for the volume rules
+                            # cache); a target with more nodes (the volume
+                            # rules from level 4) is cut into node tiles of
+                            # this many nodes
+NODE_CHUNK = 1280           # nodes per matrix product within a node tile
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -86,9 +95,20 @@ class VolumeDensity:
         return np.asarray(self.evaluator(pts), dtype=complex)
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+def _smoothstep(t: np.ndarray, work=None) -> np.ndarray:
+    """t**3 (t (6 t - 15) + 10) of t clipped to [0, 1], formed in the float
+    buffer work ((3,) + t.shape, allocated when not given), whose last plane
+    holds the result; t may be one of its planes."""
+    s, p, out = np.empty((3,) + np.shape(t)) if work is None else work
+    np.clip(t, 0.0, 1.0, out=s)
+    np.multiply(6.0, s, out=p)
+    p -= 15.0
+    p *= s
+    p += 10.0
+    np.multiply(s, s, out=out)
+    out *= s
+    out *= p
+    return out
 
 
 def _targets(x) -> np.ndarray:
@@ -96,6 +116,59 @@ def _targets(x) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != 3:
         raise ValueError("targets must have shape (3,) or (M, 3)")
     return x
+
+
+def _tiles(m: int, n: int) -> list:
+    """(rows, cols) slices of the tiles of an M x N pair matrix, in order:
+    row blocks of at most BLOCK_PAIRS pairs, or, when one row alone holds
+    more, each row cut into node tiles of BLOCK_PAIRS nodes."""
+    if n <= BLOCK_PAIRS:
+        block = BLOCK_PAIRS // n
+        return [(slice(i, min(i + block, m)), slice(0, n)) for i in range(0, m, block)]
+    return [(slice(i, i + 1), slice(j, min(j + BLOCK_PAIRS, n)))
+            for i in range(m) for j in range(0, n, BLOCK_PAIRS)]
+
+
+def _chunked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (P, n) @ b (n, w) summed over chunks of NODE_CHUNK nodes.
+
+    One matrix product of a node tile sums each entry in node order (the
+    small-matrix path of OpenBLAS 0.3.31), so its roundoff grows with n:
+    against an extended-precision sum of the level-4 volume rule's far
+    field, tiles of 20480 nodes erred by 1.0e-14 relative, one product over
+    all 163840 nodes by 2.0e-15, and chunks of 1280 by 1.4e-15.
+    """
+    whole = len(b) - len(b) % NODE_CHUNK
+    chunks = whole // NODE_CHUNK
+    out = (a[:, :whole].reshape(len(a), chunks, NODE_CHUNK).swapaxes(0, 1)
+           @ b[:whole].reshape(chunks, NODE_CHUNK, b.shape[1])).sum(axis=0)
+    return out + a[:, whole:] @ b[whole:]
+
+
+def _add_tiles(tiles, xs, sums, work, *, y_cols, g_yg, distinct, which, pair_weights):
+    """Add the Theta g and C [g, y*g] sums of the tiles at targets xs, in
+    order, into sums = (theta_g, c_g_yg).  Each tile is formed in the float
+    buffer work, whose rows are planes of the largest tile: r, then the
+    4 * (len(distinct) + 1) planes of radial_factors.  Their first three
+    hold the differences until r is formed, then serve pair_weights as
+    scratch; radial_factors reads the weights before it writes a plane."""
+    theta_g, c_g_yg = sums
+    for rows, cols in tiles:
+        b, n = rows.stop - rows.start, cols.stop - cols.start
+        r, planes = np.split(work.reshape(-1)[:len(work) * b * n], [b * n])
+        r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
+        np.subtract(xs[rows].T[:, :, None], y_cols[:, None, cols], out=diff)
+        np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
+        w = pair_weights(r, cols, diff)
+        np.copyto(r, 1.0, where=w == 0.0)
+        th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
+        for k, u in enumerate(which):
+            for dest, fac, rhs in ((theta_g, th[u], g_yg[k, cols, :8]),
+                                   (c_g_yg, c[u], g_yg[k, cols])):
+                fac = fac.reshape(-1, n)
+                prod = fac @ rhs if n == g_yg.shape[1] else _chunked_product(fac, rhs)
+                re, im = prod.reshape(2, -1, rhs.shape[1])
+                dest[k, rows] += re.view(complex) + 1j * im.view(complex)
 
 
 def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
@@ -110,13 +183,27 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
 
         sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
 
-    with quaternion products and y*g formed once per call.  Targets go in
-    blocks of about BLOCK_PAIRS target-node pairs.  Once per block for all
-    terms, r comes from the explicit differences, pair_weights(r) gives the
-    real weights W ((B, N) or (N,)) and radial_factors the weighted (re, im)
-    planes of each distinct alpha for real matrix products with the real
-    views of g and [g, y*g].  A pair of zero weight gets radius 1 before the
-    factors are formed, so a target on a node stays finite.
+    with quaternion products and y*g formed once per call.  The M x N pairs
+    go in tiles of at most BLOCK_PAIRS (_tiles): row blocks of targets, or
+    node tiles of one target when it alone has more nodes.  Once per tile
+    for all terms, r comes from the explicit differences, pair_weights(r,
+    cols, work) gives the real weights W ((B, n) or (n,)) of the tile's node
+    slice cols, using the (3, B, n) float buffer work as scratch if it
+    needs one, and radial_factors the weighted (re, im) planes of each
+    distinct alpha for real matrix products with the real views of g and
+    [g, y*g].  A pair of zero weight gets radius 1 before the factors are
+    formed, so a target on a node stays finite.
+
+    The tiles run on two threads: the calling thread runs the first half
+    in order, a thread started for the call the second half.  Each side
+    forms its tiles in a buffer allocated here, once per call, and adds
+    them into sums of its own rows; only when both halves hold node tiles
+    of one target does the second add into partial sums of its own, which
+    are added to the first's after both have finished.  So the result does
+    not depend on scheduling, and where every tile holds whole rows
+    (N <= BLOCK_PAIRS) each row comes from one matrix product, as in a
+    one-tile-at-a-time loop.  An error in either half (the boundary guard)
+    is raised here once both halves have stopped, the first half's first.
     """
     alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
     terms = g.shape[:-2]
@@ -125,21 +212,42 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     alphas, signs, g = alphas.reshape(-1), signs.reshape(-1), g.reshape(-1, len(y), 4)
     distinct, which = np.unique(alphas, return_inverse=True)
     g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=2).view(float)  # (K, N, 16) real
-    y_cols = np.ascontiguousarray(y.T)
-    block = max(1, BLOCK_PAIRS // len(y))
-    theta_g = np.empty((len(g), len(xs), 4), dtype=complex)
-    c_g_yg = np.empty((len(g), len(xs), 8), dtype=complex)
-    for start in range(0, len(xs), block):
-        rows = slice(start, start + block)
-        diff = xs[rows].T[:, :, None] - y_cols[:, None, :]
-        r = np.sqrt(np.einsum("kmj,kmj->mj", diff, diff))
-        w = pair_weights(r)
-        np.copyto(r, 1.0, where=w == 0.0)
-        th, c = radial_factors(distinct, r, w)
-        for k, u in enumerate(which):
-            for dest, fac, rhs in ((theta_g, th[u], g_yg[k, :, :8]), (c_g_yg, c[u], g_yg[k])):
-                re, im = (fac.reshape(-1, len(y)) @ rhs).reshape(2, -1, rhs.shape[1])
-                dest[k, rows] = re.view(complex) + 1j * im.view(complex)
+    tiles = _tiles(len(xs), len(y))
+    cut = (len(tiles) + 1) // 2
+    rows, cols = tiles[0] if tiles else (slice(0, 0), slice(0, 0))  # the largest tile
+    work_shape = (4 * len(distinct) + 5, (rows.stop - rows.start) * (cols.stop - cols.start))
+    theta_g = np.zeros((len(g), len(xs), 4), dtype=complex)
+    c_g_yg = np.zeros((len(g), len(xs), 8), dtype=complex)
+    add = functools.partial(_add_tiles, y_cols=np.ascontiguousarray(y.T), g_yg=g_yg,
+                            distinct=distinct, which=which, pair_weights=pair_weights)
+    errors = []
+
+    def second_half(*args):
+        try:
+            add(*args)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    second, shared = None, False
+    if cut < len(tiles):
+        first = tiles[cut][0].start
+        shared = first < tiles[cut - 1][0].stop
+        sums = tuple(np.zeros_like(s[:, first:]) if shared else s[:, first:]
+                     for s in (theta_g, c_g_yg))
+        second = threading.Thread(target=second_half, args=(
+            [(slice(r.start - first, r.stop - first), c) for r, c in tiles[cut:]],
+            xs[first:], sums, np.empty(work_shape)))
+        second.start()
+    try:
+        add(tiles[:cut], xs, (theta_g, c_g_yg), np.empty(work_shape))
+    finally:
+        if second is not None:
+            second.join()
+    if errors:
+        raise errors[0]
+    if shared:
+        theta_g[:, first:] += sums[0]
+        c_g_yg[:, first:] += sums[1]
     out = ((signs * alphas)[:, None, None] * theta_g
            + q.qmul(q.vector(xs), c_g_yg[..., :4]) - c_g_yg[..., 4:])
     return out.reshape(terms + out.shape[1:])
@@ -162,8 +270,12 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
     xs = x.reshape(-1, 3)
     quad = density.quadrature
     rho = CUTOFF_FACTOR * float(np.mean(quad.weights ** (1.0 / 3.0)))
-    out = _kernel_sum(alpha, sign, xs, quad.points, density.values,
-                      lambda r: quad.weights * _smoothstep(r / rho - 1.0))
+
+    def far_weights(r, cols, work):
+        np.subtract(np.divide(r, rho, out=work[0]), 1.0, out=work[0])
+        return np.multiply(quad.weights[cols], _smoothstep(work[0], work), out=work[2])
+
+    out = _kernel_sum(alpha, sign, xs, quad.points, density.values, far_weights)
 
     near = build_ball_quadrature(2.0 * rho, 1)
     offsets = near.points
@@ -192,11 +304,11 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     x = _targets(x)
     d_min = MIN_DISTANCE_FACTOR * mesh.spacing
 
-    def guarded_weights(r):
+    def guarded_weights(r, cols, work):
         dist = float(r.min())
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)
-        return mesh.areas
+        return mesh.areas[cols]
 
     nf = q.qmul(q.vector(mesh.normals), density.values)
     out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), mesh.centroids, nf, guarded_weights)

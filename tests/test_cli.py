@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quatem import quaternions as q
-from quatem.cli import _load_traces, build_parser, main
+from quatem.cli import _load_traces, _write_json, build_parser, main
 from quatem.fields import exact_chiral_solution
 from quatem.geometry import load_off, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
@@ -193,6 +193,20 @@ def test_reconstruct_near_boundary_exit_code(workspace, tmp_path):
     assert code == 4
 
 
+def test_reconstruct_near_boundary_on_the_second_thread(workspace, tmp_path, capsys):
+    # 64 inner probes fill the first row tile of the level-2 mesh's 320 nodes;
+    # the near one is alone in the second, which runs on the second thread
+    _, mesh_path, traces = workspace
+    out = tmp_path / "rec.json"
+    probes = ";".join(["0.3,0.1,-0.2"] * 64 + ["0.99,0,0"])
+    assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
+                 "--probes=" + probes, "--out", str(out)]) == 4
+    assert "rule requires" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
+                 "--probes=" + probes.rsplit(";", 1)[0], "--out", str(out)]) == 0
+
+
 def _rewound(mesh_path, path, flipped):
     """The mesh with the winding of the `flipped` triangles reversed."""
     mesh = load_off(mesh_path)
@@ -251,6 +265,40 @@ def test_extend_check_json_deterministic(workspace, tmp_path):
     main(args + ["--out", a])
     main(args + ["--out", b])
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--threshold", "nan", "--threshold must be finite and positive"),
+    ("--threshold", "inf", "--threshold must be finite and positive"),
+    ("--threshold", "0", "--threshold must be finite and positive"),
+    ("--perturb", "nan", "--perturb must be finite and not negative"),
+    ("--perturb", "-0.1", "--perturb must be finite and not negative"),
+    ("--perturb", "inf", "--perturb must be finite and not negative"),
+])
+def test_extend_check_rejects_meaningless_flags(workspace, tmp_path, capsys, flag, value,
+                                                message):
+    _, mesh_path, traces = workspace
+    out = tmp_path / "ext.json"
+    assert main(["extend-check", "--mesh", mesh_path, "--traces", traces,
+                 "--extrapolation", "linear", flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_verify_bp_rejects_meaningless_radius(tmp_path, capsys, value):
+    out = tmp_path / "bp.json"
+    assert main(["verify-bp", "--levels", "1", "--radius", value, "--out", str(out)]) == 2
+    assert "--radius must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_artifacts_hold_no_nan_or_infinity(tmp_path, value):
+    out = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        _write_json(out, {"command": "test", "value": [1.0, value]})
+    assert not out.exists()
 
 
 _MEDIUM_FLAGS = {"--omega", "--epsilon", "--mu", "--beta"}

@@ -1,5 +1,8 @@
 """Discretized volume and boundary operators and the reproduction identity."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from quatem.operators import (
     CUTOFF_FACTOR,
     BoundaryDensity,
     VolumeDensity,
+    _kernel_sum,
     borel_pompeiu_residual,
     cauchy_boundary,
     teodorescu,
@@ -409,3 +413,147 @@ def test_scalar_field_identity():
     mesh = build_sphere_mesh(1.0, 3)
     quad = build_ball_quadrature(1.0, 3)
     assert borel_pompeiu_residual(scalar_monomial(1), 1.0, 1, mesh, quad, PROBE) < 2e-2
+
+
+# --- the tiled kernel sum on two threads ------------------------------------
+
+MESH3 = build_sphere_mesh(1.0, 3)
+QUAD4 = build_ball_quadrature(1.0, 4)  # 163840 nodes: node tiles of BLOCK_PAIRS
+
+
+def _one_tile_at_a_time(alpha, sign, xs, y, g, pair_weights):
+    """The kernel sum as a loop over its tiles, each one _kernel_sum call of
+    a single tile, which runs on the calling thread alone: row blocks of
+    BLOCK_PAIRS // N targets, or, for N > BLOCK_PAIRS nodes, each target's
+    node tiles of BLOCK_PAIRS nodes added in order."""
+    n = len(y)
+    if n <= BLOCK_PAIRS:
+        block = BLOCK_PAIRS // n
+        return np.concatenate([_kernel_sum(alpha, sign, xs[i:i + block], y, g, pair_weights)
+                               for i in range(0, len(xs), block)], axis=-2)
+    rows = []
+    for x in xs:
+        total = 0
+        for j in range(0, n, BLOCK_PAIRS):
+            cols = slice(j, min(j + BLOCK_PAIRS, n))
+            total = total + _kernel_sum(
+                alpha, sign, x[None], y[cols], g[..., cols, :],
+                lambda r, c, work, j=j: pair_weights(r, slice(j + c.start, j + c.stop), work))
+        rows.append(total)
+    return np.concatenate(rows, axis=-2)
+
+
+def _offset_targets(mesh):
+    """The extendibility check's targets: each centroid moved inward by 1, 2
+    and 3 times two mesh spacings."""
+    depth = 2.0 * mesh.spacing
+    return np.concatenate([mesh.centroids - m * depth * mesh.normals for m in (1, 2, 3)])
+
+
+def _boundary_terms(mesh, rng):
+    """The two chiral modes' (alpha, sign, n*f) on a mesh and its area weights."""
+    nf = q.qmul(q.vector(mesh.normals), _random_density(mesh, rng, 2))
+    return (0.8, 4.0 / 3.0), (1, -1), nf, lambda r, cols, work: mesh.areas[cols]
+
+
+def _volume_terms(quad, rng):
+    """One (alpha, sign, density) on a ball rule and teodorescu's far weights."""
+    rho = CUTOFF_FACTOR * np.mean(quad.weights ** (1.0 / 3.0))
+    g = rng.standard_normal((len(quad.points), 4)) + 1j * rng.standard_normal((len(quad.points), 4))
+    return 0.8 + 0.3j, -1, g, lambda r, cols, work: quad.weights[cols] * _smoothstep(r / rho - 1.0)
+
+
+def test_two_thread_boundary_sum_is_the_one_tile_loop_bit_for_bit():
+    # 3840 targets at 1280 nodes: 240 row tiles, 120 on each thread
+    alphas, signs, nf, weights = _boundary_terms(MESH3, np.random.default_rng(31))
+    xs = _offset_targets(MESH3)
+    assert len(xs) == 3840
+    got = _kernel_sum(alphas, signs, xs, MESH3.centroids, nf, weights)
+    expected = _one_tile_at_a_time(alphas, signs, xs, MESH3.centroids, nf, weights)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_targets", [3, 2], ids=["target on both threads", "cut between targets"])
+def test_two_thread_volume_sum_in_node_tiles(n_targets):
+    # each target's 163840 nodes are 8 node tiles; 3 targets put the middle
+    # one's tiles on both threads, 2 targets one on each
+    alpha, sign, g, weights = _volume_terms(QUAD4, np.random.default_rng(32))
+    xs = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])[:n_targets]
+    got = _kernel_sum(alpha, sign, xs, QUAD4.points, g, weights)
+    expected = _one_tile_at_a_time(alpha, sign, xs, QUAD4.points, g, weights)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    # and node by node, as the other kernel sums
+    diff = xs[0] - QUAD4.points
+    w = weights(np.linalg.norm(diff, axis=1), slice(None), None)
+    far = w > 0.0
+    reference = np.einsum("n,nk->k", w[far].astype(complex),
+                          q.qmul(upsilon(alpha, sign, diff[far]), g[far]))
+    assert np.abs(got[0] - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_node_tiles_of_any_length():
+    # 20480 + 2600 nodes: a full node tile, then 2 x 1280 nodes and 40 more
+    rng = np.random.default_rng(33)
+    n = BLOCK_PAIRS + 2600
+    y = rng.uniform(-1.0, 1.0, (n, 3))
+    g = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    node_w = rng.uniform(0.5, 1.0, n)
+    xs = np.array([[3.0, 0.0, 0.0], [0.0, -2.5, 1.0]])
+    got = _kernel_sum(0.7, 1, xs, y, g, lambda r, cols, work: node_w[cols])
+    reference = np.array([np.einsum("n,nk->k", node_w.astype(complex),
+                                    q.qmul(upsilon(0.7, 1, x - y), g)) for x in xs])
+    assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_two_thread_sums_are_repeatable_under_contention():
+    # twenty calls, five at a time from four threads of their own (so eight
+    # threads on the machine's cores) with a short switch interval: every
+    # result is byte for byte the first
+    rng = np.random.default_rng(34)
+    b_alphas, b_signs, nf, b_weights = _boundary_terms(MESH3, rng)
+    v_alpha, v_sign, g, v_weights = _volume_terms(QUAD4, rng)
+    xs_b = _offset_targets(MESH3)[::19]  # 203 targets, 13 row tiles
+    xs_v = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
+
+    def both():
+        return (_kernel_sum(b_alphas, b_signs, xs_b, MESH3.centroids, nf, b_weights).tobytes(),
+                _kernel_sum(v_alpha, v_sign, xs_v, QUAD4.points, g, v_weights).tobytes())
+
+    first = both()
+    results = []
+
+    def caller():
+        for _ in range(5):
+            results.append(both())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(results) == 20
+    assert all(result == first for result in results)
+
+
+def test_guard_in_the_second_thread_raises_in_the_caller():
+    d = BoundaryDensity(MESH2, _random_density(MESH2, np.random.default_rng(35), 2))
+    block = _block(MESH2.n_triangles)
+    inner = np.tile(PROBE, (3 * block, 1))  # with one more target: 4 row tiles, 2 per thread
+    near, nearer = 0.999 * MESH2.centroids[7], 0.9995 * MESH2.centroids[3]
+    with pytest.raises(NearSingularityError) as exc:
+        cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, np.vstack([inner, near]))
+    assert exc.value.distance == pytest.approx(0.001 * np.linalg.norm(MESH2.centroids[7]))
+    # the next call works, and gives the rows of the first tiles as before
+    clean = cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, inner)
+    assert q.is_finite(clean)
+    assert clean.tobytes() == cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, inner).tobytes()
+    # a target too close on each thread: the first thread's error is raised
+    with pytest.raises(NearSingularityError) as exc:
+        cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, np.vstack([near, inner, nearer]))
+    assert exc.value.distance == pytest.approx(0.001 * np.linalg.norm(MESH2.centroids[7]))
