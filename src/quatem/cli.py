@@ -33,6 +33,7 @@ from .fields import (
     scalar_monomial,
 )
 from .geometry import (
+    MAX_SUBDIVISION,
     build_ball_quadrature,
     build_sphere_mesh,
     checked_normals,
@@ -87,6 +88,13 @@ def _complex_arg(text: str) -> complex:
     if not np.isfinite(value):
         raise ConfigError("complex number %r is not finite" % text)
     return value
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:  # not a number: reported with the non-finite values
+        return np.nan
 
 
 def _add_medium_args(parser: argparse.ArgumentParser) -> None:
@@ -198,10 +206,7 @@ def _field_from_args(args, medium):
              for row in raw]
         )
         return (polynomial_field(table), None)
-    try:
-        amps = tuple(float(v) for v in args.amplitudes.split(","))
-    except ValueError:
-        amps = ()
+    amps = tuple(_float_or_nan(v) for v in args.amplitudes.split(","))
     if len(amps) != 3 or not np.all(np.isfinite(amps)):
         raise ConfigError("--amplitudes must be three finite numbers 'a,b,c', got %r"
                           % args.amplitudes)
@@ -233,15 +238,16 @@ def cmd_gen_field(args) -> int:
 
 
 def cmd_kernel_probe(args) -> int:
-    direction = np.array([float(v) for v in args.direction.split(",")])
-    if direction.shape != (3,) or not np.linalg.norm(direction) > 0:
-        raise ConfigError("--direction must be a nonzero 3-vector 'x,y,z'")
+    direction = np.array([_float_or_nan(v) for v in args.direction.split(",")])
+    if direction.shape != (3,) or not 0 < np.linalg.norm(direction) < np.inf:
+        raise ConfigError("--direction must be a finite nonzero 3-vector 'x,y,z', got %r"
+                          % args.direction)
     direction = direction / np.linalg.norm(direction)
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
-    if not 0 < args.rmin <= args.rmax:
-        raise ConfigError("--rmin must be positive and --rmax at least --rmin, got %g and %g"
-                          % (args.rmin, args.rmax))
+    if not 0 < args.rmin <= args.rmax < np.inf:
+        raise ConfigError("--rmin must be positive and --rmax finite and at least --rmin, "
+                          "got %g and %g" % (args.rmin, args.rmax))
     radii = np.linspace(args.rmin, args.rmax, args.count)
     xs = radii[:, None] * direction
     th = theta(args.alpha, xs)
@@ -257,7 +263,14 @@ def cmd_kernel_probe(args) -> int:
 def cmd_verify_bp(args) -> int:
     if not 0 < args.radius < np.inf:
         raise ConfigError("--radius must be finite and positive, got %g" % args.radius)
-    levels = [int(v) for v in args.levels.split(",")]
+    try:
+        levels = [int(v) for v in args.levels.split(",")]
+    except ValueError:
+        levels = []
+    if not levels or sorted(set(levels)) != levels or not (
+            0 <= levels[0] and levels[-1] <= MAX_SUBDIVISION):
+        raise ConfigError("--levels must be strictly increasing integers in 0..%d, got %r"
+                          % (MAX_SUBDIVISION, args.levels))
     alpha = args.alpha
     table = {name: [] for name in _BP_FIELDS}
     for level in levels:
@@ -291,14 +304,14 @@ def _parse_probes(text: str) -> np.ndarray:
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [float(v) for v in chunk.split(",")]
+        vals = [_float_or_nan(v) for v in chunk.split(",")]
         if len(vals) != 3:
-            raise ConfigError("probe %r is not a 3-vector" % chunk)
+            raise ConfigError("--probes: probe %r is not a 3-vector" % chunk)
         if not np.all(np.isfinite(vals)):
-            raise ConfigError("probe %r is not finite" % chunk)
+            raise ConfigError("--probes: probe %r is not finite" % chunk)
         pts.append(vals)
     if not pts:
-        raise ConfigError("no probe points given")
+        raise ConfigError("--probes: no probe points given")
     return np.array(pts)
 
 

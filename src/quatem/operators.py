@@ -2,13 +2,14 @@
 
 Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
 d = x - y, over quadrature nodes in one routine (_kernel_sum).  It walks
-the target x node pairs in tiles of at most BLOCK_PAIRS pairs, the first
-half on the calling thread and the second on a thread of its own, and
-adds the two sides' sums in a fixed order, so results do not depend on
-scheduling.  Per tile it forms the radii, the pair weights and the
-factors' prefactor once for all (alpha, sign, density) terms, such as the
-two chiral modes, and applies the factors as real (re, im) planes in real
-matrix products.
+the target x node pairs in tiles of one shape, TILE_ROWS targets by
+NODE_CHUNK nodes; past one tile's worth of pairs it runs the first half
+on the calling thread and the second on a thread of its own, and adds the
+two sides' sums in a fixed order, so results do not depend on scheduling.
+Per tile it forms the radii, the pair weights and the factors' prefactor
+once for all (alpha, sign, density) terms, such as the two chiral modes,
+and applies the factors as real (re, im) planes in one real matrix
+product over the tile's nodes.
 The operators differ only in the right-hand side and in the weight each
 (target, node) pair gets from its distance r.  The volume operator's
 smooth cutoff removes a small ball around each target, whose integral is
@@ -37,15 +38,18 @@ from .kernels import radial_factors, upsilon
 
 CUTOFF_FACTOR = 3.0         # volume rule: cutoff radius in mean node spacings
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
-BLOCK_PAIRS = 16 * 1280     # target-node pairs per tile of a kernel sum: 16
-                            # targets at 1280 surface nodes (blocks of 4-32
+TILE_ROWS = 16              # targets per tile of a kernel sum (blocks of 4-32
                             # targets cost the same per target within 10 % at
                             # 1280 and 5120 nodes; 64 and 128 cost 1.25x and
                             # 1.5x more at 5120, the B x N temporaries leave
-                            # cache); a target with more nodes (the volume
-                            # rules from level 4) is cut into node tiles of
-                            # this many nodes
-NODE_CHUNK = 1280           # nodes per matrix product within a node tile
+                            # cache)
+NODE_CHUNK = 1280           # nodes per tile, so per matrix product, whose
+                            # roundoff grows with its node count (OpenBLAS
+                            # 0.3.31 sums small products in node order): on
+                            # the level-4 volume rule's far field, against an
+                            # extended-precision sum, 20480-node products
+                            # erred by 1.0e-14 relative, 1280-node ones by
+                            # 1.4e-15
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -120,35 +124,15 @@ def _targets(x) -> np.ndarray:
 
 def _tiles(m: int, n: int) -> list:
     """(rows, cols) slices of the tiles of an M x N pair matrix, in order:
-    row blocks of at most BLOCK_PAIRS pairs, or, when one row alone holds
-    more, each row cut into node tiles of BLOCK_PAIRS nodes."""
-    if n <= BLOCK_PAIRS:
-        block = BLOCK_PAIRS // n
-        return [(slice(i, min(i + block, m)), slice(0, n)) for i in range(0, m, block)]
-    return [(slice(i, i + 1), slice(j, min(j + BLOCK_PAIRS, n)))
-            for i in range(m) for j in range(0, n, BLOCK_PAIRS)]
-
-
-def _chunked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a (P, n) @ b (n, w) summed over chunks of NODE_CHUNK nodes.
-
-    One matrix product of a node tile sums each entry in node order (the
-    small-matrix path of OpenBLAS 0.3.31), so its roundoff grows with n:
-    against an extended-precision sum of the level-4 volume rule's far
-    field, tiles of 20480 nodes erred by 1.0e-14 relative, one product over
-    all 163840 nodes by 2.0e-15, and chunks of 1280 by 1.4e-15.
-    """
-    whole = len(b) - len(b) % NODE_CHUNK
-    chunks = whole // NODE_CHUNK
-    out = (a[:, :whole].reshape(len(a), chunks, NODE_CHUNK).swapaxes(0, 1)
-           @ b[:whole].reshape(chunks, NODE_CHUNK, b.shape[1])).sum(axis=0)
-    return out + a[:, whole:] @ b[whole:]
+    row blocks of TILE_ROWS targets, each cut into tiles of NODE_CHUNK nodes."""
+    return [(slice(i, min(i + TILE_ROWS, m)), slice(j, min(j + NODE_CHUNK, n)))
+            for i in range(0, m, TILE_ROWS) for j in range(0, n, NODE_CHUNK)]
 
 
 def _add_tiles(tiles, xs, sums, work, *, y_cols, g_yg, distinct, which, pair_weights):
     """Add the Theta g and C [g, y*g] sums of the tiles at targets xs, in
     order, into sums = (theta_g, c_g_yg).  Each tile is formed in the float
-    buffer work, whose rows are planes of the largest tile: r, then the
+    buffer work, whose rows are planes of a full tile: r, then the
     4 * (len(distinct) + 1) planes of radial_factors.  Their first three
     hold the differences until r is formed, then serve pair_weights as
     scratch; radial_factors reads the weights before it writes a plane."""
@@ -165,9 +149,7 @@ def _add_tiles(tiles, xs, sums, work, *, y_cols, g_yg, distinct, which, pair_wei
         for k, u in enumerate(which):
             for dest, fac, rhs in ((theta_g, th[u], g_yg[k, cols, :8]),
                                    (c_g_yg, c[u], g_yg[k, cols])):
-                fac = fac.reshape(-1, n)
-                prod = fac @ rhs if n == g_yg.shape[1] else _chunked_product(fac, rhs)
-                re, im = prod.reshape(2, -1, rhs.shape[1])
+                re, im = (fac.reshape(-1, n) @ rhs).reshape(2, -1, rhs.shape[1])
                 dest[k, rows] += re.view(complex) + 1j * im.view(complex)
 
 
@@ -184,26 +166,27 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
 
     with quaternion products and y*g formed once per call.  The M x N pairs
-    go in tiles of at most BLOCK_PAIRS (_tiles): row blocks of targets, or
-    node tiles of one target when it alone has more nodes.  Once per tile
-    for all terms, r comes from the explicit differences, pair_weights(r,
-    cols, work) gives the real weights W ((B, n) or (n,)) of the tile's node
-    slice cols, using the (3, B, n) float buffer work as scratch if it
-    needs one, and radial_factors the weighted (re, im) planes of each
-    distinct alpha for real matrix products with the real views of g and
-    [g, y*g].  A pair of zero weight gets radius 1 before the factors are
-    formed, so a target on a node stays finite.
+    go in tiles of TILE_ROWS targets by NODE_CHUNK nodes (_tiles), row
+    block by row block.  Once per tile for all terms, r comes from the
+    explicit differences, pair_weights(r, cols, work) gives the real
+    weights W ((B, n) or (n,)) of the tile's node slice cols, using the
+    (3, B, n) float buffer work as scratch if it needs one, and
+    radial_factors the weighted (re, im) planes of each distinct alpha for
+    one real matrix product with the real views of g and [g, y*g] over the
+    tile's nodes.  A pair of zero weight gets radius 1 before the factors
+    are formed, so a target on a node stays finite.
 
-    The tiles run on two threads: the calling thread runs the first half
-    in order, a thread started for the call the second half.  Each side
-    forms its tiles in a buffer allocated here, once per call, and adds
-    them into sums of its own rows; only when both halves hold node tiles
-    of one target does the second add into partial sums of its own, which
-    are added to the first's after both have finished.  So the result does
-    not depend on scheduling, and where every tile holds whole rows
-    (N <= BLOCK_PAIRS) each row comes from one matrix product, as in a
-    one-tile-at-a-time loop.  An error in either half (the boundary guard)
-    is raised here once both halves have stopped, the first half's first.
+    The tiles of a sum of more than TILE_ROWS * NODE_CHUNK pairs run on
+    two threads: the calling thread runs the first half in order, a thread
+    started for the call the second half.  Each side forms its tiles in a
+    buffer allocated here, once per call, and adds them into sums of its
+    own rows; only when the cut falls inside a row block does the second
+    add into partial sums of its own, which are added to the first's after
+    both have finished.  So the result does not depend on scheduling, and
+    each row adds its tiles in node order, as one thread would, except that
+    a row block cut in two adds its second half's sum at the end.  An error
+    in either half (the boundary guard) is raised here once both halves
+    have stopped, the first half's first.
     """
     alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
     terms = g.shape[:-2]
@@ -213,9 +196,11 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     distinct, which = np.unique(alphas, return_inverse=True)
     g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=2).view(float)  # (K, N, 16) real
     tiles = _tiles(len(xs), len(y))
-    cut = (len(tiles) + 1) // 2
-    rows, cols = tiles[0] if tiles else (slice(0, 0), slice(0, 0))  # the largest tile
-    work_shape = (4 * len(distinct) + 5, (rows.stop - rows.start) * (cols.stop - cols.start))
+    # a sum of at most one full tile's pairs stays on the calling thread: on a
+    # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4
+    # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads
+    cut = (len(tiles) + 1) // 2 if len(xs) * len(y) > TILE_ROWS * NODE_CHUNK else len(tiles)
+    work_shape = (4 * len(distinct) + 5, min(len(xs), TILE_ROWS) * min(len(y), NODE_CHUNK))
     theta_g = np.zeros((len(g), len(xs), 4), dtype=complex)
     c_g_yg = np.zeros((len(g), len(xs), 8), dtype=complex)
     add = functools.partial(_add_tiles, y_cols=np.ascontiguousarray(y.T), g_yg=g_yg,

@@ -12,6 +12,7 @@ from quatem.cli import _load_traces, _write_json, build_parser, main
 from quatem.fields import exact_chiral_solution
 from quatem.geometry import load_off, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
+from quatem.operators import NODE_CHUNK, TILE_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ def test_gen_field_requires_parameters(workspace, tmp_path):
                  "--mesh", mesh_path, "--out", out]) == 2
 
 
-def test_kernel_probe(tmp_path):
+def test_kernel_probe(tmp_path, capsys):
     out = str(tmp_path / "kp.csv")
     assert main(["kernel-probe", "--alpha", "1", "--count", "3",
                  "--rmin", "0.5", "--rmax", "1.5", "--out", out]) == 0
@@ -98,6 +99,11 @@ def test_kernel_probe(tmp_path):
     assert main(["kernel-probe", "--alpha", "1", "--rmin", "0",
                  "--out", out]) == 2
     assert main(["kernel-probe", "--alpha", "nope", "--out", out]) == 2
+    capsys.readouterr()
+    for direction in ("1,x,0", "inf,0,0"):
+        assert main(["kernel-probe", "--alpha", "1", "--direction", direction,
+                     "--out", out]) == 2
+        assert "--direction must be a finite nonzero 3-vector" in capsys.readouterr().err
 
 
 def test_kernel_probe_rejects_empty_ray(tmp_path, capsys):
@@ -112,6 +118,12 @@ def test_kernel_probe_rejects_reversed_radii(tmp_path, capsys):
                  "--count", "5", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "--rmax" in err and "--rmin" in err
+    # radii must be finite: an infinite --rmax would write rows of NaN
+    for rmin, rmax in (("0.1", "inf"), ("inf", "inf"), ("nan", "1"), ("0.1", "nan")):
+        assert main(["kernel-probe", "--alpha", "1", "--rmin", rmin, "--rmax", rmax,
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--rmax" in err and "--rmin" in err and "finite" in err
     # one radius is a valid ray
     assert main(["kernel-probe", "--alpha", "1", "--rmin", "0.5", "--rmax", "0.5",
                  "--count", "1", "--out", out]) == 0
@@ -161,6 +173,14 @@ def test_verify_bp_json(tmp_path):
         assert len(col) == 2 and col[1] < col[0]
 
 
+@pytest.mark.parametrize("levels", ["3,2", "2,x", "2,,3", "1,1", "-1,2", "2,8"])
+def test_verify_bp_rejects_levels_that_are_not_increasing(tmp_path, capsys, levels):
+    out = tmp_path / "bp.json"
+    assert main(["verify-bp", "--levels=" + levels, "--out", str(out)]) == 2
+    assert "--levels must be strictly increasing integers in 0..7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_json(workspace, tmp_path):
     _, mesh_path, traces = workspace
     out = str(tmp_path / "rec.json")
@@ -175,13 +195,14 @@ def test_reconstruct_json(workspace, tmp_path):
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < 5e-2
 
 
-@pytest.mark.parametrize("probe", ["nan,0,0", "inf,0,0", "0.1,-inf,0"])
+@pytest.mark.parametrize("probe", ["nan,0,0", "inf,0,0", "0.1,-inf,0", "0.1,x,0"])
 def test_reconstruct_rejects_non_finite_probes(workspace, tmp_path, capsys, probe):
     _, mesh_path, traces = workspace
     out = tmp_path / "rec.json"
     assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
                  "--probes=0.3,0.1,-0.2;" + probe, "--out", str(out)]) == 2
-    assert "probe %r is not finite" % probe in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "probe %r is not finite" % probe in err and "--probes" in err
     assert not out.exists()
 
 
@@ -194,11 +215,12 @@ def test_reconstruct_near_boundary_exit_code(workspace, tmp_path):
 
 
 def test_reconstruct_near_boundary_on_the_second_thread(workspace, tmp_path, capsys):
-    # 64 inner probes fill the first row tile of the level-2 mesh's 320 nodes;
-    # the near one is alone in the second, which runs on the second thread
+    # at the level-2 mesh's 320 nodes, one tile's worth of pairs in inner probes
+    # fills 4 row tiles; the near one is alone in a fifth, so the sum takes two
+    # threads and the last 2 row tiles run on the second
     _, mesh_path, traces = workspace
     out = tmp_path / "rec.json"
-    probes = ";".join(["0.3,0.1,-0.2"] * 64 + ["0.99,0,0"])
+    probes = ";".join(["0.3,0.1,-0.2"] * (TILE_ROWS * NODE_CHUNK // 320) + ["0.99,0,0"])
     assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
                  "--probes=" + probes, "--out", str(out)]) == 4
     assert "rule requires" in capsys.readouterr().err

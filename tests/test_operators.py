@@ -1,5 +1,6 @@
 """Discretized volume and boundary operators and the reproduction identity."""
 
+import functools
 import sys
 import threading
 
@@ -27,8 +28,9 @@ from quatem.geometry import (
 )
 from quatem.kernels import grad_theta, theta, upsilon
 from quatem.operators import (
-    BLOCK_PAIRS,
     CUTOFF_FACTOR,
+    NODE_CHUNK,
+    TILE_ROWS,
     BoundaryDensity,
     VolumeDensity,
     _kernel_sum,
@@ -49,11 +51,6 @@ INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
 def _const_volume(value):
     f = constant_field(value)
     return VolumeDensity.from_function(QUAD2, f.value)
-
-
-def _block(n_nodes):
-    """Targets per block of a kernel sum over n_nodes nodes."""
-    return max(1, BLOCK_PAIRS // n_nodes)
 
 
 def _smoothstep(t):
@@ -171,7 +168,7 @@ def test_teodorescu_many_matches_single():
     # more targets than one block holds, one of them on a node; real and
     # complex alpha, both signs
     rng = np.random.default_rng(24)
-    xs = rng.uniform(-0.5, 0.5, (_block(len(QUAD2.points)) + 3, 3))
+    xs = rng.uniform(-0.5, 0.5, (TILE_ROWS + 3, 3))
     xs[2] = QUAD2.points[10]
     f = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
     d = VolumeDensity.from_function(QUAD2, f.value)
@@ -273,7 +270,7 @@ def test_cauchy_near_singularity_guard():
     # far enough inside is fine
     assert q.is_finite(cauchy_boundary(1.0, 1, d, PROBE))
     # a too-close target in a later block of a batch is caught as well
-    batch = np.vstack([np.tile(PROBE, (_block(MESH2.n_triangles), 1)), too_close])
+    batch = np.vstack([np.tile(PROBE, (TILE_ROWS, 1)), too_close])
     with pytest.raises(NearSingularityError):
         cauchy_boundary(1.0, 1, d, batch)
 
@@ -282,7 +279,7 @@ def test_cauchy_many_matches_single():
     # more targets than one block holds, so the batch spans a block boundary;
     # real and complex alpha, both signs, two meshes
     rng = np.random.default_rng(23)
-    xs = rng.uniform(-0.3, 0.3, (_block(MESH2.n_triangles) + 5, 3))
+    xs = rng.uniform(-0.3, 0.3, (TILE_ROWS + 5, 3))
 
     def random_density(mesh):
         shape = (mesh.n_triangles, 4)
@@ -334,7 +331,7 @@ def test_cauchy_stacked_matches_single(alphas, signs):
     # one call for K (alpha, sign, density) terms, on more targets than one
     # block holds, against K single calls and the node-by-node sum
     rng = np.random.default_rng(25)
-    xs = rng.uniform(-0.3, 0.3, (_block(MESH2.n_triangles) + 5, 3))
+    xs = rng.uniform(-0.3, 0.3, (TILE_ROWS + 5, 3))
     values = _random_density(MESH2, rng, len(alphas))
     stacked = cauchy_boundary(alphas, signs, BoundaryDensity(MESH2, values), xs)
     assert stacked.shape == (len(alphas), len(xs), 4)
@@ -351,7 +348,7 @@ def test_cauchy_stacked_matches_single(alphas, signs):
 def test_cauchy_stacked_guard_in_later_block():
     # the only too-close target sits in the last block of a stacked call
     d = BoundaryDensity(MESH2, _random_density(MESH2, np.random.default_rng(26), 2))
-    batch = np.vstack([np.tile(PROBE, (2 * _block(MESH2.n_triangles), 1)),
+    batch = np.vstack([np.tile(PROBE, (2 * TILE_ROWS, 1)),
                        0.999 * MESH2.centroids[7]])
     assert q.is_finite(cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, batch[:-1]))
     with pytest.raises(NearSingularityError):
@@ -418,29 +415,23 @@ def test_scalar_field_identity():
 # --- the tiled kernel sum on two threads ------------------------------------
 
 MESH3 = build_sphere_mesh(1.0, 3)
-QUAD4 = build_ball_quadrature(1.0, 4)  # 163840 nodes: node tiles of BLOCK_PAIRS
+QUAD4 = build_ball_quadrature(1.0, 4)  # 163840 nodes: 128 node tiles per row block
 
 
 def _one_tile_at_a_time(alpha, sign, xs, y, g, pair_weights):
     """The kernel sum as a loop over its tiles, each one _kernel_sum call of
     a single tile, which runs on the calling thread alone: row blocks of
-    BLOCK_PAIRS // N targets, or, for N > BLOCK_PAIRS nodes, each target's
-    node tiles of BLOCK_PAIRS nodes added in order."""
-    n = len(y)
-    if n <= BLOCK_PAIRS:
-        block = BLOCK_PAIRS // n
-        return np.concatenate([_kernel_sum(alpha, sign, xs[i:i + block], y, g, pair_weights)
-                               for i in range(0, len(xs), block)], axis=-2)
-    rows = []
-    for x in xs:
-        total = 0
-        for j in range(0, n, BLOCK_PAIRS):
-            cols = slice(j, min(j + BLOCK_PAIRS, n))
-            total = total + _kernel_sum(
-                alpha, sign, x[None], y[cols], g[..., cols, :],
-                lambda r, c, work, j=j: pair_weights(r, slice(j + c.start, j + c.stop), work))
-        rows.append(total)
-    return np.concatenate(rows, axis=-2)
+    TILE_ROWS targets, each the sum of its tiles of NODE_CHUNK nodes added
+    in order."""
+    blocks = []
+    for i in range(0, len(xs), TILE_ROWS):
+        tiles = [_kernel_sum(alpha, sign, xs[i:i + TILE_ROWS], y[j:j + NODE_CHUNK],
+                             g[..., j:j + NODE_CHUNK, :],
+                             lambda r, c, work, j=j: pair_weights(
+                                 r, slice(j + c.start, j + c.stop), work))
+                 for j in range(0, len(y), NODE_CHUNK)]
+        blocks.append(functools.reduce(np.add, tiles))
+    return np.concatenate(blocks, axis=-2)
 
 
 def _offset_targets(mesh):
@@ -473,12 +464,16 @@ def test_two_thread_boundary_sum_is_the_one_tile_loop_bit_for_bit():
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("n_targets", [3, 2], ids=["target on both threads", "cut between targets"])
+@pytest.mark.parametrize("n_targets", [3, TILE_ROWS + 1],
+                         ids=["target on both threads", "cut between targets"])
 def test_two_thread_volume_sum_in_node_tiles(n_targets):
-    # each target's 163840 nodes are 8 node tiles; 3 targets put the middle
-    # one's tiles on both threads, 2 targets one on each
-    alpha, sign, g, weights = _volume_terms(QUAD4, np.random.default_rng(32))
-    xs = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])[:n_targets]
+    # each row block's 163840 nodes are 128 node tiles; 3 targets are one row
+    # block, whose tiles (so every target's) are on both threads;
+    # TILE_ROWS + 1 targets are two row blocks, one on each thread
+    rng = np.random.default_rng(32)
+    alpha, sign, g, weights = _volume_terms(QUAD4, rng)
+    xs = np.vstack([[PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]],
+                    rng.uniform(-0.4, 0.4, (n_targets - 3, 3))])
     got = _kernel_sum(alpha, sign, xs, QUAD4.points, g, weights)
     expected = _one_tile_at_a_time(alpha, sign, xs, QUAD4.points, g, weights)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -492,13 +487,14 @@ def test_two_thread_volume_sum_in_node_tiles(n_targets):
 
 
 def test_node_tiles_of_any_length():
-    # 20480 + 2600 nodes: a full node tile, then 2 x 1280 nodes and 40 more
+    # ragged on both axes: TILE_ROWS + 1 targets are a full row block and
+    # one more, 2 x NODE_CHUNK + 40 nodes two full node tiles and 40 nodes
     rng = np.random.default_rng(33)
-    n = BLOCK_PAIRS + 2600
+    n = 2 * NODE_CHUNK + 40
     y = rng.uniform(-1.0, 1.0, (n, 3))
     g = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     node_w = rng.uniform(0.5, 1.0, n)
-    xs = np.array([[3.0, 0.0, 0.0], [0.0, -2.5, 1.0]])
+    xs = rng.uniform(-1.0, 1.0, (TILE_ROWS + 1, 3)) + [3.0, 0.0, 0.0]
     got = _kernel_sum(0.7, 1, xs, y, g, lambda r, cols, work: node_w[cols])
     reference = np.array([np.einsum("n,nk->k", node_w.astype(complex),
                                     q.qmul(upsilon(0.7, 1, x - y), g)) for x in xs])
@@ -543,8 +539,9 @@ def test_two_thread_sums_are_repeatable_under_contention():
 
 def test_guard_in_the_second_thread_raises_in_the_caller():
     d = BoundaryDensity(MESH2, _random_density(MESH2, np.random.default_rng(35), 2))
-    block = _block(MESH2.n_triangles)
-    inner = np.tile(PROBE, (3 * block, 1))  # with one more target: 4 row tiles, 2 per thread
+    # with one more target, more pairs than one tile holds: 5 row tiles, the
+    # last 2 on the second thread
+    inner = np.tile(PROBE, (TILE_ROWS * NODE_CHUNK // MESH2.n_triangles, 1))
     near, nearer = 0.999 * MESH2.centroids[7], 0.9995 * MESH2.centroids[3]
     with pytest.raises(NearSingularityError) as exc:
         cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, np.vstack([inner, near]))
