@@ -21,7 +21,7 @@ from .geometry import (
     build_sphere_mesh,
     checked_normals,
 )
-from .kernels import fd_d_alpha, fd_moisil_theodoresco, theta, upsilon
+from .kernels import theta, upsilon
 from .maxwell import (
     ChiralMedium,
     SourceData,
@@ -41,7 +41,6 @@ from .operators import (
 from .reconstruction import (
     ExtendibilityReport,
     extendibility_residual,
-    maxwell_residual,
     reconstruct_eh,
 )
 

@@ -68,6 +68,11 @@ _BP_FIELDS = {
     "beltrami": lambda alpha: abc_beltrami(-alpha),
 }
 _BP_SLACK = 0.10
+# verify-bp's coarsest level: below it one of _BP_PROBES comes closer to a surface
+# node (0.40 and 0.53 radius at levels 0 and 1) than the boundary operator's
+# exclusion zone of 2 mesh spacings (1.38 and 0.76 radius), at any radius, so
+# those levels could only exit 4
+MIN_BP_LEVEL = 2
 
 _BP_PROBES = np.array(
     [
@@ -228,7 +233,7 @@ def cmd_gen_field(args) -> int:
         _save_traces(args.out, e, h)
         print("gen-field: %s traces on %d triangles -> %s"
               % (args.family, len(pts), args.out))
-    else:  # single quaternion field: sample CSV, the q column as in q.to_text
+    else:  # single quaternion field: sample CSV, q as re/im of q0..q3 separated by spaces
         vals = np.ascontiguousarray(first.value(pts), dtype=complex).view(float)
         save_csv(args.out, np.column_stack([np.arange(len(pts)), pts, vals]),
                  "%d" + ",%.17g" * 4 + " %.17g" * 7, ["triangle", "x", "y", "z", "q"])
@@ -252,7 +257,7 @@ def cmd_kernel_probe(args) -> int:
     xs = radii[:, None] * direction
     th = theta(args.alpha, xs)
     up = upsilon(args.alpha, args.sign, xs)
-    # r, re/im of theta, then the upsilon column as in q.to_text
+    # r, re/im of theta, then upsilon as re/im of q0..q3 separated by spaces
     save_csv(args.out, np.column_stack([radii, th.real, th.imag, up.view(float)]),
              "%.17g" + ",%.17g" * 3 + " %.17g" * 7, ["r", "theta_re", "theta_im", "upsilon"])
     print("kernel-probe: alpha=%s sign=%+d, %d radii -> %s"
@@ -268,9 +273,9 @@ def cmd_verify_bp(args) -> int:
     except ValueError:
         levels = []
     if not levels or sorted(set(levels)) != levels or not (
-            0 <= levels[0] and levels[-1] <= MAX_SUBDIVISION):
-        raise ConfigError("--levels must be strictly increasing integers in 0..%d, got %r"
-                          % (MAX_SUBDIVISION, args.levels))
+            MIN_BP_LEVEL <= levels[0] and levels[-1] <= MAX_SUBDIVISION):
+        raise ConfigError("--levels must be strictly increasing integers in %d..%d, got %r"
+                          % (MIN_BP_LEVEL, MAX_SUBDIVISION, args.levels))
     alpha = args.alpha
     table = {name: [] for name in _BP_FIELDS}
     for level in levels:

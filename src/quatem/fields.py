@@ -123,6 +123,8 @@ def polynomial_field(coeffs) -> AnalyticField:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (4, N_MONOMIALS):
         raise ValueError("coefficient table must have shape (4, %d)" % N_MONOMIALS)
+    if not q.is_finite(coeffs):
+        raise ValueError("polynomial coefficients must be finite")
 
     grad = [coeffs @ _DMAT[axis] for axis in range(3)]  # d(coeffs)/dx_axis
     d_coeffs = np.zeros_like(coeffs)
@@ -150,13 +152,6 @@ def identity_vector_field() -> AnalyticField:
     """The purely vectorial field f(x) = x, for which D f = -3."""
     coeffs = np.zeros((4, N_MONOMIALS), dtype=complex)
     coeffs[1, 1] = coeffs[2, 2] = coeffs[3, 3] = 1.0
-    return polynomial_field(coeffs)
-
-
-def constant_field(value) -> AnalyticField:
-    """A constant quaternion field."""
-    coeffs = np.zeros((4, N_MONOMIALS), dtype=complex)
-    coeffs[:, 0] = np.asarray(value, dtype=complex).reshape(4)
     return polynomial_field(coeffs)
 
 

@@ -140,8 +140,8 @@ def _subdivide(vertices: np.ndarray, faces: np.ndarray):
 
 def build_sphere_mesh(radius: float, level: int) -> SurfaceMesh:
     """Icosphere of the given radius: 20 * 4**level triangles."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be finite and positive, got %g" % radius)
     if level < 0:
         raise ValueError("subdivision level must be >= 0")
     if level > MAX_SUBDIVISION:
@@ -162,8 +162,8 @@ def build_ball_quadrature(radius: float, level: int) -> VolumeQuadrature:
     The radial order doubles with each level (8 at level <= 2), so that
     `level` refines the rule isotropically.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be finite and positive, got %g" % radius)
     sphere = build_sphere_mesh(1.0, level)
     dirs = sphere.centroids / np.linalg.norm(sphere.centroids, axis=1)[:, None]
     ang_w = sphere.areas * (4.0 * np.pi / sphere.area)
@@ -222,7 +222,8 @@ def load_off(path) -> SurfaceMesh:
     """Read an ASCII OFF file (triangles only).
 
     Raises TopologyError on a file that is not OFF, is cut short, has a
-    non-triangular face or indexes a vertex it does not hold.
+    vertex coordinate that is not finite, has a non-triangular face or
+    indexes a vertex it does not hold.
     """
     with open(path) as fh:
         tokens = re.sub(r"#.*", "", fh.read()).split()
@@ -235,6 +236,8 @@ def load_off(path) -> SurfaceMesh:
         raise TopologyError("OFF file %s is empty or truncated (it declares %d vertices "
                             "and %d faces)" % (path, nv, nf))
     vertices = np.array(tokens[4:start], dtype=float).reshape(nv, 3)
+    if not np.all(np.isfinite(vertices)):
+        raise TopologyError("OFF file %s holds a vertex coordinate that is not finite" % path)
     faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)
     if np.any(faces[:, 0] != 3):
         raise TopologyError("only triangular faces are supported")

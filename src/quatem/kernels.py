@@ -1,19 +1,12 @@
-"""Fundamental solutions and finite-difference differential operators.
-
-theta is the Helmholtz fundamental solution -exp(i*a*r)/(4*pi*r); upsilon
-is its quaternionic companion, the fundamental solution of the perturbed
-Dirac-type operator D +- a.  The finite-difference versions of D and of
-div/rot exist purely as verification oracles for closed-form derivatives.
-"""
+"""Fundamental solutions: theta, the Helmholtz one -exp(i*a*r)/(4*pi*r),
+and its quaternionic companion upsilon, the fundamental solution of the
+perturbed Dirac-type operator D +- a."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import quaternions as q
 from .errors import SingularityError
-
-DEFAULT_FD_STEP = 1e-4
 
 
 def _radii(x) -> np.ndarray:
@@ -70,13 +63,6 @@ def theta(alpha, x) -> np.ndarray:
     return th[0] + 1j * th[1]
 
 
-def grad_theta(alpha, x) -> np.ndarray:
-    """Closed-form gradient of theta: theta * (i*alpha - 1/r) * x/r."""
-    x = np.asarray(x, dtype=float)
-    r = _radii(x)
-    return (theta(alpha, x) * (1j * alpha - 1.0 / r) / r)[..., None] * x
-
-
 def upsilon(alpha, sign: int, x) -> np.ndarray:
     """Fundamental solution of D + sign*alpha as a quaternion field.
 
@@ -92,52 +78,3 @@ def upsilon(alpha, sign: int, x) -> np.ndarray:
     out[..., 1:] = c[..., None] * x
     return out
 
-
-def fd_partial(f, x, axis: int, h: float = DEFAULT_FD_STEP):
-    """Central difference of a batched evaluator along one axis, at one
-    point (3,) or many (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    plus = x.copy()
-    minus = x.copy()
-    plus[..., axis] += h
-    minus[..., axis] -= h
-    return (f(plus) - f(minus)) / (2.0 * h)
-
-
-def fd_moisil_theodoresco(f, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference Moisil-Theodoresco operator sum_k i_k * df/dx_k.
-
-    `f` maps points (..., 3) to quaternions (..., 4); x is one point (3,)
-    or many (..., 3).  The product i_k * f is the quaternionic one, so the
-    result carries -div, grad and rot contributions in its scalar/vector
-    parts.
-    """
-    return sum(q.qmul(q.UNITS[k + 1], fd_partial(f, x, k, h)) for k in range(3))
-
-
-def fd_d_alpha(f, alpha, sign: int, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference (D + sign*alpha) f at one point (3,) or many (..., 3)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return fd_moisil_theodoresco(f, x, h) + sign * alpha * f(np.asarray(x, dtype=float))
-
-
-def fd_jacobian(fvec, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """J[..., i, j] = d f_i / d x_j for a C^3-valued batched evaluator, at
-    one point (3,) or many (..., 3)."""
-    return np.stack([fd_partial(fvec, x, j, h) for j in range(3)], axis=-1)
-
-
-def fd_div(fvec, x, h: float = DEFAULT_FD_STEP):
-    return np.trace(fd_jacobian(fvec, x, h))
-
-
-def fd_curl(fvec, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    jac = fd_jacobian(fvec, x, h)
-    return np.array(
-        [
-            jac[2, 1] - jac[1, 2],
-            jac[0, 2] - jac[2, 0],
-            jac[1, 0] - jac[0, 1],
-        ]
-    )

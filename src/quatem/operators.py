@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -76,24 +76,22 @@ class BoundaryDensity:
 
 @dataclass(frozen=True)
 class VolumeDensity:
-    """Quaternion values attached to the nodes of a volume rule, with the
-    batched evaluator they came from; the near-field treatment of the
-    volume potential samples the density off-node through it."""
+    """A batched evaluator and its quaternion values at the nodes of a
+    volume rule, computed once; the near-field treatment of the volume
+    potential samples the density off-node through the evaluator."""
 
     quadrature: VolumeQuadrature
-    values: np.ndarray  # (N, 4)
     evaluator: Callable[[np.ndarray], np.ndarray]
+    values: np.ndarray = field(init=False)  # (N, 4)
 
     def __post_init__(self):
+        values = np.asarray(self.evaluator(self.quadrature.points), dtype=complex)
         expected = (len(self.quadrature.points), 4)
-        if self.values.shape != expected:
+        if values.shape != expected:
             raise ValueError("values must have shape %s" % (expected,))
-        if not q.is_finite(self.values):
+        if not q.is_finite(values):
             raise ValueError("volume density contains non-finite values")
-
-    @classmethod
-    def from_function(cls, quadrature: VolumeQuadrature, f) -> "VolumeDensity":
-        return cls(quadrature, np.asarray(f(quadrature.points), dtype=complex), f)
+        object.__setattr__(self, "values", values)
 
     def sample(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(pts), dtype=complex)
@@ -311,7 +309,7 @@ def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,
     """
     x = np.asarray(x, dtype=float)
     trace = BoundaryDensity.from_function(mesh, f.value)
-    volume = VolumeDensity.from_function(quadrature, f.d_alpha(alpha, sign))
+    volume = VolumeDensity(quadrature, f.d_alpha(alpha, sign))
     reproduced = cauchy_boundary(alpha, sign, trace, x) + teodorescu(alpha, sign, volume, x)
     fx = f.value(x)
     res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)

@@ -101,22 +101,3 @@ def is_finite(q) -> bool:
     q = np.asarray(q, dtype=complex)
     return bool(np.all(np.isfinite(q.real)) and np.all(np.isfinite(q.imag)))
 
-
-def to_text(q) -> str:
-    """Serialize one quaternion as 8 decimal numbers: re/im of q0..q3."""
-    q = np.asarray(q, dtype=complex).reshape(4)
-    parts = []
-    for c in q:
-        parts.append("%.17g" % c.real)
-        parts.append("%.17g" % c.imag)
-    return " ".join(parts)
-
-
-def from_text(text: str) -> np.ndarray:
-    """Parse the 8-number serialization produced by to_text."""
-    nums = [float(tok) for tok in text.replace(",", " ").split()]
-    if len(nums) != 8:
-        raise ValueError("expected 8 numbers (re/im of q0..q3), got %d" % len(nums))
-    return np.array(
-        [complex(nums[2 * k], nums[2 * k + 1]) for k in range(4)], dtype=complex
-    )

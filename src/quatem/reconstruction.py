@@ -22,9 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import quaternions as q
-from .fields import AnalyticField
 from .geometry import SurfaceMesh, VolumeQuadrature
-from .kernels import fd_curl
 from .maxwell import ChiralMedium, SourceData, merge_values, phi_psi_rhs, split_values
 from .operators import (
     RESIDUAL_FLOOR,
@@ -68,8 +66,8 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
     phi_x, psi_x = cauchy_boundary((a1, a2), (1, -1), modes, x)
     if source is not None:
         rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
-        phi_x = phi_x + teodorescu(a1, 1, VolumeDensity.from_function(quadrature, rhs_phi), x)
-        psi_x = psi_x + teodorescu(a2, -1, VolumeDensity.from_function(quadrature, rhs_psi), x)
+        phi_x = phi_x + teodorescu(a1, 1, VolumeDensity(quadrature, rhs_phi), x)
+        psi_x = psi_x + teodorescu(a2, -1, VolumeDensity(quadrature, rhs_psi), x)
     return merge_values(phi_x, psi_x)
 
 
@@ -188,26 +186,3 @@ def perturb_traces(mesh: SurfaceMesh, e_trace, h_trace, amplitude: float,
         out.append(trace + amplitude * rms * raw)
     return out[0], out[1]
 
-
-def maxwell_residual(e_field: AnalyticField, h_field: AnalyticField,
-                     medium: ChiralMedium, x):
-    """Finite-difference residuals of the source-free chiral curl equations at x.
-
-    rot E = -ik (H + beta rot H)
-    rot H =  ik (E + beta rot E)
-
-    Each residual is normalized by the larger of its two sides.
-    """
-    x = np.asarray(x, dtype=float)
-    k, beta = medium.k, medium.beta
-    rot_e = fd_curl(e_field.vector_value, x)
-    rot_h = fd_curl(h_field.vector_value, x)
-    e_x = e_field.vector_value(x)
-    h_x = h_field.vector_value(x)
-
-    rhs1 = -1j * k * (h_x + beta * rot_h)
-    rhs2 = 1j * k * (e_x + beta * rot_e)
-    norm = np.linalg.norm
-    r1 = norm(rot_e - rhs1) / max(norm(rot_e), norm(rhs1), RESIDUAL_FLOOR)
-    r2 = norm(rot_h - rhs2) / max(norm(rot_h), norm(rhs2), RESIDUAL_FLOOR)
-    return float(r1), float(r2)

@@ -1,0 +1,130 @@
+"""Reference implementations that only the tests use.
+
+Finite-difference versions of the Moisil-Theodoresco operator D, of
+D +- alpha and of div/rot check the closed-form derivatives of the kernels
+and fields; grad_theta is the closed-form gradient of the Helmholtz
+fundamental solution; maxwell_residual checks the chiral curl equations by
+finite differences; constant_field is the degree-0 polynomial field; and
+to_text/from_text write and read one quaternion as the 8 numbers of the
+CLI's CSV q columns.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from quatem import quaternions as q
+from quatem.fields import N_MONOMIALS, AnalyticField, polynomial_field
+from quatem.kernels import _radii, theta
+from quatem.maxwell import ChiralMedium
+from quatem.operators import RESIDUAL_FLOOR
+
+DEFAULT_FD_STEP = 1e-4
+
+
+def grad_theta(alpha, x) -> np.ndarray:
+    """Closed-form gradient of theta: theta * (i*alpha - 1/r) * x/r."""
+    x = np.asarray(x, dtype=float)
+    r = _radii(x)
+    return (theta(alpha, x) * (1j * alpha - 1.0 / r) / r)[..., None] * x
+
+
+def fd_partial(f, x, axis: int, h: float = DEFAULT_FD_STEP):
+    """Central difference of a batched evaluator along one axis, at one
+    point (3,) or many (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    plus = x.copy()
+    minus = x.copy()
+    plus[..., axis] += h
+    minus[..., axis] -= h
+    return (f(plus) - f(minus)) / (2.0 * h)
+
+
+def fd_moisil_theodoresco(f, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference Moisil-Theodoresco operator sum_k i_k * df/dx_k.
+
+    `f` maps points (..., 3) to quaternions (..., 4); x is one point (3,)
+    or many (..., 3).  The product i_k * f is the quaternionic one, so the
+    result carries -div, grad and rot contributions in its scalar/vector
+    parts.
+    """
+    return sum(q.qmul(q.UNITS[k + 1], fd_partial(f, x, k, h)) for k in range(3))
+
+
+def fd_d_alpha(f, alpha, sign: int, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference (D + sign*alpha) f at one point (3,) or many (..., 3)."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return fd_moisil_theodoresco(f, x, h) + sign * alpha * f(np.asarray(x, dtype=float))
+
+
+def fd_jacobian(fvec, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """J[..., i, j] = d f_i / d x_j for a C^3-valued batched evaluator, at
+    one point (3,) or many (..., 3)."""
+    return np.stack([fd_partial(fvec, x, j, h) for j in range(3)], axis=-1)
+
+
+def fd_div(fvec, x, h: float = DEFAULT_FD_STEP):
+    return np.trace(fd_jacobian(fvec, x, h))
+
+
+def fd_curl(fvec, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    jac = fd_jacobian(fvec, x, h)
+    return np.array(
+        [
+            jac[2, 1] - jac[1, 2],
+            jac[0, 2] - jac[2, 0],
+            jac[1, 0] - jac[0, 1],
+        ]
+    )
+
+
+def maxwell_residual(e_field: AnalyticField, h_field: AnalyticField,
+                     medium: ChiralMedium, x):
+    """Finite-difference residuals of the source-free chiral curl equations at x.
+
+    rot E = -ik (H + beta rot H)
+    rot H =  ik (E + beta rot E)
+
+    Each residual is normalized by the larger of its two sides.
+    """
+    x = np.asarray(x, dtype=float)
+    k, beta = medium.k, medium.beta
+    rot_e = fd_curl(e_field.vector_value, x)
+    rot_h = fd_curl(h_field.vector_value, x)
+    e_x = e_field.vector_value(x)
+    h_x = h_field.vector_value(x)
+
+    rhs1 = -1j * k * (h_x + beta * rot_h)
+    rhs2 = 1j * k * (e_x + beta * rot_e)
+    norm = np.linalg.norm
+    r1 = norm(rot_e - rhs1) / max(norm(rot_e), norm(rhs1), RESIDUAL_FLOOR)
+    r2 = norm(rot_h - rhs2) / max(norm(rot_h), norm(rhs2), RESIDUAL_FLOOR)
+    return float(r1), float(r2)
+
+
+def constant_field(value) -> AnalyticField:
+    """A constant quaternion field."""
+    coeffs = np.zeros((4, N_MONOMIALS), dtype=complex)
+    coeffs[:, 0] = np.asarray(value, dtype=complex).reshape(4)
+    return polynomial_field(coeffs)
+
+
+def to_text(quat) -> str:
+    """Serialize one quaternion as 8 decimal numbers: re/im of q0..q3."""
+    quat = np.asarray(quat, dtype=complex).reshape(4)
+    parts = []
+    for c in quat:
+        parts.append("%.17g" % c.real)
+        parts.append("%.17g" % c.imag)
+    return " ".join(parts)
+
+
+def from_text(text: str) -> np.ndarray:
+    """Parse the 8-number serialization produced by to_text."""
+    nums = [float(tok) for tok in text.replace(",", " ").split()]
+    if len(nums) != 8:
+        raise ValueError("expected 8 numbers (re/im of q0..q3), got %d" % len(nums))
+    return np.array(
+        [complex(nums[2 * k], nums[2 * k + 1]) for k in range(4)], dtype=complex
+    )

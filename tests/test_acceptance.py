@@ -20,16 +20,17 @@ from quatem.fields import (
     scalar_monomial,
 )
 from quatem.geometry import build_ball_quadrature, build_sphere_mesh
-from quatem.kernels import fd_d_alpha, fd_moisil_theodoresco, upsilon
+from quatem.kernels import upsilon
 from quatem.maxwell import SourceData, continuity_rho, make_medium
 from quatem.operators import borel_pompeiu_residual
 from quatem.reconstruction import (
     extendibility_residual,
-    maxwell_residual,
     perturb_traces,
     reconstruct_eh,
     two_kernel_eh,
 )
+
+from oracles import fd_d_alpha, fd_moisil_theodoresco, maxwell_residual
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 

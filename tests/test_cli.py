@@ -14,6 +14,8 @@ from quatem.geometry import load_off, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
 from quatem.operators import NODE_CHUNK, TILE_ROWS
 
+from oracles import from_text
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -47,6 +49,15 @@ def test_gen_mesh_deterministic(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+def test_gen_mesh_rejects_radius_that_is_not_finite_and_positive(tmp_path, capsys, radius):
+    out, ball = tmp_path / "m.off", tmp_path / "b.csv"
+    assert main(["gen-mesh", "--radius", radius, "--level", "1", "--out", str(out),
+                 "--ball-csv", str(ball)]) == 2
+    assert "radius must be finite and positive" in capsys.readouterr().err
+    assert not out.exists() and not ball.exists()
+
+
 def test_gen_field_trace_values(workspace):
     root, mesh_path, traces = workspace
     mesh = load_off(mesh_path)
@@ -70,11 +81,24 @@ def test_gen_field_beltrami_samples(workspace, tmp_path):
                  "--mesh", mesh_path, "--out", out]) == 0
     with open(out, newline="") as fh:
         rows = [r for r in csv.reader(fh)][1:]
-    v = q.from_text(rows[0][4])
+    v = from_text(rows[0][4])
     x = np.array([float(rows[0][1]), float(rows[0][2]), float(rows[0][3])])
     from quatem.fields import abc_beltrami
 
     assert np.allclose(v, abc_beltrami(1.3).value(x))
+
+
+@pytest.mark.parametrize("pair", [[float("nan"), 0.0], [0.0, -float("inf")]])
+def test_gen_field_rejects_non_finite_coefficients(workspace, tmp_path, capsys, pair):
+    _, mesh_path, _ = workspace
+    coeffs = [[[0.0, 0.0]] * 10 for _ in range(4)]
+    coeffs[2][5] = pair
+    (tmp_path / "c.json").write_text(json.dumps(coeffs))  # NaN and Infinity, as json reads
+    out = tmp_path / "s.csv"
+    assert main(["gen-field", "--family", "polynomial", "--mesh", mesh_path, "--coeffs-file",
+                 str(tmp_path / "c.json"), "--out", str(out)]) == 2
+    assert "coefficients must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_field_requires_parameters(workspace, tmp_path):
@@ -173,11 +197,11 @@ def test_verify_bp_json(tmp_path):
         assert len(col) == 2 and col[1] < col[0]
 
 
-@pytest.mark.parametrize("levels", ["3,2", "2,x", "2,,3", "1,1", "-1,2", "2,8"])
+@pytest.mark.parametrize("levels", ["3,2", "2,x", "2,,3", "1,1", "-1,2", "2,8", "0,2", "1,2"])
 def test_verify_bp_rejects_levels_that_are_not_increasing(tmp_path, capsys, levels):
     out = tmp_path / "bp.json"
     assert main(["verify-bp", "--levels=" + levels, "--out", str(out)]) == 2
-    assert "--levels must be strictly increasing integers in 0..7" in capsys.readouterr().err
+    assert "--levels must be strictly increasing integers in 2..7" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -250,6 +274,20 @@ def test_reconstruct_rejects_probes_outside_the_surface(workspace, tmp_path, cap
     assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
                  "--probes=" + probes, "--out", str(tmp_path / "rec.json")]) == 4
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-field", "reconstruct", "extend-check"])
+def test_commands_reject_mesh_with_non_finite_vertex(workspace, tmp_path, capsys, command):
+    _, mesh_path, traces = workspace
+    lines = open(mesh_path).read().split("\n")
+    lines[5] = "nan 0 1"  # the fourth vertex
+    bad = tmp_path / "nan.off"
+    bad.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    inputs = ["--family", "chiral-exact"] if command == "gen-field" else ["--traces", traces]
+    assert main([command, "--mesh", str(bad), "--out", str(out)] + inputs) == 2
+    assert "%s holds a vertex coordinate that is not finite" % bad in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extend_check_rejects_misoriented_mesh(workspace, tmp_path, capsys):

@@ -6,14 +6,14 @@ import pytest
 from quatem import quaternions as q
 from quatem.fields import (
     abc_beltrami,
-    constant_field,
     exact_chiral_solution,
     identity_vector_field,
     polynomial_field,
     scalar_monomial,
 )
-from quatem.kernels import fd_curl, fd_div, fd_moisil_theodoresco
 from quatem.maxwell import make_medium
+
+from oracles import constant_field, fd_curl, fd_div, fd_moisil_theodoresco
 
 PROBES = np.array([[0.2, -0.5, 0.31], [1.1, 0.4, -0.8], [-0.3, 0.9, 0.05]])
 

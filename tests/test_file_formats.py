@@ -22,6 +22,8 @@ from quatem.geometry import (
     save_quadrature_csv,
 )
 
+from oracles import from_text, to_text
+
 
 def test_off_bytes(tmp_path):
     mesh = build_sphere_mesh(1.3, 2)
@@ -86,7 +88,7 @@ def test_field_sample_csv_bytes(tmp_path, family):
         writer = csv.writer(fh)
         writer.writerow(["triangle", "x", "y", "z", "q"])
         for t, (p, v) in enumerate(zip(mesh.centroids, field.value(mesh.centroids))):
-            writer.writerow([t, "%.17g" % p[0], "%.17g" % p[1], "%.17g" % p[2], q.to_text(v)])
+            writer.writerow([t, "%.17g" % p[0], "%.17g" % p[1], "%.17g" % p[2], to_text(v)])
     path = tmp_path / "s.csv"
     assert main(["gen-field", "--family", family, "--mesh", str(tmp_path / "m.off"),
                  "--out", str(path)] + options) == 0
@@ -103,7 +105,7 @@ def test_kernel_probe_csv(tmp_path):
         for r in np.linspace(0.1, 2.0, count):
             th = theta(alpha, r * direction)
             writer.writerow(["%.17g" % r, "%.17g" % th.real, "%.17g" % th.imag,
-                             q.to_text(upsilon(alpha, sign, r * direction))])
+                             to_text(upsilon(alpha, sign, r * direction))])
     path = tmp_path / "kp.csv"
     assert main(["kernel-probe", "--alpha", "1+0.3j", "--sign", "-1", "--direction",
                  "1,2,-0.5", "--count", str(count), "--out", str(path)]) == 0
@@ -116,7 +118,7 @@ def test_kernel_probe_csv(tmp_path):
     assert all(len(row) == 4 and row[:3] == ref[:3] for row, ref in zip(got, expected))
     # the batched evaluation may round the last digit of upsilon differently
     for row, ref in zip(got[1:], expected[1:]):
-        ups, ups_ref = (q.from_text(text) for text in (row[3], ref[3]))
+        ups, ups_ref = (from_text(text) for text in (row[3], ref[3]))
         assert len(row[3].split(" ")) == 8
         assert q.norm(ups - ups_ref) <= 1e-14 * q.norm(ups_ref)
 

@@ -230,6 +230,7 @@ def test_off_roundtrip_under_rigid_motion_and_scaling(rotation, shift, scale):
     pytest.param(TETRA_OFF[:TETRA_OFF.rindex("3 1 3 2")], id="truncated face list"),
     pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 4"), id="face index past the vertices"),
     pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 -1 2"), id="negative face index"),
+    pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 nan -1"), id="non-finite vertex"),
 ])
 def test_off_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.off"

@@ -9,16 +9,15 @@ from quatem import quaternions as q
 from quatem.cli import main
 from quatem.errors import SingularityError
 from quatem.fields import abc_beltrami, polynomial_field
-from quatem.kernels import (
+from quatem.kernels import radial_factors, theta, upsilon
+
+from oracles import (
     fd_curl,
     fd_d_alpha,
     fd_div,
     fd_moisil_theodoresco,
     fd_partial,
     grad_theta,
-    radial_factors,
-    theta,
-    upsilon,
 )
 
 PROBES = np.array([[0.8, -0.3, 0.52], [0.1, 1.4, -0.2], [-1.1, 0.4, 0.9]])

@@ -5,7 +5,6 @@ import pytest
 
 from quatem.errors import SingularMediumError
 from quatem.fields import abc_beltrami, exact_chiral_solution
-from quatem.kernels import fd_div
 from quatem.maxwell import (
     SourceData,
     continuity_rho,
@@ -14,8 +13,9 @@ from quatem.maxwell import (
     phi_psi_rhs,
     split_values,
 )
-from quatem.reconstruction import maxwell_residual
 from quatem import quaternions as q
+
+from oracles import fd_div, maxwell_residual
 
 
 def test_canonical_medium_parameters():

