@@ -36,6 +36,7 @@ from .geometry import (
     MAX_SUBDIVISION,
     build_ball_quadrature,
     build_sphere_mesh,
+    checked_ball_nodes,
     checked_normals,
     load_off,
     save_csv,
@@ -187,7 +188,42 @@ def _save_traces(path, e, h) -> None:
              ["%d"] + ["%.17g"] * 12, _TRACE_HEADER)
 
 
+def _outward_mesh(path):
+    """The OFF mesh at path, refused unless it is closed and wound
+    consistently outward."""
+    mesh = load_off(path)
+    check = checked_normals(mesh)
+    if not check.consistent_orientation or check.signed_volume <= 0:
+        raise TopologyError("mesh %s is not wound consistently outward (signed volume %g)"
+                            % (path, check.signed_volume))
+    return mesh
+
+
+def _load_coeffs(path) -> np.ndarray:
+    """The --coeffs-file table: a JSON list of rows, each entry a number or
+    an [re, im] pair."""
+    with open(path) as fh:
+        raw = json.load(fh)
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def entry(c):
+        if number(c):
+            return complex(c)
+        if isinstance(c, list) and len(c) == 2 and all(map(number, c)):
+            return complex(c[0], c[1])
+        raise ConfigError("--coeffs-file %s: entry %s is neither a number nor an [re, im] "
+                          "pair" % (path, json.dumps(c)))
+
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ConfigError("--coeffs-file %s must hold a list of rows" % path)
+    return np.array([[entry(c) for c in row] for row in raw])
+
+
 def cmd_gen_mesh(args) -> int:
+    if args.ball_csv:
+        checked_ball_nodes(args.level)
     mesh = build_sphere_mesh(args.radius, args.level)
     save_off(mesh, args.out)
     if args.ball_csv:
@@ -204,13 +240,7 @@ def _field_from_args(args, medium):
     if args.family == "polynomial":
         if not args.coeffs_file:
             raise ConfigError("polynomial requires --coeffs-file")
-        with open(args.coeffs_file) as fh:
-            raw = json.load(fh)
-        table = np.array(
-            [[complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in row]
-             for row in raw]
-        )
-        return (polynomial_field(table), None)
+        return (polynomial_field(_load_coeffs(args.coeffs_file)), None)
     amps = tuple(_float_or_nan(v) for v in args.amplitudes.split(","))
     if len(amps) != 3 or not np.all(np.isfinite(amps)):
         raise ConfigError("--amplitudes must be three finite numbers 'a,b,c', got %r"
@@ -276,6 +306,7 @@ def cmd_verify_bp(args) -> int:
             MIN_BP_LEVEL <= levels[0] and levels[-1] <= MAX_SUBDIVISION):
         raise ConfigError("--levels must be strictly increasing integers in %d..%d, got %r"
                           % (MIN_BP_LEVEL, MAX_SUBDIVISION, args.levels))
+    checked_ball_nodes(levels[-1])
     alpha = args.alpha
     table = {name: [] for name in _BP_FIELDS}
     for level in levels:
@@ -321,18 +352,17 @@ def _parse_probes(text: str) -> np.ndarray:
 
 
 def cmd_reconstruct(args) -> int:
-    mesh = load_off(args.mesh)
+    mesh = _outward_mesh(args.mesh)
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
     probes = _parse_probes(args.probes)
-    # K_0 of the constant 1: 1 inside the surface, 0 outside, -1 inside an inward-wound mesh
+    # K_0 of the constant 1: 1 inside the surface, 0 outside
     ones = BoundaryDensity(mesh, np.broadcast_to(q.ONE, (mesh.n_triangles, 4)))
     indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
     for x, value in zip(probes, indicator):
         if abs(value - 1.0) > 0.5:
-            print("numeric precondition violated: probe %g,%g,%g is not inside the outward-"
-                  "wound surface (interior indicator %.4g, expected 1)" % (*x, value),
-                  file=sys.stderr)
+            print("numeric precondition violated: probe %g,%g,%g is not inside the surface "
+                  "(interior indicator %.4g, expected 1)" % (*x, value), file=sys.stderr)
             return EXIT_NUMERIC
     e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, None, medium, None, probes)
     e_k, h_k = two_kernel_eh(mesh, e_tr, h_tr, medium, probes)
@@ -365,15 +395,11 @@ def cmd_extend_check(args) -> int:
         raise ConfigError("--threshold must be finite and positive, got %g" % args.threshold)
     if not 0 <= args.perturb < np.inf:
         raise ConfigError("--perturb must be finite and not negative, got %g" % args.perturb)
-    mesh = load_off(args.mesh)
+    mesh = _outward_mesh(args.mesh)
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
     if args.perturb:
         e_tr, h_tr = perturb_traces(mesh, e_tr, h_tr, args.perturb, args.seed)
-    check = checked_normals(mesh)
-    if not check.consistent_orientation or check.signed_volume <= 0:
-        raise TopologyError("mesh %s is not wound consistently outward (signed volume %g)"
-                            % (args.mesh, check.signed_volume))
     report = extendibility_residual(mesh, e_tr, h_tr, medium, args.extrapolation)
     verdict_ok = report.rms <= args.threshold
     _write_json(args.out, {

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import CapacityError, TopologyError
 
 MAX_SUBDIVISION = 7  # 20 * 4**7 = 327680 triangles, the desk-scale budget
+MAX_BALL_NODES = 1_310_720  # the level-5 ball rule, on which verify-bp --levels 5
+                            # peaked at 515 MB of RSS; the level-6 rule has 8x
+                            # the nodes (10485760), the level-7 one 64x
 
 _PHI = (1.0 + 5.0**0.5) / 2.0
 
@@ -155,19 +158,35 @@ def build_sphere_mesh(radius: float, level: int) -> SurfaceMesh:
     return mesh_from_arrays(vertices * radius, faces)
 
 
+def _radial_order(level: int) -> int:
+    return max(8, 2 ** (level + 1))
+
+
+def checked_ball_nodes(level: int) -> int:
+    """Node count of the level-`level` ball rule, 20 * 4**level directions
+    times the radial order.  Raises CapacityError past MAX_BALL_NODES."""
+    nodes = 20 * 4 ** level * _radial_order(level)
+    if nodes > MAX_BALL_NODES:
+        raise CapacityError("the level-%d ball rule has %d nodes, past the budget of %d"
+                            % (level, nodes, MAX_BALL_NODES))
+    return nodes
+
+
 def build_ball_quadrature(radius: float, level: int) -> VolumeQuadrature:
     """Product rule on the ball: Gauss-Legendre in radius times the angular
     cells of a level-`level` icosphere (cell weights normalized to 4*pi).
 
     The radial order doubles with each level (8 at level <= 2), so that
-    `level` refines the rule isotropically.
+    `level` refines the rule isotropically.  Raises CapacityError, before
+    allocating, for a rule of more than MAX_BALL_NODES nodes.
     """
     if not 0 < radius < np.inf:
         raise ValueError("radius must be finite and positive, got %g" % radius)
+    checked_ball_nodes(level)
     sphere = build_sphere_mesh(1.0, level)
     dirs = sphere.centroids / np.linalg.norm(sphere.centroids, axis=1)[:, None]
     ang_w = sphere.areas * (4.0 * np.pi / sphere.area)
-    t, w = np.polynomial.legendre.leggauss(max(8, 2 ** (level + 1)))
+    t, w = np.polynomial.legendre.leggauss(_radial_order(level))
     r = 0.5 * radius * (t + 1.0)
     wr = 0.5 * radius * w
     points = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
@@ -221,26 +240,35 @@ def save_off(mesh: SurfaceMesh, path) -> None:
 def load_off(path) -> SurfaceMesh:
     """Read an ASCII OFF file (triangles only).
 
-    Raises TopologyError on a file that is not OFF, is cut short, has a
-    vertex coordinate that is not finite, has a non-triangular face or
-    indexes a vertex it does not hold.
+    Raises TopologyError, naming the file, on a file that is not OFF, is
+    cut short, holds a token that is not a number or a vertex coordinate
+    that is not finite, has a non-triangular face or indexes a vertex it
+    does not hold.
     """
     with open(path) as fh:
         tokens = re.sub(r"#.*", "", fh.read()).split()
     if len(tokens) < 4 or tokens[0] != "OFF":
         raise TopologyError("not an ASCII OFF file: %s" % path)
-    nv, nf = int(tokens[1]), int(tokens[2])
+
+    def numbers(part, dtype):
+        try:
+            return np.array(part, dtype=dtype)
+        except (ValueError, OverflowError) as exc:
+            raise TopologyError("OFF file %s holds a token that is not a number: %s"
+                                % (path, exc)) from None
+
+    nv, nf = numbers(tokens[1:3], np.int64).tolist()
     start = 4 + 3 * nv
     end = start + 4 * nf
     if min(nv, nf) < 1 or len(tokens) < end:
         raise TopologyError("OFF file %s is empty or truncated (it declares %d vertices "
                             "and %d faces)" % (path, nv, nf))
-    vertices = np.array(tokens[4:start], dtype=float).reshape(nv, 3)
+    vertices = numbers(tokens[4:start], float).reshape(nv, 3)
     if not np.all(np.isfinite(vertices)):
         raise TopologyError("OFF file %s holds a vertex coordinate that is not finite" % path)
-    faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)
+    faces = numbers(tokens[start:end], np.int64).reshape(nf, 4)
     if np.any(faces[:, 0] != 3):
-        raise TopologyError("only triangular faces are supported")
+        raise TopologyError("OFF file %s holds a face that is not a triangle" % path)
     faces = faces[:, 1:]
     if np.any((faces < 0) | (faces >= nv)):
         raise TopologyError("OFF face index out of range 0..%d in %s" % (nv - 1, path))

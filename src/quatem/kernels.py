@@ -31,8 +31,7 @@ def radial_factors(alpha, r, w, out=None):
     Every plane, the work planes 1/r, a, s and t included, is written into
     out, a float buffer of shape (K + 1, 4) + r.shape that is allocated when
     not given: row k holds the theta (re, im) and c (re, im) planes of the
-    k-th alpha, and the returned planes are views of it.  w is read before
-    anything is written, so it may share memory with out.
+    k-th alpha, and the returned planes are views of it.
     """
     alphas = np.asarray(alpha, dtype=complex)
     n = alphas.size

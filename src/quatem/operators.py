@@ -10,12 +10,13 @@ Per tile it forms the radii, the pair weights and the factors' prefactor
 once for all (alpha, sign, density) terms, such as the two chiral modes,
 and applies the factors as real (re, im) planes in one real matrix
 product over the tile's nodes.
-The operators differ only in the right-hand side and in the weight each
-(target, node) pair gets from its distance r.  The volume operator's
-smooth cutoff removes a small ball around each target, whose integral is
-summed instead with the level-1 ball rule (geometry.build_ball_quadrature)
-of radius 2*rho centered at the target: a polar product rule, whose volume
-element cancels the kernel's 1/r**2 growth.
+The operators differ only in the right-hand side and in the weights their
+pair_weights callback returns for the (target, node) pairs of a tile from
+their distances r.  The volume operator's smooth cutoff removes a small
+ball around each target, whose integral is summed instead with the level-1
+ball rule (geometry.build_ball_quadrature) of radius 2*rho centered at the
+target: a polar product rule, whose volume element cancels the kernel's
+1/r**2 growth.
 The boundary operator is only evaluated at interior points a few mesh
 spacings away from the surface (no principal-value quadrature exists
 here); its guard reads the same r that the kernel factors use.
@@ -97,20 +98,10 @@ class VolumeDensity:
         return np.asarray(self.evaluator(pts), dtype=complex)
 
 
-def _smoothstep(t: np.ndarray, work=None) -> np.ndarray:
-    """t**3 (t (6 t - 15) + 10) of t clipped to [0, 1], formed in the float
-    buffer work ((3,) + t.shape, allocated when not given), whose last plane
-    holds the result; t may be one of its planes."""
-    s, p, out = np.empty((3,) + np.shape(t)) if work is None else work
-    np.clip(t, 0.0, 1.0, out=s)
-    np.multiply(6.0, s, out=p)
-    p -= 15.0
-    p *= s
-    p += 10.0
-    np.multiply(s, s, out=out)
-    out *= s
-    out *= p
-    return out
+def _smoothstep(t: np.ndarray) -> np.ndarray:
+    """s**3 (s (6 s - 15) + 10) of s = t clipped to [0, 1]."""
+    s = np.clip(t, 0.0, 1.0)
+    return s * s * s * (s * (6.0 * s - 15.0) + 10.0)
 
 
 def _targets(x) -> np.ndarray:
@@ -131,9 +122,8 @@ def _add_tiles(tiles, xs, sums, work, *, y_cols, g_yg, distinct, which, pair_wei
     """Add the Theta g and C [g, y*g] sums of the tiles at targets xs, in
     order, into sums = (theta_g, c_g_yg).  Each tile is formed in the float
     buffer work, whose rows are planes of a full tile: r, then the
-    4 * (len(distinct) + 1) planes of radial_factors.  Their first three
-    hold the differences until r is formed, then serve pair_weights as
-    scratch; radial_factors reads the weights before it writes a plane."""
+    4 * (len(distinct) + 1) planes of radial_factors, the first three of
+    which hold the differences until r is formed."""
     theta_g, c_g_yg = sums
     for rows, cols in tiles:
         b, n = rows.stop - rows.start, cols.stop - cols.start
@@ -141,7 +131,7 @@ def _add_tiles(tiles, xs, sums, work, *, y_cols, g_yg, distinct, which, pair_wei
         r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
         np.subtract(xs[rows].T[:, :, None], y_cols[:, None, cols], out=diff)
         np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
-        w = pair_weights(r, cols, diff)
+        w = pair_weights(r, cols)
         np.copyto(r, 1.0, where=w == 0.0)
         th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
         for k, u in enumerate(which):
@@ -166,25 +156,24 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     with quaternion products and y*g formed once per call.  The M x N pairs
     go in tiles of TILE_ROWS targets by NODE_CHUNK nodes (_tiles), row
     block by row block.  Once per tile for all terms, r comes from the
-    explicit differences, pair_weights(r, cols, work) gives the real
-    weights W ((B, n) or (n,)) of the tile's node slice cols, using the
-    (3, B, n) float buffer work as scratch if it needs one, and
-    radial_factors the weighted (re, im) planes of each distinct alpha for
-    one real matrix product with the real views of g and [g, y*g] over the
-    tile's nodes.  A pair of zero weight gets radius 1 before the factors
-    are formed, so a target on a node stays finite.
+    explicit differences, pair_weights(r, cols) returns the real weights W
+    ((B, n) or (n,)) of the tile's node slice cols, and radial_factors the
+    weighted (re, im) planes of each distinct alpha for one real matrix
+    product with the real views of g and [g, y*g] over the tile's nodes.  A
+    pair of zero weight gets radius 1 before the factors are formed, so a
+    target on a node stays finite.
 
     The tiles of a sum of more than TILE_ROWS * NODE_CHUNK pairs run on
     two threads: the calling thread runs the first half in order, a thread
     started for the call the second half.  Each side forms its tiles in a
-    buffer allocated here, once per call, and adds them into sums of its
-    own rows; only when the cut falls inside a row block does the second
-    add into partial sums of its own, which are added to the first's after
-    both have finished.  So the result does not depend on scheduling, and
-    each row adds its tiles in node order, as one thread would, except that
-    a row block cut in two adds its second half's sum at the end.  An error
-    in either half (the boundary guard) is raised here once both halves
-    have stopped, the first half's first.
+    buffer allocated here, once per call, and adds them into the result's
+    sums; only when the cut falls inside a row block does the second add
+    into zeroed full-size partial sums instead, which are added to the
+    result after both have finished.  So the result does not depend on
+    scheduling, and each row adds its tiles in node order, as one thread
+    would, except that a row block cut in two adds its second half's sum at
+    the end.  An error in either half (the boundary guard) is raised here
+    once both halves have stopped, the first half's first.
     """
     alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
     terms = g.shape[:-2]
@@ -211,26 +200,23 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
-    second, shared = None, False
+    sums, partials, second = (theta_g, c_g_yg), None, None
     if cut < len(tiles):
-        first = tiles[cut][0].start
-        shared = first < tiles[cut - 1][0].stop
-        sums = tuple(np.zeros_like(s[:, first:]) if shared else s[:, first:]
-                     for s in (theta_g, c_g_yg))
+        if tiles[cut][0].start < tiles[cut - 1][0].stop:  # the cut splits a row block
+            partials = (np.zeros_like(theta_g), np.zeros_like(c_g_yg))
         second = threading.Thread(target=second_half, args=(
-            [(slice(r.start - first, r.stop - first), c) for r, c in tiles[cut:]],
-            xs[first:], sums, np.empty(work_shape)))
+            tiles[cut:], xs, partials or sums, np.empty(work_shape)))
         second.start()
     try:
-        add(tiles[:cut], xs, (theta_g, c_g_yg), np.empty(work_shape))
+        add(tiles[:cut], xs, sums, np.empty(work_shape))
     finally:
         if second is not None:
             second.join()
     if errors:
         raise errors[0]
-    if shared:
-        theta_g[:, first:] += sums[0]
-        c_g_yg[:, first:] += sums[1]
+    if partials:
+        theta_g += partials[0]
+        c_g_yg += partials[1]
     out = ((signs * alphas)[:, None, None] * theta_g
            + q.qmul(q.vector(xs), c_g_yg[..., :4]) - c_g_yg[..., 4:])
     return out.reshape(terms + out.shape[1:])
@@ -254,9 +240,8 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
     quad = density.quadrature
     rho = CUTOFF_FACTOR * float(np.mean(quad.weights ** (1.0 / 3.0)))
 
-    def far_weights(r, cols, work):
-        np.subtract(np.divide(r, rho, out=work[0]), 1.0, out=work[0])
-        return np.multiply(quad.weights[cols], _smoothstep(work[0], work), out=work[2])
+    def far_weights(r, cols):
+        return quad.weights[cols] * _smoothstep(r / rho - 1.0)
 
     out = _kernel_sum(alpha, sign, xs, quad.points, density.values, far_weights)
 
@@ -287,7 +272,7 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     x = _targets(x)
     d_min = MIN_DISTANCE_FACTOR * mesh.spacing
 
-    def guarded_weights(r, cols, work):
+    def guarded_weights(r, cols):
         dist = float(r.min())
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from quatem import cli
 from quatem import quaternions as q
 from quatem.cli import _load_traces, _write_json, build_parser, main
 from quatem.fields import exact_chiral_solution
@@ -98,6 +99,29 @@ def test_gen_field_rejects_non_finite_coefficients(workspace, tmp_path, capsys, 
     assert main(["gen-field", "--family", "polynomial", "--mesh", mesh_path, "--coeffs-file",
                  str(tmp_path / "c.json"), "--out", str(out)]) == 2
     assert "coefficients must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _coefficient_table_with(entry):
+    coeffs = [[[0.0, 0.0]] * 10 for _ in range(4)]
+    coeffs[1][3] = entry
+    return coeffs
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param(_coefficient_table_with([1.0]), id="entry [1.0]"),
+    pytest.param(_coefficient_table_with([1.0, 2.0, 3.0]), id="entry [1.0, 2.0, 3.0]"),
+    pytest.param(_coefficient_table_with({"re": 1}), id="entry {re: 1}"),
+    pytest.param([1, 2, 3, 4], id="flat list"),
+])
+def test_gen_field_rejects_malformed_coefficient_table(workspace, tmp_path, capsys, table):
+    _, mesh_path, _ = workspace
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(table))
+    out = tmp_path / "s.csv"
+    assert main(["gen-field", "--family", "polynomial", "--mesh", mesh_path, "--coeffs-file",
+                 str(path), "--out", str(out)]) == 2
+    assert "--coeffs-file %s" % path in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -205,6 +229,32 @@ def test_verify_bp_rejects_levels_that_are_not_increasing(tmp_path, capsys, leve
     assert not out.exists()
 
 
+def test_verify_bp_refuses_ball_rule_past_the_budget_before_any_level(tmp_path, capsys,
+                                                                      monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(cli, "build_sphere_mesh", no_work)
+    monkeypatch.setattr(cli, "build_ball_quadrature", no_work)
+    out = tmp_path / "bp.json"
+    for levels in ("2,6", "2,7"):
+        assert main(["verify-bp", "--levels", levels, "--out", str(out)]) == 2
+        assert "ball rule has" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_mesh_refuses_ball_rule_past_the_budget(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a mesh or rule was built")
+
+    monkeypatch.setattr(cli, "build_sphere_mesh", no_work)
+    monkeypatch.setattr(cli, "build_ball_quadrature", no_work)
+    out, ball = tmp_path / "m.off", tmp_path / "b.csv"
+    assert main(["gen-mesh", "--level", "6", "--out", str(out), "--ball-csv", str(ball)]) == 2
+    assert "the level-6 ball rule has 10485760 nodes" in capsys.readouterr().err
+    assert not out.exists() and not ball.exists()
+
+
 def test_reconstruct_json(workspace, tmp_path):
     _, mesh_path, traces = workspace
     out = str(tmp_path / "rec.json")
@@ -262,18 +312,36 @@ def _rewound(mesh_path, path, flipped):
     return str(path)
 
 
-@pytest.mark.parametrize("inward, probes, message", [
-    pytest.param(False, "0.3,0.1,-0.2;3,0,0", "probe 3,0,0 ", id="exterior probe"),
-    pytest.param(True, "0.3,0.1,-0.2", "indicator -1", id="inward-wound mesh"),
+@pytest.mark.parametrize("inward, probes, code, message", [
+    pytest.param(False, "0.3,0.1,-0.2;3,0,0", 4, "probe 3,0,0 ", id="exterior probe"),
+    pytest.param(True, "0.3,0.1,-0.2", 2, "not wound consistently outward",
+                 id="inward-wound mesh"),
 ])
 def test_reconstruct_rejects_probes_outside_the_surface(workspace, tmp_path, capsys,
-                                                        inward, probes, message):
+                                                        inward, probes, code, message):
     _, mesh_path, traces = workspace
     if inward:
         mesh_path = _rewound(mesh_path, tmp_path / "inward.off", slice(None))
     assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
-                 "--probes=" + probes, "--out", str(tmp_path / "rec.json")]) == 4
+                 "--probes=" + probes, "--out", str(tmp_path / "rec.json")]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "extend-check"])
+def test_commands_reject_open_mesh(workspace, tmp_path, capsys, command):
+    # 10 of the 320 triangles removed, and traces made for the open mesh itself
+    _, mesh_path, _ = workspace
+    mesh = load_off(mesh_path)
+    bad, traces = tmp_path / "open.off", tmp_path / "t.csv"
+    save_off(mesh_from_arrays(mesh.vertices, mesh.triangles[10:]), bad)
+    assert main(["gen-field", "--family", "chiral-exact", "--mesh", str(bad),
+                 "--out", str(traces)]) == 0
+    out = tmp_path / "out.json"
+    extra = ["--extrapolation", "linear"] if command == "extend-check" else []
+    assert main([command, "--mesh", str(bad), "--traces", str(traces),
+                 "--out", str(out)] + extra) == 2
+    assert "not closed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen-field", "reconstruct", "extend-check"])

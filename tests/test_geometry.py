@@ -1,6 +1,7 @@
 """Mesh generation, orientation diagnostics, quadrature rules, OFF I/O."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatem import geometry
 from quatem.cli import main
 from quatem.errors import CapacityError, TopologyError
 from quatem.geometry import (
+    MAX_BALL_NODES,
     build_ball_quadrature,
     build_sphere_mesh,
+    checked_ball_nodes,
     checked_normals,
     load_off,
     mesh_from_arrays,
@@ -156,6 +160,21 @@ def test_capacity_limit():
         build_sphere_mesh(1.0, -1)
 
 
+def test_ball_rule_node_budget(monkeypatch):
+    # node counts only: no rule past level 4 is built
+    for level in range(5):
+        assert checked_ball_nodes(level) == len(build_ball_quadrature(1.0, level).points)
+    assert checked_ball_nodes(5) == 1310720 == MAX_BALL_NODES
+    for level, nodes in ((6, 10485760), (7, 83886080)):
+        with pytest.raises(CapacityError, match="level-%d ball rule has %d nodes" % (level, nodes)):
+            checked_ball_nodes(level)
+    # build_ball_quadrature checks the budget before it builds or allocates anything
+    monkeypatch.setattr(geometry, "MAX_BALL_NODES", checked_ball_nodes(2))
+    monkeypatch.setattr(geometry, "build_sphere_mesh", None)
+    with pytest.raises(CapacityError):
+        build_ball_quadrature(1.0, 3)
+
+
 def test_ball_quadrature_volume_and_interior():
     quad = build_ball_quadrature(1.5, 2)
     assert quad.volume == pytest.approx(4.0 / 3.0 * np.pi * 1.5**3, rel=1e-12)
@@ -231,11 +250,15 @@ def test_off_roundtrip_under_rigid_motion_and_scaling(rotation, shift, scale):
     pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 4"), id="face index past the vertices"),
     pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 -1 2"), id="negative face index"),
     pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 nan -1"), id="non-finite vertex"),
+    pytest.param(TETRA_OFF.replace("4 4 0", "4 x 0"), id="count not a number"),
+    pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 x -1"), id="vertex not a number"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 x"), id="face index not a number"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "4 1 3 2"), id="face not a triangle"),
 ])
 def test_off_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.off"
     path.write_text(text)
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match=re.escape(str(path))):
         load_off(path)
 
 

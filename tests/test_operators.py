@@ -430,8 +430,7 @@ def _one_tile_at_a_time(alpha, sign, xs, y, g, pair_weights):
     for i in range(0, len(xs), TILE_ROWS):
         tiles = [_kernel_sum(alpha, sign, xs[i:i + TILE_ROWS], y[j:j + NODE_CHUNK],
                              g[..., j:j + NODE_CHUNK, :],
-                             lambda r, c, work, j=j: pair_weights(
-                                 r, slice(j + c.start, j + c.stop), work))
+                             lambda r, c, j=j: pair_weights(r, slice(j + c.start, j + c.stop)))
                  for j in range(0, len(y), NODE_CHUNK)]
         blocks.append(functools.reduce(np.add, tiles))
     return np.concatenate(blocks, axis=-2)
@@ -447,14 +446,14 @@ def _offset_targets(mesh):
 def _boundary_terms(mesh, rng):
     """The two chiral modes' (alpha, sign, n*f) on a mesh and its area weights."""
     nf = q.qmul(q.vector(mesh.normals), _random_density(mesh, rng, 2))
-    return (0.8, 4.0 / 3.0), (1, -1), nf, lambda r, cols, work: mesh.areas[cols]
+    return (0.8, 4.0 / 3.0), (1, -1), nf, lambda r, cols: mesh.areas[cols]
 
 
 def _volume_terms(quad, rng):
     """One (alpha, sign, density) on a ball rule and teodorescu's far weights."""
     rho = CUTOFF_FACTOR * np.mean(quad.weights ** (1.0 / 3.0))
     g = rng.standard_normal((len(quad.points), 4)) + 1j * rng.standard_normal((len(quad.points), 4))
-    return 0.8 + 0.3j, -1, g, lambda r, cols, work: quad.weights[cols] * _smoothstep(r / rho - 1.0)
+    return 0.8 + 0.3j, -1, g, lambda r, cols: quad.weights[cols] * _smoothstep(r / rho - 1.0)
 
 
 def test_two_thread_boundary_sum_is_the_one_tile_loop_bit_for_bit():
@@ -482,7 +481,7 @@ def test_two_thread_volume_sum_in_node_tiles(n_targets):
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
     # and node by node, as the other kernel sums
     diff = xs[0] - QUAD4.points
-    w = weights(np.linalg.norm(diff, axis=1), slice(None), None)
+    w = weights(np.linalg.norm(diff, axis=1), slice(None))
     far = w > 0.0
     reference = np.einsum("n,nk->k", w[far].astype(complex),
                           q.qmul(upsilon(alpha, sign, diff[far]), g[far]))
@@ -498,7 +497,7 @@ def test_node_tiles_of_any_length():
     g = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     node_w = rng.uniform(0.5, 1.0, n)
     xs = rng.uniform(-1.0, 1.0, (TILE_ROWS + 1, 3)) + [3.0, 0.0, 0.0]
-    got = _kernel_sum(0.7, 1, xs, y, g, lambda r, cols, work: node_w[cols])
+    got = _kernel_sum(0.7, 1, xs, y, g, lambda r, cols: node_w[cols])
     reference = np.array([np.einsum("n,nk->k", node_w.astype(complex),
                                     q.qmul(upsilon(0.7, 1, x - y), g)) for x in xs])
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()

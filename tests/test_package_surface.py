@@ -16,8 +16,8 @@ MODULE_SURFACE = {
     "fields": {"AnalyticField", "abc_beltrami", "exact_chiral_solution",
                "identity_vector_field", "polynomial_field", "scalar_monomial"},
     "geometry": {"NormalCheck", "SurfaceMesh", "VolumeQuadrature", "build_ball_quadrature",
-                 "build_sphere_mesh", "checked_normals", "load_off", "mesh_from_arrays",
-                 "save_csv", "save_off", "save_quadrature_csv"},
+                 "build_sphere_mesh", "checked_ball_nodes", "checked_normals", "load_off",
+                 "mesh_from_arrays", "save_csv", "save_off", "save_quadrature_csv"},
     "kernels": {"radial_factors", "theta", "upsilon"},
     "maxwell": {"ChiralMedium", "SourceData", "continuity_rho", "make_medium",
                 "merge_values", "phi_psi_rhs", "split_values"},
