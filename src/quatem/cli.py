@@ -192,7 +192,10 @@ def _outward_mesh(path):
     """The OFF mesh at path, refused unless it is closed and wound
     consistently outward."""
     mesh = load_off(path)
-    check = checked_normals(mesh)
+    try:
+        check = checked_normals(mesh)
+    except TopologyError as exc:
+        raise TopologyError("%s: %s" % (path, exc)) from None
     if not check.consistent_orientation or check.signed_volume <= 0:
         raise TopologyError("mesh %s is not wound consistently outward (signed volume %g)"
                             % (path, check.signed_volume))

@@ -2,7 +2,8 @@
 
 Every field carries a batched evaluator together with the exact value of
 the Moisil-Theodoresco derivative, so discretization errors can always be
-separated from modeling errors.
+separated from modeling errors, and the closed form of (D + s) f, which
+costs one evaluation per point.
 """
 
 from __future__ import annotations
@@ -19,22 +20,28 @@ DEFAULT_AMPLITUDES = (1.0, 0.7, 0.3)
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Quaternion-valued field given by two batched evaluators: its values
-    and the exact values of its derivative (the oracle).
+    """Quaternion-valued field given by batched evaluators: its values, the
+    exact values of its derivative (the oracle), and the closed form of
+    (D + s) f.
 
     value  : (..., 3) points -> (..., 4) quaternions
     d_value: same signature, returning the exact Moisil-Theodoresco
              derivative D f.
+    shifted: (field, s) -> batched evaluator of the exact (D + s) f for a
+             complex s, at one closed-form evaluation per point.  It is
+             handed the field itself, so that it evaluates through
+             field.value or through a field of its own.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     d_value: Callable[[np.ndarray], np.ndarray]
+    shifted: Callable[["AnalyticField", complex], Callable[[np.ndarray], np.ndarray]]
 
     def d_alpha(self, alpha, sign: int = 1) -> Callable[[np.ndarray], np.ndarray]:
         """Exact (D + sign*alpha) f as a batched evaluator."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return lambda x: self.d_value(x) + sign * alpha * self.value(x)
+        return self.shifted(self, sign * alpha)
 
     def vector_value(self, x) -> np.ndarray:
         """Vector part of the field, as a C^3 evaluator."""
@@ -44,7 +51,8 @@ class AnalyticField:
 def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
                  c=DEFAULT_AMPLITUDES[2]) -> AnalyticField:
     """Arnold-Beltrami-Childress flow: a purely vectorial field with
-    rot F = lam * F and div F = 0, hence D F = lam * F.
+    rot F = lam * F and div F = 0, hence D F = lam * F and
+    (D + s) F = (lam + s) F.
 
     Valid for complex lam (the trigonometric form continues analytically).
     """
@@ -67,6 +75,7 @@ def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
     return AnalyticField(
         value=value,
         d_value=lambda x: lam * value(x),
+        shifted=lambda f, s: lambda x: (lam + s) * f.value(x),
     )
 
 
@@ -101,16 +110,17 @@ _DMAT = [_derivative_matrix(axis) for axis in range(3)]
 
 
 def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate a (4, 10) coefficient table at points (..., 3) -> (..., 4)."""
+    """Evaluate a (4, 10) coefficient table at points (..., 3) -> (..., 4):
+    the monomials (in _POWERS order) as real products, then one real matrix
+    product per (re, im) plane of the coefficients."""
     x = np.asarray(x, dtype=float)
-    mono = np.stack(
-        [
-            x[..., 0] ** p[0] * x[..., 1] ** p[1] * x[..., 2] ** p[2]
-            for p in _POWERS
-        ],
-        axis=-1,
-    ).astype(complex)
-    return mono @ coeffs.T
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    mono = np.stack([np.ones_like(x1), x1, x2, x3, x1 * x1, x2 * x2, x3 * x3,
+                     x1 * x2, x1 * x3, x2 * x3], axis=-1)
+    out = np.empty(x.shape[:-1] + (4,), dtype=complex)
+    out.real = mono @ coeffs.real.T
+    out.imag = mono @ coeffs.imag.T
+    return out
 
 
 def polynomial_field(coeffs) -> AnalyticField:
@@ -118,7 +128,8 @@ def polynomial_field(coeffs) -> AnalyticField:
 
     `coeffs` has shape (4, 10): rows are q0..q3, columns follow the
     monomial order 1, x1, x2, x3, x1^2, x2^2, x3^2, x1*x2, x1*x3, x2*x3.
-    The derivative oracle assembles D f = -div + grad + rot symbolically.
+    The derivative oracle assembles D f = -div + grad + rot symbolically;
+    (D + s) f is the polynomial with coefficients d_coeffs + s * coeffs.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (4, N_MONOMIALS):
@@ -138,6 +149,7 @@ def polynomial_field(coeffs) -> AnalyticField:
     return AnalyticField(
         value=lambda x: _poly_eval(coeffs, x),
         d_value=lambda x: _poly_eval(d_coeffs, x),
+        shifted=lambda f, s: polynomial_field(d_coeffs + s * coeffs).value,
     )
 
 
@@ -166,13 +178,20 @@ def exact_chiral_solution(medium, phi_amplitudes=DEFAULT_AMPLITUDES,
     """
     phi = abc_beltrami(-medium.alpha1, *phi_amplitudes)
     psi = abc_beltrami(medium.alpha2, *psi_amplitudes)
+    return (_mode_sum(phi, psi, lambda u, v: 0.5 * (u + v)),
+            _mode_sum(phi, psi, lambda u, v: (u - v) / 2j))
 
-    e_field = AnalyticField(
-        value=lambda x: 0.5 * (phi.value(x) + psi.value(x)),
-        d_value=lambda x: 0.5 * (phi.d_value(x) + psi.d_value(x)),
+
+def _mode_sum(phi: AnalyticField, psi: AnalyticField, combine) -> AnalyticField:
+    """The field combine(Phi, Psi) of two modes, for a linear combine; its
+    derivative and its (D + s) f combine theirs."""
+
+    def shifted(f, s):
+        phi_s, psi_s = phi.d_alpha(s), psi.d_alpha(s)
+        return lambda x: combine(phi_s(x), psi_s(x))
+
+    return AnalyticField(
+        value=lambda x: combine(phi.value(x), psi.value(x)),
+        d_value=lambda x: combine(phi.d_value(x), psi.d_value(x)),
+        shifted=shifted,
     )
-    h_field = AnalyticField(
-        value=lambda x: (phi.value(x) - psi.value(x)) / 2j,
-        d_value=lambda x: (phi.d_value(x) - psi.d_value(x)) / 2j,
-    )
-    return e_field, h_field

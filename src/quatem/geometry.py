@@ -114,13 +114,10 @@ def mesh_from_arrays(vertices, triangles) -> SurfaceMesh:
 def _edges(faces: np.ndarray):
     """Directed edges (a, b), (b, c), (c, a) of each face, shape (F, 3, 2),
     and the id of each one's undirected edge, shape (F, 3), numbered in
-    order of first appearance."""
+    order of the edges' sort keys."""
     directed = np.stack([faces, faces[:, [1, 2, 0]]], axis=-1)
     keys = directed.min(axis=-1) * (int(faces.max()) + 1) + directed.max(axis=-1)
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return directed, rank[inverse].reshape(faces.shape)
+    return directed, np.unique(keys.ravel(), return_inverse=True)[1].reshape(faces.shape)
 
 
 def _subdivide(vertices: np.ndarray, faces: np.ndarray):
@@ -130,6 +127,10 @@ def _subdivide(vertices: np.ndarray, faces: np.ndarray):
     appearance, so vertex numbering follows the faces.
     """
     directed, ids = _edges(faces)
+    _, first = np.unique(ids.ravel(), return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = rank[ids]
     ends = np.empty((int(ids.max()) + 1, 2), dtype=faces.dtype)
     ends[ids] = directed
     m = vertices[ends[:, 0]] + vertices[ends[:, 1]]

@@ -9,7 +9,11 @@ two sides' sums in a fixed order, so results do not depend on scheduling.
 Per tile it forms the radii, the pair weights and the factors' prefactor
 once for all (alpha, sign, density) terms, such as the two chiral modes,
 and applies the factors as real (re, im) planes in one real matrix
-product over the tile's nodes.
+product over the tile's nodes.  The products y*g of the real nodes y with
+the densities g are formed once per call, YG_CHUNK nodes at a time,
+straight into the buffer that holds g and y*g side by side: qmul's twelve
+terms that do not vanish for a pure vector y, in qmul's order, each a real
+coordinate times a complex density component.
 The operators differ only in the right-hand side and in the weights their
 pair_weights callback returns for the (target, node) pairs of a tile from
 their distances r.  The volume operator's smooth cutoff removes a small
@@ -51,6 +55,11 @@ NODE_CHUNK = 1280           # nodes per tile, so per matrix product, whose
                             # extended-precision sum, 20480-node products
                             # erred by 1.0e-14 relative, 1280-node ones by
                             # 1.4e-15
+YG_CHUNK = 4096             # nodes per pass that forms y*g, so that its 20
+                            # strided passes over the chunk's rows of g and
+                            # y*g stay in cache: at the level-4 ball rule's
+                            # 163840 nodes on a 2-vCPU VM, 16-19 ms against
+                            # 35-40 ms in one pass and 36-41 ms through qmul
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -118,6 +127,28 @@ def _tiles(m: int, n: int) -> list:
             for i in range(0, m, TILE_ROWS) for j in range(0, n, NODE_CHUNK)]
 
 
+def _vector_times(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """out = y*g for real vectors y (N, 3) and quaternions g (K, N, 4):
+    the twelve terms of qmul(q.vector(y), g) that do not vanish, in qmul's
+    order, each a real coordinate times a complex component of g, so every
+    nonzero entry of the result is bit-identical to qmul's."""
+    y1, y2, y3 = y[:, 0], y[:, 1], y[:, 2]
+    g0, g1, g2, g3 = (g[..., k] for k in range(4))
+    o0, o1, o2, o3 = (out[..., k] for k in range(4))
+    np.multiply(-y1, g1, out=o0)
+    o0 -= y2 * g2
+    o0 -= y3 * g3
+    np.multiply(y1, g0, out=o1)
+    o1 += y2 * g3
+    o1 -= y3 * g2
+    np.multiply(-y1, g3, out=o2)
+    o2 += y2 * g0
+    o2 += y3 * g1
+    np.multiply(y1, g2, out=o3)
+    o3 -= y2 * g1
+    o3 += y3 * g0
+
+
 def _add_tiles(tiles, xs, sums, work, *, y_cols, g_yg, distinct, which, pair_weights):
     """Add the Theta g and C [g, y*g] sums of the tiles at targets xs, in
     order, into sums = (theta_g, c_g_yg).  Each tile is formed in the float
@@ -153,15 +184,15 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
 
         sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
 
-    with quaternion products and y*g formed once per call.  The M x N pairs
-    go in tiles of TILE_ROWS targets by NODE_CHUNK nodes (_tiles), row
-    block by row block.  Once per tile for all terms, r comes from the
-    explicit differences, pair_weights(r, cols) returns the real weights W
-    ((B, n) or (n,)) of the tile's node slice cols, and radial_factors the
-    weighted (re, im) planes of each distinct alpha for one real matrix
-    product with the real views of g and [g, y*g] over the tile's nodes.  A
-    pair of zero weight gets radius 1 before the factors are formed, so a
-    target on a node stays finite.
+    with quaternion products and y*g formed once per call (_vector_times).
+    The M x N pairs go in tiles of TILE_ROWS targets by NODE_CHUNK nodes
+    (_tiles), row block by row block.  Once per tile for all terms, r comes
+    from the explicit differences, pair_weights(r, cols) returns the real
+    weights W ((B, n) or (n,)) of the tile's node slice cols, and
+    radial_factors the weighted (re, im) planes of each distinct alpha for
+    one real matrix product with the real views of g and [g, y*g] over the
+    tile's nodes.  A pair of zero weight gets radius 1 before the factors
+    are formed, so a target on a node stays finite.
 
     The tiles of a sum of more than TILE_ROWS * NODE_CHUNK pairs run on
     two threads: the calling thread runs the first half in order, a thread
@@ -181,7 +212,12 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         raise ValueError("need one alpha and one sign (+1 or -1) per density")
     alphas, signs, g = alphas.reshape(-1), signs.reshape(-1), g.reshape(-1, len(y), 4)
     distinct, which = np.unique(alphas, return_inverse=True)
-    g_yg = np.concatenate([g, q.qmul(q.vector(y), g)], axis=2).view(float)  # (K, N, 16) real
+    g_yg = np.empty(g.shape[:-1] + (8,), dtype=complex)  # g, then y*g
+    for j in range(0, len(y), YG_CHUNK):
+        part = slice(j, j + YG_CHUNK)
+        g_yg[:, part, :4] = g[:, part]
+        _vector_times(y[part], g[:, part], out=g_yg[:, part, 4:])
+    g_yg = g_yg.view(float)  # (K, N, 16) real
     tiles = _tiles(len(xs), len(y))
     # a sum of at most one full tile's pairs stays on the calling thread: on a
     # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4

@@ -4,9 +4,12 @@ Finite-difference versions of the Moisil-Theodoresco operator D, of
 D +- alpha and of div/rot check the closed-form derivatives of the kernels
 and fields; grad_theta is the closed-form gradient of the Helmholtz
 fundamental solution; maxwell_residual checks the chiral curl equations by
-finite differences; constant_field is the degree-0 polynomial field; and
+finite differences; constant_field is the degree-0 polynomial field;
 to_text/from_text write and read one quaternion as the 8 numbers of the
-CLI's CSV q columns.
+CLI's CSV q columns; poly_eval_powers evaluates a polynomial field's
+coefficient table through complex power products; and
+edges_first_appearance numbers a mesh's edges in order of first
+appearance.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from quatem import quaternions as q
-from quatem.fields import N_MONOMIALS, AnalyticField, polynomial_field
+from quatem.fields import _POWERS, N_MONOMIALS, AnalyticField, polynomial_field
 from quatem.kernels import _radii, theta
 from quatem.maxwell import ChiralMedium
 from quatem.operators import RESIDUAL_FLOOR
@@ -128,3 +131,29 @@ def from_text(text: str) -> np.ndarray:
     return np.array(
         [complex(nums[2 * k], nums[2 * k + 1]) for k in range(4)], dtype=complex
     )
+
+
+def poly_eval_powers(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate a (4, 10) coefficient table at points (..., 3) -> (..., 4)
+    as products of powers, made complex before one complex matrix product."""
+    x = np.asarray(x, dtype=float)
+    mono = np.stack(
+        [
+            x[..., 0] ** p[0] * x[..., 1] ** p[1] * x[..., 2] ** p[2]
+            for p in _POWERS
+        ],
+        axis=-1,
+    ).astype(complex)
+    return mono @ coeffs.T
+
+
+def edges_first_appearance(faces: np.ndarray):
+    """Directed edges (a, b), (b, c), (c, a) of each face, shape (F, 3, 2),
+    and the id of each one's undirected edge, shape (F, 3), numbered in
+    order of first appearance."""
+    directed = np.stack([faces, faces[:, [1, 2, 0]]], axis=-1)
+    keys = directed.min(axis=-1) * (int(faces.max()) + 1) + directed.max(axis=-1)
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return directed, rank[inverse].reshape(faces.shape)

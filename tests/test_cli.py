@@ -219,6 +219,13 @@ def test_verify_bp_json(tmp_path):
     assert doc["decreasing"] is True
     for col in doc["residuals"].values():
         assert len(col) == 2 and col[1] < col[0]
+    pinned = {
+        "beltrami": [0.01163274380199391, 0.0028915728506684387],
+        "scalar-poly": [0.040162618100952154, 0.010227961925950211],
+        "vector-poly": [0.06410982560198568, 0.01613015458135619],
+    }
+    for name, expected in pinned.items():
+        assert np.allclose(doc["residuals"][name], expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("levels", ["3,2", "2,x", "2,,3", "1,1", "-1,2", "2,8", "0,2", "1,2"])
@@ -340,7 +347,8 @@ def test_commands_reject_open_mesh(workspace, tmp_path, capsys, command):
     extra = ["--extrapolation", "linear"] if command == "extend-check" else []
     assert main([command, "--mesh", str(bad), "--traces", str(traces),
                  "--out", str(out)] + extra) == 2
-    assert "not closed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not closed" in err and str(bad) in err
     assert not out.exists()
 
 

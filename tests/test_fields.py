@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatem import quaternions as q
 from quatem.fields import (
+    N_MONOMIALS,
+    _poly_eval,
     abc_beltrami,
     exact_chiral_solution,
     identity_vector_field,
@@ -13,7 +17,7 @@ from quatem.fields import (
 )
 from quatem.maxwell import make_medium
 
-from oracles import constant_field, fd_curl, fd_div, fd_moisil_theodoresco
+from oracles import constant_field, fd_curl, fd_div, fd_moisil_theodoresco, poly_eval_powers
 
 PROBES = np.array([[0.2, -0.5, 0.31], [1.1, 0.4, -0.8], [-0.3, 0.9, 0.05]])
 
@@ -77,6 +81,46 @@ def test_d_alpha_evaluator():
     assert np.allclose(f.d_alpha(2.0 - 1j, -1)(x), f.d_value(x) - (2.0 - 1j) * f.value(x))
     with pytest.raises(ValueError):
         f.d_alpha(1.0, 0)
+
+
+def test_poly_eval_matches_power_products():
+    rng = np.random.default_rng(7)
+    for shape in [(3,), (2, 3), (50, 3), (4, 30, 3), (20480, 3)]:
+        coeffs = rng.standard_normal((4, N_MONOMIALS)) + 1j * rng.standard_normal((4, N_MONOMIALS))
+        x = rng.uniform(-1.5, 1.5, shape)
+        got, expected = _poly_eval(coeffs, x), poly_eval_powers(coeffs, x)
+        if x.ndim == 1:
+            # one point is a matrix-vector product, whose real and complex
+            # BLAS kernels group the 10 terms differently
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+        else:
+            assert np.array_equal(got, expected)
+
+
+_COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+def _fields(kind, seed, lam):
+    if kind == "polynomial":
+        rng = np.random.default_rng(seed)
+        return [polynomial_field(rng.uniform(-1, 1, (4, N_MONOMIALS))
+                                 + 1j * rng.uniform(-1, 1, (4, N_MONOMIALS)))]
+    if kind == "beltrami":
+        return [abc_beltrami(lam, 0.9, 0.2, 0.5)]
+    return list(exact_chiral_solution(make_medium(1.0, 1.0, 1.0, 0.25)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["polynomial", "beltrami", "chiral"]),
+       seed=st.integers(0, 2**32 - 1), lam=_COMPLEX, alpha=_COMPLEX,
+       sign=st.sampled_from([1, -1]))
+def test_d_alpha_closed_form_matches_oracles(kind, seed, lam, alpha, sign):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (40, 3))
+    for f in _fields(kind, seed, lam):
+        d_value, shift = f.d_value(x), sign * alpha * f.value(x)
+        # roundoff scale: the larger sum of the two terms' magnitudes
+        scale = (np.abs(d_value) + np.abs(shift)).max()
+        assert np.abs(f.d_alpha(alpha, sign)(x) - (d_value + shift)).max() <= 1e-15 * scale
 
 
 def test_exact_chiral_solution_mode_structure():

@@ -23,6 +23,8 @@ from quatem.geometry import (
     save_off,
 )
 
+from oracles import edges_first_appearance
+
 TETRA_VERTICES = np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
 )
@@ -69,6 +71,19 @@ def test_subdivision_matches_reference_loop():
         mesh = build_sphere_mesh(1.0, level)
         assert np.array_equal(mesh.triangles, faces)
         assert mesh.vertices.tobytes() == vertices.tobytes()
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_sphere_numbering_is_first_appearance(monkeypatch, level):
+    # with the oracle's edge ids, already in order of first appearance, the
+    # renumbering in _subdivide is the identity
+    mesh = build_sphere_mesh(1.0, level)
+    check = checked_normals(mesh)
+    monkeypatch.setattr(geometry, "_edges", edges_first_appearance)
+    oracle = build_sphere_mesh(1.0, level)
+    assert np.array_equal(mesh.triangles, oracle.triangles)
+    assert mesh.vertices.tobytes() == oracle.vertices.tobytes()
+    assert checked_normals(oracle) == check
 
 
 def test_icosphere_area_converges_to_sphere():

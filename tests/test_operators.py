@@ -30,9 +30,11 @@ from quatem.operators import (
     CUTOFF_FACTOR,
     NODE_CHUNK,
     TILE_ROWS,
+    YG_CHUNK,
     BoundaryDensity,
     VolumeDensity,
     _kernel_sum,
+    _vector_times,
     borel_pompeiu_residual,
     cauchy_boundary,
     teodorescu,
@@ -501,6 +503,23 @@ def test_node_tiles_of_any_length():
     reference = np.array([np.einsum("n,nk->k", node_w.astype(complex),
                                     q.qmul(upsilon(0.7, 1, x - y), g)) for x in xs])
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_y_times_g_is_qmul_in_ragged_node_chunks():
+    # two terms at YG_CHUNK + 40 nodes, a seventh of them with y2 = 0
+    rng = np.random.default_rng(35)
+    n = YG_CHUNK + 40
+    y = rng.uniform(-1.0, 1.0, (n, 3))
+    y[::7, 1] = 0.0
+    g = rng.standard_normal((2, n, 4)) + 1j * rng.standard_normal((2, n, 4))
+    out = np.empty_like(g)
+    _vector_times(y, g, out)
+    assert np.array_equal(out, q.qmul(q.vector(y), g))
+    xs = rng.uniform(-1.0, 1.0, (3, 3)) + [3.0, 0.0, 0.0]
+    got = _kernel_sum([0.7, 0.7], [1, -1], xs, y, g, lambda r, cols: np.ones(cols.stop - cols.start))
+    for k, sign in enumerate((1, -1)):
+        reference = np.array([q.qmul(upsilon(0.7, sign, x - y), g[k]).sum(axis=0) for x in xs])
+        assert np.abs(got[k] - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_two_thread_sums_are_repeatable_under_contention():
