@@ -4,8 +4,9 @@ Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
 d = x - y, over quadrature nodes in one routine (_kernel_sum).  It walks
 the target x node pairs in tiles of one shape, TILE_ROWS targets by
 NODE_CHUNK nodes; past one tile's worth of pairs it runs the first half
-on the calling thread and the second on a thread of its own, and adds the
-two sides' sums in a fixed order, so results do not depend on scheduling.
+on the calling thread and the second on the one worker of an executor made
+for the call, and adds the two sides' sums in a fixed order, so results do
+not depend on scheduling.
 Per tile it forms the radii, the pair weights and the factors' prefactor
 once for all (alpha, sign, density) terms, such as the two chiral modes,
 and applies the factors as real (re, im) planes in one real matrix
@@ -28,8 +29,7 @@ here); its guard reads the same r that the kernel factors use.
 
 from __future__ import annotations
 
-import functools
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -149,29 +149,6 @@ def _vector_times(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
     o3 += y3 * g0
 
 
-def _add_tiles(tiles, xs, sums, work, *, y_cols, g_yg, distinct, which, pair_weights):
-    """Add the Theta g and C [g, y*g] sums of the tiles at targets xs, in
-    order, into sums = (theta_g, c_g_yg).  Each tile is formed in the float
-    buffer work, whose rows are planes of a full tile: r, then the
-    4 * (len(distinct) + 1) planes of radial_factors, the first three of
-    which hold the differences until r is formed."""
-    theta_g, c_g_yg = sums
-    for rows, cols in tiles:
-        b, n = rows.stop - rows.start, cols.stop - cols.start
-        r, planes = np.split(work.reshape(-1)[:len(work) * b * n], [b * n])
-        r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
-        np.subtract(xs[rows].T[:, :, None], y_cols[:, None, cols], out=diff)
-        np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
-        w = pair_weights(r, cols)
-        np.copyto(r, 1.0, where=w == 0.0)
-        th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
-        for k, u in enumerate(which):
-            for dest, fac, rhs in ((theta_g, th[u], g_yg[k, cols, :8]),
-                                   (c_g_yg, c[u], g_yg[k, cols])):
-                re, im = (fac.reshape(-1, n) @ rhs).reshape(2, -1, rhs.shape[1])
-                dest[k, rows] += re.view(complex) + 1j * im.view(complex)
-
-
 def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
                 pair_weights) -> np.ndarray:
     """sum_j W[m, j] Ups(x_m - y_j) g_j at targets xs (M, 3) and nodes y (N, 3)
@@ -192,19 +169,20 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     radial_factors the weighted (re, im) planes of each distinct alpha for
     one real matrix product with the real views of g and [g, y*g] over the
     tile's nodes.  A pair of zero weight gets radius 1 before the factors
-    are formed, so a target on a node stays finite.
+    are formed, so a target on a node stays finite.  The sums Theta g and
+    C [g, y*g] accumulate side by side in one (K, M, 12) array.
 
     The tiles of a sum of more than TILE_ROWS * NODE_CHUNK pairs run on
-    two threads: the calling thread runs the first half in order, a thread
-    started for the call the second half.  Each side forms its tiles in a
-    buffer allocated here, once per call, and adds them into the result's
-    sums; only when the cut falls inside a row block does the second add
-    into zeroed full-size partial sums instead, which are added to the
-    result after both have finished.  So the result does not depend on
-    scheduling, and each row adds its tiles in node order, as one thread
-    would, except that a row block cut in two adds its second half's sum at
-    the end.  An error in either half (the boundary guard) is raised here
-    once both halves have stopped, the first half's first.
+    two threads: the calling thread runs the first half in order, the one
+    worker of an executor made for the call the second half.  Each side
+    forms its tiles in a buffer allocated here, once per call, and adds
+    them into the result's sums; only when the cut falls inside a row block
+    does the second add into zeroed full-size partial sums instead, which
+    are added to the result after both have finished.  So the result does
+    not depend on scheduling, and each row adds its tiles in node order, as
+    one thread would, except that a row block cut in two adds its second
+    half's sum at the end.  An error in either half (the boundary guard) is
+    raised here once both halves have stopped, the first half's first.
     """
     alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
     terms = g.shape[:-2]
@@ -218,43 +196,49 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         g_yg[:, part, :4] = g[:, part]
         _vector_times(y[part], g[:, part], out=g_yg[:, part, 4:])
     g_yg = g_yg.view(float)  # (K, N, 16) real
+    y_cols = np.ascontiguousarray(y.T)
+
+    def add(tiles, sums, work):
+        """Add the tiles' Theta g and C [g, y*g] into sums, in order.  Each
+        tile is formed in the float buffer work, whose rows are planes of a
+        full tile: r, then the 4 * (len(distinct) + 1) planes of
+        radial_factors, the first three of which hold the differences until
+        r is formed."""
+        for rows, cols in tiles:
+            b, n = rows.stop - rows.start, cols.stop - cols.start
+            r, planes = np.split(work.reshape(-1)[:len(work) * b * n], [b * n])
+            r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
+            np.subtract(xs[rows].T[:, :, None], y_cols[:, None, cols], out=diff)
+            np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
+            w = pair_weights(r, cols)
+            np.copyto(r, 1.0, where=w == 0.0)
+            th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
+            for k, u in enumerate(which):
+                for part, fac, rhs in ((slice(0, 4), th[u], g_yg[k, cols, :8]),
+                                       (slice(4, 12), c[u], g_yg[k, cols])):
+                    re, im = (fac.reshape(-1, n) @ rhs).reshape(2, -1, rhs.shape[1])
+                    sums[k, rows, part] += re.view(complex) + 1j * im.view(complex)
+
     tiles = _tiles(len(xs), len(y))
     # a sum of at most one full tile's pairs stays on the calling thread: on a
     # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4
     # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads
     cut = (len(tiles) + 1) // 2 if len(xs) * len(y) > TILE_ROWS * NODE_CHUNK else len(tiles)
     work_shape = (4 * len(distinct) + 5, min(len(xs), TILE_ROWS) * min(len(y), NODE_CHUNK))
-    theta_g = np.zeros((len(g), len(xs), 4), dtype=complex)
-    c_g_yg = np.zeros((len(g), len(xs), 8), dtype=complex)
-    add = functools.partial(_add_tiles, y_cols=np.ascontiguousarray(y.T), g_yg=g_yg,
-                            distinct=distinct, which=which, pair_weights=pair_weights)
-    errors = []
-
-    def second_half(*args):
-        try:
-            add(*args)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    sums, partials, second = (theta_g, c_g_yg), None, None
-    if cut < len(tiles):
-        if tiles[cut][0].start < tiles[cut - 1][0].stop:  # the cut splits a row block
-            partials = (np.zeros_like(theta_g), np.zeros_like(c_g_yg))
-        second = threading.Thread(target=second_half, args=(
-            tiles[cut:], xs, partials or sums, np.empty(work_shape)))
-        second.start()
-    try:
-        add(tiles[:cut], xs, sums, np.empty(work_shape))
-    finally:
-        if second is not None:
-            second.join()
-    if errors:
-        raise errors[0]
-    if partials:
-        theta_g += partials[0]
-        c_g_yg += partials[1]
-    out = ((signs * alphas)[:, None, None] * theta_g
-           + q.qmul(q.vector(xs), c_g_yg[..., :4]) - c_g_yg[..., 4:])
+    sums = np.zeros((len(g), len(xs), 12), dtype=complex)  # Theta g, then C [g, y*g]
+    partial, second = sums, None
+    with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on every exit
+        if cut < len(tiles):
+            if tiles[cut][0].start < tiles[cut - 1][0].stop:  # the cut splits a row block
+                partial = np.zeros_like(sums)
+            second = pool.submit(add, tiles[cut:], partial, np.empty(work_shape))
+        add(tiles[:cut], sums, np.empty(work_shape))
+    if second is not None:
+        second.result()
+    if partial is not sums:
+        sums += partial
+    out = ((signs * alphas)[:, None, None] * sums[..., :4]
+           + q.qmul(q.vector(xs), sums[..., 4:8]) - sums[..., 8:])
     return out.reshape(terms + out.shape[1:])
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatem import quaternions as q
@@ -33,6 +33,18 @@ def test_abc_beltrami_eigenfield():
             # purely vectorial with D f = lam * f
             assert q.sc(f.value(x)) == 0
             assert q.norm(f.d_value(x) - lam * f.value(x)) == 0
+
+
+def test_abc_beltrami_real_lam_takes_real_trig_with_the_same_values():
+    x = np.random.default_rng(12).uniform(-2.0, 2.0, (500, 3))
+    x1, x2, x3 = x.T
+    a, b, c = 0.9, 0.2, 0.5
+    for lam in (0.8, -1.0, -1.3, 2.5):
+        z = complex(lam)  # the same expression in complex arithmetic
+        expected = q.vector(np.stack([a * np.sin(z * x3) + c * np.cos(z * x2),
+                                      b * np.sin(z * x1) + a * np.cos(z * x3),
+                                      c * np.sin(z * x2) + b * np.cos(z * x1)], axis=-1))
+        assert np.array_equal(abc_beltrami(lam, a, b, c).value(x), expected)
 
 
 def test_abc_beltrami_d_value_matches_fd():
@@ -114,13 +126,20 @@ def _fields(kind, seed, lam):
 @given(kind=st.sampled_from(["polynomial", "beltrami", "chiral"]),
        seed=st.integers(0, 2**32 - 1), lam=_COMPLEX, alpha=_COMPLEX,
        sign=st.sampled_from([1, -1]))
+@example(kind="beltrami", seed=0, lam=2.2250738585e-313 + 0j, alpha=2.2250738585e-313 + 0j,
+         sign=1)  # subnormal lam and alpha: the two sides differ by one subnormal step
 def test_d_alpha_closed_form_matches_oracles(kind, seed, lam, alpha, sign):
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, (40, 3))
     for f in _fields(kind, seed, lam):
         d_value, shift = f.d_value(x), sign * alpha * f.value(x)
         # roundoff scale: the larger sum of the two terms' magnitudes
         scale = (np.abs(d_value) + np.abs(shift)).max()
-        assert np.abs(f.d_alpha(alpha, sign)(x) - (d_value + shift)).max() <= 1e-15 * scale
+        # plus an absolute floor: a product that lands among the subnormals
+        # errs by up to half a subnormal step however small it is, and sums
+        # of subnormals are exact; per component, (lam + s) f rounds two
+        # products and lam f + s f four, so the sides differ by up to 3 steps
+        bound = 1e-15 * scale + 3 * np.finfo(float).smallest_subnormal
+        assert np.abs(f.d_alpha(alpha, sign)(x) - (d_value + shift)).max() <= bound
 
 
 def test_exact_chiral_solution_mode_structure():

@@ -564,9 +564,11 @@ def test_guard_in_the_second_thread_raises_in_the_caller():
     # last 2 on the second thread
     inner = np.tile(PROBE, (TILE_ROWS * NODE_CHUNK // MESH2.n_triangles, 1))
     near, nearer = 0.999 * MESH2.centroids[7], 0.9995 * MESH2.centroids[3]
+    threads = threading.enumerate()
     with pytest.raises(NearSingularityError) as exc:
         cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, np.vstack([inner, near]))
     assert exc.value.distance == pytest.approx(0.001 * np.linalg.norm(MESH2.centroids[7]))
+    assert threading.enumerate() == threads  # no thread outlives a call that raises
     # the next call works, and gives the rows of the first tiles as before
     clean = cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, inner)
     assert q.is_finite(clean)
@@ -575,3 +577,7 @@ def test_guard_in_the_second_thread_raises_in_the_caller():
     with pytest.raises(NearSingularityError) as exc:
         cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, np.vstack([near, inner, nearer]))
     assert exc.value.distance == pytest.approx(0.001 * np.linalg.norm(MESH2.centroids[7]))
+    assert threading.enumerate() == threads
+    # nor one that returns from two halves
+    assert q.is_finite(cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, np.vstack([inner, PROBE])))
+    assert threading.enumerate() == threads
