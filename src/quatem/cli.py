@@ -26,6 +26,7 @@ from .errors import (
     TopologyError,
 )
 from .fields import (
+    DEFAULT_AMPLITUDES,
     abc_beltrami,
     exact_chiral_solution,
     identity_vector_field,
@@ -41,7 +42,6 @@ from .geometry import (
     load_off,
     save_csv,
     save_off,
-    save_quadrature_csv,
 )
 from .kernels import theta, upsilon
 from .maxwell import make_medium
@@ -70,11 +70,12 @@ _BP_FIELDS = {
 }
 _BP_SLACK = 0.10
 # verify-bp's coarsest level: below it one of _BP_PROBES comes closer to a surface
-# node (0.40 and 0.53 radius at levels 0 and 1) than the boundary operator's
-# exclusion zone of 2 mesh spacings (1.38 and 0.76 radius), at any radius, so
-# those levels could only exit 4
+# node (0.40 and 0.53 at levels 0 and 1) than the boundary operator's exclusion
+# zone of 2 mesh spacings (1.38 and 0.76), so those levels could only exit 4
 MIN_BP_LEVEL = 2
 
+# verify-bp's probes in the unit ball; the kernel is radial up to its vector
+# part, so the check on a ball of radius R at alpha is this one at alpha * R
 _BP_PROBES = np.array(
     [
         [0.30, 0.10, -0.20],
@@ -230,7 +231,9 @@ def cmd_gen_mesh(args) -> int:
     mesh = build_sphere_mesh(args.radius, args.level)
     save_off(mesh, args.out)
     if args.ball_csv:
-        save_quadrature_csv(build_ball_quadrature(args.radius, args.level), args.ball_csv)
+        quad = build_ball_quadrature(args.radius, args.level)
+        save_csv(args.ball_csv, np.column_stack([quad.points, quad.weights]), "%.17g",
+                 ["x", "y", "z", "w"])
     check = checked_normals(mesh)
     print(
         "gen-mesh: %d triangles, area %.6g, flux residual %.2e -> %s"
@@ -276,18 +279,15 @@ def cmd_gen_field(args) -> int:
 
 
 def cmd_kernel_probe(args) -> int:
-    direction = np.array([_float_or_nan(v) for v in args.direction.split(",")])
-    if direction.shape != (3,) or not 0 < np.linalg.norm(direction) < np.inf:
-        raise ConfigError("--direction must be a finite nonzero 3-vector 'x,y,z', got %r"
-                          % args.direction)
-    direction = direction / np.linalg.norm(direction)
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
     if not 0 < args.rmin <= args.rmax < np.inf:
         raise ConfigError("--rmin must be positive and --rmax finite and at least --rmin, "
                           "got %g and %g" % (args.rmin, args.rmax))
     radii = np.linspace(args.rmin, args.rmax, args.count)
-    xs = radii[:, None] * direction
+    # upsilon is radial up to the factor x in its vector part, so the dump
+    # along any other ray is this one with the vector part rotated
+    xs = radii[:, None] * np.array([1.0, 0.0, 0.0])
     th = theta(args.alpha, xs)
     up = upsilon(args.alpha, args.sign, xs)
     # r, re/im of theta, then upsilon as re/im of q0..q3 separated by spaces
@@ -299,8 +299,6 @@ def cmd_kernel_probe(args) -> int:
 
 
 def cmd_verify_bp(args) -> int:
-    if not 0 < args.radius < np.inf:
-        raise ConfigError("--radius must be finite and positive, got %g" % args.radius)
     try:
         levels = [int(v) for v in args.levels.split(",")]
     except ValueError:
@@ -313,11 +311,10 @@ def cmd_verify_bp(args) -> int:
     alpha = args.alpha
     table = {name: [] for name in _BP_FIELDS}
     for level in levels:
-        mesh = build_sphere_mesh(args.radius, level)
-        quad = build_ball_quadrature(args.radius, level)
+        mesh = build_sphere_mesh(1.0, level)
+        quad = build_ball_quadrature(1.0, level)
         for name, make_field in _BP_FIELDS.items():
-            res = borel_pompeiu_residual(make_field(alpha), alpha, 1, mesh, quad,
-                                         _BP_PROBES * args.radius)
+            res = borel_pompeiu_residual(make_field(alpha), alpha, 1, mesh, quad, _BP_PROBES)
             table[name].append(float(res.max()))
     decreasing = all(
         col[i + 1] <= (1.0 + _BP_SLACK) * col[i]
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True,
                    choices=("chiral-exact", "abc-beltrami", "polynomial"))
     p.add_argument("--mesh", required=True, help="OFF mesh file")
-    p.add_argument("--amplitudes", default="1,0.7,0.3")
+    p.add_argument("--amplitudes", default=",".join(map(str, DEFAULT_AMPLITUDES)))
     p.add_argument("--wave-parameter", type=_complex_arg, default=None,
                    help="Beltrami eigenvalue (abc-beltrami only)")
     p.add_argument("--coeffs-file", default=None,
@@ -460,10 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_medium_args(p)
     p.set_defaults(func=cmd_gen_field)
 
-    p = sub.add_parser("kernel-probe", help="dump theta/upsilon along a ray (CSV)")
+    p = sub.add_parser("kernel-probe", help="dump theta/upsilon along the +x ray (CSV)")
     p.add_argument("--alpha", type=_complex_arg, required=True)
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    p.add_argument("--direction", default="1,0,0")
     p.add_argument("--rmin", type=float, default=0.1)
     p.add_argument("--rmax", type=float, default=2.0)
     p.add_argument("--count", type=int, default=50)
@@ -474,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reproduction-identity residual across refinements (JSON)")
     p.add_argument("--levels", default="2,3")
     p.add_argument("--alpha", type=_complex_arg, default=1.0 + 0j)
-    p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify_bp)
 

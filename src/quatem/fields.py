@@ -110,15 +110,22 @@ _DMAT = [_derivative_matrix(axis) for axis in range(3)]
 def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate a (4, 10) coefficient table at points (..., 3) -> (..., 4):
     the monomials (in _POWERS order) as real products, then one real matrix
-    product per (re, im) plane of the coefficients."""
+    product per (re, im) plane of the coefficients.  A single row of points
+    is evaluated twice over, because BLAS takes a one-row product through
+    its matrix-vector kernel, which groups the ten terms differently: so a
+    point gives the bits it gives in a batch."""
     x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    pts = np.atleast_2d(x)
+    rows = pts.shape[-2]
+    if rows == 1:
+        pts = np.repeat(pts, 2, axis=-2)
+    x1, x2, x3 = pts[..., 0], pts[..., 1], pts[..., 2]
     mono = np.stack([np.ones_like(x1), x1, x2, x3, x1 * x1, x2 * x2, x3 * x3,
                      x1 * x2, x1 * x3, x2 * x3], axis=-1)
-    out = np.empty(x.shape[:-1] + (4,), dtype=complex)
+    out = np.empty(pts.shape[:-1] + (4,), dtype=complex)
     out.real = mono @ coeffs.real.T
     out.imag = mono @ coeffs.imag.T
-    return out
+    return out[..., :rows, :].reshape(x.shape[:-1] + (4,))
 
 
 def polynomial_field(coeffs) -> AnalyticField:

@@ -89,10 +89,6 @@ class VolumeQuadrature:
     weights: np.ndarray  # (N,), positive, summing to the ball volume
     radius: float
 
-    @property
-    def volume(self) -> float:
-        return float(self.weights.sum())
-
 
 def mesh_from_arrays(vertices, triangles) -> SurfaceMesh:
     """Assemble a SurfaceMesh from vertex/triangle arrays.
@@ -284,9 +280,3 @@ def save_csv(path, table, fmt, header) -> None:
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
                    header=",".join(header), comments="")
-
-
-def save_quadrature_csv(quadrature: VolumeQuadrature, path) -> None:
-    """Dump a volume rule as CSV with columns x,y,z,w."""
-    save_csv(path, np.column_stack([quadrature.points, quadrature.weights]), "%.17g",
-             ["x", "y", "z", "w"])

@@ -79,10 +79,6 @@ class BoundaryDensity:
             raise ValueError("boundary density contains non-finite values")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_function(cls, mesh: SurfaceMesh, f) -> "BoundaryDensity":
-        return cls(mesh, f(mesh.centroids))
-
 
 @dataclass(frozen=True)
 class VolumeDensity:
@@ -313,7 +309,7 @@ def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,
     only; both densities are built once for all targets.
     """
     x = np.asarray(x, dtype=float)
-    trace = BoundaryDensity.from_function(mesh, f.value)
+    trace = BoundaryDensity(mesh, f.value(mesh.centroids))
     volume = VolumeDensity(quadrature, f.d_alpha(alpha, sign))
     reproduced = cauchy_boundary(alpha, sign, trace, x) + teodorescu(alpha, sign, volume, x)
     fx = f.value(x)

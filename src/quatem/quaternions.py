@@ -78,18 +78,6 @@ def qconj(q) -> np.ndarray:
     return out
 
 
-def dot_c(u, v) -> np.ndarray:
-    """Bilinear (non-Hermitian) C^3 dot product."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return np.sum(u * v, axis=-1)
-
-
-def cross_c(u, v) -> np.ndarray:
-    """Bilinear C^3 cross product."""
-    return np.cross(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-
-
 def norm(q) -> np.ndarray:
     """Euclidean norm of the 4 complex coefficients (not the quaternion
     'modulus', which can vanish on zero divisors)."""

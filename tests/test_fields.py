@@ -109,6 +109,21 @@ def test_poly_eval_matches_power_products():
             assert np.array_equal(got, expected)
 
 
+def test_polynomial_at_one_point_is_its_row_of_a_batch_bit_for_bit():
+    # a single point takes the batch's matrix-matrix product, not BLAS's
+    # matrix-vector kernel, which groups the ten terms differently
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        coeffs = rng.standard_normal((4, N_MONOMIALS)) + 1j * rng.standard_normal((4, N_MONOMIALS))
+        f = polynomial_field(coeffs)
+        x = rng.uniform(-1.5, 1.5, 3)
+        one = f.value(x)
+        assert one.shape == (4,)
+        assert np.array_equal(one, f.value(np.stack([x, x]))[0])
+        assert np.array_equal(one, f.value(np.vstack([rng.uniform(-1.5, 1.5, (40, 3)), x]))[-1])
+        assert np.array_equal(f.value(x[None]), one[None])
+
+
 _COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 

@@ -14,13 +14,7 @@ from quatem.cli import _load_traces, _save_traces, main
 from quatem.errors import ConfigError
 from quatem.fields import abc_beltrami, polynomial_field
 from quatem.kernels import theta, upsilon
-from quatem.geometry import (
-    build_ball_quadrature,
-    build_sphere_mesh,
-    load_off,
-    save_off,
-    save_quadrature_csv,
-)
+from quatem.geometry import build_ball_quadrature, build_sphere_mesh, load_off, save_off
 
 from oracles import from_text, to_text
 
@@ -42,7 +36,8 @@ def test_ball_csv_bytes(tmp_path):
         writer.writerow(["x", "y", "z", "w"])
         for p, w in zip(quad.points, quad.weights):
             writer.writerow(["%.17g" % v for v in (*p, w)])
-    save_quadrature_csv(quad, tmp_path / "b.csv")
+    assert main(["gen-mesh", "--radius", "1.3", "--level", "1", "--out", str(tmp_path / "m.off"),
+                 "--ball-csv", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "b.csv").read_bytes() == reference.read_bytes()
 
 
@@ -97,7 +92,7 @@ def test_field_sample_csv_bytes(tmp_path, family):
 
 def test_kernel_probe_csv(tmp_path):
     alpha, sign, count = 1.0 + 0.3j, -1, 50
-    direction = np.array([1.0, 2.0, -0.5]) / np.linalg.norm([1.0, 2.0, -0.5])
+    direction = np.array([1.0, 0.0, 0.0])  # the +x ray
     reference = tmp_path / "reference.csv"
     with open(reference, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -107,8 +102,8 @@ def test_kernel_probe_csv(tmp_path):
             writer.writerow(["%.17g" % r, "%.17g" % th.real, "%.17g" % th.imag,
                              to_text(upsilon(alpha, sign, r * direction))])
     path = tmp_path / "kp.csv"
-    assert main(["kernel-probe", "--alpha", "1+0.3j", "--sign", "-1", "--direction",
-                 "1,2,-0.5", "--count", str(count), "--out", str(path)]) == 0
+    assert main(["kernel-probe", "--alpha", "1+0.3j", "--sign", "-1", "--count", str(count),
+                 "--out", str(path)]) == 0
     with open(reference, newline="") as fh:
         expected = list(csv.reader(fh))
     with open(path, newline="") as fh:

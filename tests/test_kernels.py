@@ -83,6 +83,24 @@ def test_kernel_probe_csv_layout(tmp_path):
         assert np.allclose(up, upsilon(0.8 + 0.3j, -1, [r, 0.0, 0.0]), rtol=1e-15, atol=0.0)
 
 
+def test_upsilon_along_any_ray_is_the_x_ray_rotated():
+    # upsilon(r d) = (sign*alpha*theta(r), c(r) r d) for a unit vector d, with
+    # c(r) r the vector part along +x: kernel-probe's ray stands for every ray
+    rng = np.random.default_rng(41)
+    d = rng.standard_normal((20, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = np.linspace(0.1, 2.0, 7)
+    for alpha in ALPHAS:
+        for s in (1, -1):
+            on_x = upsilon(alpha, s, r[:, None] * [1.0, 0.0, 0.0])
+            assert np.all(on_x[:, 2:] == 0)
+            along = upsilon(alpha, s, r[:, None, None] * d)  # (radii, rays, 4)
+            expected = np.empty_like(along)
+            expected[..., 0] = on_x[:, None, 0]
+            expected[..., 1:] = on_x[:, None, 1:2] * d
+            assert np.all(q.norm(along - expected) <= 1e-14 * q.norm(expected))
+
+
 def test_theta_singularity():
     with pytest.raises(SingularityError):
         theta(1.0, np.zeros(3))

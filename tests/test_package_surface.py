@@ -17,14 +17,14 @@ MODULE_SURFACE = {
                "identity_vector_field", "polynomial_field", "scalar_monomial"},
     "geometry": {"NormalCheck", "SurfaceMesh", "VolumeQuadrature", "build_ball_quadrature",
                  "build_sphere_mesh", "checked_ball_nodes", "checked_normals", "load_off",
-                 "mesh_from_arrays", "save_csv", "save_off", "save_quadrature_csv"},
+                 "mesh_from_arrays", "save_csv", "save_off"},
     "kernels": {"radial_factors", "theta", "upsilon"},
     "maxwell": {"ChiralMedium", "SourceData", "continuity_rho", "make_medium",
                 "merge_values", "phi_psi_rhs", "split_values"},
     "operators": {"BoundaryDensity", "VolumeDensity", "borel_pompeiu_residual",
                   "cauchy_boundary", "teodorescu"},
-    "quaternions": {"cross_c", "dot_c", "is_finite", "norm", "qconj", "qmul", "quat", "sc",
-                    "scalar", "vec", "vector"},
+    "quaternions": {"is_finite", "norm", "qconj", "qmul", "quat", "sc", "scalar", "vec",
+                    "vector"},
     "reconstruction": {"ExtendibilityReport", "extendibility_residual", "perturb_traces",
                        "reconstruct_eh", "two_kernel_eh"},
 }

@@ -100,8 +100,8 @@ def test_vector_product_rule():
     a = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
     b = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
     prod = q.qmul(q.vector(a), q.vector(b))
-    assert np.allclose(prod[:, 0], -q.dot_c(a, b))
-    assert np.allclose(prod[:, 1:], q.cross_c(a, b))
+    assert np.allclose(prod[:, 0], -np.sum(a * b, axis=-1))
+    assert np.allclose(prod[:, 1:], np.cross(a, b))
 
 
 def test_broadcasting():
