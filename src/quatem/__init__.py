@@ -24,7 +24,6 @@ from .geometry import (
 from .kernels import theta, upsilon
 from .maxwell import (
     ChiralMedium,
-    SourceData,
     continuity_rho,
     make_medium,
     merge_values,

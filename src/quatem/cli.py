@@ -364,7 +364,7 @@ def cmd_reconstruct(args) -> int:
             print("numeric precondition violated: probe %g,%g,%g is not inside the surface "
                   "(interior indicator %.4g, expected 1)" % (*x, value), file=sys.stderr)
             return EXIT_NUMERIC
-    e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, None, medium, None, probes)
+    e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, medium, probes)
     e_k, h_k = two_kernel_eh(mesh, e_tr, h_tr, medium, probes)
     gaps = np.maximum(q.norm(e_x - e_k), q.norm(h_x - h_k))
     worst_gap = float(gaps.max())

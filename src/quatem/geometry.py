@@ -276,7 +276,10 @@ def save_csv(path, table, fmt, header) -> None:
     """Write a 2-D table as CSV: a row of the `header` names, then one row
     per table row, formatted by `fmt` (one format for all columns, one per
     column, or the whole row), with CRLF line ends as the csv module
-    writes them."""
+    writes them.  ValueError, before the file is opened, if a value is NaN
+    or infinite."""
+    if not np.all(np.isfinite(table)):
+        raise ValueError("%s not written: a value is NaN or infinite" % path)
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
                    header=",".join(header), comments="")

@@ -10,7 +10,6 @@ quaternionic equations with wave parameters alpha1 and alpha2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -82,29 +81,21 @@ def merge_values(phi, psi):
     return 0.5 * (phi + psi), (phi - psi) / 2j
 
 
-@dataclass(frozen=True)
-class SourceData:
-    """Current density with its analytic divergence.
-
-    The charge term is always derived from the current via the continuity
-    relation rho/eps = -(1/(i*k)) div j, never supplied independently.
-    """
-
-    j: AnalyticField                      # purely vectorial
-    div_j: Callable[[np.ndarray], np.ndarray]
-
-
-def continuity_rho(source: SourceData, medium: ChiralMedium):
-    """rho/eps as a scalar evaluator, -(1/(i*k)) div j."""
+def continuity_rho(j: AnalyticField, medium: ChiralMedium):
+    """rho/eps = -(1/(i*k)) div j as a scalar evaluator, with -div j read
+    from the scalar part of the current's exact derivative D j."""
     k = medium.k
-    return lambda x: -source.div_j(x) / (1j * k)
+    return lambda x: q.sc(j.d_value(x)) / (1j * k)
 
 
-def phi_psi_rhs(source: SourceData, medium: ChiralMedium):
-    """Quaternionic right-hand sides of the decoupled mode equations.
+def phi_psi_rhs(j: AnalyticField, medium: ChiralMedium):
+    """Quaternionic right-hand sides of the decoupled mode equations for the
+    current j (its vector part; -div j is the scalar part of D j).
 
-    (D + alpha1) Phi = (i/k) [alpha1 j - div j]
-    (D - alpha2) Psi = -(i/k) [alpha2 j + div j]
+    For normalized fields with rot E = -ik (H + beta rot H) and
+    rot H = ik (E + beta rot E) + j (so div H = 0, div E = (i/k) div j):
+        (D + alpha1) Phi = (i/k) [alpha1 j - div j]
+        (D - alpha2) Psi = -(i/k) [alpha2 j + div j]
 
     Both read (i/k) [a j - div j] with the signed wave parameter a =
     +alpha1 or -alpha2; div j lands in the scalar part, j in the vector
@@ -115,8 +106,8 @@ def phi_psi_rhs(source: SourceData, medium: ChiralMedium):
     def rhs(a):
         def evaluate(x):
             x = np.asarray(x, dtype=float)
-            out = q.vector((1j * a / k) * q.vec(source.j.value(x)))
-            out[..., 0] = -(1j / k) * source.div_j(x)
+            out = q.vector((1j * a / k) * q.vec(j.value(x)))
+            out[..., 0] = (1j / k) * q.sc(j.d_value(x))
             return out
         return evaluate
 

@@ -290,6 +290,7 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
 
     def guarded_weights(r, cols):
         dist = float(r.min())
+        # slack: extendibility_residual's first offsets lie exactly d_min deep
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)
         return mesh.areas[cols]

@@ -1,7 +1,8 @@
 """Field reconstruction from boundary traces and the extendibility check.
 
 E and H are assembled one way: reconstruct the modes Phi = E + iH and
-Psi = E - iH from their traces, then merge.  The source-free two-kernel
+Psi = E - iH from their traces (a current j adds the volume terms of the
+representation with sources), then merge.  The source-free two-kernel
 displays, which apply K1 = K_{+alpha1} and K2 = K_{-alpha2} to the e and h
 traces separately, sum the same quantity in a different grouping; they
 serve as an independent cross-check that must agree to roundoff.
@@ -17,22 +18,21 @@ solved or regularized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import quaternions as q
+from .fields import AnalyticField
 from .geometry import SurfaceMesh, VolumeQuadrature
-from .maxwell import ChiralMedium, SourceData, merge_values, phi_psi_rhs, split_values
+from .maxwell import ChiralMedium, merge_values, phi_psi_rhs, split_values
 from .operators import (
+    MIN_DISTANCE_FACTOR,
     RESIDUAL_FLOOR,
     BoundaryDensity,
     VolumeDensity,
     cauchy_boundary,
     teodorescu,
 )
-
-DEPTH_FACTOR = 2.0  # offset depth of the extendibility check, in mesh spacings
 
 # Coefficients of the inward-depth extrapolation toward the surface:
 # values at depth*m are combined with weight c for each (m, c).
@@ -42,9 +42,9 @@ EXTRAPOLATIONS = {
 }
 
 
-def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
-                   source: Optional[SourceData], medium: ChiralMedium,
-                   quadrature: Optional[VolumeQuadrature], x):
+def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
+                   current: AnalyticField | None = None,
+                   quadrature: VolumeQuadrature | None = None):
     """E and H at interior points from per-triangle boundary traces.
 
     Splits the traces into per-triangle densities of the modes
@@ -53,19 +53,19 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace,
     Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
     Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
 
-    (the volume terms only with a source, which needs a quadrature; both
+    (the volume terms only with a current j, which needs a quadrature; both
     boundary terms in one cauchy_boundary call), and merges them.  x is one
     point (3,) or many (M, 3); E and H have shape (4,) or (M, 4).  Returns
     full quaternions (the scalar parts measure discretization error; they
     vanish in the continuum).
     """
-    if source is not None and quadrature is None:
-        raise ValueError("a volume quadrature is required when a source is present")
+    if current is not None and quadrature is None:
+        raise ValueError("a volume quadrature is required when a current is present")
     a1, a2 = medium.alpha1, medium.alpha2
     modes = BoundaryDensity(mesh, q.vector(np.stack(split_values(e_trace, h_trace))))
     phi_x, psi_x = cauchy_boundary((a1, a2), (1, -1), modes, x)
-    if source is not None:
-        rhs_phi, rhs_psi = phi_psi_rhs(source, medium)
+    if current is not None:
+        rhs_phi, rhs_psi = phi_psi_rhs(current, medium)
         phi_x = phi_x + teodorescu(a1, 1, VolumeDensity(quadrature, rhs_phi), x)
         psi_x = psi_x + teodorescu(a2, -1, VolumeDensity(quadrature, rhs_psi), x)
     return merge_values(phi_x, psi_x)
@@ -124,12 +124,13 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMe
     """Residuals of the boundary-trace criterion, per triangle.
 
     The source-free reconstruction is evaluated at the centroids moved
-    inward along the normals by multiples of depth = DEPTH_FACTOR *
-    mesh.spacing (all depths in one batch), extrapolated to the surface
-    and compared with the traces there.  Residuals are quaternion norms
-    (the scalar part of the prediction must vanish too) relative to the
-    overall trace magnitude.  ValueError if the deepest offset reaches
-    mesh.inradius; its message names a finer mesh as the remedy.
+    inward along the normals by multiples of depth = MIN_DISTANCE_FACTOR *
+    mesh.spacing, the boundary operator's exclusion zone (all depths in one
+    batch), extrapolated to the surface and compared with the traces there.
+    Residuals are quaternion norms (the scalar part of the prediction must
+    vanish too) relative to the overall trace magnitude.  ValueError if the
+    deepest offset reaches mesh.inradius; its message names a finer mesh as
+    the remedy.
     """
     if extrapolation not in EXTRAPOLATIONS:
         raise ValueError("extrapolation must be one of %s" % sorted(EXTRAPOLATIONS))
@@ -144,14 +145,14 @@ def extendibility_residual(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMe
         RESIDUAL_FLOOR,
     )
     rule = EXTRAPOLATIONS[extrapolation]
-    depth = DEPTH_FACTOR * mesh.spacing
+    depth = MIN_DISTANCE_FACTOR * mesh.spacing
     deepest = max(mult for mult, _ in rule)
     if deepest * depth >= mesh.inradius:
         raise ValueError("the %s extrapolation offsets down to %d x depth %g = %g, past the "
                          "inradius estimate %g: a finer mesh would run"
                          % (extrapolation, deepest, depth, deepest * depth, mesh.inradius))
     pts = np.concatenate([mesh.centroids - (mult * depth) * mesh.normals for mult, _ in rule])
-    e_x, h_x = reconstruct_eh(mesh, e_trace, h_trace, None, medium, None, pts)
+    e_x, h_x = reconstruct_eh(mesh, e_trace, h_trace, medium, pts)
     e_pred = sum(c * v for (_, c), v in zip(rule, e_x.reshape(len(rule), n_tri, 4)))
     h_pred = sum(c * v for (_, c), v in zip(rule, h_x.reshape(len(rule), n_tri, 4)))
 

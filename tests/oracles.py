@@ -3,13 +3,14 @@
 Finite-difference versions of the Moisil-Theodoresco operator D, of
 D +- alpha and of div/rot check the closed-form derivatives of the kernels
 and fields; grad_theta is the closed-form gradient of the Helmholtz
-fundamental solution; maxwell_residual checks the chiral curl equations by
-finite differences; constant_field is the degree-0 polynomial field;
-to_text/from_text write and read one quaternion as the 8 numbers of the
-CLI's CSV q columns; poly_eval_powers evaluates a polynomial field's
-coefficient table through complex power products; and
-edges_first_appearance numbers a mesh's edges in order of first
-appearance.
+fundamental solution; maxwell_residual checks the chiral curl equations,
+with or without a current, by finite differences; rot_coeffs and
+manufactured_current_solution build a polynomial chiral solution with a
+current; constant_field is the degree-0 polynomial field; to_text/from_text
+write and read one quaternion as the 8 numbers of the CLI's CSV q columns;
+poly_eval_powers evaluates a polynomial field's coefficient table through
+complex power products; and edges_first_appearance numbers a mesh's edges
+in order of first appearance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from quatem import quaternions as q
-from quatem.fields import _POWERS, N_MONOMIALS, AnalyticField, polynomial_field
+from quatem.fields import _DMAT, _POWERS, N_MONOMIALS, AnalyticField, polynomial_field
 from quatem.kernels import _radii, theta
 from quatem.maxwell import ChiralMedium
 from quatem.operators import RESIDUAL_FLOOR
@@ -83,13 +84,14 @@ def fd_curl(fvec, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
 
 
 def maxwell_residual(e_field: AnalyticField, h_field: AnalyticField,
-                     medium: ChiralMedium, x):
-    """Finite-difference residuals of the source-free chiral curl equations at x.
+                     medium: ChiralMedium, x, current: AnalyticField | None = None):
+    """Finite-difference residuals of the chiral curl equations at x.
 
     rot E = -ik (H + beta rot H)
-    rot H =  ik (E + beta rot E)
+    rot H =  ik (E + beta rot E) + j
 
-    Each residual is normalized by the larger of its two sides.
+    with j = 0 unless a current is given.  Each residual is normalized by
+    the larger of its two sides.
     """
     x = np.asarray(x, dtype=float)
     k, beta = medium.k, medium.beta
@@ -100,10 +102,43 @@ def maxwell_residual(e_field: AnalyticField, h_field: AnalyticField,
 
     rhs1 = -1j * k * (h_x + beta * rot_h)
     rhs2 = 1j * k * (e_x + beta * rot_e)
+    if current is not None:
+        rhs2 = rhs2 + current.vector_value(x)
     norm = np.linalg.norm
     r1 = norm(rot_e - rhs1) / max(norm(rot_e), norm(rhs1), RESIDUAL_FLOOR)
     r2 = norm(rot_h - rhs2) / max(norm(rot_h), norm(rhs2), RESIDUAL_FLOOR)
     return float(r1), float(r2)
+
+
+def rot_coeffs(coeffs) -> np.ndarray:
+    """rot of the vector part of a (4, 10) coefficient table, as a table
+    with a zero scalar row; fields._DMAT differentiates each row."""
+    grad = [coeffs @ _DMAT[axis] for axis in range(3)]  # d(coeffs)/dx_axis
+    out = np.zeros_like(coeffs)
+    out[1] = grad[1][3] - grad[2][2]
+    out[2] = grad[2][1] - grad[0][3]
+    out[3] = grad[0][2] - grad[1][1]
+    return out
+
+
+def manufactured_current_solution(medium: ChiralMedium, seed: int):
+    """Polynomial fields E, H and current j that solve the chiral curl
+    equations with a source exactly.
+
+    E is a random complex quadratic vector polynomial.  H = (i/k)(rot E -
+    beta rot^2 E) solves rot E = -ik (H + beta rot H): the Neumann series
+    of (1 + beta rot)^-1 ends there because rot lowers the degree, so
+    rot^3 E = 0, and div H = 0.  The current j = rot H - ik (E + beta rot E)
+    is read off the electric equation; div j = -ik div E is not zero.
+    """
+    rng = np.random.default_rng(seed)
+    e = np.zeros((4, N_MONOMIALS), dtype=complex)
+    e[1:] = rng.standard_normal((3, N_MONOMIALS)) + 1j * rng.standard_normal((3, N_MONOMIALS))
+    k, beta = medium.k, medium.beta
+    rot_e = rot_coeffs(e)
+    h = (1j / k) * (rot_e - beta * rot_coeffs(rot_e))
+    j = rot_coeffs(h) - 1j * k * (e + beta * rot_e)
+    return polynomial_field(e), polynomial_field(h), polynomial_field(j)
 
 
 def constant_field(value) -> AnalyticField:

@@ -21,7 +21,7 @@ from quatem.fields import (
 )
 from quatem.geometry import build_ball_quadrature, build_sphere_mesh
 from quatem.kernels import upsilon
-from quatem.maxwell import SourceData, continuity_rho, make_medium
+from quatem.maxwell import continuity_rho, make_medium
 from quatem.operators import borel_pompeiu_residual
 from quatem.reconstruction import (
     extendibility_residual,
@@ -153,7 +153,7 @@ def _reconstruction_worst(level):
     e_tr, h_tr = q.vec(e_field.value(pts)), q.vec(h_field.value(pts))
     probes = BP_PROBES  # all with |x| <= 0.5
     worst = gap = 0.0
-    e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, None, MEDIUM, None, probes)
+    e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, probes)
     e_two, h_two = two_kernel_eh(mesh, e_tr, h_tr, MEDIUM, probes)
     for x, e1, h1, e2, h2 in zip(probes, e_all, h_all, e_two, h_two):
         exact_e, exact_h = e_field.value(x), h_field.value(x)
@@ -220,7 +220,7 @@ def test_criterion_9_continuity(capsys):
     coeffs[3, 3] = -2.0      # j3 = -2 x3
     j = polynomial_field(coeffs)
     div_j = lambda x: (np.asarray(x)[..., 0] * (1.0 + (1.0 + 1j)) - 2.0)
-    rho = continuity_rho(SourceData(j=j, div_j=div_j), MEDIUM)
+    rho = continuity_rho(j, MEDIUM)
     pts = np.random.default_rng(104).uniform(-1, 1, (100, 3))
     expected = -div_j(pts) / (1j * MEDIUM.k)
     worst = float(np.max(np.abs(rho(pts) - expected)))

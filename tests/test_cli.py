@@ -432,6 +432,22 @@ def test_json_artifacts_hold_no_nan_or_infinity(tmp_path, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel-probe", "--alpha", "0-400j"],
+    ["gen-field", "--family", "abc-beltrami", "--wave-parameter", "0-900j"],
+], ids=["kernel-probe", "gen-field"])
+def test_csv_artifacts_hold_no_nan_or_infinity(workspace, tmp_path, capsys, argv):
+    # the values overflow, which NumPy warns about; like a JSON artifact the
+    # CSV is refused with exit 2 and no file is left
+    _, mesh, _ = workspace
+    out = tmp_path / "x.csv"
+    mesh_args = ["--mesh", mesh] if argv[0] == "gen-field" else []
+    with pytest.warns(RuntimeWarning):
+        assert main(argv + mesh_args + ["--out", str(out)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _MEDIUM_FLAGS = {"--omega", "--epsilon", "--mu", "--beta"}
 
 

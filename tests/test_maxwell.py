@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from quatem.errors import SingularMediumError
-from quatem.fields import abc_beltrami, exact_chiral_solution
+from quatem.fields import abc_beltrami, exact_chiral_solution, polynomial_field
 from quatem.maxwell import (
-    SourceData,
     continuity_rho,
     make_medium,
     merge_values,
@@ -15,7 +14,7 @@ from quatem.maxwell import (
 )
 from quatem import quaternions as q
 
-from oracles import fd_div, maxwell_residual
+from oracles import fd_div, manufactured_current_solution, maxwell_residual
 
 
 def test_canonical_medium_parameters():
@@ -65,38 +64,39 @@ def test_split_merge_roundtrip():
     assert np.allclose(e2, e) and np.allclose(h2, h)
 
 
-def _beltrami_source(lam):
-    f = abc_beltrami(lam)
-    return SourceData(j=f, div_j=lambda x: np.zeros(np.asarray(x).shape[:-1], dtype=complex))
-
-
 def test_continuity_relation():
     # j with a known nonzero divergence: j = (x1^2, x2, 0), div j = 2 x1 + 1
-    from quatem.fields import polynomial_field
-
     coeffs = np.zeros((4, 10), dtype=complex)
     coeffs[1, 4] = 1.0  # x1^2 in component 1
     coeffs[2, 2] = 1.0  # x2 in component 2
     j = polynomial_field(coeffs)
     div_j = lambda x: 2.0 * np.asarray(x)[..., 0] + 1.0
     m = make_medium(1.0, 1.0, 1.0, 0.25)
-    rho = continuity_rho(SourceData(j=j, div_j=div_j), m)
+    rho = continuity_rho(j, m)
     pts = np.random.default_rng(14).uniform(-1, 1, (20, 3))
     expected = -div_j(pts) / (1j * m.k)
     assert np.max(np.abs(rho(pts) - expected)) < 1e-12
-    # analytic divergence agrees with FD on the current itself
+    # the hand-written divergence agrees with FD on the current itself
     assert abs(fd_div(j.vector_value, pts[0]) - div_j(pts[0])) < 1e-7
 
 
 def test_phi_psi_rhs_structure():
+    # a divergence-free Beltrami current has no scalar part; the polynomial
+    # j = (x1^2, (1+i) x1 x2, -2 x3) with div j = (3+i) x1 - 2 has -(i/k) div j
     m = make_medium(1.0, 1.0, 1.0, 0.25)
-    src = _beltrami_source(0.7)
-    rhs_phi, rhs_psi = phi_psi_rhs(src, m)
+    coeffs = np.zeros((4, 10), dtype=complex)
+    coeffs[1, 4], coeffs[2, 7], coeffs[3, 3] = 1.0, 1.0 + 1j, -2.0
+    currents = [(abc_beltrami(0.7), lambda x: 0.0),
+                (polynomial_field(coeffs), lambda x: (3.0 + 1j) * x[0] - 2.0)]
     x = np.array([0.1, 0.2, -0.3])
-    jv = q.vec(src.j.value(x))
-    assert np.allclose(q.vec(rhs_phi(x)), (1j * m.alpha1 / m.k) * jv)
-    assert np.allclose(q.vec(rhs_psi(x)), -(1j * m.alpha2 / m.k) * jv)
-    assert rhs_phi(x)[0] == 0 and rhs_psi(x)[0] == 0  # divergence-free source
+    for j, div_j in currents:
+        rhs_phi, rhs_psi = phi_psi_rhs(j, m)
+        jv = q.vec(j.value(x))
+        assert np.allclose(q.vec(rhs_phi(x)), (1j * m.alpha1 / m.k) * jv)
+        assert np.allclose(q.vec(rhs_psi(x)), -(1j * m.alpha2 / m.k) * jv)
+        expected = -(1j / m.k) * div_j(x)  # exactly 0 for the Beltrami current
+        assert abs(rhs_phi(x)[0] - expected) <= 1e-14 * abs(expected)
+        assert abs(rhs_psi(x)[0] - expected) <= 1e-14 * abs(expected)
 
 
 def test_exact_solution_satisfies_curl_equations():
@@ -106,3 +106,18 @@ def test_exact_solution_satisfies_curl_equations():
     for x in rng.uniform(-0.8, 0.8, (10, 3)):
         r1, r2 = maxwell_residual(e_field, h_field, m, x)
         assert r1 < 1e-6 and r2 < 1e-6
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.0])
+def test_manufactured_current_solution_satisfies_curl_equations(beta):
+    # the closed-form current solution checked by finite differences, which
+    # do not use fields._DMAT: both curl equations with j, div H = 0, and a
+    # current that is not divergence-free
+    m = make_medium(1.0, 1.0, 1.0, beta)
+    e_field, h_field, j = manufactured_current_solution(m, seed=3)
+    for x in np.random.default_rng(16).uniform(-0.8, 0.8, (10, 3)):
+        r1, r2 = maxwell_residual(e_field, h_field, m, x, current=j)
+        assert r1 < 1e-6 and r2 < 1e-6
+        assert abs(fd_div(h_field.vector_value, x)) < 1e-6
+        assert abs(fd_div(j.vector_value, x)) > 1e-3
+    assert max(maxwell_residual(e_field, h_field, m, x)) > 0.1  # j is needed

@@ -19,7 +19,7 @@ MODULE_SURFACE = {
                  "build_sphere_mesh", "checked_ball_nodes", "checked_normals", "load_off",
                  "mesh_from_arrays", "save_csv", "save_off"},
     "kernels": {"radial_factors", "theta", "upsilon"},
-    "maxwell": {"ChiralMedium", "SourceData", "continuity_rho", "make_medium",
+    "maxwell": {"ChiralMedium", "continuity_rho", "make_medium",
                 "merge_values", "phi_psi_rhs", "split_values"},
     "operators": {"BoundaryDensity", "VolumeDensity", "borel_pompeiu_residual",
                   "cauchy_boundary", "teodorescu"},
@@ -32,7 +32,7 @@ MODULE_SURFACE = {
 EXPORTS = {
     "AnalyticField", "BoundaryDensity", "CapacityError", "ChiralMedium", "ConfigError",
     "ExtendibilityReport", "NearSingularityError", "QuatemError", "SingularMediumError",
-    "SingularityError", "SourceData", "SurfaceMesh", "TopologyError", "VolumeDensity",
+    "SingularityError", "SurfaceMesh", "TopologyError", "VolumeDensity",
     "VolumeQuadrature", "abc_beltrami", "borel_pompeiu_residual", "build_ball_quadrature",
     "build_sphere_mesh", "cauchy_boundary", "checked_normals", "continuity_rho",
     "exact_chiral_solution", "extendibility_residual", "make_medium", "merge_values",

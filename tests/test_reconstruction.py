@@ -9,7 +9,7 @@ from quatem import quaternions as q
 from quatem.cli import _BP_PROBES
 from quatem.fields import exact_chiral_solution
 from quatem.geometry import build_ball_quadrature, build_sphere_mesh, mesh_from_arrays
-from quatem.maxwell import SourceData, make_medium
+from quatem.maxwell import make_medium
 from quatem.reconstruction import (
     ExtendibilityReport,
     extendibility_residual,
@@ -17,6 +17,8 @@ from quatem.reconstruction import (
     reconstruct_eh,
     two_kernel_eh,
 )
+
+from oracles import manufactured_current_solution
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 PROBES = np.array([[0.3, 0.1, -0.2], [0.1, -0.15, 0.2], [-0.2, 0.4, 0.1]])
@@ -40,7 +42,7 @@ def test_reconstruction_accuracy_and_convergence():
         e_tr, h_tr, e_field, h_field = _traces(mesh)
         worst = 0.0
         for x in PROBES:
-            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, None, MEDIUM, None, x)
+            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, x)
             exact_e, exact_h = e_field.value(x), h_field.value(x)
             worst = max(
                 worst,
@@ -61,7 +63,7 @@ def test_reconstruction_is_second_order(capsys):
     for level in (3, 4, 5):
         mesh = build_sphere_mesh(1.0, level)
         e_tr, h_tr, e_field, h_field = _traces(mesh)
-        e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, None, MEDIUM, None, _BP_PROBES)
+        e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, _BP_PROBES)
         spacing.append(mesh.spacing)
         worst.append(max(float(np.max(q.norm(got - exact) / q.norm(exact)))
                          for got, exact in ((e_x, e_field.value(_BP_PROBES)),
@@ -73,12 +75,53 @@ def test_reconstruction_is_second_order(capsys):
     assert order >= 1.8, "fitted order %.3f from errors %s" % (order, worst)
 
 
+@pytest.mark.parametrize("constants", [(1.0, 1.0, 1.0, 0.25), (1.0, 1.0, 1.0, 0.0),
+                                       (1.0, 2.0 + 0.5j, 1.0, 0.25)],
+                         ids=["beta=0.25", "beta=0", "lossy"])
+def test_reconstruction_with_current_matches_manufactured_solution(constants, capsys):
+    # the representation with sources, Phi = T_{+a1}[(i/k)(a1 j - div j)] +
+    # K_{+a1} Phi and likewise Psi, reproduces a polynomial solution with a
+    # current of nonzero divergence at verify-bp's probes.  With seed 3 the
+    # worst relative E and H error reads 6.4e-2, 1.6e-2, 4.0e-3 at levels 2-4
+    # for beta = 0.25 (5.2e-2, 1.3e-2, 3.2e-3 for beta = 0; 7.3e-2, 1.9e-2,
+    # 4.7e-3 in the lossy medium, k = 1.43+0.18i): second order.  Without
+    # the current the same traces err by about 3, so the volume terms carry
+    # the result; k != 1 in the lossy medium pins the factor i/k.
+    medium = make_medium(*constants)
+    e_field, h_field, j = manufactured_current_solution(medium, seed=3)
+    exact = (e_field.value(_BP_PROBES), h_field.value(_BP_PROBES))
+
+    def worst(fields):
+        return max(float(np.max(q.norm(got - ref) / q.norm(ref)))
+                   for got, ref in zip(fields, exact))
+
+    spacing, errors = [], []
+    for level in (2, 3, 4):
+        mesh = build_sphere_mesh(1.0, level)
+        e_tr, h_tr = (q.vec(f.value(mesh.centroids)) for f in (e_field, h_field))
+        quad = build_ball_quadrature(1.0, level)
+        spacing.append(mesh.spacing)
+        errors.append(worst(reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES,
+                                           current=j, quadrature=quad)))
+        if level == 3:
+            source_free = worst(reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES))
+    order = np.polyfit(np.log(spacing), np.log(errors), 1)[0]
+    with capsys.disabled():
+        print("\nreconstruction with a current, k=%s, beta=%g: errors %s, fitted order "
+              "%.3f, source-free %.2f" % (np.round(medium.k, 3), medium.beta,
+                                          ", ".join("%.2e" % e for e in errors), order,
+                                          source_free), flush=True)
+    assert errors[1] < 5e-2, "level-3 error %.3e (criterion 6's bound 5e-2)" % errors[1]
+    assert order >= 1.8, "fitted order %.3f from errors %s" % (order, errors)
+    assert source_free > 0.5, "the current moved nothing: source-free error %.3e" % source_free
+
+
 def test_assembly_paths_agree():
     # the mode assembly and the two-kernel displays group the sums
     # differently: equal to roundoff, but not bit for bit
     mesh = build_sphere_mesh(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
-    e1, h1 = reconstruct_eh(mesh, e_tr, h_tr, None, MEDIUM, None, PROBES)
+    e1, h1 = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES)
     e2, h2 = two_kernel_eh(mesh, e_tr, h_tr, MEDIUM, PROBES)
     scale = np.maximum(q.norm(e1), q.norm(h1))
     gap = np.maximum(q.norm(e1 - e2), q.norm(h1 - h2)) / scale
@@ -91,32 +134,24 @@ def test_source_requires_quadrature():
     e_tr, h_tr, _, _ = _traces(mesh)
     from quatem.fields import abc_beltrami
 
-    src = SourceData(
-        j=abc_beltrami(0.5),
-        div_j=lambda x: np.zeros(np.asarray(x).shape[:-1], dtype=complex),
-    )
     with pytest.raises(ValueError):
-        reconstruct_eh(mesh, e_tr, h_tr, src, MEDIUM, None, PROBES[0])
+        reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES[0], current=abc_beltrami(0.5))
 
 
 def test_batched_reconstruction_matches_pointwise():
     # one call on all probes equals one call per probe, with and without a
-    # (divergence-free) source whose volume terms contribute
+    # (divergence-free) current whose volume terms contribute
     from quatem.fields import abc_beltrami
 
     mesh = build_sphere_mesh(1.0, 2)
     quad = build_ball_quadrature(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
-    src = SourceData(
-        j=abc_beltrami(0.5),
-        div_j=lambda x: np.zeros(np.asarray(x).shape[:-1], dtype=complex),
-    )
-    free_e, _ = reconstruct_eh(mesh, e_tr, h_tr, None, MEDIUM, None, PROBES)
-    for source, quadrature in ((None, None), (src, quad)):
-        e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, source, MEDIUM, quadrature, PROBES)
+    free_e, _ = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES)
+    for current, quadrature in ((None, None), (abc_beltrami(0.5), quad)):
+        e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES, current, quadrature)
         assert e_all.shape == h_all.shape == (len(PROBES), 4)
         for x, e_row, h_row in zip(PROBES, e_all, h_all):
-            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, source, MEDIUM, quadrature, x)
+            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, x, current, quadrature)
             assert e_x.shape == (4,)
             assert np.allclose(e_row, e_x, rtol=0.0, atol=1e-14)
             assert np.allclose(h_row, h_x, rtol=0.0, atol=1e-14)
@@ -142,8 +177,8 @@ def test_reconstruction_equivariant_under_rigid_motion(mesh, seed, shift):
     e_tr, h_tr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                   for _ in "eh")
     moved = mesh_from_arrays(mesh.vertices @ rot.T + shift, mesh.triangles)
-    before = reconstruct_eh(mesh, e_tr, h_tr, None, MEDIUM, None, INNER_PROBES)
-    after = reconstruct_eh(moved, e_tr @ rot.T, h_tr @ rot.T, None, MEDIUM, None,
+    before = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, INNER_PROBES)
+    after = reconstruct_eh(moved, e_tr @ rot.T, h_tr @ rot.T, MEDIUM,
                            INNER_PROBES @ rot.T + shift)
     for old, new in zip(before, after):
         expected = np.concatenate([old[:, :1], old[:, 1:] @ rot.T], axis=1)
