@@ -263,14 +263,15 @@ def cmd_gen_field(args) -> int:
     medium = _medium_from_args(args)
     first, second = _field_from_args(args, medium)
     pts = mesh.centroids
+    with np.errstate(over="ignore", invalid="ignore"):  # save_csv refuses what overflows
+        first_values = first.value(pts)
+        second_values = None if second is None else second.value(pts)
     if second is not None:  # an (E, H) pair: trace CSV
-        e = q.vec(first.value(pts))
-        h = q.vec(second.value(pts))
-        _save_traces(args.out, e, h)
+        _save_traces(args.out, q.vec(first_values), q.vec(second_values))
         print("gen-field: %s traces on %d triangles -> %s"
               % (args.family, len(pts), args.out))
     else:  # single quaternion field: sample CSV, q as re/im of q0..q3 separated by spaces
-        vals = np.ascontiguousarray(first.value(pts), dtype=complex).view(float)
+        vals = np.ascontiguousarray(first_values, dtype=complex).view(float)
         save_csv(args.out, np.column_stack([np.arange(len(pts)), pts, vals]),
                  "%d" + ",%.17g" * 4 + " %.17g" * 7, ["triangle", "x", "y", "z", "q"])
         print("gen-field: %s sampled at %d points -> %s"
@@ -288,8 +289,9 @@ def cmd_kernel_probe(args) -> int:
     # upsilon is radial up to the factor x in its vector part, so the dump
     # along any other ray is this one with the vector part rotated
     xs = radii[:, None] * np.array([1.0, 0.0, 0.0])
-    th = theta(args.alpha, xs)
-    up = upsilon(args.alpha, args.sign, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # save_csv refuses what overflows
+        th = theta(args.alpha, xs)
+        up = upsilon(args.alpha, args.sign, xs)
     # r, re/im of theta, then upsilon as re/im of q0..q3 separated by spaces
     save_csv(args.out, np.column_stack([radii, th.real, th.imag, up.view(float)]),
              "%.17g" + ",%.17g" * 3 + " %.17g" * 7, ["r", "theta_re", "theta_im", "upsilon"])
@@ -313,9 +315,10 @@ def cmd_verify_bp(args) -> int:
     for level in levels:
         mesh = build_sphere_mesh(1.0, level)
         quad = build_ball_quadrature(1.0, level)
-        for name, make_field in _BP_FIELDS.items():
-            res = borel_pompeiu_residual(make_field(alpha), alpha, 1, mesh, quad, _BP_PROBES)
-            table[name].append(float(res.max()))
+        fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
+        res = borel_pompeiu_residual(fields, alpha, 1, mesh, quad, _BP_PROBES)
+        for col, field_res in zip(table.values(), res):
+            col.append(float(field_res.max()))
     decreasing = all(
         col[i + 1] <= (1.0 + _BP_SLACK) * col[i]
         for col in table.values() for i in range(len(col) - 1)

@@ -99,16 +99,19 @@ def phi_psi_rhs(j: AnalyticField, medium: ChiralMedium):
 
     Both read (i/k) [a j - div j] with the signed wave parameter a =
     +alpha1 or -alpha2; div j lands in the scalar part, j in the vector
-    part.  Returns the pair of batched evaluators (Phi's, then Psi's).
+    part.  Returns one batched evaluator of both: points (..., 3) give
+    (2, ..., 4), Phi's right-hand side then Psi's, from one j.value and one
+    j.d_value per point.
     """
     k = medium.k
 
-    def rhs(a):
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            out = q.vector((1j * a / k) * q.vec(j.value(x)))
-            out[..., 0] = (1j / k) * q.sc(j.d_value(x))
-            return out
-        return evaluate
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        j_vec, div_part = q.vec(j.value(x)), (1j / k) * q.sc(j.d_value(x))
+        out = np.empty((2,) + x.shape[:-1] + (4,), dtype=complex)
+        for mode, a in zip(out, (medium.alpha1, -medium.alpha2)):
+            mode[..., 1:] = (1j * a / k) * j_vec
+            mode[..., 0] = div_part
+        return out
 
-    return rhs(medium.alpha1), rhs(-medium.alpha2)
+    return evaluate

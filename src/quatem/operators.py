@@ -1,20 +1,21 @@
 """Discretized volume and boundary integral operators.
 
 Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
-d = x - y, over quadrature nodes in one routine (_kernel_sum).  It walks
-the target x node pairs in tiles of one shape, TILE_ROWS targets by
-NODE_CHUNK nodes; past one tile's worth of pairs it runs the first half
-on the calling thread and the second on the one worker of an executor made
-for the call, and adds the two sides' sums in a fixed order, so results do
-not depend on scheduling.
-Per tile it forms the radii, the pair weights and the factors' prefactor
-once for all (alpha, sign, density) terms, such as the two chiral modes,
-and applies the factors as real (re, im) planes in one real matrix
-product over the tile's nodes.  The products y*g of the real nodes y with
-the densities g are formed once per call, YG_CHUNK nodes at a time,
-straight into the buffer that holds g and y*g side by side: qmul's twelve
-terms that do not vanish for a pure vector y, in qmul's order, each a real
-coordinate times a complex density component.
+d = x - y, over quadrature nodes in one routine (_kernel_sum), for one
+density or for K densities with K alphas and signs, such as the two chiral
+modes or verify-bp's three test fields.  It walks the target x node pairs
+in tiles of one shape, TILE_ROWS targets by NODE_CHUNK nodes; past one
+tile's worth of pairs it runs the first half on the calling thread and the
+second on the one worker of an executor made for the call, and adds the
+two sides' sums in a fixed order, so results do not depend on scheduling.
+Each thread takes its half node chunk by node chunk: it forms the products
+y*g of the chunk's real nodes y with the densities g in a buffer of its
+own, which holds g and y*g side by side (qmul's twelve terms that do not
+vanish for a pure vector y, in qmul's order, each a real coordinate times
+a complex density component), and then the chunk's tiles, row block by
+row block.  Per tile it forms the radii, the pair weights and the
+factors' prefactor once for all terms, and applies the factors as real
+(re, im) planes in one real matrix product per term over the tile's nodes.
 The operators differ only in the right-hand side and in the weights their
 pair_weights callback returns for the (target, node) pairs of a tile from
 their distances r.  The volume operator's smooth cutoff removes a small
@@ -54,12 +55,9 @@ NODE_CHUNK = 1280           # nodes per tile, so per matrix product, whose
                             # the level-4 volume rule's far field, against an
                             # extended-precision sum, 20480-node products
                             # erred by 1.0e-14 relative, 1280-node ones by
-                            # 1.4e-15
-YG_CHUNK = 4096             # nodes per pass that forms y*g, so that its 20
-                            # strided passes over the chunk's rows of g and
-                            # y*g stay in cache: at the level-4 ball rule's
-                            # 163840 nodes on a 2-vCPU VM, 16-19 ms against
-                            # 35-40 ms in one pass and 36-41 ms through qmul
+                            # 1.4e-15; also the nodes per [g, y*g] buffer of
+                            # a kernel sum and per evaluation of a
+                            # VolumeDensity
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -84,19 +82,31 @@ class BoundaryDensity:
 class VolumeDensity:
     """A batched evaluator and its quaternion values at the nodes of a
     volume rule, computed once; the near-field treatment of the volume
-    potential samples the density off-node through the evaluator."""
+    potential samples the density off-node through the evaluator.
+
+    The evaluator maps points (..., 3) to one quaternion each, (..., 4), or
+    to K, (K, ..., 4).  The node values are evaluated NODE_CHUNK nodes at a
+    time into one array, so the evaluator's temporaries never cover the
+    whole rule.
+    """
 
     quadrature: VolumeQuadrature
     evaluator: Callable[[np.ndarray], np.ndarray]
-    values: np.ndarray = field(init=False)  # (N, 4)
+    values: np.ndarray = field(init=False)  # (N, 4) or (K, N, 4)
 
     def __post_init__(self):
-        values = np.asarray(self.evaluator(self.quadrature.points), dtype=complex)
-        expected = (len(self.quadrature.points), 4)
-        if values.shape != expected:
-            raise ValueError("values must have shape %s" % (expected,))
-        if not q.is_finite(values):
-            raise ValueError("volume density contains non-finite values")
+        pts = self.quadrature.points
+        values = None
+        for j in range(0, len(pts), NODE_CHUNK):
+            block = self.evaluator(pts[j:j + NODE_CHUNK])
+            if values is None:
+                values = np.empty(np.shape(block)[:-2] + (len(pts), 4), dtype=complex)
+            part = values[..., j:j + NODE_CHUNK, :]
+            if values.ndim not in (2, 3) or np.shape(block) != part.shape:
+                raise ValueError("values must have shape [K,] %s" % ((len(pts), 4),))
+            part[...] = block
+            if not q.is_finite(part):
+                raise ValueError("volume density contains non-finite values")
         object.__setattr__(self, "values", values)
 
     def sample(self, pts: np.ndarray) -> np.ndarray:
@@ -157,21 +167,24 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
 
         sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
 
-    with quaternion products and y*g formed once per call (_vector_times).
-    The M x N pairs go in tiles of TILE_ROWS targets by NODE_CHUNK nodes
-    (_tiles), row block by row block.  Once per tile for all terms, r comes
-    from the explicit differences, pair_weights(r, cols) returns the real
-    weights W ((B, n) or (n,)) of the tile's node slice cols, and
+    with quaternion products.  The M x N pairs go in tiles of TILE_ROWS
+    targets by NODE_CHUNK nodes (_tiles).  Once per tile for all terms, r
+    comes from the explicit differences, pair_weights(r, cols) returns the
+    real weights W ((B, n) or (n,)) of the tile's node slice cols, and
     radial_factors the weighted (re, im) planes of each distinct alpha for
-    one real matrix product with the real views of g and [g, y*g] over the
-    tile's nodes.  A pair of zero weight gets radius 1 before the factors
-    are formed, so a target on a node stays finite.  The sums Theta g and
-    C [g, y*g] accumulate side by side in one (K, M, 12) array.
+    one real matrix product per term with the real views of g and
+    [g, y*g] over the tile's nodes.  A pair of zero weight gets radius 1
+    before the factors are formed, so a target on a node stays finite.
+    The sums Theta g and C [g, y*g] accumulate side by side in one
+    (K, M, 12) array.
 
     The tiles of a sum of more than TILE_ROWS * NODE_CHUNK pairs run on
-    two threads: the calling thread runs the first half in order, the one
-    worker of an executor made for the call the second half.  Each side
-    forms its tiles in a buffer allocated here, once per call, and adds
+    two threads: the calling thread runs the first half, the one worker of
+    an executor made for the call the second half.  Each side sorts its
+    half by node slice (a stable sort, so node-chunk-major and row block by
+    row block within a chunk), forms [g, y*g] of a chunk's nodes
+    (_vector_times) in a (K, NODE_CHUNK, 8) buffer of its own when the
+    chunk begins, forms its tiles in a work buffer of its own, and adds
     them into the result's sums; only when the cut falls inside a row block
     does the second add into zeroed full-size partial sums instead, which
     are added to the result after both have finished.  So the result does
@@ -186,33 +199,34 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         raise ValueError("need one alpha and one sign (+1 or -1) per density")
     alphas, signs, g = alphas.reshape(-1), signs.reshape(-1), g.reshape(-1, len(y), 4)
     distinct, which = np.unique(alphas, return_inverse=True)
-    g_yg = np.empty(g.shape[:-1] + (8,), dtype=complex)  # g, then y*g
-    for j in range(0, len(y), YG_CHUNK):
-        part = slice(j, j + YG_CHUNK)
-        g_yg[:, part, :4] = g[:, part]
-        _vector_times(y[part], g[:, part], out=g_yg[:, part, 4:])
-    g_yg = g_yg.view(float)  # (K, N, 16) real
-    y_cols = np.ascontiguousarray(y.T)
 
-    def add(tiles, sums, work):
-        """Add the tiles' Theta g and C [g, y*g] into sums, in order.  Each
-        tile is formed in the float buffer work, whose rows are planes of a
-        full tile: r, then the 4 * (len(distinct) + 1) planes of
-        radial_factors, the first three of which hold the differences until
-        r is formed."""
-        for rows, cols in tiles:
+    def add(tiles, sums, g_yg, work):
+        """Add the tiles' Theta g and C [g, y*g] into sums, node chunk by
+        node chunk.  When a chunk begins, its nodes are copied as coordinate
+        rows to y_chunk and its g and y*g formed in the complex buffer g_yg
+        of a full chunk.  Each tile is formed in the float buffer work,
+        whose rows are planes of a full tile: r, then the
+        4 * (len(distinct) + 1) planes of radial_factors, the first three of
+        which hold the differences until r is formed."""
+        chunk = None
+        for rows, cols in sorted(tiles, key=lambda tile: tile[1].start):
             b, n = rows.stop - rows.start, cols.stop - cols.start
+            if cols != chunk:
+                chunk, y_chunk = cols, np.ascontiguousarray(y[cols].T)
+                g_yg[:, :n, :4] = g[:, cols]
+                _vector_times(y[cols], g[:, cols], out=g_yg[:, :n, 4:])
+            rhs = g_yg.view(float)[:, :n]  # (K, n, 16) real
             r, planes = np.split(work.reshape(-1)[:len(work) * b * n], [b * n])
             r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
-            np.subtract(xs[rows].T[:, :, None], y_cols[:, None, cols], out=diff)
+            np.subtract(xs[rows].T[:, :, None], y_chunk[:, None, :], out=diff)
             np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
             w = pair_weights(r, cols)
             np.copyto(r, 1.0, where=w == 0.0)
             th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
             for k, u in enumerate(which):
-                for part, fac, rhs in ((slice(0, 4), th[u], g_yg[k, cols, :8]),
-                                       (slice(4, 12), c[u], g_yg[k, cols])):
-                    re, im = (fac.reshape(-1, n) @ rhs).reshape(2, -1, rhs.shape[1])
+                for part, fac, g_k in ((slice(0, 4), th[u], rhs[k, :, :8]),
+                                       (slice(4, 12), c[u], rhs[k])):
+                    re, im = (fac.reshape(-1, n) @ g_k).reshape(2, -1, g_k.shape[1])
                     sums[k, rows, part] += re.view(complex) + 1j * im.view(complex)
 
     tiles = _tiles(len(xs), len(y))
@@ -220,15 +234,23 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4
     # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads
     cut = (len(tiles) + 1) // 2 if len(xs) * len(y) > TILE_ROWS * NODE_CHUNK else len(tiles)
-    work_shape = (4 * len(distinct) + 5, min(len(xs), TILE_ROWS) * min(len(y), NODE_CHUNK))
+
+    def buffers():
+        # allocated here, on the calling thread, for either side: buffers the
+        # worker allocated would come from its own malloc arena and add their
+        # size to the peak RSS (2.3 MB at level-3 extend-check)
+        n = min(len(y), NODE_CHUNK)
+        return (np.empty((len(g), n, 8), dtype=complex),
+                np.empty((4 * len(distinct) + 5, min(len(xs), TILE_ROWS) * n)))
+
     sums = np.zeros((len(g), len(xs), 12), dtype=complex)  # Theta g, then C [g, y*g]
     partial, second = sums, None
     with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on every exit
         if cut < len(tiles):
             if tiles[cut][0].start < tiles[cut - 1][0].stop:  # the cut splits a row block
                 partial = np.zeros_like(sums)
-            second = pool.submit(add, tiles[cut:], partial, np.empty(work_shape))
-        add(tiles[:cut], sums, np.empty(work_shape))
+            second = pool.submit(add, tiles[cut:], partial, *buffers())
+        add(tiles[:cut], sums, *buffers())
     if second is not None:
         second.result()
     if partial is not sums:
@@ -238,18 +260,20 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     return out.reshape(terms + out.shape[1:])
 
 
-def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
+def teodorescu(alpha, sign, density: VolumeDensity, x) -> np.ndarray:
     """Volume potential sum_j w_j * Ups(x - y_j) * f(y_j) over the rule.
 
     x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  A smooth partition of unity removes the ball of radius
-    rho = CUTOFF_FACTOR * mean node spacing around each target from the
-    node sum (_kernel_sum); the complementary near integral uses the
-    level-1 ball rule of radius 2*rho centered at the target (GL8 radii
-    times 80 icosphere directions), whose volume element cancels the
-    1/r**2 kernel growth exactly.  Its kernel values do not depend on the
-    target; its off-node density values come from one density.sample call
-    for all targets.
+    (M, 4).  Density values (K, N, 4) with K alphas and signs give K terms
+    in one _kernel_sum call and a result (K, 4) or (K, M, 4).  A smooth
+    partition of unity removes the ball of radius rho = CUTOFF_FACTOR *
+    mean node spacing around each target from the node sum; the
+    complementary near integral uses the level-1 ball rule of radius 2*rho
+    centered at the target (GL8 radii times 80 icosphere directions), whose
+    volume element cancels the 1/r**2 kernel growth exactly.  The near
+    rule is built once per call and its kernel values, which do not depend
+    on the target, once per term; its off-node density values come from one
+    density.sample call for all targets and terms.
     """
     x = _targets(x)
     xs = x.reshape(-1, 3)
@@ -259,18 +283,19 @@ def teodorescu(alpha, sign: int, density: VolumeDensity, x) -> np.ndarray:
     def far_weights(r, cols):
         return quad.weights[cols] * _smoothstep(r / rho - 1.0)
 
-    out = _kernel_sum(alpha, sign, xs, quad.points, density.values, far_weights)
+    far = _kernel_sum(alpha, sign, xs, quad.points, density.values, far_weights)
 
     near = build_ball_quadrature(2.0 * rho, 1)
     offsets = near.points
     y = xs[:, None, :] + offsets
     inside = np.linalg.norm(y, axis=-1) <= quad.radius
-    near_ker = upsilon(alpha, sign, -offsets)
     near_cut = 1.0 - _smoothstep(np.linalg.norm(offsets, axis=1) / rho - 1.0)
-    near_w = near.weights * near_cut * inside
-    out += np.einsum("mn,mnk->mk", near_w.astype(complex),
-                     q.qmul(near_ker, density.sample(y)))
-    return out.reshape(x.shape[:-1] + (4,))
+    near_w = (near.weights * near_cut * inside).astype(complex)
+    samples = density.sample(y).reshape((-1,) + y.shape[:-1] + (4,))
+    out = far.reshape((-1, len(xs), 4))
+    for k, (a, s) in enumerate(zip(np.reshape(alpha, -1), np.reshape(sign, -1))):
+        out[k] += np.einsum("mn,mnk->mk", near_w, q.qmul(upsilon(a, s, -offsets), samples[k]))
+    return out.reshape(far.shape[:-2] + x.shape[:-1] + (4,))
 
 
 def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
@@ -300,19 +325,27 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     return out.reshape(nf.shape[:-2] + x.shape[:-1] + (4,))
 
 
-def borel_pompeiu_residual(f: AnalyticField, alpha, sign: int,
+def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, sign: int,
                            mesh: SurfaceMesh, quadrature: VolumeQuadrature, x):
     """Relative defect of the reproduction identity (K + T D) f = f at x.
 
-    x is one target (3,) or many (M, 3); the result is a float or an (M,)
-    array.  The boundary trace and the exact derivative come from the
-    field's analytic oracles, so the residual measures quadrature error
-    only; both densities are built once for all targets.
+    f is one AnalyticField or a tuple of K, all checked at the one
+    (alpha, sign); x is one target (3,) or many (M, 3).  The result is a
+    float or an (M,) array for one field, a (K,) or (K, M) array for K.
+    The boundary trace and the exact derivative come from the fields'
+    analytic oracles, so the residual measures quadrature error only; the
+    K boundary and the K volume densities are built once for all targets
+    and summed in one cauchy_boundary and one teodorescu call.
     """
     x = np.asarray(x, dtype=float)
-    trace = BoundaryDensity(mesh, f.value(mesh.centroids))
-    volume = VolumeDensity(quadrature, f.d_alpha(alpha, sign))
-    reproduced = cauchy_boundary(alpha, sign, trace, x) + teodorescu(alpha, sign, volume, x)
-    fx = f.value(x)
+    fields = f if isinstance(f, tuple) else (f,)
+    shifted = [g.d_alpha(alpha, sign) for g in fields]
+    trace = BoundaryDensity(mesh, np.stack([g.value(mesh.centroids) for g in fields]))
+    volume = VolumeDensity(quadrature, lambda y: np.stack([d(y) for d in shifted]))
+    alphas, signs = (alpha,) * len(fields), (sign,) * len(fields)
+    reproduced = cauchy_boundary(alphas, signs, trace, x) + teodorescu(alphas, signs, volume, x)
+    fx = np.stack([g.value(x) for g in fields])
     res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)
-    return float(res) if x.ndim == 1 else res
+    if isinstance(f, tuple):
+        return res
+    return float(res[0]) if x.ndim == 1 else res[0]

@@ -54,21 +54,20 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
     Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
 
     (the volume terms only with a current j, which needs a quadrature; both
-    boundary terms in one cauchy_boundary call), and merges them.  x is one
-    point (3,) or many (M, 3); E and H have shape (4,) or (M, 4).  Returns
-    full quaternions (the scalar parts measure discretization error; they
+    boundary terms in one cauchy_boundary call, both volume terms in one
+    teodorescu call), and merges them.  x is one point (3,) or many (M, 3);
+    E and H have shape (4,) or (M, 4).  Returns full quaternions (the scalar parts measure discretization error; they
     vanish in the continuum).
     """
     if current is not None and quadrature is None:
         raise ValueError("a volume quadrature is required when a current is present")
     a1, a2 = medium.alpha1, medium.alpha2
     modes = BoundaryDensity(mesh, q.vector(np.stack(split_values(e_trace, h_trace))))
-    phi_x, psi_x = cauchy_boundary((a1, a2), (1, -1), modes, x)
+    phi_psi_x = cauchy_boundary((a1, a2), (1, -1), modes, x)
     if current is not None:
-        rhs_phi, rhs_psi = phi_psi_rhs(current, medium)
-        phi_x = phi_x + teodorescu(a1, 1, VolumeDensity(quadrature, rhs_phi), x)
-        psi_x = psi_x + teodorescu(a2, -1, VolumeDensity(quadrature, rhs_psi), x)
-    return merge_values(phi_x, psi_x)
+        rhs = VolumeDensity(quadrature, phi_psi_rhs(current, medium))
+        phi_psi_x = phi_psi_x + teodorescu((a1, a2), (1, -1), rhs, x)
+    return merge_values(*phi_psi_x)
 
 
 def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x):

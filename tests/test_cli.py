@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -437,14 +438,17 @@ def test_json_artifacts_hold_no_nan_or_infinity(tmp_path, value):
     ["gen-field", "--family", "abc-beltrami", "--wave-parameter", "0-900j"],
 ], ids=["kernel-probe", "gen-field"])
 def test_csv_artifacts_hold_no_nan_or_infinity(workspace, tmp_path, capsys, argv):
-    # the values overflow, which NumPy warns about; like a JSON artifact the
-    # CSV is refused with exit 2 and no file is left
+    # the values overflow; like a JSON artifact the CSV is refused with exit 2
+    # and no file is left, and the error line is all that reaches stderr
     _, mesh, _ = workspace
     out = tmp_path / "x.csv"
     mesh_args = ["--mesh", mesh] if argv[0] == "gen-field" else []
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(argv + mesh_args + ["--out", str(out)]) == 2
-    assert "NaN or infinite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "NaN or infinite" in err
     assert not out.exists()
 
 

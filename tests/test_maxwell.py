@@ -90,13 +90,13 @@ def test_phi_psi_rhs_structure():
                 (polynomial_field(coeffs), lambda x: (3.0 + 1j) * x[0] - 2.0)]
     x = np.array([0.1, 0.2, -0.3])
     for j, div_j in currents:
-        rhs_phi, rhs_psi = phi_psi_rhs(j, m)
+        rhs_phi, rhs_psi = phi_psi_rhs(j, m)(x)
         jv = q.vec(j.value(x))
-        assert np.allclose(q.vec(rhs_phi(x)), (1j * m.alpha1 / m.k) * jv)
-        assert np.allclose(q.vec(rhs_psi(x)), -(1j * m.alpha2 / m.k) * jv)
+        assert np.allclose(q.vec(rhs_phi), (1j * m.alpha1 / m.k) * jv)
+        assert np.allclose(q.vec(rhs_psi), -(1j * m.alpha2 / m.k) * jv)
         expected = -(1j / m.k) * div_j(x)  # exactly 0 for the Beltrami current
-        assert abs(rhs_phi(x)[0] - expected) <= 1e-14 * abs(expected)
-        assert abs(rhs_psi(x)[0] - expected) <= 1e-14 * abs(expected)
+        assert abs(rhs_phi[0] - expected) <= 1e-14 * abs(expected)
+        assert abs(rhs_psi[0] - expected) <= 1e-14 * abs(expected)
 
 
 def test_exact_solution_satisfies_curl_equations():

@@ -3,6 +3,7 @@
 import functools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from quatem.operators import (
     CUTOFF_FACTOR,
     NODE_CHUNK,
     TILE_ROWS,
-    YG_CHUNK,
     BoundaryDensity,
     VolumeDensity,
     _kernel_sum,
@@ -193,6 +193,31 @@ def test_teodorescu_many_matches_single():
         teodorescu(0.8, 0, d, xs)
 
 
+@pytest.mark.parametrize("alphas, signs", [
+    ((0.8, 4.0 / 3.0), (1, -1)),                  # the two chiral modes
+    ((0.8 + 0.3j, 0.8 - 0.3j, 1.0), (1, -1, 1)),  # complex and real
+    ((1.0, 1.0, 1.0), (1, 1, 1)),                 # verify-bp's three fields
+], ids=["modes", "mixed", "one alpha"])
+def test_teodorescu_stacked_matches_single(alphas, signs):
+    # one call for K (alpha, sign, density) terms, on more targets than one
+    # block holds, one of them on a node, against K single calls bit for bit
+    rng = np.random.default_rng(28)
+    xs = rng.uniform(-0.5, 0.5, (TILE_ROWS + 3, 3))
+    xs[2] = QUAD2.points[10]
+    fields = [polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
+              for _ in alphas]
+    stacked = VolumeDensity(QUAD2, lambda y: np.stack([f.value(y) for f in fields]))
+    assert stacked.values.shape == (len(alphas), len(QUAD2.points), 4)
+    got = teodorescu(alphas, signs, stacked, xs)
+    assert got.shape == (len(alphas), len(xs), 4)
+    assert teodorescu(alphas, signs, stacked, xs[0]).shape == (len(alphas), 4)
+    for k, (alpha, sign, f) in enumerate(zip(alphas, signs, fields)):
+        single = teodorescu(alpha, sign, VolumeDensity(QUAD2, f.value), xs)
+        assert got[k].tobytes() == single.tobytes()
+    with pytest.raises(ValueError):
+        teodorescu(alphas[:-1], signs[:-1], stacked, xs)
+
+
 def _axis_rotation(axis, angle):
     """Rotation by angle about axis (Rodrigues)."""
     k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
@@ -299,6 +324,22 @@ def test_borel_pompeiu_residual_is_second_order(capsys):
         print("\nBorel-Pompeiu residual on levels 2-4: fitted order %.3f (gate 1.8)" % order,
               flush=True)
     assert order >= 1.8, "fitted order %.3f from residuals %s" % (order, worst)
+
+
+def test_borel_pompeiu_fields_in_one_call_match_one_call_each():
+    # verify-bp's three fields in one call are the three one-field calls bit
+    # for bit, at a real and a complex alpha and both signs
+    mesh, quad = build_sphere_mesh(1.0, 3), build_ball_quadrature(1.0, 3)
+    for alpha, sign in ((1.0, 1), (0.8 + 0.3j, -1)):
+        fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
+        together = borel_pompeiu_residual(fields, alpha, sign, mesh, quad, _BP_PROBES)
+        assert together.shape == (len(fields), len(_BP_PROBES))
+        for f, row in zip(fields, together):
+            assert row.tobytes() == borel_pompeiu_residual(
+                f, alpha, sign, mesh, quad, _BP_PROBES).tobytes()
+        at_one = borel_pompeiu_residual(fields, alpha, sign, mesh, quad, _BP_PROBES[0])
+        assert at_one.shape == (len(fields),)
+        assert np.allclose(at_one, together[:, 0], rtol=1e-12, atol=0.0)
 
 
 def test_cauchy_near_singularity_guard():
@@ -541,9 +582,9 @@ def test_node_tiles_of_any_length():
 
 
 def test_y_times_g_is_qmul_in_ragged_node_chunks():
-    # two terms at YG_CHUNK + 40 nodes, a seventh of them with y2 = 0
+    # two terms at NODE_CHUNK + 40 nodes, a seventh of them with y2 = 0
     rng = np.random.default_rng(35)
-    n = YG_CHUNK + 40
+    n = NODE_CHUNK + 40
     y = rng.uniform(-1.0, 1.0, (n, 3))
     y[::7, 1] = 0.0
     g = rng.standard_normal((2, n, 4)) + 1j * rng.standard_normal((2, n, 4))
@@ -555,6 +596,35 @@ def test_y_times_g_is_qmul_in_ragged_node_chunks():
     for k, sign in enumerate((1, -1)):
         reference = np.array([q.qmul(upsilon(0.7, sign, x - y), g[k]).sum(axis=0) for x in xs])
         assert np.abs(got[k] - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_volume_density_in_node_blocks_is_one_evaluation():
+    # verify-bp's three shifted fields on the level-4 ball rule, 128 blocks
+    # of NODE_CHUNK nodes, byte for byte one evaluation at all nodes
+    assert len(QUAD4.points) == 128 * NODE_CHUNK
+    shifted = [make_field(1.0).d_alpha(1.0) for make_field in _BP_FIELDS.values()]
+
+    def evaluator(y):
+        return np.stack([d(y) for d in shifted])
+
+    assert VolumeDensity(QUAD4, evaluator).values.tobytes() == evaluator(QUAD4.points).tobytes()
+
+
+def test_three_fields_residual_memory_stays_flat():
+    # the volume densities of verify-bp's three fields at level 4 take
+    # 31.5 MB; evaluated in node blocks, with [g, y*g] formed per node chunk,
+    # the whole residual stays within 40 MB, where one (3, N, 16) [g, y*g]
+    # array would take 63 MB and one evaluation at all nodes 27.5 MB per
+    # polynomial field
+    mesh = build_sphere_mesh(1.0, 4)
+    fields = tuple(make_field(1.0) for make_field in _BP_FIELDS.values())
+    tracemalloc.start()
+    try:
+        borel_pompeiu_residual(fields, 1.0, 1, mesh, QUAD4, _BP_PROBES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, "peak %.1f MB" % (peak / 1e6)
 
 
 def test_two_thread_sums_are_repeatable_under_contention():

@@ -9,7 +9,8 @@ from quatem import quaternions as q
 from quatem.cli import _BP_PROBES
 from quatem.fields import exact_chiral_solution
 from quatem.geometry import build_ball_quadrature, build_sphere_mesh, mesh_from_arrays
-from quatem.maxwell import make_medium
+from quatem.maxwell import make_medium, merge_values, phi_psi_rhs
+from quatem.operators import BoundaryDensity, VolumeDensity, cauchy_boundary, teodorescu
 from quatem.reconstruction import (
     ExtendibilityReport,
     extendibility_residual,
@@ -114,6 +115,27 @@ def test_reconstruction_with_current_matches_manufactured_solution(constants, ca
     assert errors[1] < 5e-2, "level-3 error %.3e (criterion 6's bound 5e-2)" % errors[1]
     assert order >= 1.8, "fitted order %.3f from errors %s" % (order, errors)
     assert source_free > 0.5, "the current moved nothing: source-free error %.3e" % source_free
+
+
+def test_both_modes_volume_terms_in_one_call_are_the_single_mode_calls():
+    # with a current, reconstruct_eh sums both modes' volume terms in one
+    # teodorescu call over one evaluation of the current; bit for bit the
+    # two single-mode calls, Phi's at +alpha1 and Psi's at -alpha2
+    medium = make_medium(1.0, 1.0 + 0.1j, 1.0, 0.25)
+    _, _, j = manufactured_current_solution(medium, seed=3)
+    mesh, quad = build_sphere_mesh(1.0, 3), build_ball_quadrature(1.0, 3)
+    a1, a2 = medium.alpha1, medium.alpha2
+    rhs = phi_psi_rhs(j, medium)
+    both = teodorescu((a1, a2), (1, -1), VolumeDensity(quad, rhs), _BP_PROBES)
+    phi = teodorescu(a1, 1, VolumeDensity(quad, lambda y: rhs(y)[0]), _BP_PROBES)
+    psi = teodorescu(a2, -1, VolumeDensity(quad, lambda y: rhs(y)[1]), _BP_PROBES)
+    assert both.tobytes() == np.stack([phi, psi]).tobytes()
+    e_tr, h_tr, _, _ = _traces(mesh, medium)
+    modes = BoundaryDensity(mesh, q.vector(np.stack([e_tr + 1j * h_tr, e_tr - 1j * h_tr])))
+    boundary = cauchy_boundary((a1, a2), (1, -1), modes, _BP_PROBES)
+    expected = merge_values(boundary[0] + phi, boundary[1] + psi)
+    got = reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES, current=j, quadrature=quad)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
 def test_assembly_paths_agree():
