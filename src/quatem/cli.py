@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -154,7 +155,9 @@ def _check_trace_columns(path) -> None:
 
 def _load_traces(path, n_triangles: int):
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a file of no rows is refused by its row count
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         _check_trace_columns(path)
         raise ConfigError("trace file %s: %s" % (path, exc)) from None

@@ -3,7 +3,11 @@
 Every field carries a batched evaluator together with the exact value of
 the Moisil-Theodoresco derivative, so discretization errors can always be
 separated from modeling errors, and the closed form of (D + s) f, which
-costs one evaluation per point.
+costs one evaluation per point.  Where that closed form vanishes
+identically, as for a Beltrami flow with rot F = -s F, it is None instead
+of an evaluator of zeros: the field is then s-monogenic, (D + s) f = 0,
+and its Borel-Pompeiu identity is the Cauchy integral formula, with no
+volume term to sum.
 """
 
 from __future__ import annotations
@@ -28,17 +32,19 @@ class AnalyticField:
     d_value: same signature, returning the exact Moisil-Theodoresco
              derivative D f.
     shifted: (field, s) -> batched evaluator of the exact (D + s) f for a
-             complex s, at one closed-form evaluation per point.  It is
-             handed the field itself, so that it evaluates through
-             field.value or through a field of its own.
+             complex s, at one closed-form evaluation per point, or None
+             when that closed form is identically zero.  It is handed the
+             field itself, so that it evaluates through field.value or
+             through a field of its own.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     d_value: Callable[[np.ndarray], np.ndarray]
-    shifted: Callable[["AnalyticField", complex], Callable[[np.ndarray], np.ndarray]]
+    shifted: Callable[["AnalyticField", complex], Callable[[np.ndarray], np.ndarray] | None]
 
-    def d_alpha(self, alpha, sign: int = 1) -> Callable[[np.ndarray], np.ndarray]:
-        """Exact (D + sign*alpha) f as a batched evaluator."""
+    def d_alpha(self, alpha, sign: int = 1) -> Callable[[np.ndarray], np.ndarray] | None:
+        """Exact (D + sign*alpha) f as a batched evaluator, or None when it
+        vanishes identically."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         return self.shifted(self, sign * alpha)
@@ -52,7 +58,8 @@ def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
                  c=DEFAULT_AMPLITUDES[2]) -> AnalyticField:
     """Arnold-Beltrami-Childress flow: a purely vectorial field with
     rot F = lam * F and div F = 0, hence D F = lam * F and
-    (D + s) F = (lam + s) F.
+    (D + s) F = (lam + s) F, which vanishes (shifted gives None) when
+    lam + s == 0.
 
     Valid for complex lam (the trigonometric form continues analytically).
     A real lam takes real sin and cos, which give the same values as the
@@ -73,7 +80,7 @@ def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
     return AnalyticField(
         value=value,
         d_value=lambda x: lam * value(x),
-        shifted=lambda f, s: lambda x: (lam + s) * f.value(x),
+        shifted=lambda f, s: None if lam + s == 0 else lambda x: (lam + s) * f.value(x),
     )
 
 
@@ -134,7 +141,8 @@ def polynomial_field(coeffs) -> AnalyticField:
     `coeffs` has shape (4, 10): rows are q0..q3, columns follow the
     monomial order 1, x1, x2, x3, x1^2, x2^2, x3^2, x1*x2, x1*x3, x2*x3.
     The derivative oracle assembles D f = -div + grad + rot symbolically;
-    (D + s) f is the polynomial with coefficients d_coeffs + s * coeffs.
+    (D + s) f is the polynomial with coefficients d_coeffs + s * coeffs,
+    None when all of them are zero.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (4, N_MONOMIALS):
@@ -151,10 +159,14 @@ def polynomial_field(coeffs) -> AnalyticField:
     d_coeffs[2] += grad[2][1] - grad[0][3]
     d_coeffs[3] += grad[0][2] - grad[1][1]
 
+    def shifted(f, s):
+        s_coeffs = d_coeffs + s * coeffs
+        return polynomial_field(s_coeffs).value if s_coeffs.any() else None
+
     return AnalyticField(
         value=lambda x: _poly_eval(coeffs, x),
         d_value=lambda x: _poly_eval(d_coeffs, x),
-        shifted=lambda f, s: polynomial_field(d_coeffs + s * coeffs).value,
+        shifted=shifted,
     )
 
 
@@ -187,12 +199,21 @@ def exact_chiral_solution(medium, phi_amplitudes=DEFAULT_AMPLITUDES,
             _mode_sum(phi, psi, lambda u, v: (u - v) / 2j))
 
 
+def _zeros(x) -> np.ndarray:
+    """The vanishing (D + s) f of a mode, as quaternions at points x."""
+    return np.zeros(np.shape(x)[:-1] + (4,), dtype=complex)
+
+
 def _mode_sum(phi: AnalyticField, psi: AnalyticField, combine) -> AnalyticField:
     """The field combine(Phi, Psi) of two modes, for a linear combine; its
-    derivative and its (D + s) f combine theirs."""
+    derivative and its (D + s) f combine theirs, with zeros in place of a
+    mode's (D + s) f that vanishes, and None when both vanish."""
 
     def shifted(f, s):
         phi_s, psi_s = phi.d_alpha(s), psi.d_alpha(s)
+        if phi_s is None and psi_s is None:
+            return None
+        phi_s, psi_s = (_zeros if d is None else d for d in (phi_s, psi_s))
         return lambda x: combine(phi_s(x), psi_s(x))
 
     return AnalyticField(

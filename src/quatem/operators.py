@@ -3,7 +3,7 @@
 Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
 d = x - y, over quadrature nodes in one routine (_kernel_sum), for one
 density or for K densities with K alphas and signs, such as the two chiral
-modes or verify-bp's three test fields.  It walks the target x node pairs
+modes or verify-bp's test fields.  It walks the target x node pairs
 in tiles of one shape, TILE_ROWS targets by NODE_CHUNK nodes; past one
 tile's worth of pairs it runs the first half on the calling thread and the
 second on the one worker of an executor made for the call, and adds the
@@ -334,16 +334,23 @@ def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, 
     float or an (M,) array for one field, a (K,) or (K, M) array for K.
     The boundary trace and the exact derivative come from the fields'
     analytic oracles, so the residual measures quadrature error only; the
-    K boundary and the K volume densities are built once for all targets
-    and summed in one cauchy_boundary and one teodorescu call.
+    K boundary densities are built once for all targets and summed in one
+    cauchy_boundary call.  The volume pass covers only the fields whose
+    (D + sign*alpha) f does not vanish identically (d_alpha is not None):
+    their volume densities are built once and summed in one teodorescu
+    call, and with none left neither is made.  The others are reproduced
+    by their boundary term alone, the Cauchy integral formula: the volume
+    pass would only add a sum of exact zeros to it.
     """
     x = np.asarray(x, dtype=float)
     fields = f if isinstance(f, tuple) else (f,)
-    shifted = [g.d_alpha(alpha, sign) for g in fields]
     trace = BoundaryDensity(mesh, np.stack([g.value(mesh.centroids) for g in fields]))
-    volume = VolumeDensity(quadrature, lambda y: np.stack([d(y) for d in shifted]))
-    alphas, signs = (alpha,) * len(fields), (sign,) * len(fields)
-    reproduced = cauchy_boundary(alphas, signs, trace, x) + teodorescu(alphas, signs, volume, x)
+    reproduced = cauchy_boundary((alpha,) * len(fields), (sign,) * len(fields), trace, x)
+    shifted = [g.d_alpha(alpha, sign) for g in fields]
+    live = [k for k, d in enumerate(shifted) if d is not None]
+    if live:
+        volume = VolumeDensity(quadrature, lambda y: np.stack([shifted[k](y) for k in live]))
+        reproduced[live] += teodorescu((alpha,) * len(live), (sign,) * len(live), volume, x)
     fx = np.stack([g.value(x) for g in fields])
     res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)
     if isinstance(f, tuple):

@@ -534,3 +534,21 @@ def test_trace_file_values_and_bad_rows(workspace, tmp_path, capsys):
         assert main(["reconstruct", "--mesh", mesh_path, "--traces", write(body),
                      "--out", str(tmp_path / "x.json")]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header only", "empty"])
+def test_trace_file_of_no_rows_is_one_error_line(workspace, tmp_path, capsys, header):
+    # numpy warns of a file that holds no data; the trace file is refused by
+    # its row count, and the error line is all that reaches stderr
+    _, mesh_path, traces = workspace
+    with open(traces) as fh:
+        first = fh.readline()
+    path = tmp_path / "t.csv"
+    path.write_text(first if header else "")
+    for command in ("reconstruct", "extend-check"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--mesh", mesh_path, "--traces", str(path),
+                         "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: trace file holds 0 rows, mesh has 320 triangles"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quatem import quaternions as q
 from quatem.fields import (
     N_MONOMIALS,
+    _mode_sum,
     _poly_eval,
     abc_beltrami,
     exact_chiral_solution,
@@ -154,7 +155,47 @@ def test_d_alpha_closed_form_matches_oracles(kind, seed, lam, alpha, sign):
         # of subnormals are exact; per component, (lam + s) f rounds two
         # products and lam f + s f four, so the sides differ by up to 3 steps
         bound = 1e-15 * scale + 3 * np.finfo(float).smallest_subnormal
-        assert np.abs(f.d_alpha(alpha, sign)(x) - (d_value + shift)).max() <= bound
+        shifted = f.d_alpha(alpha, sign)
+        # None: (D + s) f vanishes identically, so d_value + shift is roundoff
+        got = 0.0 if shifted is None else shifted(x)
+        assert np.abs(got - (d_value + shift)).max() <= bound
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.5, 0.8 + 0.3j])
+def test_vanishing_shift_is_none(lam):
+    # (D + s) F = (lam + s) F of a Beltrami flow vanishes at s = -lam
+    f = abc_beltrami(lam)
+    assert f.d_alpha(-lam, 1) is None
+    assert f.d_alpha(lam, -1) is None
+    assert f.d_alpha(lam, 1) is not None
+    # and so does that of the zero polynomial at any s, and of a constant at s = 0
+    zero = polynomial_field(np.zeros((4, N_MONOMIALS)))
+    assert zero.d_alpha(lam) is None
+    coeffs = np.zeros((4, N_MONOMIALS))
+    coeffs[:, 0] = [1.0, 0.5, -0.2, 0.3]
+    constant = polynomial_field(coeffs)
+    assert constant.d_alpha(0.0) is None
+    assert constant.d_alpha(lam) is not None
+
+
+def test_mode_sum_with_one_vanishing_mode_combines_zeros():
+    # E = (Phi + Psi)/2 and H = (Phi - Psi)/(2i): at s = alpha1 the mode Phi
+    # has (D + s) Phi = 0, at s = -alpha2 the mode Psi, and the field's
+    # (D + s) f combines zeros with the other mode's, bit for bit
+    medium = make_medium(1.0, 1.0, 1.0, 0.25)
+    e_field, h_field = exact_chiral_solution(medium)
+    phi, psi = abc_beltrami(-medium.alpha1), abc_beltrami(medium.alpha2)
+    x = np.random.default_rng(13).uniform(-1.0, 1.0, (40, 3))
+    zeros = np.zeros((len(x), 4), dtype=complex)
+    psi_s, phi_s = psi.d_alpha(medium.alpha1)(x), phi.d_alpha(medium.alpha2, -1)(x)
+    for (alpha, sign), (u, v) in (((medium.alpha1, 1), (zeros, psi_s)),
+                                  ((medium.alpha2, -1), (phi_s, zeros))):
+        assert e_field.d_alpha(alpha, sign)(x).tobytes() == (0.5 * (u + v)).tobytes()
+        assert h_field.d_alpha(alpha, sign)(x).tobytes() == ((u - v) / 2j).tobytes()
+    # with both modes vanishing, so does the sum
+    both = _mode_sum(abc_beltrami(-0.7), abc_beltrami(-0.7, 0.2, 0.5, 0.9),
+                     lambda u, v: u + v)
+    assert both.d_alpha(0.7) is None
 
 
 def test_exact_chiral_solution_mode_structure():

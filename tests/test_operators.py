@@ -1,5 +1,6 @@
 """Discretized volume and boundary operators and the reproduction identity."""
 
+import dataclasses
 import functools
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatem import operators
 from quatem import quaternions as q
 from quatem.cli import _BP_FIELDS, _BP_PROBES
 from quatem.errors import NearSingularityError
@@ -342,6 +344,35 @@ def test_borel_pompeiu_fields_in_one_call_match_one_call_each():
         assert np.allclose(at_one, together[:, 0], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("alpha", [1.0, -1.5, 0.8 + 0.3j])
+def test_borel_pompeiu_without_the_vanishing_volume_term_is_bit_identical(alpha):
+    # verify-bp's Beltrami field abc_beltrami(-alpha) has (D + alpha) f = 0,
+    # so its volume pass is left out; summing its exact zeros instead, as a
+    # rebuilt field whose shifted evaluator returns 0 * f does, gives the
+    # same residuals bit for bit
+    mesh, quad = build_sphere_mesh(1.0, 3), build_ball_quadrature(1.0, 3)
+    fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
+    assert fields[-1].d_alpha(alpha) is None
+    zeros = dataclasses.replace(fields[-1], shifted=lambda f, s: lambda x: 0 * f.value(x))
+    summed = borel_pompeiu_residual(fields[:-1] + (zeros,), alpha, 1, mesh, quad, _BP_PROBES)
+    assert borel_pompeiu_residual(fields, alpha, 1, mesh, quad, _BP_PROBES).tobytes() \
+        == summed.tobytes()
+
+
+def test_borel_pompeiu_with_every_volume_term_vanishing_has_no_volume_pass(monkeypatch):
+    # the Cauchy integral formula alone: no volume density and no teodorescu call
+    def refuse(*args, **kwargs):
+        raise AssertionError("volume pass for a field with (D + alpha) f = 0")
+
+    monkeypatch.setattr(operators, "VolumeDensity", refuse)
+    monkeypatch.setattr(operators, "teodorescu", refuse)
+    fields = (abc_beltrami(-1.0), abc_beltrami(-1.0, 0.2, 0.5, 0.9))
+    res = borel_pompeiu_residual(fields, 1.0, 1, MESH2, QUAD2, _BP_PROBES)
+    assert res.shape == (2, len(_BP_PROBES))
+    assert res.max() < 2e-2
+    assert isinstance(borel_pompeiu_residual(fields[0], 1.0, 1, MESH2, QUAD2, PROBE), float)
+
+
 def test_cauchy_near_singularity_guard():
     d = BoundaryDensity(MESH2, constant_field(q.ONE).value(MESH2.centroids))
     too_close = 0.999 * MESH2.centroids[0]
@@ -599,10 +630,12 @@ def test_y_times_g_is_qmul_in_ragged_node_chunks():
 
 
 def test_volume_density_in_node_blocks_is_one_evaluation():
-    # verify-bp's three shifted fields on the level-4 ball rule, 128 blocks
-    # of NODE_CHUNK nodes, byte for byte one evaluation at all nodes
+    # verify-bp's three fields, shifted by an alpha at which none vanishes, on
+    # the level-4 ball rule, 128 blocks of NODE_CHUNK nodes, byte for byte
+    # one evaluation at all nodes
     assert len(QUAD4.points) == 128 * NODE_CHUNK
-    shifted = [make_field(1.0).d_alpha(1.0) for make_field in _BP_FIELDS.values()]
+    shifted = [make_field(1.0).d_alpha(0.5) for make_field in _BP_FIELDS.values()]
+    assert None not in shifted
 
     def evaluator(y):
         return np.stack([d(y) for d in shifted])
@@ -611,10 +644,11 @@ def test_volume_density_in_node_blocks_is_one_evaluation():
 
 
 def test_three_fields_residual_memory_stays_flat():
-    # the volume densities of verify-bp's three fields at level 4 take
-    # 31.5 MB; evaluated in node blocks, with [g, y*g] formed per node chunk,
-    # the whole residual stays within 40 MB, where one (3, N, 16) [g, y*g]
-    # array would take 63 MB and one evaluation at all nodes 27.5 MB per
+    # the volume densities of verify-bp's fields at level 4 take 21.0 MB
+    # (the Beltrami field's (D + alpha) f vanishes, so it has none);
+    # evaluated in node blocks, with [g, y*g] formed per node chunk, the
+    # whole residual stays within 40 MB, where one (3, N, 16) [g, y*g] array
+    # would take 63 MB and one evaluation at all nodes 27.5 MB per
     # polynomial field
     mesh = build_sphere_mesh(1.0, 4)
     fields = tuple(make_field(1.0) for make_field in _BP_FIELDS.values())
