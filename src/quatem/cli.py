@@ -319,7 +319,8 @@ def cmd_verify_bp(args) -> int:
         mesh = build_sphere_mesh(1.0, level)
         quad = build_ball_quadrature(1.0, level)
         fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
-        res = borel_pompeiu_residual(fields, alpha, 1, mesh, quad, _BP_PROBES)
+        with np.errstate(over="ignore", invalid="ignore"):  # the densities refuse what overflows
+            res = borel_pompeiu_residual(fields, alpha, 1, mesh, quad, _BP_PROBES)
         for col, field_res in zip(table.values(), res):
             col.append(float(field_res.max()))
     decreasing = all(
@@ -401,6 +402,8 @@ def cmd_extend_check(args) -> int:
         raise ConfigError("--threshold must be finite and positive, got %g" % args.threshold)
     if not 0 <= args.perturb < np.inf:
         raise ConfigError("--perturb must be finite and not negative, got %g" % args.perturb)
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer, got %d" % args.seed)
     mesh = _outward_mesh(args.mesh)
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
@@ -515,7 +518,7 @@ def main(argv=None) -> int:
             return EXIT_OK if not exc.code else EXIT_CONFIG
         return args.func(args)
     except (ConfigError, SingularMediumError, CapacityError, TopologyError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except (NearSingularityError, SingularityError) as exc:

@@ -4,16 +4,18 @@ Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
 d = x - y, over quadrature nodes in one routine (_kernel_sum), for one
 density or for K densities with K alphas and signs, such as the two chiral
 modes or verify-bp's test fields.  It walks the target x node pairs
-in tiles of one shape, TILE_ROWS targets by NODE_CHUNK nodes; past one
-tile's worth of pairs it runs the first half on the calling thread and the
-second on the one worker of an executor made for the call, and adds the
-two sides' sums in a fixed order, so results do not depend on scheduling.
-Each thread takes its half node chunk by node chunk: it forms the products
-y*g of the chunk's real nodes y with the densities g in a buffer of its
-own, which holds g and y*g side by side (qmul's twelve terms that do not
-vanish for a pure vector y, in qmul's order, each a real coordinate times
-a complex density component), and then the chunk's tiles, row block by
-row block.  Per tile it forms the radii, the pair weights and the
+in tiles of one shape, TILE_ROWS targets (a row block) by NODE_CHUNK nodes;
+past one tile's worth of pairs the calling thread and the one worker of an
+executor made for the call each take half the row blocks, or half the node
+chunks of a single row block.  So each row is summed in node order on one
+thread, except in a single-row-block sum, and results depend neither on
+scheduling nor on the other targets of the call.
+Each thread walks its share node chunk by node chunk: it forms the
+products y*g of the chunk's real nodes y with the densities g in a buffer
+of its own, which holds g and y*g side by side (qmul's twelve terms that
+do not vanish for a pure vector y, in qmul's order, each a real coordinate
+times a complex density component), and then the chunk's tiles, row block
+by row block.  Per tile it forms the radii, the pair weights and the
 factors' prefactor once for all terms, and applies the factors as real
 (re, im) planes in one real matrix product per term over the tile's nodes.
 The operators differ only in the right-hand side and in the weights their
@@ -126,13 +128,6 @@ def _targets(x) -> np.ndarray:
     return x
 
 
-def _tiles(m: int, n: int) -> list:
-    """(rows, cols) slices of the tiles of an M x N pair matrix, in order:
-    row blocks of TILE_ROWS targets, each cut into tiles of NODE_CHUNK nodes."""
-    return [(slice(i, min(i + TILE_ROWS, m)), slice(j, min(j + NODE_CHUNK, n)))
-            for i in range(0, m, TILE_ROWS) for j in range(0, n, NODE_CHUNK)]
-
-
 def _vector_times(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
     """out = y*g for real vectors y (N, 3) and quaternions g (K, N, 4):
     the twelve terms of qmul(q.vector(y), g) that do not vanish, in qmul's
@@ -168,30 +163,26 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
 
     with quaternion products.  The M x N pairs go in tiles of TILE_ROWS
-    targets by NODE_CHUNK nodes (_tiles).  Once per tile for all terms, r
-    comes from the explicit differences, pair_weights(r, cols) returns the
-    real weights W ((B, n) or (n,)) of the tile's node slice cols, and
-    radial_factors the weighted (re, im) planes of each distinct alpha for
-    one real matrix product per term with the real views of g and
-    [g, y*g] over the tile's nodes.  A pair of zero weight gets radius 1
-    before the factors are formed, so a target on a node stays finite.
-    The sums Theta g and C [g, y*g] accumulate side by side in one
-    (K, M, 12) array.
+    targets (a row block) by NODE_CHUNK nodes (a node chunk).  Once per
+    tile for all terms, r comes from the explicit differences,
+    pair_weights(r, cols) returns the real weights W ((B, n) or (n,)) of
+    the tile's node slice cols, and radial_factors the weighted (re, im)
+    planes of each distinct alpha for one real matrix product per term with
+    the real views of g and [g, y*g] over the tile's nodes.  A pair of zero
+    weight gets radius 1 before the factors are formed, so a target on a
+    node stays finite.  The sums Theta g and C [g, y*g] accumulate side by
+    side in one (K, M, 12) array.
 
-    The tiles of a sum of more than TILE_ROWS * NODE_CHUNK pairs run on
-    two threads: the calling thread runs the first half, the one worker of
-    an executor made for the call the second half.  Each side sorts its
-    half by node slice (a stable sort, so node-chunk-major and row block by
-    row block within a chunk), forms [g, y*g] of a chunk's nodes
-    (_vector_times) in a (K, NODE_CHUNK, 8) buffer of its own when the
-    chunk begins, forms its tiles in a work buffer of its own, and adds
-    them into the result's sums; only when the cut falls inside a row block
-    does the second add into zeroed full-size partial sums instead, which
-    are added to the result after both have finished.  So the result does
-    not depend on scheduling, and each row adds its tiles in node order, as
-    one thread would, except that a row block cut in two adds its second
-    half's sum at the end.  An error in either half (the boundary guard) is
-    raised here once both halves have stopped, the first half's first.
+    A sum of more than TILE_ROWS * NODE_CHUNK pairs runs on two threads,
+    the caller and the one worker of an executor made for the call.  With
+    two or more row blocks the caller takes the first half (rounded up) and
+    the worker the rest, each adding into its own rows of the result, so
+    every row is summed in node order on one thread.  With one row block
+    the caller takes the first half of the node chunks and the worker adds
+    the rest into zeroed sums of its own, added after both have finished.
+    Each side has its own buffers (add).  An error on either side (the
+    boundary guard) is raised here once both have stopped, the caller's
+    first.
     """
     alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
     terms = g.shape[:-2]
@@ -200,40 +191,36 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     alphas, signs, g = alphas.reshape(-1), signs.reshape(-1), g.reshape(-1, len(y), 4)
     distinct, which = np.unique(alphas, return_inverse=True)
 
-    def add(tiles, sums, g_yg, work):
-        """Add the tiles' Theta g and C [g, y*g] into sums, node chunk by
-        node chunk.  When a chunk begins, its nodes are copied as coordinate
-        rows to y_chunk and its g and y*g formed in the complex buffer g_yg
-        of a full chunk.  Each tile is formed in the float buffer work,
-        whose rows are planes of a full tile: r, then the
-        4 * (len(distinct) + 1) planes of radial_factors, the first three of
-        which hold the differences until r is formed."""
-        chunk = None
-        for rows, cols in sorted(tiles, key=lambda tile: tile[1].start):
-            b, n = rows.stop - rows.start, cols.stop - cols.start
-            if cols != chunk:
-                chunk, y_chunk = cols, np.ascontiguousarray(y[cols].T)
-                g_yg[:, :n, :4] = g[:, cols]
-                _vector_times(y[cols], g[:, cols], out=g_yg[:, :n, 4:])
+    def add(row_blocks, chunks, sums, g_yg, work):
+        """Add Theta g and C [g, y*g] of the row blocks' targets over the
+        chunks' nodes into sums, node chunk by node chunk and row block by
+        row block within a chunk.  Per chunk, its nodes are copied as
+        coordinate rows to y_chunk and its g and y*g (_vector_times) formed
+        in the complex buffer g_yg of a full chunk, (K, NODE_CHUNK, 8).
+        Each tile is formed in the float buffer work, whose rows are planes
+        of a full tile: r, then the 4 * (len(distinct) + 1) planes of
+        radial_factors, the first three of which hold the differences until
+        r is formed."""
+        for cols in chunks:
+            n = cols.stop - cols.start
+            y_chunk = np.ascontiguousarray(y[cols].T)
+            g_yg[:, :n, :4] = g[:, cols]
+            _vector_times(y[cols], g[:, cols], out=g_yg[:, :n, 4:])
             rhs = g_yg.view(float)[:, :n]  # (K, n, 16) real
-            r, planes = np.split(work.reshape(-1)[:len(work) * b * n], [b * n])
-            r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
-            np.subtract(xs[rows].T[:, :, None], y_chunk[:, None, :], out=diff)
-            np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
-            w = pair_weights(r, cols)
-            np.copyto(r, 1.0, where=w == 0.0)
-            th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
-            for k, u in enumerate(which):
-                for part, fac, g_k in ((slice(0, 4), th[u], rhs[k, :, :8]),
-                                       (slice(4, 12), c[u], rhs[k])):
-                    re, im = (fac.reshape(-1, n) @ g_k).reshape(2, -1, g_k.shape[1])
-                    sums[k, rows, part] += re.view(complex) + 1j * im.view(complex)
-
-    tiles = _tiles(len(xs), len(y))
-    # a sum of at most one full tile's pairs stays on the calling thread: on a
-    # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4
-    # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads
-    cut = (len(tiles) + 1) // 2 if len(xs) * len(y) > TILE_ROWS * NODE_CHUNK else len(tiles)
+            for rows in row_blocks:
+                b = rows.stop - rows.start
+                r, planes = np.split(work.reshape(-1)[:len(work) * b * n], [b * n])
+                r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
+                np.subtract(xs[rows].T[:, :, None], y_chunk[:, None, :], out=diff)
+                np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
+                w = pair_weights(r, cols)
+                np.copyto(r, 1.0, where=w == 0.0)
+                th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
+                for k, u in enumerate(which):
+                    for part, fac, g_k in ((slice(0, 4), th[u], rhs[k, :, :8]),
+                                           (slice(4, 12), c[u], rhs[k])):
+                        re, im = (fac.reshape(-1, n) @ g_k).reshape(2, -1, g_k.shape[1])
+                        sums[k, rows, part] += re.view(complex) + 1j * im.view(complex)
 
     def buffers():
         # allocated here, on the calling thread, for either side: buffers the
@@ -243,17 +230,26 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         return (np.empty((len(g), n, 8), dtype=complex),
                 np.empty((4 * len(distinct) + 5, min(len(xs), TILE_ROWS) * n)))
 
+    row_blocks = [slice(i, min(i + TILE_ROWS, len(xs))) for i in range(0, len(xs), TILE_ROWS)]
+    chunks = [slice(j, min(j + NODE_CHUNK, len(y))) for j in range(0, len(y), NODE_CHUNK)]
     sums = np.zeros((len(g), len(xs), 12), dtype=complex)  # Theta g, then C [g, y*g]
-    partial, second = sums, None
+    rest = partial = None  # the worker's (row blocks, chunks, sums); sums of its own
+    # a sum of at most one full tile's pairs stays on the calling thread: on a
+    # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4
+    # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads
+    if len(xs) * len(y) > TILE_ROWS * NODE_CHUNK:
+        if len(row_blocks) > 1:
+            cut = (len(row_blocks) + 1) // 2
+            row_blocks, rest = row_blocks[:cut], (row_blocks[cut:], chunks, sums)
+        else:
+            cut, partial = (len(chunks) + 1) // 2, np.zeros_like(sums)
+            chunks, rest = chunks[:cut], (row_blocks, chunks[cut:], partial)
     with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on every exit
-        if cut < len(tiles):
-            if tiles[cut][0].start < tiles[cut - 1][0].stop:  # the cut splits a row block
-                partial = np.zeros_like(sums)
-            second = pool.submit(add, tiles[cut:], partial, *buffers())
-        add(tiles[:cut], sums, *buffers())
+        second = pool.submit(add, *rest, *buffers()) if rest else None
+        add(row_blocks, chunks, sums, *buffers())
     if second is not None:
         second.result()
-    if partial is not sums:
+    if partial is not None:
         sums += partial
     out = ((signs * alphas)[:, None, None] * sums[..., :4]
            + q.qmul(q.vector(xs), sums[..., 4:8]) - sums[..., 8:])

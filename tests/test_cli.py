@@ -414,6 +414,7 @@ def test_extend_check_json_deterministic(workspace, tmp_path):
     ("--perturb", "nan", "--perturb must be finite and not negative"),
     ("--perturb", "-0.1", "--perturb must be finite and not negative"),
     ("--perturb", "inf", "--perturb must be finite and not negative"),
+    ("--seed", "-1", "--seed must be a non-negative integer"),
 ])
 def test_extend_check_rejects_meaningless_flags(workspace, tmp_path, capsys, flag, value,
                                                 message):
@@ -449,6 +450,32 @@ def test_csv_artifacts_hold_no_nan_or_infinity(workspace, tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: ") and "NaN or infinite" in err
+    assert not out.exists()
+
+
+def test_verify_bp_of_overflowing_fields_is_one_error_line(tmp_path, capsys):
+    # at alpha = 800i the test fields overflow: the boundary density refuses
+    # them with exit 2, no JSON is written and no NumPy warning is printed
+    out = tmp_path / "bp.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify-bp", "--levels", "2,3", "--alpha", "0+800j",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "non-finite" in err
+    assert not out.exists()
+
+
+def test_request_that_cannot_be_allocated_is_one_error_line(tmp_path, capsys):
+    # 1e15 radii take 7.11 PiB per array, past any address space, so the
+    # first allocation fails and nothing is allocated
+    out = tmp_path / "k.csv"
+    assert main(["kernel-probe", "--alpha", "1", "--count", "1000000000000000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and "Unable to allocate" in err
     assert not out.exists()
 
 

@@ -697,6 +697,29 @@ def test_two_thread_sums_are_repeatable_under_contention():
     assert all(result == first for result in results)
 
 
+@pytest.mark.parametrize("operator, n_chunks", [("volume", 16), ("boundary", 4)])
+def test_a_rows_sum_does_not_depend_on_the_other_targets(operator, n_chunks):
+    # 32 targets are two row blocks, one on each thread; 33, 37 and 48 are
+    # three, the first two on the calling thread: rows 0-31 are summed in
+    # node order on one thread either way, over the level-3 ball rule's 16
+    # node chunks or the level-4 mesh's 4, so their bits are the same
+    rng = np.random.default_rng(36)
+    if operator == "volume":
+        quad = build_ball_quadrature(1.0, 3)
+        alpha, sign, g, weights = _volume_terms(quad, rng)
+        y = quad.points
+    else:
+        mesh = build_sphere_mesh(1.0, 4)
+        alpha, sign, g, weights = _boundary_terms(mesh, rng)
+        y = mesh.centroids
+    assert len(y) == n_chunks * NODE_CHUNK
+    xs = rng.uniform(-0.4, 0.4, (48, 3))
+    first = _kernel_sum(alpha, sign, xs[:32], y, g, weights)
+    for m in (33, 37, 48):
+        got = _kernel_sum(alpha, sign, xs[:m], y, g, weights)
+        assert got[..., :32, :].tobytes() == first.tobytes(), m
+
+
 def _executor_workers():
     """The live worker threads of executors, which CPython names
     ThreadPoolExecutor-<n>_<k>."""
