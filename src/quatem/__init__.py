@@ -16,10 +16,10 @@ from .errors import (
 from .fields import AnalyticField, abc_beltrami, exact_chiral_solution, polynomial_field
 from .geometry import (
     SurfaceMesh,
-    VolumeQuadrature,
-    build_ball_quadrature,
     build_sphere_mesh,
     checked_normals,
+    polar_ball_rule,
+    sphere_rule,
 )
 from .kernels import theta, upsilon
 from .maxwell import (

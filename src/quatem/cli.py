@@ -36,13 +36,12 @@ from .fields import (
 )
 from .geometry import (
     MAX_SUBDIVISION,
-    build_ball_quadrature,
     build_sphere_mesh,
-    checked_ball_nodes,
     checked_normals,
     load_off,
     save_csv,
     save_off,
+    sphere_rule,
 )
 from .kernels import theta, upsilon
 from .maxwell import make_medium
@@ -70,9 +69,9 @@ _BP_FIELDS = {
     "beltrami": lambda alpha: abc_beltrami(-alpha),
 }
 _BP_SLACK = 0.10
-# verify-bp's coarsest level: below it one of _BP_PROBES comes closer to a surface
-# node (0.40 and 0.53 at levels 0 and 1) than the boundary operator's exclusion
-# zone of 2 mesh spacings (1.38 and 0.76), so those levels could only exit 4
+# verify-bp's coarsest level: below it one of _BP_PROBES comes closer to a sphere
+# node (0.59 at levels 0 and 1) than the boundary operator's exclusion zone of 2
+# mesh spacings (1.38 and 0.76), so those levels could only exit 4
 MIN_BP_LEVEL = 2
 
 # verify-bp's probes in the unit ball; the kernel is radial up to its vector
@@ -229,14 +228,8 @@ def _load_coeffs(path) -> np.ndarray:
 
 
 def cmd_gen_mesh(args) -> int:
-    if args.ball_csv:
-        checked_ball_nodes(args.level)
     mesh = build_sphere_mesh(args.radius, args.level)
     save_off(mesh, args.out)
-    if args.ball_csv:
-        quad = build_ball_quadrature(args.radius, args.level)
-        save_csv(args.ball_csv, np.column_stack([quad.points, quad.weights]), "%.17g",
-                 ["x", "y", "z", "w"])
     check = checked_normals(mesh)
     print(
         "gen-mesh: %d triangles, area %.6g, flux residual %.2e -> %s"
@@ -312,15 +305,13 @@ def cmd_verify_bp(args) -> int:
             MIN_BP_LEVEL <= levels[0] and levels[-1] <= MAX_SUBDIVISION):
         raise ConfigError("--levels must be strictly increasing integers in %d..%d, got %r"
                           % (MIN_BP_LEVEL, MAX_SUBDIVISION, args.levels))
-    checked_ball_nodes(levels[-1])
     alpha = args.alpha
     table = {name: [] for name in _BP_FIELDS}
     for level in levels:
-        mesh = build_sphere_mesh(1.0, level)
-        quad = build_ball_quadrature(1.0, level)
+        rule = sphere_rule(1.0, level)
         fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
         with np.errstate(over="ignore", invalid="ignore"):  # the densities refuse what overflows
-            res = borel_pompeiu_residual(fields, alpha, 1, mesh, quad, _BP_PROBES)
+            res = borel_pompeiu_residual(fields, alpha, 1, rule, 1.0, _BP_PROBES)
         for col, field_res in zip(table.values(), res):
             col.append(float(field_res.max()))
     decreasing = all(
@@ -448,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-mesh", help="generate an icosphere mesh (OFF)")
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--level", type=int, default=3)
-    p.add_argument("--ball-csv", default=None,
-                   help="also dump the matching ball quadrature as CSV (x,y,z,w)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_mesh)
 

@@ -1,9 +1,12 @@
-"""Triangulated closed surfaces and ball quadrature rules.
+"""Triangulated closed surfaces, their boundary rules and the polar ball rule.
 
 The canonical boundary is an icosphere: a subdivided icosahedron projected
-onto the sphere, with consistently outward-wound triangles.  Volume
-integration over the ball uses a radial Gauss-Legendre rule crossed with
-the angular directions of an icosphere of the same subdivision level.
+onto the sphere, with consistently outward-wound triangles.  Surface
+integrals over a mesh use one node per triangle, its centroid (the mesh's
+rule, for any closed surface).  On the sphere itself sphere_rule places
+three nodes per icosphere triangle on the exact surface, a fourth-order
+rule.  Volume integrals over the ball use a polar rule centred on each
+target (BallRule), whose volume element cancels the kernel's growth.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ import numpy as np
 from .errors import CapacityError, TopologyError
 
 MAX_SUBDIVISION = 7  # 20 * 4**7 = 327680 triangles, the desk-scale budget
-MAX_BALL_NODES = 1_310_720  # the level-5 ball rule, on which verify-bp --levels 5
-                            # peaked at 515 MB of RSS; the level-6 rule has 8x
-                            # the nodes (10485760), the level-7 one 64x
+POLAR_ORDERS = (8, 8, 16)  # BallRule: Gauss-Legendre r and cos(theta), trapezoid phi
 
 _PHI = (1.0 + 5.0**0.5) / 2.0
 
@@ -42,6 +43,22 @@ _ICO_FACES = np.array(
     ],
     dtype=int,
 )
+
+@dataclass(frozen=True)
+class SurfaceRule:
+    """Quadrature nodes of a closed surface: points with outward unit
+    normals and weights, and the spacing of the mesh they come from, which
+    sets the boundary operator's exclusion zone."""
+
+    points: np.ndarray   # (N, 3)
+    normals: np.ndarray  # (N, 3)
+    weights: np.ndarray  # (N,)
+    spacing: float
+
+    @property
+    def flat_points(self) -> np.ndarray:
+        return self.points
+
 
 @dataclass(frozen=True)
 class SurfaceMesh:
@@ -80,14 +97,38 @@ class SurfaceMesh:
     def flat_points(self) -> np.ndarray:
         return self.centroids
 
+    @property
+    def rule(self) -> SurfaceRule:
+        """The centroid rule: one node per triangle, weighted by its area."""
+        return SurfaceRule(self.centroids, self.normals, self.areas, self.spacing)
+
 
 @dataclass(frozen=True)
-class VolumeQuadrature:
-    """Interior quadrature nodes and weights for a ball-shaped domain."""
+class BallRule:
+    """Polar product rule on the ball |y| < radius about the origin,
+    centred on each target x: y = x + rho t s for reference nodes t s in the
+    unit ball, where rho = -x.s + sqrt((x.s)**2 + radius**2 - |x|**2) is the
+    distance from x to the sphere along the unit direction s."""
 
-    points: np.ndarray   # (N, 3), strictly interior
-    weights: np.ndarray  # (N,), positive, summing to the ball volume
     radius: float
+    points: np.ndarray   # (N, 3) reference nodes t s, 0 < t < 1
+    weights: np.ndarray  # (N,) their weights, w_s w_t t**2, summing to 4*pi/3
+
+    def nodes(self, xs: np.ndarray):
+        """Nodes y (M, N, 3) and weights (M, N) of the rule centred on each
+        target of xs (M, 3): the volume element r**2 dr dOmega, r = rho t,
+        whose r**2 cancels a kernel's 1/r**2, gives the weights w rho**3.
+        ValueError, naming the target, for one not inside the ball."""
+        sq = np.einsum("mk,mk->m", xs, xs)
+        if np.any(sq >= self.radius**2):
+            raise ValueError("volume target %s is not inside the ball of radius %g"
+                             % (xs[np.argmax(sq >= self.radius**2)].tolist(), self.radius))
+        # x.s term by term: a matrix product of one target would group its
+        # sums differently from a batch (BLAS takes it as matrix-vector)
+        proj = sum(xs[:, k, None] * self.points[:, k] for k in range(3)) / np.sqrt(
+            np.einsum("nk,nk->n", self.points, self.points))
+        rho = np.sqrt(proj * proj + (self.radius**2 - sq)[:, None]) - proj
+        return xs[:, None, :] + rho[..., None] * self.points, self.weights * rho**3
 
 
 def mesh_from_arrays(vertices, triangles) -> SurfaceMesh:
@@ -155,40 +196,40 @@ def build_sphere_mesh(radius: float, level: int) -> SurfaceMesh:
     return mesh_from_arrays(vertices * radius, faces)
 
 
-def _radial_order(level: int) -> int:
-    return max(8, 2 ** (level + 1))
+def sphere_rule(radius: float, level: int) -> SurfaceRule:
+    """Three nodes per triangle of the level-`level` icosphere, on the
+    sphere itself: each flat triangle's symmetric degree-2 rule
+    (barycentric (2/3, 1/6, 1/6) and its permutations, weight a/3 each)
+    projected radially.  A node p of a triangle of area a and unit normal n
+    moves to radius * p/|p|, with normal p/|p| and weight
+    (a/3) radius**2 (n.p)/|p|**3, the Jacobian of the projection.  The
+    nodes run triangle by triangle; the spacing is the icosphere's."""
+    mesh = build_sphere_mesh(radius, level)
+    barycentric = np.array([[4.0, 1.0, 1.0], [1.0, 4.0, 1.0], [1.0, 1.0, 4.0]]) / 6.0
+    p = barycentric @ mesh.vertices[mesh.triangles]  # (T, 3 nodes, 3)
+    dist = np.linalg.norm(p, axis=-1)
+    unit = (p / dist[..., None]).reshape(-1, 3)
+    weights = (radius**2 / 3.0) * mesh.areas[:, None] * np.einsum(
+        "tnk,tk->tn", p, mesh.normals) / dist**3
+    return SurfaceRule(radius * unit, unit, weights.reshape(-1), mesh.spacing)
 
 
-def checked_ball_nodes(level: int) -> int:
-    """Node count of the level-`level` ball rule, 20 * 4**level directions
-    times the radial order.  Raises CapacityError past MAX_BALL_NODES."""
-    nodes = 20 * 4 ** level * _radial_order(level)
-    if nodes > MAX_BALL_NODES:
-        raise CapacityError("the level-%d ball rule has %d nodes, past the budget of %d"
-                            % (level, nodes, MAX_BALL_NODES))
-    return nodes
-
-
-def build_ball_quadrature(radius: float, level: int) -> VolumeQuadrature:
-    """Product rule on the ball: Gauss-Legendre in radius times the angular
-    cells of a level-`level` icosphere (cell weights normalized to 4*pi).
-
-    The radial order doubles with each level (8 at level <= 2), so that
-    `level` refines the rule isotropically.  Raises CapacityError, before
-    allocating, for a rule of more than MAX_BALL_NODES nodes.
-    """
+def polar_ball_rule(radius: float, orders=POLAR_ORDERS) -> BallRule:
+    """The BallRule of the given radius and orders (n_r, n_cos, n_phi):
+    Gauss-Legendre in r / rho and in cos(theta), the trapezoid rule in phi,
+    n_cos * n_phi directions."""
     if not 0 < radius < np.inf:
         raise ValueError("radius must be finite and positive, got %g" % radius)
-    checked_ball_nodes(level)
-    sphere = build_sphere_mesh(1.0, level)
-    dirs = sphere.centroids / np.linalg.norm(sphere.centroids, axis=1)[:, None]
-    ang_w = sphere.areas * (4.0 * np.pi / sphere.area)
-    t, w = np.polynomial.legendre.leggauss(_radial_order(level))
-    r = 0.5 * radius * (t + 1.0)
-    wr = 0.5 * radius * w
-    points = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    weights = ((wr * r**2)[:, None] * ang_w[None, :]).reshape(-1)
-    return VolumeQuadrature(points, weights, float(radius))
+    n_r, n_cos, n_phi = orders
+    t, wt = np.polynomial.legendre.leggauss(n_r)
+    t = 0.5 * (t + 1.0)
+    cos, wc = np.polynomial.legendre.leggauss(n_cos)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    sin = np.sqrt(1.0 - cos * cos)[:, None]
+    s = np.stack([sin * np.cos(phi), sin * np.sin(phi),
+                  np.broadcast_to(cos[:, None], (n_cos, n_phi))], axis=-1).reshape(-1, 1, 3)
+    w = np.repeat(wc * (2.0 * np.pi / n_phi), n_phi)[:, None] * (0.5 * wt * t * t)
+    return BallRule(float(radius), (s * t[:, None]).reshape(-1, 3), w.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,25 @@
 """Discretized volume and boundary integral operators.
 
-Both operators sum the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
-d = x - y, over quadrature nodes in one routine (_kernel_sum), for one
-density or for K densities with K alphas and signs, such as the two chiral
-modes or verify-bp's test fields.  It walks the target x node pairs
+The boundary operator sums the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
+d = x - y, over the nodes of a surface rule in one routine (_kernel_sum),
+for one density or for K densities with K alphas and signs, such as the two
+chiral modes or verify-bp's test fields.  It walks the target x node pairs
 in tiles of one shape, TILE_ROWS targets (a row block) by NODE_CHUNK nodes;
-past one tile's worth of pairs the calling thread and the one worker of an
-executor made for the call each take half the row blocks, or half the node
-chunks of a single row block.  So each row is summed in node order on one
-thread, except in a single-row-block sum, and results depend neither on
-scheduling nor on the other targets of the call.
-Each thread walks its share node chunk by node chunk: it forms the
-products y*g of the chunk's real nodes y with the densities g in a buffer
-of its own, which holds g and y*g side by side (qmul's twelve terms that
-do not vanish for a pure vector y, in qmul's order, each a real coordinate
-times a complex density component), and then the chunk's tiles, row block
-by row block.  Per tile it forms the radii, the pair weights and the
-factors' prefactor once for all terms, and applies the factors as real
-(re, im) planes in one real matrix product per term over the tile's nodes.
-The operators differ only in the right-hand side and in the weights their
-pair_weights callback returns for the (target, node) pairs of a tile from
-their distances r.  The volume operator's smooth cutoff removes a small
-ball around each target, whose integral is summed instead with the level-1
-ball rule (geometry.build_ball_quadrature) of radius 2*rho centered at the
-target: a polar product rule, whose volume element cancels the kernel's
-1/r**2 growth.
-The boundary operator is only evaluated at interior points a few mesh
-spacings away from the surface (no principal-value quadrature exists
-here); its guard reads the same r that the kernel factors use.
+past one tile's worth of pairs and one row block, the calling thread and
+the one worker of an executor made for the call each take half the row
+blocks.  So each row is summed in node order on one thread, and results
+depend neither on scheduling nor on the other targets of the call.  Each
+thread walks its share node chunk by node chunk, forming y*g for the
+chunk's nodes y in a buffer of its own, then the chunk's tiles, with one
+real matrix product per term and tile (_kernel_sum).  The boundary
+operator is only evaluated at interior points a few mesh spacings away
+from the surface (no principal-value quadrature exists here); its guard
+reads the same r that the kernel factors use.
+
+The volume operator integrates over a ball with the polar rule centred on
+each target (geometry.BallRule): every target has nodes of its own, so its
+sum is a direct one, O(targets x nodes), and the rule's volume element
+r**2 dr cancels the kernel's 1/r**2 growth.
 """
 
 from __future__ import annotations
@@ -41,10 +33,9 @@ import numpy as np
 from . import quaternions as q
 from .errors import NearSingularityError
 from .fields import AnalyticField
-from .geometry import SurfaceMesh, VolumeQuadrature, build_ball_quadrature
-from .kernels import radial_factors, upsilon
+from .geometry import BallRule, SurfaceMesh, SurfaceRule, polar_ball_rule
+from .kernels import radial_factors
 
-CUTOFF_FACTOR = 3.0         # volume rule: cutoff radius in mean node spacings
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
 TILE_ROWS = 16              # targets per tile of a kernel sum (blocks of 4-32
                             # targets cost the same per target within 10 % at
@@ -54,71 +45,62 @@ TILE_ROWS = 16              # targets per tile of a kernel sum (blocks of 4-32
 NODE_CHUNK = 1280           # nodes per tile, so per matrix product, whose
                             # roundoff grows with its node count (OpenBLAS
                             # 0.3.31 sums small products in node order): on
-                            # the level-4 volume rule's far field, against an
+                            # a 163840-node kernel sum, against an
                             # extended-precision sum, 20480-node products
                             # erred by 1.0e-14 relative, 1280-node ones by
                             # 1.4e-15; also the nodes per [g, y*g] buffer of
-                            # a kernel sum and per evaluation of a
-                            # VolumeDensity
+                            # a kernel sum
 RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class BoundaryDensity:
-    """One quaternion per triangle of a surface, the value at its centroid
-    node (or K such densities); the values are stored as complex."""
+    """One quaternion per node of a surface rule (or K such densities): a
+    SurfaceMesh's centroid rule, stored in `rule`, or a SurfaceRule such as
+    geometry.sphere_rule's.  The values are stored as complex."""
 
-    mesh: SurfaceMesh
-    values: np.ndarray  # (T, 4) or (K, T, 4)
+    mesh: SurfaceMesh | SurfaceRule
+    values: np.ndarray  # (N, 4) or (K, N, 4)
+    rule: SurfaceRule = field(init=False, repr=False)
 
     def __post_init__(self):
+        rule = self.mesh.rule if isinstance(self.mesh, SurfaceMesh) else self.mesh
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim not in (2, 3) or values.shape[-2:] != (self.mesh.n_triangles, 4):
-            raise ValueError("values must have shape [K,] %s" % ((self.mesh.n_triangles, 4),))
+        if values.ndim not in (2, 3) or values.shape[-2:] != (len(rule.points), 4):
+            raise ValueError("values must have shape [K,] %s" % ((len(rule.points), 4),))
         if not q.is_finite(values):
             raise ValueError("boundary density contains non-finite values")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rule", rule)
 
 
 @dataclass(frozen=True)
 class VolumeDensity:
-    """A batched evaluator and its quaternion values at the nodes of a
-    volume rule, computed once; the near-field treatment of the volume
-    potential samples the density off-node through the evaluator.
+    """A batched evaluator on a ball, integrated with the polar rule
+    `quadrature`: it maps points (..., 3) to one quaternion each, (..., 4),
+    or to K, (K, ..., 4).  sample refuses values of another shape or that
+    are not finite."""
 
-    The evaluator maps points (..., 3) to one quaternion each, (..., 4), or
-    to K, (K, ..., 4).  The node values are evaluated NODE_CHUNK nodes at a
-    time into one array, so the evaluator's temporaries never cover the
-    whole rule.
-    """
-
-    quadrature: VolumeQuadrature
+    quadrature: BallRule
     evaluator: Callable[[np.ndarray], np.ndarray]
-    values: np.ndarray = field(init=False)  # (N, 4) or (K, N, 4)
-
-    def __post_init__(self):
-        pts = self.quadrature.points
-        values = None
-        for j in range(0, len(pts), NODE_CHUNK):
-            block = self.evaluator(pts[j:j + NODE_CHUNK])
-            if values is None:
-                values = np.empty(np.shape(block)[:-2] + (len(pts), 4), dtype=complex)
-            part = values[..., j:j + NODE_CHUNK, :]
-            if values.ndim not in (2, 3) or np.shape(block) != part.shape:
-                raise ValueError("values must have shape [K,] %s" % ((len(pts), 4),))
-            part[...] = block
-            if not q.is_finite(part):
-                raise ValueError("volume density contains non-finite values")
-        object.__setattr__(self, "values", values)
 
     def sample(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(pts), dtype=complex)
+        values = np.asarray(self.evaluator(pts), dtype=complex)
+        point_shape = np.shape(pts)[:-1] + (4,)
+        if values.ndim - len(point_shape) not in (0, 1) \
+                or values.shape[values.ndim - len(point_shape):] != point_shape:
+            raise ValueError("values must have shape [K,] %s" % (point_shape,))
+        if not q.is_finite(values):
+            raise ValueError("volume density contains non-finite values")
+        return values
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """s**3 (s (6 s - 15) + 10) of s = t clipped to [0, 1]."""
-    s = np.clip(t, 0.0, 1.0)
-    return s * s * s * (s * (6.0 * s - 15.0) + 10.0)
+def _terms(alpha, sign, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The flat alphas and signs of the densities' term shape `terms`."""
+    alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
+    if alphas.shape != terms or signs.shape != terms or not np.all(np.abs(signs) == 1):
+        raise ValueError("need one alpha and one sign (+1 or -1) per density")
+    return alphas.reshape(-1), signs.reshape(-1)
 
 
 def _targets(x) -> np.ndarray:
@@ -129,7 +111,7 @@ def _targets(x) -> np.ndarray:
 
 
 def _vector_times(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-    """out = y*g for real vectors y (N, 3) and quaternions g (K, N, 4):
+    """out = y*g for real vectors y (N, 3) and quaternions g (N, 4) or (K, N, 4):
     the twelve terms of qmul(q.vector(y), g) that do not vanish, in qmul's
     order, each a real coordinate times a complex component of g, so every
     nonzero entry of the result is bit-identical to qmul's."""
@@ -168,39 +150,31 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     pair_weights(r, cols) returns the real weights W ((B, n) or (n,)) of
     the tile's node slice cols, and radial_factors the weighted (re, im)
     planes of each distinct alpha for one real matrix product per term with
-    the real views of g and [g, y*g] over the tile's nodes.  A pair of zero
-    weight gets radius 1 before the factors are formed, so a target on a
-    node stays finite.  The sums Theta g and C [g, y*g] accumulate side by
-    side in one (K, M, 12) array.
+    the real views of g and [g, y*g] over the tile's nodes.  The sums
+    Theta g and C [g, y*g] accumulate side by side in one (K, M, 12) array.
 
-    A sum of more than TILE_ROWS * NODE_CHUNK pairs runs on two threads,
-    the caller and the one worker of an executor made for the call.  With
-    two or more row blocks the caller takes the first half (rounded up) and
-    the worker the rest, each adding into its own rows of the result, so
-    every row is summed in node order on one thread.  With one row block
-    the caller takes the first half of the node chunks and the worker adds
-    the rest into zeroed sums of its own, added after both have finished.
-    Each side has its own buffers (add).  An error on either side (the
-    boundary guard) is raised here once both have stopped, the caller's
-    first.
+    A sum of two or more row blocks and more than TILE_ROWS * NODE_CHUNK
+    pairs runs on two threads, the caller and the one worker of an executor
+    made for the call: the caller takes the first half of the row blocks
+    (rounded up) and the worker the rest, each adding into its own rows of
+    the result, so every row is summed in node order on one thread.  Each
+    side has its own buffers (add).  An error on either side (the boundary
+    guard) is raised here once both have stopped, the caller's first.
     """
-    alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
     terms = g.shape[:-2]
-    if alphas.shape != terms or signs.shape != terms or not np.all(np.abs(signs) == 1):
-        raise ValueError("need one alpha and one sign (+1 or -1) per density")
-    alphas, signs, g = alphas.reshape(-1), signs.reshape(-1), g.reshape(-1, len(y), 4)
+    alphas, signs = _terms(alpha, sign, terms)
+    g = g.reshape(-1, len(y), 4)
     distinct, which = np.unique(alphas, return_inverse=True)
 
-    def add(row_blocks, chunks, sums, g_yg, work):
-        """Add Theta g and C [g, y*g] of the row blocks' targets over the
-        chunks' nodes into sums, node chunk by node chunk and row block by
-        row block within a chunk.  Per chunk, its nodes are copied as
-        coordinate rows to y_chunk and its g and y*g (_vector_times) formed
-        in the complex buffer g_yg of a full chunk, (K, NODE_CHUNK, 8).
-        Each tile is formed in the float buffer work, whose rows are planes
-        of a full tile: r, then the 4 * (len(distinct) + 1) planes of
-        radial_factors, the first three of which hold the differences until
-        r is formed."""
+    def add(row_blocks, g_yg, work):
+        """Add Theta g and C [g, y*g] of the row blocks' targets into sums,
+        node chunk by node chunk and row block by row block within a chunk.
+        Per chunk, its nodes are copied as coordinate rows to y_chunk and
+        its g and y*g (_vector_times) formed in the complex buffer g_yg of a
+        full chunk, (K, NODE_CHUNK, 8).  Each tile is formed in the float
+        buffer work, whose rows are planes of a full tile: r, then the
+        4 * (len(distinct) + 1) planes of radial_factors, the first three of
+        which hold the differences until r is formed."""
         for cols in chunks:
             n = cols.stop - cols.start
             y_chunk = np.ascontiguousarray(y[cols].T)
@@ -214,7 +188,6 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
                 np.subtract(xs[rows].T[:, :, None], y_chunk[:, None, :], out=diff)
                 np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
                 w = pair_weights(r, cols)
-                np.copyto(r, 1.0, where=w == 0.0)
                 th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
                 for k, u in enumerate(which):
                     for part, fac, g_k in ((slice(0, 4), th[u], rhs[k, :, :8]),
@@ -233,97 +206,90 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
     row_blocks = [slice(i, min(i + TILE_ROWS, len(xs))) for i in range(0, len(xs), TILE_ROWS)]
     chunks = [slice(j, min(j + NODE_CHUNK, len(y))) for j in range(0, len(y), NODE_CHUNK)]
     sums = np.zeros((len(g), len(xs), 12), dtype=complex)  # Theta g, then C [g, y*g]
-    rest = partial = None  # the worker's (row blocks, chunks, sums); sums of its own
+    rest = None  # the worker's row blocks
     # a sum of at most one full tile's pairs stays on the calling thread: on a
     # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4
-    # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads
-    if len(xs) * len(y) > TILE_ROWS * NODE_CHUNK:
-        if len(row_blocks) > 1:
-            cut = (len(row_blocks) + 1) // 2
-            row_blocks, rest = row_blocks[:cut], (row_blocks[cut:], chunks, sums)
-        else:
-            cut, partial = (len(chunks) + 1) // 2, np.zeros_like(sums)
-            chunks, rest = chunks[:cut], (row_blocks, chunks[cut:], partial)
+    # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads; so
+    # does a single row block, whose node chunks split over two threads
+    # measured no faster (5 targets x 3 terms at 15360 and 61440 nodes)
+    if len(row_blocks) > 1 and len(xs) * len(y) > TILE_ROWS * NODE_CHUNK:
+        cut = (len(row_blocks) + 1) // 2
+        row_blocks, rest = row_blocks[:cut], row_blocks[cut:]
     with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on every exit
-        second = pool.submit(add, *rest, *buffers()) if rest else None
-        add(row_blocks, chunks, sums, *buffers())
+        second = pool.submit(add, rest, *buffers()) if rest else None
+        add(row_blocks, *buffers())
     if second is not None:
         second.result()
-    if partial is not None:
-        sums += partial
     out = ((signs * alphas)[:, None, None] * sums[..., :4]
            + q.qmul(q.vector(xs), sums[..., 4:8]) - sums[..., 8:])
     return out.reshape(terms + out.shape[1:])
 
 
 def teodorescu(alpha, sign, density: VolumeDensity, x) -> np.ndarray:
-    """Volume potential sum_j w_j * Ups(x - y_j) * f(y_j) over the rule.
+    """Volume potential int_B Ups(x - y) f(y) dy over the ball of the
+    density's rule, summed directly with that rule centred on each target.
 
-    x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  Density values (K, N, 4) with K alphas and signs give K terms
-    in one _kernel_sum call and a result (K, 4) or (K, M, 4).  A smooth
-    partition of unity removes the ball of radius rho = CUTOFF_FACTOR *
-    mean node spacing around each target from the node sum; the
-    complementary near integral uses the level-1 ball rule of radius 2*rho
-    centered at the target (GL8 radii times 80 icosphere directions), whose
-    volume element cancels the 1/r**2 kernel growth exactly.  The near
-    rule is built once per call and its kernel values, which do not depend
-    on the target, once per term; its off-node density values come from one
-    density.sample call for all targets and terms.
+    x is one target (3,) or many (M, 3), each inside the ball (ValueError,
+    before the density is sampled, for one that is not); the result has
+    shape (4,) or (M, 4).  Density values (K, ..., 4) with K alphas and
+    signs give K terms and a result (K, 4) or (K, M, 4).  All targets' nodes
+    are sampled in one density.sample call; each node adds its weight
+    (geometry.BallRule.nodes) times Ups(d) g = sign*alpha theta g + c d*g.
     """
     x = _targets(x)
     xs = x.reshape(-1, 3)
-    quad = density.quadrature
-    rho = CUTOFF_FACTOR * float(np.mean(quad.weights ** (1.0 / 3.0)))
-
-    def far_weights(r, cols):
-        return quad.weights[cols] * _smoothstep(r / rho - 1.0)
-
-    far = _kernel_sum(alpha, sign, xs, quad.points, density.values, far_weights)
-
-    near = build_ball_quadrature(2.0 * rho, 1)
-    offsets = near.points
-    y = xs[:, None, :] + offsets
-    inside = np.linalg.norm(y, axis=-1) <= quad.radius
-    near_cut = 1.0 - _smoothstep(np.linalg.norm(offsets, axis=1) / rho - 1.0)
-    near_w = (near.weights * near_cut * inside).astype(complex)
-    samples = density.sample(y).reshape((-1,) + y.shape[:-1] + (4,))
-    out = far.reshape((-1, len(xs), 4))
-    for k, (a, s) in enumerate(zip(np.reshape(alpha, -1), np.reshape(sign, -1))):
-        out[k] += np.einsum("mn,mnk->mk", near_w, q.qmul(upsilon(a, s, -offsets), samples[k]))
-    return out.reshape(far.shape[:-2] + x.shape[:-1] + (4,))
+    y, w = density.quadrature.nodes(xs)
+    samples = density.sample(y)
+    terms = samples.shape[:-3]
+    alphas, signs = _terms(alpha, sign, terms)
+    g = samples.reshape(len(alphas), -1, 4)
+    d = (xs[:, None, :] - y).reshape(-1, 3)
+    dg = np.empty_like(g)
+    _vector_times(d, g, out=dg)
+    th, c = radial_factors(alphas, np.sqrt(np.einsum("nk,nk->n", d, d)), w.reshape(-1))
+    th, c = th[:, 0] + 1j * th[:, 1], c[:, 0] + 1j * c[:, 1]
+    summand = (signs * alphas)[:, None, None] * th[..., None] * g + c[..., None] * dg
+    # each target's nodes summed along a contiguous last axis, so that a
+    # target's sum does not depend on the other targets of the call
+    by_node = np.ascontiguousarray(summand.reshape(len(alphas), len(xs), -1, 4).swapaxes(-1, -2))
+    return by_node.sum(axis=-1).reshape(terms + x.shape[:-1] + (4,))
 
 
 def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
-    """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = a_j n_j f_j,
-    one node y_j per triangle: its centroid, with area a_j and normal n_j.
+    """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = w_j n_j f_j over
+    the nodes y_j of the density's rule, with weights w_j and normals n_j.
 
     x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  Density values (K, T, 4) with K alphas and signs give K terms
+    (M, 4).  Density values (K, N, 4) with K alphas and signs give K terms
     in one _kernel_sum call and a result (K, 4) or (K, M, 4).  The node sum
-    takes the areas as weights; the same per-block radii serve the guard,
+    takes the rule's weights; the same per-block radii serve the guard,
     which raises NearSingularityError when a target comes closer to a
     surface node than MIN_DISTANCE_FACTOR mesh spacings.
     """
-    mesh = density.mesh
+    rule = density.rule
     x = _targets(x)
-    d_min = MIN_DISTANCE_FACTOR * mesh.spacing
+    d_min = MIN_DISTANCE_FACTOR * rule.spacing
 
     def guarded_weights(r, cols):
         dist = float(r.min())
         # slack: extendibility_residual's first offsets lie exactly d_min deep
         if dist < d_min * (1.0 - 1e-9):
             raise NearSingularityError(dist, d_min)
-        return mesh.areas[cols]
+        return rule.weights[cols]
 
-    nf = q.qmul(q.vector(mesh.normals), density.values)
-    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), mesh.centroids, nf, guarded_weights)
+    nf = np.empty_like(density.values)
+    _vector_times(rule.normals, density.values, out=nf)
+    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), rule.points, nf, guarded_weights)
     return out.reshape(nf.shape[:-2] + x.shape[:-1] + (4,))
 
 
 def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, sign: int,
-                           mesh: SurfaceMesh, quadrature: VolumeQuadrature, x):
-    """Relative defect of the reproduction identity (K + T D) f = f at x.
+                           rule: SurfaceRule, radius: float, x):
+    """Relative defect of the reproduction identity (K + T D) f = f at x on
+    the ball of the given radius about the origin: the boundary term over
+    the surface rule (geometry.sphere_rule, or a mesh's centroid rule, whose
+    polyhedron misses the ball by O(h**2)), the volume term with the polar
+    rule (geometry.polar_ball_rule).
 
     f is one AnalyticField or a tuple of K, all checked at the one
     (alpha, sign); x is one target (3,) or many (M, 3).  The result is a
@@ -333,19 +299,20 @@ def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, 
     K boundary densities are built once for all targets and summed in one
     cauchy_boundary call.  The volume pass covers only the fields whose
     (D + sign*alpha) f does not vanish identically (d_alpha is not None):
-    their volume densities are built once and summed in one teodorescu
-    call, and with none left neither is made.  The others are reproduced
-    by their boundary term alone, the Cauchy integral formula: the volume
-    pass would only add a sum of exact zeros to it.
+    their volume densities are summed in one teodorescu call, and with none
+    left neither is made.  The others are reproduced by their boundary term
+    alone, the Cauchy integral formula: the volume pass would only add a sum
+    of exact zeros to it.
     """
     x = np.asarray(x, dtype=float)
     fields = f if isinstance(f, tuple) else (f,)
-    trace = BoundaryDensity(mesh, np.stack([g.value(mesh.centroids) for g in fields]))
+    trace = BoundaryDensity(rule, np.stack([g.value(rule.points) for g in fields]))
     reproduced = cauchy_boundary((alpha,) * len(fields), (sign,) * len(fields), trace, x)
     shifted = [g.d_alpha(alpha, sign) for g in fields]
     live = [k for k, d in enumerate(shifted) if d is not None]
     if live:
-        volume = VolumeDensity(quadrature, lambda y: np.stack([shifted[k](y) for k in live]))
+        volume = VolumeDensity(polar_ball_rule(radius),
+                               lambda y: np.stack([shifted[k](y) for k in live]))
         reproduced[live] += teodorescu((alpha,) * len(live), (sign,) * len(live), volume, x)
     fx = np.stack([g.value(x) for g in fields])
     res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)

@@ -2,7 +2,8 @@
 
 E and H are assembled one way: reconstruct the modes Phi = E + iH and
 Psi = E - iH from their traces (a current j adds the volume terms of the
-representation with sources), then merge.  The source-free two-kernel
+representation with sources, integrated over a ball about the origin with
+the polar rule centred on each target), then merge.  The source-free two-kernel
 displays, which apply K1 = K_{+alpha1} and K2 = K_{-alpha2} to the e and h
 traces separately, sum the same quantity in a different grouping; they
 serve as an independent cross-check that must agree to roundoff.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import quaternions as q
 from .fields import AnalyticField
-from .geometry import SurfaceMesh, VolumeQuadrature
+from .geometry import SurfaceMesh, polar_ball_rule
 from .maxwell import ChiralMedium, merge_values, phi_psi_rhs, split_values
 from .operators import (
     MIN_DISTANCE_FACTOR,
@@ -43,8 +44,7 @@ EXTRAPOLATIONS = {
 
 
 def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
-                   current: AnalyticField | None = None,
-                   quadrature: VolumeQuadrature | None = None):
+                   current: AnalyticField | None = None, radius: float | None = None):
     """E and H at interior points from per-triangle boundary traces.
 
     Splits the traces into per-triangle densities of the modes
@@ -53,19 +53,20 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
     Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
     Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
 
-    (the volume terms only with a current j, which needs a quadrature; both
-    boundary terms in one cauchy_boundary call, both volume terms in one
-    teodorescu call), and merges them.  x is one point (3,) or many (M, 3);
-    E and H have shape (4,) or (M, 4).  Returns full quaternions (the scalar parts measure discretization error; they
-    vanish in the continuum).
+    (the volume terms only with a current j, over the ball of the given
+    radius about the origin, which must hold every x; both boundary terms in
+    one cauchy_boundary call, both volume terms in one teodorescu call), and
+    merges them.  x is one point (3,) or many (M, 3); E and H have shape
+    (4,) or (M, 4).  Returns full quaternions (the scalar parts measure
+    discretization error; they vanish in the continuum).
     """
-    if current is not None and quadrature is None:
-        raise ValueError("a volume quadrature is required when a current is present")
+    if current is not None and radius is None:
+        raise ValueError("a ball radius is required when a current is present")
     a1, a2 = medium.alpha1, medium.alpha2
     modes = BoundaryDensity(mesh, q.vector(np.stack(split_values(e_trace, h_trace))))
     phi_psi_x = cauchy_boundary((a1, a2), (1, -1), modes, x)
     if current is not None:
-        rhs = VolumeDensity(quadrature, phi_psi_rhs(current, medium))
+        rhs = VolumeDensity(polar_ball_rule(radius), phi_psi_rhs(current, medium))
         phi_psi_x = phi_psi_x + teodorescu((a1, a2), (1, -1), rhs, x)
     return merge_values(*phi_psi_x)
 

@@ -19,7 +19,7 @@ from quatem.fields import (
     polynomial_field,
     scalar_monomial,
 )
-from quatem.geometry import build_ball_quadrature, build_sphere_mesh
+from quatem.geometry import build_sphere_mesh, sphere_rule
 from quatem.kernels import upsilon
 from quatem.maxwell import continuity_rho, make_medium
 from quatem.operators import borel_pompeiu_residual
@@ -113,11 +113,10 @@ def test_criterion_3_fundamental_solution(capsys):
 
 
 def _bp_worst(level, alpha=1.0):
-    mesh = build_sphere_mesh(1.0, level)
-    quad = build_ball_quadrature(1.0, level)
+    rule = sphere_rule(1.0, level)
     fields = (scalar_monomial(1), identity_vector_field(), abc_beltrami(-alpha))
     return max(
-        borel_pompeiu_residual(f, alpha, 1, mesh, quad, x)
+        borel_pompeiu_residual(f, alpha, 1, rule, 1.0, x)
         for f in fields
         for x in BP_PROBES
     )

@@ -13,7 +13,7 @@ from quatem import cli
 from quatem import quaternions as q
 from quatem.cli import _load_traces, _write_json, build_parser, main
 from quatem.fields import DEFAULT_AMPLITUDES, exact_chiral_solution
-from quatem.geometry import load_off, mesh_from_arrays, save_off
+from quatem.geometry import build_sphere_mesh, load_off, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
 from quatem.operators import NODE_CHUNK, TILE_ROWS
 
@@ -34,15 +34,10 @@ def workspace(tmp_path_factory):
 
 def test_gen_mesh_artifacts(tmp_path):
     out = str(tmp_path / "m.off")
-    ball = str(tmp_path / "b.csv")
-    assert main(["gen-mesh", "--level", "1", "--out", out, "--ball-csv", ball]) == 0
+    assert main(["gen-mesh", "--level", "1", "--out", out]) == 0
     mesh = load_off(out)
     assert mesh.n_triangles == 80
-    with open(ball, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "y", "z", "w"]
-    w = np.array([float(r[3]) for r in rows[1:]])
-    assert w.sum() == pytest.approx(4.0 * np.pi / 3.0, rel=1e-12)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.off"]
 
 
 def test_gen_mesh_deterministic(tmp_path):
@@ -54,11 +49,10 @@ def test_gen_mesh_deterministic(tmp_path):
 
 @pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
 def test_gen_mesh_rejects_radius_that_is_not_finite_and_positive(tmp_path, capsys, radius):
-    out, ball = tmp_path / "m.off", tmp_path / "b.csv"
-    assert main(["gen-mesh", "--radius", radius, "--level", "1", "--out", str(out),
-                 "--ball-csv", str(ball)]) == 2
+    out = tmp_path / "m.off"
+    assert main(["gen-mesh", "--radius", radius, "--level", "1", "--out", str(out)]) == 2
     assert "radius must be finite and positive" in capsys.readouterr().err
-    assert not out.exists() and not ball.exists()
+    assert not out.exists()
 
 
 def test_gen_field_trace_values(workspace):
@@ -224,9 +218,9 @@ def test_verify_bp_json(tmp_path):
     for col in doc["residuals"].values():
         assert len(col) == 2 and col[1] < col[0]
     pinned = {
-        "beltrami": [0.01163274380199391, 0.0028915728506684387],
-        "scalar-poly": [0.040162618100952154, 0.010227961925950211],
-        "vector-poly": [0.06410982560198568, 0.01613015458135619],
+        "beltrami": [6.877739065464914e-05, 4.297385197780892e-06],
+        "scalar-poly": [0.00013573031781372125, 8.466545513534542e-06],
+        "vector-poly": [0.00018054507714683837, 1.1281907389138849e-05],
     }
     for name, expected in pinned.items():
         assert np.allclose(doc["residuals"][name], expected, rtol=1e-12, atol=0)
@@ -240,30 +234,27 @@ def test_verify_bp_rejects_levels_that_are_not_increasing(tmp_path, capsys, leve
     assert not out.exists()
 
 
-def test_verify_bp_refuses_ball_rule_past_the_budget_before_any_level(tmp_path, capsys,
-                                                                      monkeypatch):
-    def no_work(*args):
-        raise AssertionError("a level ran")
-
-    monkeypatch.setattr(cli, "build_sphere_mesh", no_work)
-    monkeypatch.setattr(cli, "build_ball_quadrature", no_work)
+@pytest.mark.parametrize("alpha, worst_l4", [("1", 2e-6), ("0.8+0.3j", None)])
+def test_verify_bp_is_fourth_order(tmp_path, capsys, alpha, worst_l4):
+    # three sphere nodes per triangle and the polar volume rule: at levels
+    # 2-4 every field's residual falls 16-fold per level (alpha = 1: worst
+    # 1.8e-4, 1.1e-5, 7.1e-7; alpha = 0.8+0.3j: 1.2e-4, 7.2e-6, 4.5e-7), a
+    # fitted order of 4.03 in the mesh spacing.  The gate leaves a margin of
+    # 0.5, so the second-order floor of one node per triangle fails.
     out = tmp_path / "bp.json"
-    for levels in ("2,6", "2,7"):
-        assert main(["verify-bp", "--levels", levels, "--out", str(out)]) == 2
-        assert "ball rule has" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_gen_mesh_refuses_ball_rule_past_the_budget(tmp_path, capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("a mesh or rule was built")
-
-    monkeypatch.setattr(cli, "build_sphere_mesh", no_work)
-    monkeypatch.setattr(cli, "build_ball_quadrature", no_work)
-    out, ball = tmp_path / "m.off", tmp_path / "b.csv"
-    assert main(["gen-mesh", "--level", "6", "--out", str(out), "--ball-csv", str(ball)]) == 2
-    assert "the level-6 ball rule has 10485760 nodes" in capsys.readouterr().err
-    assert not out.exists() and not ball.exists()
+    assert main(["verify-bp", "--levels", "2,3,4", "--alpha", alpha, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    spacing = [build_sphere_mesh(1.0, level).spacing for level in doc["levels"]]
+    orders = {name: np.polyfit(np.log(spacing), np.log(col), 1)[0]
+              for name, col in doc["residuals"].items()}
+    worst = max(col[-1] for col in doc["residuals"].values())
+    with capsys.disabled():
+        print("\nverify-bp at alpha %s, levels 2-4: worst level-4 residual %.2e, fitted orders %s"
+              % (alpha, worst, ", ".join("%s %.2f" % kv for kv in sorted(orders.items()))),
+              flush=True)
+    assert all(order >= 3.5 for order in orders.values()), orders
+    if worst_l4 is not None:
+        assert worst <= worst_l4, worst
 
 
 def test_reconstruct_json(workspace, tmp_path):
@@ -489,7 +480,7 @@ def test_cli_option_surface():
                      - {"-h", "--help"}
                for name, sub in subcommands.choices.items()}
     assert surface == {
-        "gen-mesh": {"--radius", "--level", "--ball-csv", "--out"},
+        "gen-mesh": {"--radius", "--level", "--out"},
         "gen-field": {"--family", "--mesh", "--amplitudes", "--wave-parameter",
                       "--coeffs-file", "--out"} | _MEDIUM_FLAGS,
         "kernel-probe": {"--alpha", "--sign", "--rmin", "--rmax", "--count", "--out"},

@@ -1,4 +1,4 @@
-"""The array writers of the OFF, ball-rule, trace, field-sample and
+"""The array writers of the OFF, trace, field-sample and
 kernel-probe files against line-by-line reference writers (byte for byte
 except the kernel probe's upsilon column), and the trace reader on their
 output."""
@@ -14,7 +14,7 @@ from quatem.cli import _load_traces, _save_traces, main
 from quatem.errors import ConfigError
 from quatem.fields import abc_beltrami, polynomial_field
 from quatem.kernels import theta, upsilon
-from quatem.geometry import build_ball_quadrature, build_sphere_mesh, load_off, save_off
+from quatem.geometry import build_sphere_mesh, load_off, save_off
 
 from oracles import from_text, to_text
 
@@ -26,19 +26,6 @@ def test_off_bytes(tmp_path):
     lines += ["3 %d %d %d\n" % tuple(t) for t in mesh.triangles]
     save_off(mesh, tmp_path / "m.off")
     assert (tmp_path / "m.off").read_bytes() == "".join(lines).encode()
-
-
-def test_ball_csv_bytes(tmp_path):
-    quad = build_ball_quadrature(1.3, 1)
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "w"])
-        for p, w in zip(quad.points, quad.weights):
-            writer.writerow(["%.17g" % v for v in (*p, w)])
-    assert main(["gen-mesh", "--radius", "1.3", "--level", "1", "--out", str(tmp_path / "m.off"),
-                 "--ball-csv", str(tmp_path / "b.csv")]) == 0
-    assert (tmp_path / "b.csv").read_bytes() == reference.read_bytes()
 
 
 def test_trace_csv_bytes_and_roundtrip(tmp_path):

@@ -13,14 +13,14 @@ from quatem import geometry
 from quatem.cli import main
 from quatem.errors import CapacityError, TopologyError
 from quatem.geometry import (
-    MAX_BALL_NODES,
-    build_ball_quadrature,
+    POLAR_ORDERS,
     build_sphere_mesh,
-    checked_ball_nodes,
     checked_normals,
     load_off,
     mesh_from_arrays,
+    polar_ball_rule,
     save_off,
+    sphere_rule,
 )
 
 from oracles import edges_first_appearance
@@ -175,39 +175,83 @@ def test_capacity_limit():
         build_sphere_mesh(1.0, -1)
 
 
-def test_ball_rule_node_budget(monkeypatch):
-    # node counts only: no rule past level 4 is built
-    for level in range(5):
-        assert checked_ball_nodes(level) == len(build_ball_quadrature(1.0, level).points)
-    assert checked_ball_nodes(5) == 1310720 == MAX_BALL_NODES
-    for level, nodes in ((6, 10485760), (7, 83886080)):
-        with pytest.raises(CapacityError, match="level-%d ball rule has %d nodes" % (level, nodes)):
-            checked_ball_nodes(level)
-    # build_ball_quadrature checks the budget before it builds or allocates anything
-    monkeypatch.setattr(geometry, "MAX_BALL_NODES", checked_ball_nodes(2))
-    monkeypatch.setattr(geometry, "build_sphere_mesh", None)
-    with pytest.raises(CapacityError):
-        build_ball_quadrature(1.0, 3)
+# targets of the polar rule: the centre, verify-bp's largest probe radius
+# (0.47) and two nearer the sphere, scaled to the ball of radius 1.5
+_BALL_TARGETS = 1.5 * np.array([[0.0, 0.0, 0.0], [0.25, 0.3, 0.15], [-0.4, 0.3, 0.5],
+                                [0.1, -0.85, 0.2]])
 
 
 def test_ball_quadrature_volume_and_interior():
-    quad = build_ball_quadrature(1.5, 2)
-    assert quad.weights.sum() == pytest.approx(4.0 / 3.0 * np.pi * 1.5**3, rel=1e-12)
-    r = np.linalg.norm(quad.points, axis=1)
-    assert r.max() < 1.5
-    assert np.all(quad.weights > 0)
+    rule = polar_ball_rule(1.5)
+    assert len(rule.points) == np.prod(POLAR_ORDERS)
+    assert np.linalg.norm(rule.points, axis=1).max() < 1.0  # reference nodes t s
+    y, w = rule.nodes(_BALL_TARGETS)
+    assert y.shape == (len(_BALL_TARGETS), len(rule.points), 3)
+    assert np.linalg.norm(y, axis=-1).max() < 1.5
+    assert np.all(w > 0)
+    volume = 4.0 / 3.0 * np.pi * 1.5**3
+    # exact about the centre, where rho = radius in every direction; the
+    # angular rule sees rho(s) vary faster the nearer the target is to the
+    # sphere: relative errors 6e-16, 3e-13, 6e-9 and 4e-7 at |x| / radius =
+    # 0, 0.42, 0.71 and 0.88
+    errors = np.abs(w.sum(axis=1) - volume) / volume
+    assert np.all(errors <= [1e-14, 1e-11, 1e-7, 1e-5])
 
 
 def test_ball_quadrature_polynomial_moment():
-    # int_{|x|<1} x1^2 dV = 4*pi/15
-    quad = build_ball_quadrature(1.0, 3)
-    moment = np.sum(quad.weights * quad.points[:, 0] ** 2)
-    assert moment == pytest.approx(4.0 * np.pi / 15.0, rel=1e-3)
+    # int_{|x|<1} x1^2 dV = 4*pi/15 from every target: relative errors 5e-16,
+    # 9e-12, 3e-8 and 2e-7
+    y, w = polar_ball_rule(1.0).nodes(_BALL_TARGETS / 1.5)
+    errors = np.abs(np.sum(w * y[..., 0] ** 2, axis=1) / (4.0 * np.pi / 15.0) - 1.0)
+    assert np.all(errors <= [1e-14, 1e-10, 1e-6, 1e-5])
 
 
 def test_ball_quadrature_radial_order_scales():
-    n_dirs = 20 * 4**3
-    assert len(build_ball_quadrature(1.0, 3).points) == 16 * n_dirs  # order doubles
+    # the orders (n_r, n_cos, n_phi) set the nodes per target: doubling the
+    # radial order doubles them, doubling every order (the reference rule of
+    # the volume operator's tests) gives 8 times as many; each rule's
+    # reference nodes lie on n_r spheres inside the unit ball, and its
+    # weights sum to the unit ball's volume
+    base = polar_ball_rule(1.0)
+    for orders, factor in (((16, 8, 16), 2), ((16, 16, 32), 8)):
+        rule = polar_ball_rule(1.0, orders)
+        assert len(rule.points) == len(rule.weights) == factor * len(base.points) \
+            == np.prod(orders)
+        t = np.linalg.norm(rule.points, axis=1)
+        assert len(np.unique(t.round(12))) == orders[0] and 0.0 < t.min() and t.max() < 1.0
+        assert rule.weights.sum() == pytest.approx(4.0 * np.pi / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("target", [[0.0, 0.0, 1.5], [1.0, 1.0, 1.0], [3.0, 0.0, 0.0]])
+def test_ball_rule_refuses_a_target_not_inside(target):
+    # on the sphere rho vanishes in half the directions, outside it is negative
+    with pytest.raises(ValueError, match=r"volume target \[.*\] is not inside the ball "
+                                         r"of radius 1.5"):
+        polar_ball_rule(1.5).nodes(np.vstack([_BALL_TARGETS[:2], target]))
+
+
+def test_sphere_rule_lies_on_the_sphere_and_is_fourth_order():
+    # the area and the second moment int x1^2 dS = 4*pi*R**4/3 at levels 2-4;
+    # each error falls 16-fold per level, where the flat centroid rule's
+    # area error falls 4-fold
+    radius, area_err, moment_err = 1.3, [], []
+    for level in (2, 3, 4):
+        rule, mesh = sphere_rule(radius, level), build_sphere_mesh(radius, level)
+        assert len(rule.points) == 3 * mesh.n_triangles
+        assert rule.spacing == mesh.spacing
+        assert np.allclose(np.linalg.norm(rule.points, axis=1), radius, rtol=1e-15, atol=0.0)
+        assert np.allclose(rule.normals, rule.points / radius, rtol=0.0, atol=1e-15)
+        assert np.all(rule.weights > 0)
+        # triangle by triangle: the nodes of triangle t project points of t
+        corners = mesh.vertices[mesh.triangles]
+        node_tri = rule.points.reshape(-1, 3, 3)
+        assert np.all(np.einsum("tnk,tk->tn", node_tri - corners[:, :1], mesh.normals)
+                      >= 0.0)
+        area_err.append(abs(rule.weights.sum() - 4.0 * np.pi * radius**2))
+        moment_err.append(abs(np.sum(rule.weights * rule.points[:, 0] ** 2)
+                              - 4.0 * np.pi * radius**4 / 3.0))
+    for errors in (area_err, moment_err):
+        assert all(15.0 < coarse / fine < 17.0 for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_off_roundtrip(tmp_path):

@@ -5,6 +5,7 @@ import functools
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,14 +25,14 @@ from quatem.fields import (
 from quatem.geometry import (
     _ICO_FACES,
     _ICO_VERTICES,
-    VolumeQuadrature,
-    build_ball_quadrature,
+    POLAR_ORDERS,
     build_sphere_mesh,
     mesh_from_arrays,
+    polar_ball_rule,
+    sphere_rule,
 )
 from quatem.kernels import theta, upsilon
 from quatem.operators import (
-    CUTOFF_FACTOR,
     NODE_CHUNK,
     TILE_ROWS,
     BoundaryDensity,
@@ -46,7 +47,8 @@ from quatem.operators import (
 from oracles import constant_field, grad_theta
 
 MESH2 = build_sphere_mesh(1.0, 2)
-QUAD2 = build_ball_quadrature(1.0, 2)
+RULE2 = sphere_rule(1.0, 2)
+BALL = polar_ball_rule(1.0)
 PROBE = np.array([0.3, 0.1, -0.2])
 ELLIPSOID2 = mesh_from_arrays(MESH2.vertices * [1.0, 0.7, 0.4], MESH2.triangles)
 # at least 2 spacings inside both MESH2 and ELLIPSOID2
@@ -56,36 +58,16 @@ INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
 
 def _const_volume(value):
     f = constant_field(value)
-    return VolumeDensity(QUAD2, f.value)
+    return VolumeDensity(BALL, f.value)
 
 
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t**3 * (t * (6.0 * t - 15.0) + 10.0)
-
-
-def _cutoff_reference(density, x, kernel):
-    """The cutoff rule for one target, summed node by node with the given
-    kernel: the far nodes weighted by the smooth cutoff, plus the polar
-    near sum (8 Gauss-Legendre radii times the 80 level-1 icosphere cells)."""
-    quad = density.quadrature
-    rho = CUTOFF_FACTOR * np.mean(quad.weights ** (1.0 / 3.0))
-    diff = x - quad.points
-    w = quad.weights * _smoothstep(np.linalg.norm(diff, axis=1) / rho - 1.0)
-    far = w > 0.0
-    out = np.einsum("n,nk->k", w[far].astype(complex),
-                    q.qmul(kernel(diff[far]), density.values[far]))
-    t, gw = np.polynomial.legendre.leggauss(8)
-    rr = (t + 1.0) * rho
-    sphere = build_sphere_mesh(1.0, 1)
-    dirs = sphere.centroids / np.linalg.norm(sphere.centroids, axis=1)[:, None]
-    ang_w = sphere.areas * (4.0 * np.pi / sphere.area)
-    offsets = rr[:, None, None] * dirs
-    y = x + offsets
-    near_w = (gw * rho * rr**2)[:, None] * ang_w * (1.0 - _smoothstep(rr[:, None] / rho - 1.0))
-    near_w = near_w * (np.linalg.norm(y, axis=-1) <= quad.radius)
-    return out + np.einsum("nd,ndk->k", near_w.astype(complex),
-                           q.qmul(kernel(-offsets), density.evaluator(y)))
+def _polar_reference(density, x, kernel):
+    """The polar rule for one target, summed node by node with the given
+    kernel: sum_j w_j kernel(x - y_j) f(y_j) over the rule's nodes y_j
+    centred on x."""
+    y, w = density.quadrature.nodes(x[None])
+    return np.einsum("n,nk->k", w[0].astype(complex),
+                     q.qmul(kernel(x - y[0]), density.evaluator(y[0])))
 
 
 def test_density_validation():
@@ -99,8 +81,8 @@ def test_density_validation():
         out[0, 0] = np.nan
         return out
 
-    with pytest.raises(ValueError):
-        VolumeDensity(QUAD2, nan_at_first_point)
+    with pytest.raises(ValueError, match="volume density contains non-finite values"):
+        teodorescu(1.0, 1, VolumeDensity(BALL, nan_at_first_point), PROBE)
 
 
 def test_panel_constant_density():
@@ -114,26 +96,29 @@ def test_panel_constant_density():
 
 def test_volume_density_sampling():
     f = identity_vector_field()
-    d = VolumeDensity(QUAD2, f.value)
-    assert np.array_equal(d.values, f.value(QUAD2.points))
+    d = VolumeDensity(BALL, f.value)
     pts = np.array([[[0.11, 0.22, 0.33], [-0.4, 0.1, 0.2]]])
     assert d.sample(pts).shape == (1, 2, 4)
     assert np.array_equal(d.sample(pts), f.value(pts))
+    stacked = VolumeDensity(BALL, lambda y: np.stack([f.value(y)] * 3))
+    assert stacked.sample(pts).shape == (3, 1, 2, 4)
     with pytest.raises(TypeError):
-        VolumeDensity(QUAD2, f.value, d.values)  # the values come from the evaluator
-    with pytest.raises(ValueError):
-        VolumeDensity(QUAD2, lambda pts: f.value(pts)[..., :3])
+        VolumeDensity(BALL, f.value, f.value(pts))  # the values come from the evaluator
+    for wrong in (lambda y: f.value(y)[..., :3], lambda y: f.value(y)[0],
+                  lambda y: np.stack([[f.value(y)]])):
+        with pytest.raises(ValueError, match="values must have shape"):
+            VolumeDensity(BALL, wrong).sample(pts)
 
 
 def test_teodorescu_linearity():
     rng = np.random.default_rng(21)
     f1 = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
     f2 = polynomial_field(rng.standard_normal((4, 10)))
-    d1 = VolumeDensity(QUAD2, f1.value)
-    d2 = VolumeDensity(QUAD2, f2.value)
+    d1 = VolumeDensity(BALL, f1.value)
+    d2 = VolumeDensity(BALL, f2.value)
     d12 = VolumeDensity(
-        QUAD2, lambda p: 2.0 * f1.value(p) + (1 - 1j) * f2.value(p))
-    xs = np.array([PROBE, QUAD2.points[10], [-0.5, 0.4, 0.6]])
+        BALL, lambda p: 2.0 * f1.value(p) + (1 - 1j) * f2.value(p))
+    xs = np.array([PROBE, [0.0, 0.0, 0.0], [-0.5, 0.4, 0.6]])
     for alpha, sign in ((1.0, 1), (0.7 + 0.2j, -1)):
         t1 = teodorescu(alpha, sign, d1, xs)
         t2 = teodorescu(alpha, sign, d2, xs)
@@ -144,7 +129,7 @@ def test_teodorescu_linearity():
 def test_teodorescu_sign_coherence():
     # both sign conventions share the same Helmholtz kernel; only the
     # alpha*theta scalar term flips.  Rebuild each kernel from the raw
-    # closed forms and sum the cutoff rule with it by hand.
+    # closed forms and sum the polar rule with it by hand.
     d = _const_volume(q.quat(1, 0.5, -0.25, 2j))
     alpha = 1.0 + 0.2j
 
@@ -157,36 +142,42 @@ def test_teodorescu_sign_coherence():
 
     for s in (1, -1):
         built_in = teodorescu(alpha, s, d, PROBE)
-        assert np.allclose(built_in, _cutoff_reference(d, PROBE, manual(s)), atol=1e-13)
+        assert np.allclose(built_in, _polar_reference(d, PROBE, manual(s)), atol=1e-13)
     # the two signs differ exactly by twice the scalar-kernel term
     plus = teodorescu(alpha, 1, d, PROBE)
     minus = teodorescu(alpha, -1, d, PROBE)
-    twice_scalar = _cutoff_reference(
+    twice_scalar = _polar_reference(
         d, PROBE, lambda diff: q.scalar(2.0 * alpha * theta(alpha, diff)))
     assert np.allclose(plus - minus, twice_scalar, atol=1e-13)
 
 
 def test_teodorescu_singular_point():
-    # a target on a node is finite: the cutoff gives that node zero weight
+    # the kernel is singular at the target itself, the centre of the polar
+    # rule, whose volume element r**2 dr cancels the 1/r**2: at alpha = 0 the
+    # volume potential of the constant 1 is -x/3 (the field of a uniformly
+    # charged ball)
     d = _const_volume(q.ONE)
-    assert q.is_finite(teodorescu(1.0, 1, d, QUAD2.points[10]))
+    xs = np.array([[0.0, 0.0, 0.0], PROBE])
+    got = teodorescu(0.0, 1, d, xs)
+    assert np.abs(got - q.vector(-xs / 3.0)).max() <= 1e-13
+    assert q.is_finite(teodorescu(1.0, 1, d, xs))
 
 
 def test_teodorescu_many_matches_single():
-    # more targets than one block holds, one of them on a node; real and
+    # more targets than one block holds, one of them the centre; real and
     # complex alpha, both signs
     rng = np.random.default_rng(24)
     xs = rng.uniform(-0.5, 0.5, (TILE_ROWS + 3, 3))
-    xs[2] = QUAD2.points[10]
+    xs[2] = 0.0
     f = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
-    d = VolumeDensity(QUAD2, f.value)
+    d = VolumeDensity(BALL, f.value)
     for alpha, sign in ((1.0, 1), (0.8 + 0.3j, -1), (0.8 + 0.3j, 1)):
         many = teodorescu(alpha, sign, d, xs)
         assert many.shape == (len(xs), 4)
         single = np.array([teodorescu(alpha, sign, d, x) for x in xs])
         assert single.shape == (len(xs), 4)
         assert np.allclose(many, single, rtol=0.0, atol=1e-14 * np.abs(single).max())
-        reference = np.array([_cutoff_reference(d, x, lambda diff: upsilon(alpha, sign, diff))
+        reference = np.array([_polar_reference(d, x, lambda diff: upsilon(alpha, sign, diff))
                               for x in xs])
         assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
     with pytest.raises(ValueError):
@@ -202,22 +193,77 @@ def test_teodorescu_many_matches_single():
 ], ids=["modes", "mixed", "one alpha"])
 def test_teodorescu_stacked_matches_single(alphas, signs):
     # one call for K (alpha, sign, density) terms, on more targets than one
-    # block holds, one of them on a node, against K single calls bit for bit
+    # block holds, one of them the centre, against K single calls bit for bit
     rng = np.random.default_rng(28)
     xs = rng.uniform(-0.5, 0.5, (TILE_ROWS + 3, 3))
-    xs[2] = QUAD2.points[10]
+    xs[2] = 0.0
     fields = [polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
               for _ in alphas]
-    stacked = VolumeDensity(QUAD2, lambda y: np.stack([f.value(y) for f in fields]))
-    assert stacked.values.shape == (len(alphas), len(QUAD2.points), 4)
+    stacked = VolumeDensity(BALL, lambda y: np.stack([f.value(y) for f in fields]))
     got = teodorescu(alphas, signs, stacked, xs)
     assert got.shape == (len(alphas), len(xs), 4)
     assert teodorescu(alphas, signs, stacked, xs[0]).shape == (len(alphas), 4)
     for k, (alpha, sign, f) in enumerate(zip(alphas, signs, fields)):
-        single = teodorescu(alpha, sign, VolumeDensity(QUAD2, f.value), xs)
+        single = teodorescu(alpha, sign, VolumeDensity(BALL, f.value), xs)
         assert got[k].tobytes() == single.tobytes()
     with pytest.raises(ValueError):
         teodorescu(alphas[:-1], signs[:-1], stacked, xs)
+
+
+def test_teodorescu_samples_once_for_all_targets_and_terms():
+    calls = []
+
+    def evaluator(y):
+        calls.append(y.shape)
+        return np.stack([f.value(y) for f in (abc_beltrami(0.5), identity_vector_field())])
+
+    xs = np.array([PROBE, [0.0, 0.0, 0.0], [-0.5, 0.4, 0.6]])
+    got = teodorescu((0.8, 1.2), (1, -1), VolumeDensity(BALL, evaluator), xs)
+    assert got.shape == (2, 3, 4)
+    assert calls == [(3, np.prod(POLAR_ORDERS), 3)]
+
+
+@pytest.mark.parametrize("target", [[0.0, 1.0, 0.0], [0.6, 0.6, 0.6], [2.0, 0.0, 0.0]])
+def test_teodorescu_refuses_a_target_not_inside_the_ball(target):
+    # on the sphere rho vanishes in half the directions, outside it is
+    # negative: refused with the target and the radius named, before any
+    # density value is sampled
+    def never(y):
+        raise AssertionError("the density was sampled")
+
+    with pytest.raises(ValueError, match=r"volume target \[%s, %s, %s\] is not inside the "
+                                         r"ball of radius 1$" % tuple(map(float, target))):
+        teodorescu(1.0, 1, VolumeDensity(BALL, never), np.array([PROBE, target]))
+
+
+# alphas of each kind: real, negative and complex
+_ALPHA = st.one_of(st.floats(0.2, 2.0), st.floats(-2.0, -0.2),
+                   st.builds(complex, st.floats(-2.0, 2.0), st.floats(0.05, 1.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=_ALPHA, sign=st.sampled_from([1, -1]),
+       radius=st.floats(0.0, 0.9), beltrami=st.booleans())
+def test_polar_volume_term_agrees_with_the_rule_of_twice_the_order(seed, alpha, sign, radius,
+                                                                   beltrami):
+    # against the 16 x 16 x 32 rule, relative to the field scale, the largest
+    # density value at its nodes: the 8 x 8 x 16 rule measured at most 1.2e-7
+    # within radius 0.5 and 5.7e-5 within 0.9 (1500 random quadratic and
+    # Beltrami densities, |alpha| <= 2, the extremes included), where rho(s)
+    # varies fast across the directions; verify-bp's probes lie within 0.47
+    rng = np.random.default_rng(seed)
+    if beltrami:
+        f = abc_beltrami(rng.uniform(-2.0, 2.0), *rng.uniform(0.2, 1.0, 3))
+    else:
+        f = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
+    direction = rng.standard_normal(3)
+    x = radius * direction / np.linalg.norm(direction)
+    finer = polar_ball_rule(1.0, tuple(2 * n for n in POLAR_ORDERS))
+    got = teodorescu(alpha, sign, VolumeDensity(BALL, f.value), x)
+    reference = teodorescu(alpha, sign, VolumeDensity(finer, f.value), x)
+    scale = np.abs(f.value(finer.nodes(x[None])[0])).max()
+    bound = 1e-6 if radius <= 0.5 else 2e-4
+    assert np.abs(got - reference).max() <= bound * scale
 
 
 def _axis_rotation(axis, angle):
@@ -228,12 +274,10 @@ def _axis_rotation(axis, angle):
 
 
 # Two generators of the icosahedral rotation group: 2*pi/5 about vertex 0 and
-# 2*pi/3 about the centroid of face (0, 11, 5).  They map every icosphere, so
-# the ball rules and the fixed directions of teodorescu's near rule, onto
-# themselves.  A generic rotation moves the near rule against the density and
-# agrees only to quadrature error (1e-9 to 9e-9 on this Beltrami field at
-# level 2; a polynomial density of degree <= 2 would not show it, the near
-# rule integrates it exactly in every orientation).
+# 2*pi/3 about the centroid of face (0, 11, 5).  The polar rule's directions
+# are rotated with the density and the targets, so the rotated sum is the
+# same sum to roundoff; a rule left in place would agree only to quadrature
+# error.
 _ICO_ROTATIONS = (_axis_rotation(_ICO_VERTICES[0], 2.0 * np.pi / 5.0),
                   _axis_rotation(_ICO_VERTICES[_ICO_FACES[0]].mean(axis=0), 2.0 * np.pi / 3.0))
 _ROTATION_FIELD = abc_beltrami(-1.0)
@@ -253,10 +297,10 @@ def test_teodorescu_equivariant_under_icosahedral_rotations(alpha, sign, word):
     for letter in word:
         rot = _ICO_ROTATIONS[letter] @ rot
     xs = np.array([PROBE, [-0.25, 0.3, 0.1]])
-    density = VolumeDensity(QUAD2, _ROTATION_FIELD.value)
-    rotated_quad = VolumeQuadrature(QUAD2.points @ rot.T, QUAD2.weights, QUAD2.radius)
+    density = VolumeDensity(BALL, _ROTATION_FIELD.value)
+    rotated_rule = dataclasses.replace(BALL, points=BALL.points @ rot.T)
     rotated = VolumeDensity(
-        rotated_quad, lambda y: _rotate_vector_part(rot, _ROTATION_FIELD.value(y @ rot)))
+        rotated_rule, lambda y: _rotate_vector_part(rot, _ROTATION_FIELD.value(y @ rot)))
     expected = _rotate_vector_part(rot, teodorescu(alpha, sign, density, xs))
     got = teodorescu(alpha, sign, rotated, xs @ rot.T)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -269,27 +313,24 @@ def test_teodorescu_right_inverse_converges():
     f = abc_beltrami(-1.0)
     res = []
     for level in (2, 3):
-        mesh = build_sphere_mesh(1.0, level)
-        quad = build_ball_quadrature(1.0, level)
-        res.append(borel_pompeiu_residual(f, 1.0, 1, mesh, quad, PROBE))
+        res.append(borel_pompeiu_residual(f, 1.0, 1, sphere_rule(1.0, level), 1.0, PROBE))
     assert res[1] < res[0]
     assert res[1] < 2e-2
 
 
 def test_borel_pompeiu_both_signs():
     f = polynomial_field(np.random.default_rng(22).standard_normal((4, 10)))
-    mesh = build_sphere_mesh(1.0, 3)
-    quad = build_ball_quadrature(1.0, 3)
+    rule = sphere_rule(1.0, 3)
     for sign in (1, -1):
-        assert borel_pompeiu_residual(f, 1.0, sign, mesh, quad, PROBE) < 2e-2
+        assert borel_pompeiu_residual(f, 1.0, sign, rule, 1.0, PROBE) < 2e-2
 
 
 def test_borel_pompeiu_batch_matches_pointwise():
     f = abc_beltrami(-1.0)
     xs = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
-    batch = borel_pompeiu_residual(f, 1.0, -1, MESH2, QUAD2, xs)
+    batch = borel_pompeiu_residual(f, 1.0, -1, RULE2, 1.0, xs)
     assert batch.shape == (len(xs),)
-    single = [borel_pompeiu_residual(f, 1.0, -1, MESH2, QUAD2, x) for x in xs]
+    single = [borel_pompeiu_residual(f, 1.0, -1, RULE2, 1.0, x) for x in xs]
     assert all(isinstance(v, float) for v in single)
     assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
 
@@ -298,48 +339,50 @@ def test_borel_pompeiu_batch_matches_pointwise():
 @pytest.mark.parametrize("radius", [0.5, 2.0])
 def test_borel_pompeiu_on_a_scaled_ball_is_the_unit_ball_at_scaled_alpha(radius, alpha):
     # the kernel is radial up to its vector part, so the check of verify-bp's
-    # fields on the radius-R ball at alpha (mesh, ball rule and probes scaled
-    # by R) is the unit-ball check at alpha * R
-    mesh, quad = build_sphere_mesh(radius, 2), build_ball_quadrature(radius, 2)
+    # fields on the radius-R ball at alpha (sphere nodes, ball and probes
+    # scaled by R) is the unit-ball check at alpha * R
+    rule = sphere_rule(radius, 2)
     for name, make_field in _BP_FIELDS.items():
-        scaled = borel_pompeiu_residual(make_field(alpha), alpha, 1, mesh, quad,
+        scaled = borel_pompeiu_residual(make_field(alpha), alpha, 1, rule, radius,
                                         _BP_PROBES * radius)
-        unit = borel_pompeiu_residual(make_field(alpha * radius), alpha * radius, 1, MESH2, QUAD2,
+        unit = borel_pompeiu_residual(make_field(alpha * radius), alpha * radius, 1, RULE2, 1.0,
                                       _BP_PROBES)
         assert np.all(np.abs(scaled - unit) <= 1e-12 * unit), name
 
 
 def test_borel_pompeiu_residual_is_second_order(capsys):
-    # the worst residual of verify-bp's fields at one probe of radius 0.5 on
-    # levels 2-4 reads 4.7e-2, 1.2e-2, 3.0e-3: a fitted order of 2.0 in the
-    # mesh spacing.  The gate leaves a margin of 0.2 below it, so a first-order
-    # regression fails where the decrease that verify-bp checks still holds.
+    # on the inscribed polyhedron, the icosphere's centroid rule, the boundary
+    # term misses the ball of the volume term by O(h**2): the worst residual
+    # of verify-bp's fields at one probe of radius 0.5 on levels 2-4 reads
+    # 4.7e-2, 1.2e-2, 3.0e-3, a fitted order of 2.0 in the mesh spacing.  The gate leaves a
+    # margin of 0.2 below 2, so a first-order regression fails where the
+    # decrease that verify-bp checks still holds.
     x = 0.5 * np.ones(3) / np.sqrt(3.0)
     spacing, worst = [], []
     for level in (2, 3, 4):
-        mesh, quad = build_sphere_mesh(1.0, level), build_ball_quadrature(1.0, level)
+        mesh = build_sphere_mesh(1.0, level)
         spacing.append(mesh.spacing)
-        worst.append(max(borel_pompeiu_residual(make_field(1.0), 1.0, 1, mesh, quad, x)
+        worst.append(max(borel_pompeiu_residual(make_field(1.0), 1.0, 1, mesh.rule, 1.0, x)
                          for make_field in _BP_FIELDS.values()))
     order = np.polyfit(np.log(spacing), np.log(worst), 1)[0]
     with capsys.disabled():
-        print("\nBorel-Pompeiu residual on levels 2-4: fitted order %.3f (gate 1.8)" % order,
-              flush=True)
+        print("\nBorel-Pompeiu residual on the polyhedron, levels 2-4: %s, fitted order "
+              "%.3f (gate 1.8)" % (", ".join("%.2e" % w for w in worst), order), flush=True)
     assert order >= 1.8, "fitted order %.3f from residuals %s" % (order, worst)
 
 
 def test_borel_pompeiu_fields_in_one_call_match_one_call_each():
     # verify-bp's three fields in one call are the three one-field calls bit
     # for bit, at a real and a complex alpha and both signs
-    mesh, quad = build_sphere_mesh(1.0, 3), build_ball_quadrature(1.0, 3)
+    rule = sphere_rule(1.0, 3)
     for alpha, sign in ((1.0, 1), (0.8 + 0.3j, -1)):
         fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
-        together = borel_pompeiu_residual(fields, alpha, sign, mesh, quad, _BP_PROBES)
+        together = borel_pompeiu_residual(fields, alpha, sign, rule, 1.0, _BP_PROBES)
         assert together.shape == (len(fields), len(_BP_PROBES))
         for f, row in zip(fields, together):
             assert row.tobytes() == borel_pompeiu_residual(
-                f, alpha, sign, mesh, quad, _BP_PROBES).tobytes()
-        at_one = borel_pompeiu_residual(fields, alpha, sign, mesh, quad, _BP_PROBES[0])
+                f, alpha, sign, rule, 1.0, _BP_PROBES).tobytes()
+        at_one = borel_pompeiu_residual(fields, alpha, sign, rule, 1.0, _BP_PROBES[0])
         assert at_one.shape == (len(fields),)
         assert np.allclose(at_one, together[:, 0], rtol=1e-12, atol=0.0)
 
@@ -350,12 +393,12 @@ def test_borel_pompeiu_without_the_vanishing_volume_term_is_bit_identical(alpha)
     # so its volume pass is left out; summing its exact zeros instead, as a
     # rebuilt field whose shifted evaluator returns 0 * f does, gives the
     # same residuals bit for bit
-    mesh, quad = build_sphere_mesh(1.0, 3), build_ball_quadrature(1.0, 3)
+    rule = sphere_rule(1.0, 3)
     fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
     assert fields[-1].d_alpha(alpha) is None
     zeros = dataclasses.replace(fields[-1], shifted=lambda f, s: lambda x: 0 * f.value(x))
-    summed = borel_pompeiu_residual(fields[:-1] + (zeros,), alpha, 1, mesh, quad, _BP_PROBES)
-    assert borel_pompeiu_residual(fields, alpha, 1, mesh, quad, _BP_PROBES).tobytes() \
+    summed = borel_pompeiu_residual(fields[:-1] + (zeros,), alpha, 1, rule, 1.0, _BP_PROBES)
+    assert borel_pompeiu_residual(fields, alpha, 1, rule, 1.0, _BP_PROBES).tobytes() \
         == summed.tobytes()
 
 
@@ -367,10 +410,10 @@ def test_borel_pompeiu_with_every_volume_term_vanishing_has_no_volume_pass(monke
     monkeypatch.setattr(operators, "VolumeDensity", refuse)
     monkeypatch.setattr(operators, "teodorescu", refuse)
     fields = (abc_beltrami(-1.0), abc_beltrami(-1.0, 0.2, 0.5, 0.9))
-    res = borel_pompeiu_residual(fields, 1.0, 1, MESH2, QUAD2, _BP_PROBES)
+    res = borel_pompeiu_residual(fields, 1.0, 1, RULE2, 1.0, _BP_PROBES)
     assert res.shape == (2, len(_BP_PROBES))
     assert res.max() < 2e-2
-    assert isinstance(borel_pompeiu_residual(fields[0], 1.0, 1, MESH2, QUAD2, PROBE), float)
+    assert isinstance(borel_pompeiu_residual(fields[0], 1.0, 1, RULE2, 1.0, PROBE), float)
 
 
 def test_cauchy_near_singularity_guard():
@@ -519,15 +562,13 @@ def test_cauchy_of_zero_density_is_zero():
 
 
 def test_scalar_field_identity():
-    mesh = build_sphere_mesh(1.0, 3)
-    quad = build_ball_quadrature(1.0, 3)
-    assert borel_pompeiu_residual(scalar_monomial(1), 1.0, 1, mesh, quad, PROBE) < 2e-2
+    assert borel_pompeiu_residual(scalar_monomial(1), 1.0, 1, sphere_rule(1.0, 3), 1.0,
+                                  PROBE) < 2e-2
 
 
 # --- the tiled kernel sum on two threads ------------------------------------
 
 MESH3 = build_sphere_mesh(1.0, 3)
-QUAD4 = build_ball_quadrature(1.0, 4)  # 163840 nodes: 128 node tiles per row block
 
 
 def _one_tile_at_a_time(alpha, sign, xs, y, g, pair_weights):
@@ -558,13 +599,6 @@ def _boundary_terms(mesh, rng):
     return (0.8, 4.0 / 3.0), (1, -1), nf, lambda r, cols: mesh.areas[cols]
 
 
-def _volume_terms(quad, rng):
-    """One (alpha, sign, density) on a ball rule and teodorescu's far weights."""
-    rho = CUTOFF_FACTOR * np.mean(quad.weights ** (1.0 / 3.0))
-    g = rng.standard_normal((len(quad.points), 4)) + 1j * rng.standard_normal((len(quad.points), 4))
-    return 0.8 + 0.3j, -1, g, lambda r, cols: quad.weights[cols] * _smoothstep(r / rho - 1.0)
-
-
 def test_two_thread_boundary_sum_is_the_one_tile_loop_bit_for_bit():
     # 3840 targets at 1280 nodes: 240 row tiles, 120 on each thread
     alphas, signs, nf, weights = _boundary_terms(MESH3, np.random.default_rng(31))
@@ -575,26 +609,24 @@ def test_two_thread_boundary_sum_is_the_one_tile_loop_bit_for_bit():
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("n_targets", [3, TILE_ROWS + 1],
-                         ids=["target on both threads", "cut between targets"])
-def test_two_thread_volume_sum_in_node_tiles(n_targets):
-    # each row block's 163840 nodes are 128 node tiles; 3 targets are one row
-    # block, whose tiles (so every target's) are on both threads;
-    # TILE_ROWS + 1 targets are two row blocks, one on each thread
+def test_one_row_block_stays_on_the_calling_thread(monkeypatch):
+    # verify-bp's 5 probes and 3 terms at the level-4 sphere rule's 15360
+    # nodes, 12 node tiles of one row block: no work goes to an executor
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single row block was split over two threads")
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", no_pool)
+    rule = sphere_rule(1.0, 4)
     rng = np.random.default_rng(32)
-    alpha, sign, g, weights = _volume_terms(QUAD4, rng)
-    xs = np.vstack([[PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]],
-                    rng.uniform(-0.4, 0.4, (n_targets - 3, 3))])
-    got = _kernel_sum(alpha, sign, xs, QUAD4.points, g, weights)
-    expected = _one_tile_at_a_time(alpha, sign, xs, QUAD4.points, g, weights)
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-    # and node by node, as the other kernel sums
-    diff = xs[0] - QUAD4.points
-    w = weights(np.linalg.norm(diff, axis=1), slice(None))
-    far = w > 0.0
-    reference = np.einsum("n,nk->k", w[far].astype(complex),
-                          q.qmul(upsilon(alpha, sign, diff[far]), g[far]))
-    assert np.abs(got[0] - reference).max() <= 1e-12 * np.abs(reference).max()
+    g = rng.standard_normal((3, len(rule.points), 4)) + 1j * rng.standard_normal(
+        (3, len(rule.points), 4))
+    alphas, signs = (0.8, 1.1, 0.8 + 0.3j), (1, -1, 1)
+    got = _kernel_sum(alphas, signs, _BP_PROBES, rule.points, g, lambda r, cols: rule.weights[cols])
+    for k, (alpha, sign) in enumerate(zip(alphas, signs)):
+        reference = np.array([np.einsum("n,nk->k", rule.weights.astype(complex),
+                                        q.qmul(upsilon(alpha, sign, x - rule.points), g[k]))
+                              for x in _BP_PROBES])
+        assert np.abs(got[k] - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_node_tiles_of_any_length():
@@ -629,32 +661,16 @@ def test_y_times_g_is_qmul_in_ragged_node_chunks():
         assert np.abs(got[k] - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-def test_volume_density_in_node_blocks_is_one_evaluation():
-    # verify-bp's three fields, shifted by an alpha at which none vanishes, on
-    # the level-4 ball rule, 128 blocks of NODE_CHUNK nodes, byte for byte
-    # one evaluation at all nodes
-    assert len(QUAD4.points) == 128 * NODE_CHUNK
-    shifted = [make_field(1.0).d_alpha(0.5) for make_field in _BP_FIELDS.values()]
-    assert None not in shifted
-
-    def evaluator(y):
-        return np.stack([d(y) for d in shifted])
-
-    assert VolumeDensity(QUAD4, evaluator).values.tobytes() == evaluator(QUAD4.points).tobytes()
-
-
 def test_three_fields_residual_memory_stays_flat():
-    # the volume densities of verify-bp's fields at level 4 take 21.0 MB
-    # (the Beltrami field's (D + alpha) f vanishes, so it has none);
-    # evaluated in node blocks, with [g, y*g] formed per node chunk, the
-    # whole residual stays within 40 MB, where one (3, N, 16) [g, y*g] array
-    # would take 63 MB and one evaluation at all nodes 27.5 MB per
-    # polynomial field
-    mesh = build_sphere_mesh(1.0, 4)
+    # verify-bp's level-4 residual: the three boundary densities at the sphere
+    # rule's 15360 nodes take 2.9 MB, [g, y*g] is formed per node chunk, and
+    # the polar rule samples 2 x 5 x 1024 volume nodes; the whole residual
+    # stays within 40 MB
+    rule = sphere_rule(1.0, 4)
     fields = tuple(make_field(1.0) for make_field in _BP_FIELDS.values())
     tracemalloc.start()
     try:
-        borel_pompeiu_residual(fields, 1.0, 1, mesh, QUAD4, _BP_PROBES)
+        borel_pompeiu_residual(fields, 1.0, 1, rule, 1.0, _BP_PROBES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -665,15 +681,19 @@ def test_two_thread_sums_are_repeatable_under_contention():
     # twenty calls, five at a time from four threads of their own (so eight
     # threads on the machine's cores) with a short switch interval: every
     # result is byte for byte the first
+    # (a sum of 13 row blocks on two threads, and one of a single row block
+    # over 12 node tiles on the calling thread)
     rng = np.random.default_rng(34)
     b_alphas, b_signs, nf, b_weights = _boundary_terms(MESH3, rng)
-    v_alpha, v_sign, g, v_weights = _volume_terms(QUAD4, rng)
+    rule = sphere_rule(1.0, 4)
+    g = _random_density(build_sphere_mesh(1.0, 4), rng, 3).reshape(len(rule.points), 4)
     xs_b = _offset_targets(MESH3)[::19]  # 203 targets, 13 row tiles
-    xs_v = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
+    xs_s = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
 
     def both():
         return (_kernel_sum(b_alphas, b_signs, xs_b, MESH3.centroids, nf, b_weights).tobytes(),
-                _kernel_sum(v_alpha, v_sign, xs_v, QUAD4.points, g, v_weights).tobytes())
+                _kernel_sum(0.8 + 0.3j, -1, xs_s, rule.points, g,
+                            lambda r, cols: rule.weights[cols]).tobytes())
 
     first = both()
     results = []
@@ -697,21 +717,16 @@ def test_two_thread_sums_are_repeatable_under_contention():
     assert all(result == first for result in results)
 
 
-@pytest.mark.parametrize("operator, n_chunks", [("volume", 16), ("boundary", 4)])
+@pytest.mark.parametrize("operator, n_chunks", [("boundary", 4)])
 def test_a_rows_sum_does_not_depend_on_the_other_targets(operator, n_chunks):
     # 32 targets are two row blocks, one on each thread; 33, 37 and 48 are
     # three, the first two on the calling thread: rows 0-31 are summed in
-    # node order on one thread either way, over the level-3 ball rule's 16
-    # node chunks or the level-4 mesh's 4, so their bits are the same
+    # node order on one thread either way, over the level-4 mesh's 4 node
+    # chunks, so their bits are the same
     rng = np.random.default_rng(36)
-    if operator == "volume":
-        quad = build_ball_quadrature(1.0, 3)
-        alpha, sign, g, weights = _volume_terms(quad, rng)
-        y = quad.points
-    else:
-        mesh = build_sphere_mesh(1.0, 4)
-        alpha, sign, g, weights = _boundary_terms(mesh, rng)
-        y = mesh.centroids
+    mesh = build_sphere_mesh(1.0, 4)
+    alpha, sign, g, weights = _boundary_terms(mesh, rng)
+    y = mesh.centroids
     assert len(y) == n_chunks * NODE_CHUNK
     xs = rng.uniform(-0.4, 0.4, (48, 3))
     first = _kernel_sum(alpha, sign, xs[:32], y, g, weights)

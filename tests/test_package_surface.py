@@ -15,9 +15,9 @@ MODULE_SURFACE = {
                "SingularMediumError", "SingularityError", "TopologyError"},
     "fields": {"AnalyticField", "abc_beltrami", "exact_chiral_solution",
                "identity_vector_field", "polynomial_field", "scalar_monomial"},
-    "geometry": {"NormalCheck", "SurfaceMesh", "VolumeQuadrature", "build_ball_quadrature",
-                 "build_sphere_mesh", "checked_ball_nodes", "checked_normals", "load_off",
-                 "mesh_from_arrays", "save_csv", "save_off"},
+    "geometry": {"BallRule", "NormalCheck", "SurfaceMesh", "SurfaceRule", "build_sphere_mesh",
+                 "checked_normals", "load_off", "mesh_from_arrays", "polar_ball_rule",
+                 "save_csv", "save_off", "sphere_rule"},
     "kernels": {"radial_factors", "theta", "upsilon"},
     "maxwell": {"ChiralMedium", "continuity_rho", "make_medium",
                 "merge_values", "phi_psi_rhs", "split_values"},
@@ -32,12 +32,11 @@ MODULE_SURFACE = {
 EXPORTS = {
     "AnalyticField", "BoundaryDensity", "CapacityError", "ChiralMedium", "ConfigError",
     "ExtendibilityReport", "NearSingularityError", "QuatemError", "SingularMediumError",
-    "SingularityError", "SurfaceMesh", "TopologyError", "VolumeDensity",
-    "VolumeQuadrature", "abc_beltrami", "borel_pompeiu_residual", "build_ball_quadrature",
-    "build_sphere_mesh", "cauchy_boundary", "checked_normals", "continuity_rho",
-    "exact_chiral_solution", "extendibility_residual", "make_medium", "merge_values",
-    "phi_psi_rhs", "polynomial_field", "reconstruct_eh", "split_values", "teodorescu",
-    "theta", "upsilon",
+    "SingularityError", "SurfaceMesh", "TopologyError", "VolumeDensity", "abc_beltrami",
+    "borel_pompeiu_residual", "build_sphere_mesh", "cauchy_boundary", "checked_normals",
+    "continuity_rho", "exact_chiral_solution", "extendibility_residual", "make_medium",
+    "merge_values", "phi_psi_rhs", "polar_ball_rule", "polynomial_field", "reconstruct_eh",
+    "sphere_rule", "split_values", "teodorescu", "theta", "upsilon",
 }
 
 

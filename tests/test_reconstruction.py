@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quatem import quaternions as q
 from quatem.cli import _BP_PROBES
 from quatem.fields import exact_chiral_solution
-from quatem.geometry import build_ball_quadrature, build_sphere_mesh, mesh_from_arrays
+from quatem.geometry import build_sphere_mesh, mesh_from_arrays, polar_ball_rule
 from quatem.maxwell import make_medium, merge_values, phi_psi_rhs
 from quatem.operators import BoundaryDensity, VolumeDensity, cauchy_boundary, teodorescu
 from quatem.reconstruction import (
@@ -83,9 +83,10 @@ def test_reconstruction_with_current_matches_manufactured_solution(constants, ca
     # the representation with sources, Phi = T_{+a1}[(i/k)(a1 j - div j)] +
     # K_{+a1} Phi and likewise Psi, reproduces a polynomial solution with a
     # current of nonzero divergence at verify-bp's probes.  With seed 3 the
-    # worst relative E and H error reads 6.4e-2, 1.6e-2, 4.0e-3 at levels 2-4
-    # for beta = 0.25 (5.2e-2, 1.3e-2, 3.2e-3 for beta = 0; 7.3e-2, 1.9e-2,
-    # 4.7e-3 in the lossy medium, k = 1.43+0.18i): second order.  Without
+    # worst relative E and H error reads 6.4e-2, 1.6e-2, 4.1e-3 at levels 2-4
+    # for beta = 0.25 (5.2e-2, 1.3e-2, 3.3e-3 for beta = 0; 7.3e-2, 1.9e-2,
+    # 4.7e-3 in the lossy medium, k = 1.43+0.18i): second order, the flat
+    # mesh's boundary term against the volume terms over the exact ball.  Without
     # the current the same traces err by about 3, so the volume terms carry
     # the result; k != 1 in the lossy medium pins the factor i/k.
     medium = make_medium(*constants)
@@ -100,10 +101,9 @@ def test_reconstruction_with_current_matches_manufactured_solution(constants, ca
     for level in (2, 3, 4):
         mesh = build_sphere_mesh(1.0, level)
         e_tr, h_tr = (q.vec(f.value(mesh.centroids)) for f in (e_field, h_field))
-        quad = build_ball_quadrature(1.0, level)
         spacing.append(mesh.spacing)
         errors.append(worst(reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES,
-                                           current=j, quadrature=quad)))
+                                           current=j, radius=1.0)))
         if level == 3:
             source_free = worst(reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES))
     order = np.polyfit(np.log(spacing), np.log(errors), 1)[0]
@@ -123,18 +123,18 @@ def test_both_modes_volume_terms_in_one_call_are_the_single_mode_calls():
     # two single-mode calls, Phi's at +alpha1 and Psi's at -alpha2
     medium = make_medium(1.0, 1.0 + 0.1j, 1.0, 0.25)
     _, _, j = manufactured_current_solution(medium, seed=3)
-    mesh, quad = build_sphere_mesh(1.0, 3), build_ball_quadrature(1.0, 3)
+    mesh, ball = build_sphere_mesh(1.0, 3), polar_ball_rule(1.0)
     a1, a2 = medium.alpha1, medium.alpha2
     rhs = phi_psi_rhs(j, medium)
-    both = teodorescu((a1, a2), (1, -1), VolumeDensity(quad, rhs), _BP_PROBES)
-    phi = teodorescu(a1, 1, VolumeDensity(quad, lambda y: rhs(y)[0]), _BP_PROBES)
-    psi = teodorescu(a2, -1, VolumeDensity(quad, lambda y: rhs(y)[1]), _BP_PROBES)
+    both = teodorescu((a1, a2), (1, -1), VolumeDensity(ball, rhs), _BP_PROBES)
+    phi = teodorescu(a1, 1, VolumeDensity(ball, lambda y: rhs(y)[0]), _BP_PROBES)
+    psi = teodorescu(a2, -1, VolumeDensity(ball, lambda y: rhs(y)[1]), _BP_PROBES)
     assert both.tobytes() == np.stack([phi, psi]).tobytes()
     e_tr, h_tr, _, _ = _traces(mesh, medium)
     modes = BoundaryDensity(mesh, q.vector(np.stack([e_tr + 1j * h_tr, e_tr - 1j * h_tr])))
     boundary = cauchy_boundary((a1, a2), (1, -1), modes, _BP_PROBES)
     expected = merge_values(boundary[0] + phi, boundary[1] + psi)
-    got = reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES, current=j, quadrature=quad)
+    got = reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES, current=j, radius=1.0)
     assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
@@ -156,8 +156,23 @@ def test_source_requires_quadrature():
     e_tr, h_tr, _, _ = _traces(mesh)
     from quatem.fields import abc_beltrami
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a ball radius is required"):
         reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES[0], current=abc_beltrami(0.5))
+
+
+@pytest.mark.parametrize("radius, refused", [(0.3, "0.3, 0.1, -0.2"), (0.45, "-0.2, 0.4, 0.1")])
+def test_source_refuses_a_probe_not_inside_the_ball(radius, refused):
+    # PROBES lie at radii 0.37, 0.27 and 0.46: inside the mesh, but the first
+    # one outside the ball of the volume terms is refused, named, before the
+    # current is evaluated
+    from quatem.fields import abc_beltrami
+
+    mesh = build_sphere_mesh(1.0, 2)
+    e_tr, h_tr, _, _ = _traces(mesh)
+    with pytest.raises(ValueError, match=r"volume target \[%s\] is not inside the ball of "
+                                         r"radius %g$" % (refused, radius)):
+        reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES, current=abc_beltrami(0.5),
+                       radius=radius)
 
 
 def test_batched_reconstruction_matches_pointwise():
@@ -166,14 +181,13 @@ def test_batched_reconstruction_matches_pointwise():
     from quatem.fields import abc_beltrami
 
     mesh = build_sphere_mesh(1.0, 2)
-    quad = build_ball_quadrature(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
     free_e, _ = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES)
-    for current, quadrature in ((None, None), (abc_beltrami(0.5), quad)):
-        e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES, current, quadrature)
+    for current, radius in ((None, None), (abc_beltrami(0.5), 1.0)):
+        e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES, current, radius)
         assert e_all.shape == h_all.shape == (len(PROBES), 4)
         for x, e_row, h_row in zip(PROBES, e_all, h_all):
-            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, x, current, quadrature)
+            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, x, current, radius)
             assert e_x.shape == (4,)
             assert np.allclose(e_row, e_x, rtol=0.0, atol=1e-14)
             assert np.allclose(h_row, h_x, rtol=0.0, atol=1e-14)
