@@ -114,15 +114,21 @@ class BallRule:
     points: np.ndarray   # (N, 3) reference nodes t s, 0 < t < 1
     weights: np.ndarray  # (N,) their weights, w_s w_t t**2, summing to 4*pi/3
 
-    def nodes(self, xs: np.ndarray):
-        """Nodes y (M, N, 3) and weights (M, N) of the rule centred on each
-        target of xs (M, 3): the volume element r**2 dr dOmega, r = rho t,
-        whose r**2 cancels a kernel's 1/r**2, gives the weights w rho**3.
-        ValueError, naming the target, for one not inside the ball."""
+    def check(self, xs: np.ndarray) -> np.ndarray:
+        """The squared norms of the targets xs (M, 3); ValueError, naming
+        the target, for one not inside the ball."""
         sq = np.einsum("mk,mk->m", xs, xs)
         if np.any(sq >= self.radius**2):
             raise ValueError("volume target %s is not inside the ball of radius %g"
                              % (xs[np.argmax(sq >= self.radius**2)].tolist(), self.radius))
+        return sq
+
+    def nodes(self, xs: np.ndarray):
+        """Nodes y (M, N, 3) and weights (M, N) of the rule centred on each
+        target of xs (M, 3) (check): the volume element r**2 dr dOmega,
+        r = rho t, whose r**2 cancels a kernel's 1/r**2, gives the weights
+        w rho**3."""
+        sq = self.check(xs)
         # x.s term by term: a matrix product of one target would group its
         # sums differently from a batch (BLAS takes it as matrix-vector)
         proj = sum(xs[:, k, None] * self.points[:, k] for k in range(3)) / np.sqrt(

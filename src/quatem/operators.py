@@ -1,25 +1,22 @@
 """Discretized volume and boundary integral operators.
 
-The boundary operator sums the kernel Ups(d) = sign*alpha*theta(r) + c(r) d,
-d = x - y, over the nodes of a surface rule in one routine (_kernel_sum),
-for one density or for K densities with K alphas and signs, such as the two
-chiral modes or verify-bp's test fields.  It walks the target x node pairs
-in tiles of one shape, TILE_ROWS targets (a row block) by NODE_CHUNK nodes;
-past one tile's worth of pairs and one row block, the calling thread and
-the one worker of an executor made for the call each take half the row
-blocks.  So each row is summed in node order on one thread, and results
-depend neither on scheduling nor on the other targets of the call.  Each
-thread walks its share node chunk by node chunk, forming y*g for the
-chunk's nodes y in a buffer of its own, then the chunk's tiles, with one
-real matrix product per term and tile (_kernel_sum).  The boundary
-operator is only evaluated at interior points a few mesh spacings away
-from the surface (no principal-value quadrature exists here); its guard
-reads the same r that the kernel factors use.
+The boundary operator, cauchy_boundary, sums the kernel
+Ups(d) = sign*alpha*theta(r) + c(r) d, d = x - y, over the nodes of a
+surface rule, for one density or for K densities with K alphas and signs,
+such as the two chiral modes or verify-bp's test fields.  It walks the
+target x node pairs in tiles of one shape, TILE_ROWS targets (a row block)
+by NODE_CHUNK nodes, one real matrix product per term and tile; a call of
+two or more row blocks runs on two threads, every row summed in node order
+on one of them, so results depend neither on scheduling nor on the other
+targets of the call.  It is only evaluated at interior points a few mesh
+spacings away from the surface (no principal-value quadrature exists
+here); its guard reads the same r that the kernel factors use.
 
-The volume operator integrates over a ball with the polar rule centred on
-each target (geometry.BallRule): every target has nodes of its own, so its
-sum is a direct one, O(targets x nodes), and the rule's volume element
-r**2 dr cancels the kernel's 1/r**2 growth.
+The volume operator, teodorescu, integrates over a ball with the polar
+rule centred on each target (geometry.BallRule): every target has nodes of
+its own, so its sum is a direct one, O(targets x nodes), taken in blocks of
+TILE_ROWS targets, and the rule's volume element r**2 dr cancels the
+kernel's 1/r**2 growth.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from .geometry import BallRule, SurfaceMesh, SurfaceRule, polar_ball_rule
 from .kernels import radial_factors
 
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
-TILE_ROWS = 16              # targets per tile of a kernel sum (blocks of 4-32
+TILE_ROWS = 16              # targets per tile of the boundary sum (blocks of 4-32
                             # targets cost the same per target within 10 % at
                             # 1280 and 5120 nodes; 64 and 128 cost 1.25x and
                             # 1.5x more at 5120, the B x N temporaries leave
@@ -48,8 +45,8 @@ NODE_CHUNK = 1280           # nodes per tile, so per matrix product, whose
                             # a 163840-node kernel sum, against an
                             # extended-precision sum, 20480-node products
                             # erred by 1.0e-14 relative, 1280-node ones by
-                            # 1.4e-15; also the nodes per [g, y*g] buffer of
-                            # a kernel sum
+                            # 1.4e-15; also the nodes per [g, y*g] buffer
+                            # of the boundary sum
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -132,54 +129,99 @@ def _vector_times(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
     o3 += y3 * g0
 
 
-def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
-                pair_weights) -> np.ndarray:
-    """sum_j W[m, j] Ups(x_m - y_j) g_j at targets xs (M, 3) and nodes y (N, 3)
-    for quaternions g (N, 4), one alpha and one sign; the result is (M, 4).
-    K terms take g (K, N, 4), K alphas and K signs and give (K, M, 4).
+def teodorescu(alpha, sign, density: VolumeDensity, x) -> np.ndarray:
+    """Volume potential int_B Ups(x - y) f(y) dy over the ball of the
+    density's rule, summed directly with that rule centred on each target.
+
+    x is one target (3,) or many (M, 3), each inside the ball (ValueError,
+    before the density is sampled, for one that is not); the result has
+    shape (4,) or (M, 4).  Density values (K, ..., 4) with K alphas and
+    signs give K terms and a result (K, 4) or (K, M, 4).  The targets go in
+    blocks of TILE_ROWS, one density.sample call for all nodes of a block,
+    so that memory does not grow with the number of targets; each node adds
+    its weight (geometry.BallRule.nodes) times
+    Ups(d) g = sign*alpha theta g + c d*g.
+    """
+    x = _targets(x)
+    xs = x.reshape(-1, 3)
+    density.quadrature.check(xs)
+    sums = []
+    for block in np.split(xs, range(TILE_ROWS, len(xs), TILE_ROWS)):
+        y, w = density.quadrature.nodes(block)
+        samples = density.sample(y)
+        terms = samples.shape[:-3]
+        alphas, signs = _terms(alpha, sign, terms)
+        g = samples.reshape(len(alphas), -1, 4)
+        d = (block[:, None, :] - y).reshape(-1, 3)
+        dg = np.empty_like(g)
+        _vector_times(d, g, out=dg)
+        th, c = radial_factors(alphas, np.sqrt(np.einsum("nk,nk->n", d, d)), w.reshape(-1))
+        th, c = th[:, 0] + 1j * th[:, 1], c[:, 0] + 1j * c[:, 1]
+        summand = (signs * alphas)[:, None, None] * th[..., None] * g + c[..., None] * dg
+        # each target's nodes summed along a contiguous last axis, so that a
+        # target's sum does not depend on the other targets of the call
+        by_node = np.ascontiguousarray(
+            summand.reshape(len(alphas), len(block), -1, 4).swapaxes(-1, -2))
+        sums.append(by_node.sum(axis=-1))
+    return np.concatenate(sums, axis=1).reshape(terms + x.shape[:-1] + (4,))
+
+
+def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
+    """Boundary potential -sum_j w_j Ups(x - y_j) g_j with g_j = n_j f_j
+    over the nodes y_j of the density's rule, with weights w_j and normals
+    n_j.
+
+    x is one target (3,) or many (M, 3); the result has shape (4,) or
+    (M, 4).  Density values (K, N, 4) with K alphas and signs give K terms
+    and a result (K, 4) or (K, M, 4).
 
     With Ups(d) = sign*alpha*theta(r) + c(r) d, d = x - y and r = |d|
     (kernels.radial_factors), the node sum factors into two scalar
-    matrices Theta[m, j] and C[m, j] per alpha:
+    matrices Theta[m, j] and C[m, j] per alpha, the weights included:
 
-        sum_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
+        sum_j w_j Ups_j g_j = sign*alpha (Theta g)_m + x_m * (C g)_m - (C (y*g))_m
 
     with quaternion products.  The M x N pairs go in tiles of TILE_ROWS
-    targets (a row block) by NODE_CHUNK nodes (a node chunk).  Once per
-    tile for all terms, r comes from the explicit differences,
-    pair_weights(r, cols) returns the real weights W ((B, n) or (n,)) of
-    the tile's node slice cols, and radial_factors the weighted (re, im)
-    planes of each distinct alpha for one real matrix product per term with
-    the real views of g and [g, y*g] over the tile's nodes.  The sums
-    Theta g and C [g, y*g] accumulate side by side in one (K, M, 12) array.
+    targets (a row block) by NODE_CHUNK nodes (a node chunk).  Per node
+    chunk, g = n*f and y*g are formed (_vector_times), so no copy of g over
+    all nodes is made.  Once per tile for all terms, r comes from the
+    explicit differences; the guard raises NearSingularityError when a
+    target comes closer to a node than MIN_DISTANCE_FACTOR mesh spacings;
+    and radial_factors gives the weighted (re, im) planes of each distinct
+    alpha for one real matrix product per term with the real views of g and
+    [g, y*g] over the tile's nodes.  The sums Theta g and C [g, y*g]
+    accumulate side by side in one (K, M, 12) array.
 
-    A sum of two or more row blocks and more than TILE_ROWS * NODE_CHUNK
-    pairs runs on two threads, the caller and the one worker of an executor
-    made for the call: the caller takes the first half of the row blocks
-    (rounded up) and the worker the rest, each adding into its own rows of
-    the result, so every row is summed in node order on one thread.  Each
-    side has its own buffers (add).  An error on either side (the boundary
-    guard) is raised here once both have stopped, the caller's first.
+    A sum of two or more row blocks runs on two threads, the caller and the
+    one worker of an executor made for the call: the caller takes the first
+    half of the row blocks (rounded up) and the worker the rest, each adding
+    into its own rows of the result, so every row is summed in node order on
+    one thread.  Each side has its own buffers (add).  A guard error on
+    either side is raised here once both have stopped, the caller's first.
     """
-    terms = g.shape[:-2]
+    rule, y = density.rule, density.rule.points
+    x = _targets(x)
+    xs = x.reshape(-1, 3)
+    terms = density.values.shape[:-2]
     alphas, signs = _terms(alpha, sign, terms)
-    g = g.reshape(-1, len(y), 4)
+    f = density.values.reshape(-1, len(y), 4)
     distinct, which = np.unique(alphas, return_inverse=True)
+    d_min = MIN_DISTANCE_FACTOR * rule.spacing
 
     def add(row_blocks, g_yg, work):
         """Add Theta g and C [g, y*g] of the row blocks' targets into sums,
         node chunk by node chunk and row block by row block within a chunk.
         Per chunk, its nodes are copied as coordinate rows to y_chunk and
-        its g and y*g (_vector_times) formed in the complex buffer g_yg of a
-        full chunk, (K, NODE_CHUNK, 8).  Each tile is formed in the float
-        buffer work, whose rows are planes of a full tile: r, then the
+        its g = n*f and y*g formed in the complex buffer g_yg of a full
+        chunk, (K, NODE_CHUNK, 8).  Each tile is formed in the float buffer
+        work, whose rows are planes of a full tile: r, then the
         4 * (len(distinct) + 1) planes of radial_factors, the first three of
         which hold the differences until r is formed."""
         for cols in chunks:
             n = cols.stop - cols.start
             y_chunk = np.ascontiguousarray(y[cols].T)
-            g_yg[:, :n, :4] = g[:, cols]
-            _vector_times(y[cols], g[:, cols], out=g_yg[:, :n, 4:])
+            _vector_times(rule.normals[cols], f[:, cols], out=g_yg[:, :n, :4])
+            _vector_times(y[cols], g_yg[:, :n, :4], out=g_yg[:, :n, 4:])
             rhs = g_yg.view(float)[:, :n]  # (K, n, 16) real
             for rows in row_blocks:
                 b = rows.stop - rows.start
@@ -187,8 +229,12 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
                 r, diff = r.reshape(b, n), planes[:3 * b * n].reshape(3, b, n)
                 np.subtract(xs[rows].T[:, :, None], y_chunk[:, None, :], out=diff)
                 np.sqrt(np.einsum("kmj,kmj->mj", diff, diff, out=r), out=r)
-                w = pair_weights(r, cols)
-                th, c = radial_factors(distinct, r, w, planes.reshape(-1, 4, b, n))
+                dist = float(r.min())
+                # slack: extendibility_residual's first offsets lie exactly d_min deep
+                if dist < d_min * (1.0 - 1e-9):
+                    raise NearSingularityError(dist, d_min)
+                th, c = radial_factors(distinct, r, rule.weights[cols],
+                                       planes.reshape(-1, 4, b, n))
                 for k, u in enumerate(which):
                     for part, fac, g_k in ((slice(0, 4), th[u], rhs[k, :, :8]),
                                            (slice(4, 12), c[u], rhs[k])):
@@ -200,87 +246,25 @@ def _kernel_sum(alpha, sign, xs: np.ndarray, y: np.ndarray, g: np.ndarray,
         # worker allocated would come from its own malloc arena and add their
         # size to the peak RSS (2.3 MB at level-3 extend-check)
         n = min(len(y), NODE_CHUNK)
-        return (np.empty((len(g), n, 8), dtype=complex),
+        return (np.empty((len(f), n, 8), dtype=complex),
                 np.empty((4 * len(distinct) + 5, min(len(xs), TILE_ROWS) * n)))
 
     row_blocks = [slice(i, min(i + TILE_ROWS, len(xs))) for i in range(0, len(xs), TILE_ROWS)]
     chunks = [slice(j, min(j + NODE_CHUNK, len(y))) for j in range(0, len(y), NODE_CHUNK)]
-    sums = np.zeros((len(g), len(xs), 12), dtype=complex)  # Theta g, then C [g, y*g]
-    rest = None  # the worker's row blocks
-    # a sum of at most one full tile's pairs stays on the calling thread: on a
-    # 2-vCPU VM with the other core busy, level-4 reconstruct operations (4
-    # targets at 5120 nodes, 4 tiles) ran 6-12 % slower on two threads; so
-    # does a single row block, whose node chunks split over two threads
-    # measured no faster (5 targets x 3 terms at 15360 and 61440 nodes)
-    if len(row_blocks) > 1 and len(xs) * len(y) > TILE_ROWS * NODE_CHUNK:
-        cut = (len(row_blocks) + 1) // 2
-        row_blocks, rest = row_blocks[:cut], row_blocks[cut:]
+    sums = np.zeros((len(f), len(xs), 12), dtype=complex)  # Theta g, then C [g, y*g]
+    # a single row block stays on the calling thread: its node chunks split
+    # over two threads measured no faster (5 targets x 3 terms at 15360 and
+    # 61440 nodes), and on a 2-vCPU VM with the other core busy level-4
+    # reconstruct operations (4 targets at 5120 nodes) ran 6-12 % slower
+    cut = (len(row_blocks) + 1) // 2
     with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on every exit
-        second = pool.submit(add, rest, *buffers()) if rest else None
-        add(row_blocks, *buffers())
+        second = pool.submit(add, row_blocks[cut:], *buffers()) if cut < len(row_blocks) else None
+        add(row_blocks[:cut], *buffers())
     if second is not None:
         second.result()
-    out = ((signs * alphas)[:, None, None] * sums[..., :4]
-           + q.qmul(q.vector(xs), sums[..., 4:8]) - sums[..., 8:])
-    return out.reshape(terms + out.shape[1:])
-
-
-def teodorescu(alpha, sign, density: VolumeDensity, x) -> np.ndarray:
-    """Volume potential int_B Ups(x - y) f(y) dy over the ball of the
-    density's rule, summed directly with that rule centred on each target.
-
-    x is one target (3,) or many (M, 3), each inside the ball (ValueError,
-    before the density is sampled, for one that is not); the result has
-    shape (4,) or (M, 4).  Density values (K, ..., 4) with K alphas and
-    signs give K terms and a result (K, 4) or (K, M, 4).  All targets' nodes
-    are sampled in one density.sample call; each node adds its weight
-    (geometry.BallRule.nodes) times Ups(d) g = sign*alpha theta g + c d*g.
-    """
-    x = _targets(x)
-    xs = x.reshape(-1, 3)
-    y, w = density.quadrature.nodes(xs)
-    samples = density.sample(y)
-    terms = samples.shape[:-3]
-    alphas, signs = _terms(alpha, sign, terms)
-    g = samples.reshape(len(alphas), -1, 4)
-    d = (xs[:, None, :] - y).reshape(-1, 3)
-    dg = np.empty_like(g)
-    _vector_times(d, g, out=dg)
-    th, c = radial_factors(alphas, np.sqrt(np.einsum("nk,nk->n", d, d)), w.reshape(-1))
-    th, c = th[:, 0] + 1j * th[:, 1], c[:, 0] + 1j * c[:, 1]
-    summand = (signs * alphas)[:, None, None] * th[..., None] * g + c[..., None] * dg
-    # each target's nodes summed along a contiguous last axis, so that a
-    # target's sum does not depend on the other targets of the call
-    by_node = np.ascontiguousarray(summand.reshape(len(alphas), len(xs), -1, 4).swapaxes(-1, -2))
-    return by_node.sum(axis=-1).reshape(terms + x.shape[:-1] + (4,))
-
-
-def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
-    """Boundary potential -sum_j Ups(x - y_j) * g_j with g_j = w_j n_j f_j over
-    the nodes y_j of the density's rule, with weights w_j and normals n_j.
-
-    x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  Density values (K, N, 4) with K alphas and signs give K terms
-    in one _kernel_sum call and a result (K, 4) or (K, M, 4).  The node sum
-    takes the rule's weights; the same per-block radii serve the guard,
-    which raises NearSingularityError when a target comes closer to a
-    surface node than MIN_DISTANCE_FACTOR mesh spacings.
-    """
-    rule = density.rule
-    x = _targets(x)
-    d_min = MIN_DISTANCE_FACTOR * rule.spacing
-
-    def guarded_weights(r, cols):
-        dist = float(r.min())
-        # slack: extendibility_residual's first offsets lie exactly d_min deep
-        if dist < d_min * (1.0 - 1e-9):
-            raise NearSingularityError(dist, d_min)
-        return rule.weights[cols]
-
-    nf = np.empty_like(density.values)
-    _vector_times(rule.normals, density.values, out=nf)
-    out = -_kernel_sum(alpha, sign, x.reshape(-1, 3), rule.points, nf, guarded_weights)
-    return out.reshape(nf.shape[:-2] + x.shape[:-1] + (4,))
+    out = -((signs * alphas)[:, None, None] * sums[..., :4]
+            + q.qmul(q.vector(xs), sums[..., 4:8]) - sums[..., 8:])
+    return out.reshape(terms + x.shape[:-1] + (4,))
 
 
 def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, sign: int,

@@ -9,8 +9,10 @@ manufactured_current_solution build a polynomial chiral solution with a
 current; constant_field is the degree-0 polynomial field; to_text/from_text
 write and read one quaternion as the 8 numbers of the CLI's CSV q columns;
 poly_eval_powers evaluates a polynomial field's coefficient table through
-complex power products; and edges_first_appearance numbers a mesh's edges
-in order of first appearance.
+complex power products; edges_first_appearance numbers a mesh's edges in
+order of first appearance; proper_rotation draws a random rotation; and
+ELLIPSOID_AXES scales an icosphere into the tests' non-spherical closed
+surface.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from quatem.maxwell import ChiralMedium
 from quatem.operators import RESIDUAL_FLOOR
 
 DEFAULT_FD_STEP = 1e-4
+ELLIPSOID_AXES = np.array([1.0, 0.7, 0.4])
 
 
 def grad_theta(alpha, x) -> np.ndarray:
@@ -192,3 +195,10 @@ def edges_first_appearance(faces: np.ndarray):
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
     return directed, rank[inverse].reshape(faces.shape)
+
+
+def proper_rotation(rng) -> np.ndarray:
+    """A random rotation matrix (determinant +1) drawn with rng."""
+    qmat, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    qmat = qmat * np.sign(np.diag(r))
+    return qmat if np.linalg.det(qmat) > 0 else -qmat

@@ -291,9 +291,8 @@ def test_reconstruct_near_boundary_exit_code(workspace, tmp_path):
 
 
 def test_reconstruct_near_boundary_on_the_second_thread(workspace, tmp_path, capsys):
-    # at the level-2 mesh's 320 nodes, one tile's worth of pairs in inner probes
-    # fills 4 row tiles; the near one is alone in a fifth, so the sum takes two
-    # threads and the last 2 row tiles run on the second
+    # 64 inner probes fill 4 row tiles; the near one is alone in a fifth, so
+    # the sum takes two threads and the last 2 row tiles run on the second
     _, mesh_path, traces = workspace
     out = tmp_path / "rec.json"
     probes = ";".join(["0.3,0.1,-0.2"] * (TILE_ROWS * NODE_CHUNK // 320) + ["0.99,0,0"])

@@ -23,13 +23,12 @@ from quatem.geometry import (
     sphere_rule,
 )
 
-from oracles import edges_first_appearance
+from oracles import ELLIPSOID_AXES, edges_first_appearance
 
 TETRA_VERTICES = np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
 )
 TETRA_FACES_OUT = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-ELLIPSOID_AXES = np.array([1.0, 0.7, 0.4])
 TETRA_OFF = "OFF\n4 4 0\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n" \
     "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
 

@@ -1,7 +1,6 @@
 """Discretized volume and boundary operators and the reproduction identity."""
 
 import dataclasses
-import functools
 import sys
 import threading
 import tracemalloc
@@ -26,6 +25,7 @@ from quatem.geometry import (
     _ICO_FACES,
     _ICO_VERTICES,
     POLAR_ORDERS,
+    SurfaceRule,
     build_sphere_mesh,
     mesh_from_arrays,
     polar_ball_rule,
@@ -37,20 +37,20 @@ from quatem.operators import (
     TILE_ROWS,
     BoundaryDensity,
     VolumeDensity,
-    _kernel_sum,
     _vector_times,
     borel_pompeiu_residual,
     cauchy_boundary,
     teodorescu,
 )
 
-from oracles import constant_field, grad_theta
+from oracles import ELLIPSOID_AXES, constant_field, grad_theta, proper_rotation
 
 MESH2 = build_sphere_mesh(1.0, 2)
+MESH3 = build_sphere_mesh(1.0, 3)
 RULE2 = sphere_rule(1.0, 2)
 BALL = polar_ball_rule(1.0)
 PROBE = np.array([0.3, 0.1, -0.2])
-ELLIPSOID2 = mesh_from_arrays(MESH2.vertices * [1.0, 0.7, 0.4], MESH2.triangles)
+ELLIPSOID2 = mesh_from_arrays(MESH2.vertices * ELLIPSOID_AXES, MESH2.triangles)
 # at least 2 spacings inside both MESH2 and ELLIPSOID2
 INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
                          [0.1, -0.15, 0.03]])
@@ -221,6 +221,33 @@ def test_teodorescu_samples_once_for_all_targets_and_terms():
     got = teodorescu((0.8, 1.2), (1, -1), VolumeDensity(BALL, evaluator), xs)
     assert got.shape == (2, 3, 4)
     assert calls == [(3, np.prod(POLAR_ORDERS), 3)]
+
+
+def test_teodorescu_memory_does_not_grow_with_the_targets():
+    # 400 targets and 2 terms go in blocks of TILE_ROWS targets; all of them
+    # at once took 0.65 MB per target, 259 MB
+    xs = np.random.default_rng(38).uniform(-0.5, 0.5, (400, 3))
+    fields = (abc_beltrami(0.5), identity_vector_field())
+    density = VolumeDensity(BALL, lambda y: np.stack([f.value(y) for f in fields]))
+    tracemalloc.start()
+    try:
+        got = teodorescu((0.8, 1.2), (1, -1), density, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2, 400, 4)
+    assert peak <= 30e6, "peak %.1f MB" % (peak / 1e6)
+
+
+def test_teodorescu_rows_do_not_depend_on_the_other_targets():
+    # 40 targets are three blocks; each row is its target's sum alone, bit
+    # for bit
+    xs = np.random.default_rng(39).uniform(-0.5, 0.5, (40, 3))
+    fields = (abc_beltrami(0.5), abc_beltrami(-1.0, 0.2, 0.5, 0.9))
+    density = VolumeDensity(BALL, lambda y: np.stack([f.value(y) for f in fields]))
+    got = teodorescu((0.8, 0.8 + 0.3j), (1, -1), density, xs)
+    for m, x in enumerate(xs):
+        assert got[:, m].tobytes() == teodorescu((0.8, 0.8 + 0.3j), (1, -1), density, x).tobytes()
 
 
 @pytest.mark.parametrize("target", [[0.0, 1.0, 0.0], [0.6, 0.6, 0.6], [2.0, 0.0, 0.0]])
@@ -469,11 +496,12 @@ def _random_density(mesh, rng, k=None):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _node_by_node(alpha, sign, mesh, values, xs):
-    """-sum_j w_j Ups(x - y_j) (n_j f_j), one node at a time."""
-    nf = q.qmul(q.vector(mesh.normals), values)
-    terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - mesh.centroids), nf)
-    return -np.einsum("n,mnk->mk", mesh.areas.astype(complex), terms)
+def _node_by_node(alpha, sign, rule, values, xs):
+    """-sum_j w_j Ups(x - y_j) (n_j f_j) over the nodes of a surface rule,
+    one node at a time."""
+    nf = q.qmul(q.vector(rule.normals), values)
+    terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - rule.points), nf)
+    return -np.einsum("n,mnk->mk", rule.weights.astype(complex), terms)
 
 
 @pytest.mark.parametrize("alphas, signs", [
@@ -495,7 +523,7 @@ def test_cauchy_stacked_matches_single(alphas, signs):
     for k, (alpha, sign) in enumerate(zip(alphas, signs)):
         single = cauchy_boundary(alpha, sign, BoundaryDensity(MESH2, values[k]), xs)
         assert np.abs(stacked[k] - single).max() <= 1e-14 * np.abs(single).max()
-        reference = _node_by_node(alpha, sign, MESH2, values[k], xs)
+        reference = _node_by_node(alpha, sign, MESH2.rule, values[k], xs)
         assert np.allclose(stacked[k], reference, rtol=0.0,
                            atol=1e-12 * np.abs(reference).max())
 
@@ -545,6 +573,31 @@ def test_cauchy_linear_in_density(mesh, seed, a, b, alpha, sign):
     assert np.abs(k12 - (a * k1 + b * k2)).max() <= 1e-12 * scale + 1e-300
 
 
+ELLIPSOID3 = mesh_from_arrays(MESH3.vertices * ELLIPSOID_AXES, MESH3.triangles)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_cauchy_equivariant_under_rigid_motion_on_the_ellipsoid(seed, shift):
+    # x -> R x + b moves the level-3 ellipsoid and 33 targets (three row
+    # blocks, so both threads run) at least 0.2 inside it; the density's
+    # vector parts rotate with R, so the result's vector part rotates and its
+    # scalar part stays
+    rng = np.random.default_rng(seed)
+    rot = proper_rotation(rng)
+    u = rng.standard_normal((33, 3))
+    xs = (rng.uniform(0.0, 0.5, 33) / np.linalg.norm(u, axis=1))[:, None] * u * ELLIPSOID_AXES
+    values = _random_density(ELLIPSOID3, rng, 2)
+    moved = mesh_from_arrays(ELLIPSOID3.vertices @ rot.T + shift, ELLIPSOID3.triangles)
+    alphas, signs = (0.8, 0.8 + 0.3j), (1, -1)
+    before = cauchy_boundary(alphas, signs, BoundaryDensity(ELLIPSOID3, values), xs)
+    moved_density = BoundaryDensity(moved, _rotate_vector_part(rot, values))
+    after = cauchy_boundary(alphas, signs, moved_density, xs @ rot.T + shift)
+    expected = _rotate_vector_part(rot, before)
+    assert np.abs(after - expected).max() <= 1e-12 * np.abs(before).max()
+
+
 def test_cauchy_reproduces_monogenic_field():
     # K_a f = f inside, for f monogenic for D + a (Beltrami with lam = -a)
     alpha = 1.0
@@ -566,23 +619,15 @@ def test_scalar_field_identity():
                                   PROBE) < 2e-2
 
 
-# --- the tiled kernel sum on two threads ------------------------------------
-
-MESH3 = build_sphere_mesh(1.0, 3)
+# --- the tiled boundary sum on two threads -----------------------------------
 
 
-def _one_tile_at_a_time(alpha, sign, xs, y, g, pair_weights):
-    """The kernel sum as a loop over its tiles, each one _kernel_sum call of
-    a single tile, which runs on the calling thread alone: row blocks of
-    TILE_ROWS targets, each the sum of its tiles of NODE_CHUNK nodes added
-    in order."""
-    blocks = []
-    for i in range(0, len(xs), TILE_ROWS):
-        tiles = [_kernel_sum(alpha, sign, xs[i:i + TILE_ROWS], y[j:j + NODE_CHUNK],
-                             g[..., j:j + NODE_CHUNK, :],
-                             lambda r, c, j=j: pair_weights(r, slice(j + c.start, j + c.stop)))
-                 for j in range(0, len(y), NODE_CHUNK)]
-        blocks.append(functools.reduce(np.add, tiles))
+def _one_row_block_at_a_time(alphas, signs, density, xs):
+    """The boundary sum as a loop over its row blocks, each one
+    cauchy_boundary call of TILE_ROWS targets, which runs on the calling
+    thread alone."""
+    blocks = [cauchy_boundary(alphas, signs, density, xs[i:i + TILE_ROWS])
+              for i in range(0, len(xs), TILE_ROWS)]
     return np.concatenate(blocks, axis=-2)
 
 
@@ -593,19 +638,28 @@ def _offset_targets(mesh):
     return np.concatenate([mesh.centroids - m * depth * mesh.normals for m in (1, 2, 3)])
 
 
-def _boundary_terms(mesh, rng):
-    """The two chiral modes' (alpha, sign, n*f) on a mesh and its area weights."""
-    nf = q.qmul(q.vector(mesh.normals), _random_density(mesh, rng, 2))
-    return (0.8, 4.0 / 3.0), (1, -1), nf, lambda r, cols: mesh.areas[cols]
+def _mode_terms(mesh, rng):
+    """The two chiral modes' alphas and signs and a random density of two
+    terms on the mesh's centroid rule."""
+    return (0.8, 4.0 / 3.0), (1, -1), BoundaryDensity(mesh.rule, _random_density(mesh, rng, 2))
+
+
+def _random_rule(rng, n):
+    """n random nodes in [-1, 1]**3 with random unit normals and weights in
+    [0.5, 1], and a spacing that puts targets 1 away outside the guard."""
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return SurfaceRule(rng.uniform(-1.0, 1.0, (n, 3)), normals, rng.uniform(0.5, 1.0, n), 0.1)
 
 
 def test_two_thread_boundary_sum_is_the_one_tile_loop_bit_for_bit():
-    # 3840 targets at 1280 nodes: 240 row tiles, 120 on each thread
-    alphas, signs, nf, weights = _boundary_terms(MESH3, np.random.default_rng(31))
+    # 3840 targets at 1280 nodes, so a row block is one tile: 240 row blocks,
+    # 120 on each thread
+    alphas, signs, density = _mode_terms(MESH3, np.random.default_rng(31))
     xs = _offset_targets(MESH3)
-    assert len(xs) == 3840
-    got = _kernel_sum(alphas, signs, xs, MESH3.centroids, nf, weights)
-    expected = _one_tile_at_a_time(alphas, signs, xs, MESH3.centroids, nf, weights)
+    assert len(xs) == 3840 and len(density.rule.points) == NODE_CHUNK
+    got = cauchy_boundary(alphas, signs, density, xs)
+    expected = _one_row_block_at_a_time(alphas, signs, density, xs)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -618,14 +672,12 @@ def test_one_row_block_stays_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(ThreadPoolExecutor, "submit", no_pool)
     rule = sphere_rule(1.0, 4)
     rng = np.random.default_rng(32)
-    g = rng.standard_normal((3, len(rule.points), 4)) + 1j * rng.standard_normal(
+    values = rng.standard_normal((3, len(rule.points), 4)) + 1j * rng.standard_normal(
         (3, len(rule.points), 4))
     alphas, signs = (0.8, 1.1, 0.8 + 0.3j), (1, -1, 1)
-    got = _kernel_sum(alphas, signs, _BP_PROBES, rule.points, g, lambda r, cols: rule.weights[cols])
+    got = cauchy_boundary(alphas, signs, BoundaryDensity(rule, values), _BP_PROBES)
     for k, (alpha, sign) in enumerate(zip(alphas, signs)):
-        reference = np.array([np.einsum("n,nk->k", rule.weights.astype(complex),
-                                        q.qmul(upsilon(alpha, sign, x - rule.points), g[k]))
-                              for x in _BP_PROBES])
+        reference = _node_by_node(alpha, sign, rule, values[k], _BP_PROBES)
         assert np.abs(got[k] - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -633,39 +685,39 @@ def test_node_tiles_of_any_length():
     # ragged on both axes: TILE_ROWS + 1 targets are a full row block and
     # one more, 2 x NODE_CHUNK + 40 nodes two full node tiles and 40 nodes
     rng = np.random.default_rng(33)
-    n = 2 * NODE_CHUNK + 40
-    y = rng.uniform(-1.0, 1.0, (n, 3))
-    g = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-    node_w = rng.uniform(0.5, 1.0, n)
+    rule = _random_rule(rng, 2 * NODE_CHUNK + 40)
+    values = rng.standard_normal((len(rule.points), 4)) + 1j * rng.standard_normal(
+        (len(rule.points), 4))
     xs = rng.uniform(-1.0, 1.0, (TILE_ROWS + 1, 3)) + [3.0, 0.0, 0.0]
-    got = _kernel_sum(0.7, 1, xs, y, g, lambda r, cols: node_w[cols])
-    reference = np.array([np.einsum("n,nk->k", node_w.astype(complex),
-                                    q.qmul(upsilon(0.7, 1, x - y), g)) for x in xs])
+    got = cauchy_boundary(0.7, 1, BoundaryDensity(rule, values), xs)
+    reference = _node_by_node(0.7, 1, rule, values, xs)
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_y_times_g_is_qmul_in_ragged_node_chunks():
-    # two terms at NODE_CHUNK + 40 nodes, a seventh of them with y2 = 0
+    # two terms at NODE_CHUNK + 40 nodes, a seventh of them with y2 = 0 and
+    # another seventh with n2 = 0: n*f and y*(n*f) are formed per node chunk
     rng = np.random.default_rng(35)
     n = NODE_CHUNK + 40
-    y = rng.uniform(-1.0, 1.0, (n, 3))
-    y[::7, 1] = 0.0
+    rule = _random_rule(rng, n)
+    rule.points[::7, 1] = 0.0
+    rule.normals[3::7, 1] = 0.0
     g = rng.standard_normal((2, n, 4)) + 1j * rng.standard_normal((2, n, 4))
     out = np.empty_like(g)
-    _vector_times(y, g, out)
-    assert np.array_equal(out, q.qmul(q.vector(y), g))
+    _vector_times(rule.points, g, out)
+    assert np.array_equal(out, q.qmul(q.vector(rule.points), g))
     xs = rng.uniform(-1.0, 1.0, (3, 3)) + [3.0, 0.0, 0.0]
-    got = _kernel_sum([0.7, 0.7], [1, -1], xs, y, g, lambda r, cols: np.ones(cols.stop - cols.start))
+    got = cauchy_boundary([0.7, 0.7], [1, -1], BoundaryDensity(rule, g), xs)
     for k, sign in enumerate((1, -1)):
-        reference = np.array([q.qmul(upsilon(0.7, sign, x - y), g[k]).sum(axis=0) for x in xs])
+        reference = _node_by_node(0.7, sign, rule, g[k], xs)
         assert np.abs(got[k] - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_three_fields_residual_memory_stays_flat():
     # verify-bp's level-4 residual: the three boundary densities at the sphere
-    # rule's 15360 nodes take 2.9 MB, [g, y*g] is formed per node chunk, and
-    # the polar rule samples 2 x 5 x 1024 volume nodes; the whole residual
-    # stays within 40 MB
+    # rule's 15360 nodes take 2.9 MB, n*f and y*(n*f) are formed per node
+    # chunk, and the polar rule samples 2 x 5 x 1024 volume nodes; the whole
+    # residual stays within 40 MB
     rule = sphere_rule(1.0, 4)
     fields = tuple(make_field(1.0) for make_field in _BP_FIELDS.values())
     tracemalloc.start()
@@ -677,6 +729,25 @@ def test_three_fields_residual_memory_stays_flat():
     assert peak <= 40e6, "peak %.1f MB" % (peak / 1e6)
 
 
+def test_boundary_sum_forms_n_times_f_per_node_chunk():
+    # 3 terms at 5 targets over the level-5 sphere rule's 61440 nodes: the
+    # call holds no copy of n*f over all nodes, which alone would take
+    # 3 x 61440 x 4 complex values, 11.8 MB
+    rule = sphere_rule(1.0, 5)
+    rng = np.random.default_rng(37)
+    shape = (3, len(rule.points), 4)
+    density = BoundaryDensity(rule, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    copy_bytes = np.empty(shape, dtype=complex).nbytes
+    tracemalloc.start()
+    try:
+        got = cauchy_boundary((0.8, 1.1, 0.8 + 0.3j), (1, -1, 1), density, _BP_PROBES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.is_finite(got)
+    assert peak < copy_bytes, "peak %.1f MB" % (peak / 1e6)
+
+
 def test_two_thread_sums_are_repeatable_under_contention():
     # twenty calls, five at a time from four threads of their own (so eight
     # threads on the machine's cores) with a short switch interval: every
@@ -684,16 +755,16 @@ def test_two_thread_sums_are_repeatable_under_contention():
     # (a sum of 13 row blocks on two threads, and one of a single row block
     # over 12 node tiles on the calling thread)
     rng = np.random.default_rng(34)
-    b_alphas, b_signs, nf, b_weights = _boundary_terms(MESH3, rng)
+    b_alphas, b_signs, b_density = _mode_terms(MESH3, rng)
     rule = sphere_rule(1.0, 4)
-    g = _random_density(build_sphere_mesh(1.0, 4), rng, 3).reshape(len(rule.points), 4)
+    s_density = BoundaryDensity(rule, _random_density(build_sphere_mesh(1.0, 4), rng, 3)
+                                .reshape(len(rule.points), 4))
     xs_b = _offset_targets(MESH3)[::19]  # 203 targets, 13 row tiles
     xs_s = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
 
     def both():
-        return (_kernel_sum(b_alphas, b_signs, xs_b, MESH3.centroids, nf, b_weights).tobytes(),
-                _kernel_sum(0.8 + 0.3j, -1, xs_s, rule.points, g,
-                            lambda r, cols: rule.weights[cols]).tobytes())
+        return (cauchy_boundary(b_alphas, b_signs, b_density, xs_b).tobytes(),
+                cauchy_boundary(0.8 + 0.3j, -1, s_density, xs_s).tobytes())
 
     first = both()
     results = []
@@ -725,13 +796,12 @@ def test_a_rows_sum_does_not_depend_on_the_other_targets(operator, n_chunks):
     # chunks, so their bits are the same
     rng = np.random.default_rng(36)
     mesh = build_sphere_mesh(1.0, 4)
-    alpha, sign, g, weights = _boundary_terms(mesh, rng)
-    y = mesh.centroids
-    assert len(y) == n_chunks * NODE_CHUNK
+    alpha, sign, density = _mode_terms(mesh, rng)
+    assert len(density.rule.points) == n_chunks * NODE_CHUNK
     xs = rng.uniform(-0.4, 0.4, (48, 3))
-    first = _kernel_sum(alpha, sign, xs[:32], y, g, weights)
+    first = cauchy_boundary(alpha, sign, density, xs[:32])
     for m in (33, 37, 48):
-        got = _kernel_sum(alpha, sign, xs[:m], y, g, weights)
+        got = cauchy_boundary(alpha, sign, density, xs[:m])
         assert got[..., :32, :].tobytes() == first.tobytes(), m
 
 
@@ -743,8 +813,8 @@ def _executor_workers():
 
 def test_guard_in_the_second_thread_raises_in_the_caller():
     d = BoundaryDensity(MESH2, _random_density(MESH2, np.random.default_rng(35), 2))
-    # with one more target, more pairs than one tile holds: 5 row tiles, the
-    # last 2 on the second thread
+    # 64 targets are 4 row tiles and one more a fifth, the last 2 on the
+    # second thread
     inner = np.tile(PROBE, (TILE_ROWS * NODE_CHUNK // MESH2.n_triangles, 1))
     near, nearer = 0.999 * MESH2.centroids[7], 0.9995 * MESH2.centroids[3]
     with pytest.raises(NearSingularityError) as exc:

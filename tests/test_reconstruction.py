@@ -19,7 +19,7 @@ from quatem.reconstruction import (
     two_kernel_eh,
 )
 
-from oracles import manufactured_current_solution
+from oracles import manufactured_current_solution, proper_rotation
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 PROBES = np.array([[0.3, 0.1, -0.2], [0.1, -0.15, 0.2], [-0.2, 0.4, 0.1]])
@@ -194,12 +194,6 @@ def test_batched_reconstruction_matches_pointwise():
     assert q.is_finite(e_all) and q.norm(e_all - free_e).max() > 1e-3
 
 
-def _proper_rotation(rng):
-    qmat, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    qmat = qmat * np.sign(np.diag(r))
-    return qmat if np.linalg.det(qmat) > 0 else -qmat
-
-
 @pytest.mark.parametrize("mesh", [SPHERE2, ELLIPSOID2], ids=["sphere", "ellipsoid"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
@@ -208,7 +202,7 @@ def test_reconstruction_equivariant_under_rigid_motion(mesh, seed, shift):
     # x -> R x + b moves mesh and probes; traces rotate with R, so E and H
     # rotate too and their scalar parts stay (any traces, not only genuine)
     rng = np.random.default_rng(seed)
-    rot = _proper_rotation(rng)
+    rot = proper_rotation(rng)
     shape = (mesh.n_triangles, 3)
     e_tr, h_tr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                   for _ in "eh")
