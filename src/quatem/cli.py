@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 
@@ -31,7 +30,6 @@ from .fields import (
     abc_beltrami,
     exact_chiral_solution,
     identity_vector_field,
-    polynomial_field,
     scalar_monomial,
 )
 from .geometry import (
@@ -126,13 +124,10 @@ def _medium_json(medium) -> dict:
 def _write_json(path, payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-    except ValueError:  # a NaN or infinity: no partial artifact stays behind
-        os.remove(path)
-        raise
+    # dumped before the file is opened: a NaN or infinity leaves --out untouched
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def _c(z) -> list:
@@ -205,28 +200,6 @@ def _outward_mesh(path):
     return mesh
 
 
-def _load_coeffs(path) -> np.ndarray:
-    """The --coeffs-file table: a JSON list of rows, each entry a number or
-    an [re, im] pair."""
-    with open(path) as fh:
-        raw = json.load(fh)
-
-    def number(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    def entry(c):
-        if number(c):
-            return complex(c)
-        if isinstance(c, list) and len(c) == 2 and all(map(number, c)):
-            return complex(c[0], c[1])
-        raise ConfigError("--coeffs-file %s: entry %s is neither a number nor an [re, im] "
-                          "pair" % (path, json.dumps(c)))
-
-    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-        raise ConfigError("--coeffs-file %s must hold a list of rows" % path)
-    return np.array([[entry(c) for c in row] for row in raw])
-
-
 def cmd_gen_mesh(args) -> int:
     mesh = build_sphere_mesh(args.radius, args.level)
     save_off(mesh, args.out)
@@ -238,40 +211,19 @@ def cmd_gen_mesh(args) -> int:
     return EXIT_OK
 
 
-def _field_from_args(args, medium):
-    if args.family == "polynomial":
-        if not args.coeffs_file:
-            raise ConfigError("polynomial requires --coeffs-file")
-        return (polynomial_field(_load_coeffs(args.coeffs_file)), None)
+def cmd_gen_field(args) -> int:
+    mesh = load_off(args.mesh)
+    medium = _medium_from_args(args)
     amps = tuple(_float_or_nan(v) for v in args.amplitudes.split(","))
     if len(amps) != 3 or not np.all(np.isfinite(amps)):
         raise ConfigError("--amplitudes must be three finite numbers 'a,b,c', got %r"
                           % args.amplitudes)
-    if args.family == "chiral-exact":
-        return exact_chiral_solution(medium, amps, amps)
-    if args.wave_parameter is None:
-        raise ConfigError("abc-beltrami requires --wave-parameter")
-    return (abc_beltrami(args.wave_parameter, *amps), None)
-
-
-def cmd_gen_field(args) -> int:
-    mesh = load_off(args.mesh)
-    medium = _medium_from_args(args)
-    first, second = _field_from_args(args, medium)
+    e_field, h_field = exact_chiral_solution(medium, amps, amps)
     pts = mesh.centroids
     with np.errstate(over="ignore", invalid="ignore"):  # save_csv refuses what overflows
-        first_values = first.value(pts)
-        second_values = None if second is None else second.value(pts)
-    if second is not None:  # an (E, H) pair: trace CSV
-        _save_traces(args.out, q.vec(first_values), q.vec(second_values))
-        print("gen-field: %s traces on %d triangles -> %s"
-              % (args.family, len(pts), args.out))
-    else:  # single quaternion field: sample CSV, q as re/im of q0..q3 separated by spaces
-        vals = np.ascontiguousarray(first_values, dtype=complex).view(float)
-        save_csv(args.out, np.column_stack([np.arange(len(pts)), pts, vals]),
-                 "%d" + ",%.17g" * 4 + " %.17g" * 7, ["triangle", "x", "y", "z", "q"])
-        print("gen-field: %s sampled at %d points -> %s"
-              % (args.family, len(pts), args.out))
+        e, h = e_field.value(pts), h_field.value(pts)
+    _save_traces(args.out, q.vec(e), q.vec(h))
+    print("gen-field: %s traces on %d triangles -> %s" % (args.family, len(pts), args.out))
     return EXIT_OK
 
 
@@ -442,15 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_mesh)
 
-    p = sub.add_parser("gen-field", help="sample an analytic family on a mesh")
-    p.add_argument("--family", required=True,
-                   choices=("chiral-exact", "abc-beltrami", "polynomial"))
+    p = sub.add_parser("gen-field",
+                       help="E/H traces of the exact chiral solution on a mesh (CSV)")
+    p.add_argument("--family", required=True, choices=("chiral-exact",))
     p.add_argument("--mesh", required=True, help="OFF mesh file")
     p.add_argument("--amplitudes", default=",".join(map(str, DEFAULT_AMPLITUDES)))
-    p.add_argument("--wave-parameter", type=_complex_arg, default=None,
-                   help="Beltrami eigenvalue (abc-beltrami only)")
-    p.add_argument("--coeffs-file", default=None,
-                   help="JSON 4x10 table of [re, im] pairs (polynomial only)")
     p.add_argument("--out", required=True)
     _add_medium_args(p)
     p.set_defaults(func=cmd_gen_field)
@@ -507,7 +455,7 @@ def main(argv=None) -> int:
             return EXIT_OK if not exc.code else EXIT_CONFIG
         return args.func(args)
     except (ConfigError, SingularMediumError, CapacityError, TopologyError,
-            FileNotFoundError, ValueError, MemoryError) as exc:
+            OSError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except (NearSingularityError, SingularityError) as exc:

@@ -161,7 +161,7 @@ def teodorescu(alpha, sign, density: VolumeDensity, x) -> np.ndarray:
         # each target's nodes summed along a contiguous last axis, so that a
         # target's sum does not depend on the other targets of the call
         by_node = np.ascontiguousarray(
-            summand.reshape(len(alphas), len(block), -1, 4).swapaxes(-1, -2))
+            summand.reshape(len(alphas), len(block), y.shape[1], 4).swapaxes(-1, -2))
         sums.append(by_node.sum(axis=-1))
     return np.concatenate(sums, axis=1).reshape(terms + x.shape[:-1] + (4,))
 

@@ -7,7 +7,8 @@ fundamental solution; maxwell_residual checks the chiral curl equations,
 with or without a current, by finite differences; rot_coeffs and
 manufactured_current_solution build a polynomial chiral solution with a
 current; constant_field is the degree-0 polynomial field; to_text/from_text
-write and read one quaternion as the 8 numbers of the CLI's CSV q columns;
+write and read one quaternion as the 8 numbers of kernel-probe's CSV upsilon
+column;
 poly_eval_powers evaluates a polynomial field's coefficient table through
 complex power products; edges_first_appearance numbers a mesh's edges in
 order of first appearance; proper_rotation draws a random rotation; and

@@ -17,8 +17,6 @@ from quatem.geometry import build_sphere_mesh, load_off, mesh_from_arrays, save_
 from quatem.maxwell import make_medium
 from quatem.operators import NODE_CHUNK, TILE_ROWS
 
-from oracles import from_text
-
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -71,69 +69,10 @@ def test_gen_field_trace_values(workspace):
     assert np.max(np.abs(got - expected_e)) < 1e-14
 
 
-def test_gen_field_beltrami_samples(workspace, tmp_path):
-    _, mesh_path, _ = workspace
-    out = str(tmp_path / "b.csv")
-    assert main(["gen-field", "--family", "abc-beltrami", "--wave-parameter", "1.3",
-                 "--mesh", mesh_path, "--out", out]) == 0
-    with open(out, newline="") as fh:
-        rows = [r for r in csv.reader(fh)][1:]
-    v = from_text(rows[0][4])
-    x = np.array([float(rows[0][1]), float(rows[0][2]), float(rows[0][3])])
-    from quatem.fields import abc_beltrami
-
-    assert np.allclose(v, abc_beltrami(1.3).value(x))
-
-
-@pytest.mark.parametrize("pair", [[float("nan"), 0.0], [0.0, -float("inf")]])
-def test_gen_field_rejects_non_finite_coefficients(workspace, tmp_path, capsys, pair):
-    _, mesh_path, _ = workspace
-    coeffs = [[[0.0, 0.0]] * 10 for _ in range(4)]
-    coeffs[2][5] = pair
-    (tmp_path / "c.json").write_text(json.dumps(coeffs))  # NaN and Infinity, as json reads
-    out = tmp_path / "s.csv"
-    assert main(["gen-field", "--family", "polynomial", "--mesh", mesh_path, "--coeffs-file",
-                 str(tmp_path / "c.json"), "--out", str(out)]) == 2
-    assert "coefficients must be finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def _coefficient_table_with(entry):
-    coeffs = [[[0.0, 0.0]] * 10 for _ in range(4)]
-    coeffs[1][3] = entry
-    return coeffs
-
-
-@pytest.mark.parametrize("table", [
-    pytest.param(_coefficient_table_with([1.0]), id="entry [1.0]"),
-    pytest.param(_coefficient_table_with([1.0, 2.0, 3.0]), id="entry [1.0, 2.0, 3.0]"),
-    pytest.param(_coefficient_table_with({"re": 1}), id="entry {re: 1}"),
-    pytest.param([1, 2, 3, 4], id="flat list"),
-])
-def test_gen_field_rejects_malformed_coefficient_table(workspace, tmp_path, capsys, table):
-    _, mesh_path, _ = workspace
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(table))
-    out = tmp_path / "s.csv"
-    assert main(["gen-field", "--family", "polynomial", "--mesh", mesh_path, "--coeffs-file",
-                 str(path), "--out", str(out)]) == 2
-    assert "--coeffs-file %s" % path in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_gen_field_default_amplitudes_are_the_fields_default():
     args = build_parser().parse_args(["gen-field", "--family", "chiral-exact", "--mesh", "m.off",
                                       "--out", "t.csv"])
     assert tuple(float(v) for v in args.amplitudes.split(",")) == DEFAULT_AMPLITUDES
-
-
-def test_gen_field_requires_parameters(workspace, tmp_path):
-    _, mesh_path, _ = workspace
-    out = str(tmp_path / "x.csv")
-    assert main(["gen-field", "--family", "abc-beltrami",
-                 "--mesh", mesh_path, "--out", out]) == 2
-    assert main(["gen-field", "--family", "polynomial",
-                 "--mesh", mesh_path, "--out", out]) == 2
 
 
 def test_kernel_probe(tmp_path, capsys):
@@ -196,16 +135,17 @@ def test_gen_field_rejects_non_finite_medium(workspace, tmp_path, capsys, flag, 
 
 
 @pytest.mark.parametrize("family, amplitudes", [
-    ("chiral-exact", "1,2"), ("chiral-exact", "1,2,3,4"), ("abc-beltrami", "1"),
-    ("abc-beltrami", "1,x,3"), ("chiral-exact", "1,nan,3"),
+    ("chiral-exact", "1,2"), ("chiral-exact", "1,2,3,4"), ("chiral-exact", "1"),
+    ("chiral-exact", "1,x,3"), ("chiral-exact", "1,nan,3"),
 ])
 def test_gen_field_rejects_amplitudes_that_are_not_three_numbers(workspace, tmp_path, capsys,
                                                                   family, amplitudes):
     _, mesh_path, _ = workspace
+    out = tmp_path / "f.csv"
     assert main(["gen-field", "--family", family, "--mesh", mesh_path,
-                 "--wave-parameter", "1.3", "--amplitudes", amplitudes,
-                 "--out", str(tmp_path / "f.csv")]) == 2
+                 "--amplitudes", amplitudes, "--out", str(out)]) == 2
     assert "--amplitudes must be three finite numbers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_bp_json(tmp_path):
@@ -422,11 +362,16 @@ def test_json_artifacts_hold_no_nan_or_infinity(tmp_path, value):
     with pytest.raises(ValueError):
         _write_json(out, {"command": "test", "value": [1.0, value]})
     assert not out.exists()
+    # a file already at the path is left as it was
+    out.write_text("earlier run\n")
+    with pytest.raises(ValueError):
+        _write_json(out, {"command": "test", "value": [1.0, value]})
+    assert out.read_text() == "earlier run\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["kernel-probe", "--alpha", "0-400j"],
-    ["gen-field", "--family", "abc-beltrami", "--wave-parameter", "0-900j"],
+    ["gen-field", "--family", "chiral-exact", "--amplitudes", "1e308,1e308,1e308"],
 ], ids=["kernel-probe", "gen-field"])
 def test_csv_artifacts_hold_no_nan_or_infinity(workspace, tmp_path, capsys, argv):
     # the values overflow; like a JSON artifact the CSV is refused with exit 2
@@ -480,14 +425,37 @@ def test_cli_option_surface():
                for name, sub in subcommands.choices.items()}
     assert surface == {
         "gen-mesh": {"--radius", "--level", "--out"},
-        "gen-field": {"--family", "--mesh", "--amplitudes", "--wave-parameter",
-                      "--coeffs-file", "--out"} | _MEDIUM_FLAGS,
+        "gen-field": {"--family", "--mesh", "--amplitudes", "--out"} | _MEDIUM_FLAGS,
         "kernel-probe": {"--alpha", "--sign", "--rmin", "--rmax", "--count", "--out"},
         "verify-bp": {"--levels", "--alpha", "--out"},
         "reconstruct": {"--mesh", "--traces", "--probes", "--out"} | _MEDIUM_FLAGS,
         "extend-check": {"--mesh", "--traces", "--extrapolation", "--threshold", "--perturb",
                          "--seed", "--out"} | _MEDIUM_FLAGS,
     }
+    (family,) = [a for a in subcommands.choices["gen-field"]._actions if a.dest == "family"]
+    assert family.choices == ("chiral-exact",)
+
+
+@pytest.mark.parametrize("argv", [
+    "gen-mesh --level 1 --out {folder}",
+    "gen-field --family chiral-exact --mesh {folder} --out {out}",
+    "kernel-probe --alpha 1 --out {folder}",
+    "verify-bp --levels 2,3 --out {folder}",
+    "reconstruct --mesh {folder} --traces {traces} --out {out}",
+    "extend-check --mesh {mesh} --traces {folder} --out {out}",
+], ids=lambda argv: argv.split()[0])
+def test_path_that_cannot_be_opened_is_one_error_line(workspace, tmp_path, capsys, argv):
+    # a directory where a file is read or written: exit 2, no artifact
+    _, mesh, traces = workspace
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"folder": folder, "mesh": mesh, "traces": traces, "out": tmp_path / "out"}
+    assert main([token.format(**paths) for token in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ") and str(folder) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+    assert not any(folder.iterdir())
 
 
 def test_config_errors(tmp_path):

@@ -1,10 +1,8 @@
-"""The array writers of the OFF, trace, field-sample and
-kernel-probe files against line-by-line reference writers (byte for byte
-except the kernel probe's upsilon column), and the trace reader on their
-output."""
+"""The array writers of the OFF, trace and kernel-probe files against
+line-by-line reference writers (byte for byte except the kernel probe's
+upsilon column), and the trace reader on their output."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -12,9 +10,8 @@ import pytest
 from quatem import quaternions as q
 from quatem.cli import _load_traces, _save_traces, main
 from quatem.errors import ConfigError
-from quatem.fields import abc_beltrami, polynomial_field
 from quatem.kernels import theta, upsilon
-from quatem.geometry import build_sphere_mesh, load_off, save_off
+from quatem.geometry import build_sphere_mesh, save_off
 
 from oracles import from_text, to_text
 
@@ -48,33 +45,6 @@ def test_trace_csv_bytes_and_roundtrip(tmp_path):
     e_back, h_back = _load_traces(path, n)
     assert e_back.tobytes() == e.tobytes()
     assert h_back.tobytes() == h.tobytes()
-
-
-@pytest.mark.parametrize("family", ["abc-beltrami", "polynomial"])
-def test_field_sample_csv_bytes(tmp_path, family):
-    save_off(build_sphere_mesh(1.3, 2), tmp_path / "m.off")
-    mesh = load_off(tmp_path / "m.off")
-    if family == "abc-beltrami":
-        options = ["--wave-parameter", "0.8+0.3j", "--amplitudes", "0.5,-1.2,0"]
-        field = abc_beltrami(0.8 + 0.3j, 0.5, -1.2, 0.0)
-    else:
-        rng = np.random.default_rng(6)
-        coeffs = rng.normal(size=(4, 10)) + 1j * rng.normal(size=(4, 10))
-        coeffs[0, 0] = -0.0
-        (tmp_path / "c.json").write_text(json.dumps(
-            [[[c.real, c.imag] for c in row] for row in coeffs]))
-        options = ["--coeffs-file", str(tmp_path / "c.json")]
-        field = polynomial_field(coeffs)
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["triangle", "x", "y", "z", "q"])
-        for t, (p, v) in enumerate(zip(mesh.centroids, field.value(mesh.centroids))):
-            writer.writerow([t, "%.17g" % p[0], "%.17g" % p[1], "%.17g" % p[2], to_text(v)])
-    path = tmp_path / "s.csv"
-    assert main(["gen-field", "--family", family, "--mesh", str(tmp_path / "m.off"),
-                 "--out", str(path)] + options) == 0
-    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_kernel_probe_csv(tmp_path):

@@ -250,6 +250,20 @@ def test_teodorescu_rows_do_not_depend_on_the_other_targets():
         assert got[:, m].tobytes() == teodorescu((0.8, 0.8 + 0.3j), (1, -1), density, x).tobytes()
 
 
+def test_operators_of_no_targets_are_empty():
+    # zero targets give an empty result of the many-target shape, one term
+    # or K, and no error
+    x = np.zeros((0, 3))
+    fields = tuple(make_field(1.0) for make_field in _BP_FIELDS.values())
+    volume = VolumeDensity(BALL, lambda y: np.stack([f.value(y) for f in fields]))
+    trace = BoundaryDensity(RULE2, np.stack([f.value(RULE2.points) for f in fields]))
+    assert teodorescu(1.0, 1, VolumeDensity(BALL, fields[0].value), x).shape == (0, 4)
+    assert teodorescu((1.0,) * 3, (1,) * 3, volume, x).shape == (3, 0, 4)
+    assert cauchy_boundary((1.0,) * 3, (1,) * 3, trace, x).shape == (3, 0, 4)
+    assert borel_pompeiu_residual(fields[0], 1.0, 1, RULE2, 1.0, x).shape == (0,)
+    assert borel_pompeiu_residual(fields, 1.0, 1, RULE2, 1.0, x).shape == (3, 0)
+
+
 @pytest.mark.parametrize("target", [[0.0, 1.0, 0.0], [0.6, 0.6, 0.6], [2.0, 0.0, 0.0]])
 def test_teodorescu_refuses_a_target_not_inside_the_ball(target):
     # on the sphere rho vanishes in half the directions, outside it is
