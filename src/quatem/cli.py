@@ -157,26 +157,16 @@ def _load_traces(path, n_triangles: int):
         raise ConfigError("trace file %s: %s" % (path, exc)) from None
     if table.shape[1] != len(_TRACE_HEADER):
         _check_trace_columns(path)
-    index = table[:, 0]
-    out_of_range = (index != np.floor(index)) | (index < 0) | (index >= n_triangles)
-    if out_of_range.any():
-        raise ConfigError("trace row for triangle %g out of range"
-                          % index[np.argmax(out_of_range)])
-    tri = index.astype(np.int64)
-    counts = np.bincount(tri, minlength=n_triangles)
-    if (counts > 1).any():
-        raise ConfigError("trace file repeats triangle %d" % np.argmax(counts > 1))
-    if len(tri) != n_triangles:
-        raise ConfigError(
-            "trace file holds %d rows, mesh has %d triangles" % (len(tri), n_triangles)
-        )
+    if len(table) != n_triangles:
+        raise ConfigError("trace file holds %d rows, mesh has %d triangles"
+                          % (len(table), n_triangles))
+    misplaced = np.flatnonzero(table[:, 0] != np.arange(n_triangles))
+    if len(misplaced):
+        raise ConfigError("trace row %d holds triangle %g: row i must hold triangle i"
+                          % (misplaced[0], table[misplaced[0], 0]))
     # re/im pairs of e1..e3, h1..h3, read as six complex columns
     values = table[:, 1:].view(complex)
-    e = np.empty((n_triangles, 3), dtype=complex)
-    h = np.empty((n_triangles, 3), dtype=complex)
-    e[tri] = values[:, :3]
-    h[tri] = values[:, 3:]
-    return e, h
+    return values[:, :3], values[:, 3:]
 
 
 def _save_traces(path, e, h) -> None:
@@ -235,16 +225,16 @@ def cmd_kernel_probe(args) -> int:
                           "got %g and %g" % (args.rmin, args.rmax))
     radii = np.linspace(args.rmin, args.rmax, args.count)
     # upsilon is radial up to the factor x in its vector part, so the dump
-    # along any other ray is this one with the vector part rotated
+    # along any other ray is this one with the vector part rotated, and the
+    # kernel of D - alpha is this one with q0 negated
     xs = radii[:, None] * np.array([1.0, 0.0, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):  # save_csv refuses what overflows
         th = theta(args.alpha, xs)
-        up = upsilon(args.alpha, args.sign, xs)
-    # r, re/im of theta, then upsilon as re/im of q0..q3 separated by spaces
-    save_csv(args.out, np.column_stack([radii, th.real, th.imag, up.view(float)]),
-             "%.17g" + ",%.17g" * 3 + " %.17g" * 7, ["r", "theta_re", "theta_im", "upsilon"])
-    print("kernel-probe: alpha=%s sign=%+d, %d radii -> %s"
-          % (args.alpha, args.sign, args.count, args.out))
+        up = upsilon(args.alpha, 1, xs)
+    save_csv(args.out, np.column_stack([radii, th.real, th.imag, up.view(float)]), "%.17g",
+             ["r", "theta_re", "theta_im"]
+             + ["upsilon%d_%s" % (i, p) for i in range(4) for p in ("re", "im")])
+    print("kernel-probe: alpha=%s, %d radii -> %s" % (args.alpha, args.count, args.out))
     return EXIT_OK
 
 
@@ -405,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-probe", help="dump theta/upsilon along the +x ray (CSV)")
     p.add_argument("--alpha", type=_complex_arg, required=True)
-    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--rmin", type=float, default=0.1)
     p.add_argument("--rmax", type=float, default=2.0)
     p.add_argument("--count", type=int, default=50)
@@ -448,6 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that begins with '-' as an option unless it is a
+    # plain negative number: join each one to the long option before it
+    for i in reversed(range(1, len(argv))):
+        opt, value = argv[i - 1:i + 1]
+        if opt[:2] == "--" and "=" not in opt and value[:1] == "-" != value[1:2]:
+            argv[i - 1:i + 1] = [opt + "=" + value]
     try:
         try:
             args = parser.parse_args(argv)

@@ -140,7 +140,7 @@ def polynomial_field(coeffs) -> AnalyticField:
 
     `coeffs` has shape (4, 10): rows are q0..q3, columns follow the
     monomial order 1, x1, x2, x3, x1^2, x2^2, x3^2, x1*x2, x1*x3, x2*x3.
-    The derivative oracle assembles D f = -div + grad + rot symbolically;
+    The derivative oracle is D f = sum_k i_k df/dx_k on the table;
     (D + s) f is the polynomial with coefficients d_coeffs + s * coeffs,
     None when all of them are zero.
     """
@@ -150,14 +150,8 @@ def polynomial_field(coeffs) -> AnalyticField:
     if not q.is_finite(coeffs):
         raise ValueError("polynomial coefficients must be finite")
 
-    grad = [coeffs @ _DMAT[axis] for axis in range(3)]  # d(coeffs)/dx_axis
-    d_coeffs = np.zeros_like(coeffs)
-    d_coeffs[0] = -(grad[0][1] + grad[1][2] + grad[2][3])          # -div of vector part
-    for axis in range(3):                                          # grad of scalar part
-        d_coeffs[1 + axis] += grad[axis][0]
-    d_coeffs[1] += grad[1][3] - grad[2][2]                         # rot of vector part
-    d_coeffs[2] += grad[2][1] - grad[0][3]
-    d_coeffs[3] += grad[0][2] - grad[1][1]
+    # each column of the table is one quaternion, so D acts column by column
+    d_coeffs = sum(q.qmul(q.UNITS[k + 1], (coeffs @ _DMAT[k]).T) for k in range(3)).T
 
     def shifted(f, s):
         s_coeffs = d_coeffs + s * coeffs

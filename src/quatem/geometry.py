@@ -166,14 +166,9 @@ def _edges(faces: np.ndarray):
 def _subdivide(vertices: np.ndarray, faces: np.ndarray):
     """One midpoint subdivision step with vertices kept on the unit sphere.
 
-    The midpoint of each edge is appended in order of the edge's first
-    appearance, so vertex numbering follows the faces.
+    The midpoint of each edge is appended under the edge's id from _edges.
     """
     directed, ids = _edges(faces)
-    _, first = np.unique(ids.ravel(), return_index=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    ids = rank[ids]
     ends = np.empty((int(ids.max()) + 1, 2), dtype=faces.dtype)
     ends[ids] = directed
     m = vertices[ends[:, 0]] + vertices[ends[:, 1]]

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quaternions as q
 from .fields import AnalyticField
-from .geometry import SurfaceMesh, polar_ball_rule
+from .geometry import SurfaceMesh, SurfaceRule, polar_ball_rule
 from .maxwell import ChiralMedium, merge_values, phi_psi_rhs, split_values
 from .operators import (
     MIN_DISTANCE_FACTOR,
@@ -43,11 +43,11 @@ EXTRAPOLATIONS = {
 }
 
 
-def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
+def reconstruct_eh(mesh: SurfaceMesh | SurfaceRule, e_trace, h_trace, medium: ChiralMedium, x,
                    current: AnalyticField | None = None, radius: float | None = None):
-    """E and H at interior points from per-triangle boundary traces.
+    """E and H at interior points from traces at a SurfaceMesh's or SurfaceRule's nodes.
 
-    Splits the traces into per-triangle densities of the modes
+    Splits the traces into per-node densities of the modes
     Phi = e + i h and Psi = e - i h, reconstructs both,
 
     Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
@@ -71,8 +71,8 @@ def reconstruct_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x,
     return merge_values(*phi_psi_x)
 
 
-def two_kernel_eh(mesh: SurfaceMesh, e_trace, h_trace, medium: ChiralMedium, x):
-    """Source-free E and H from the explicit two-kernel displays
+def two_kernel_eh(mesh: SurfaceMesh | SurfaceRule, e_trace, h_trace, medium: ChiralMedium, x):
+    """Source-free E and H (traces as in reconstruct_eh) by the two-kernel displays
 
     E = (K1 + K2) e / 2 + i (K1 - K2) h / 2
     H = (K1 - K2) e / (2i) + (K1 + K2) h / 2

@@ -6,14 +6,10 @@ and fields; grad_theta is the closed-form gradient of the Helmholtz
 fundamental solution; maxwell_residual checks the chiral curl equations,
 with or without a current, by finite differences; rot_coeffs and
 manufactured_current_solution build a polynomial chiral solution with a
-current; constant_field is the degree-0 polynomial field; to_text/from_text
-write and read one quaternion as the 8 numbers of kernel-probe's CSV upsilon
-column;
-poly_eval_powers evaluates a polynomial field's coefficient table through
-complex power products; edges_first_appearance numbers a mesh's edges in
-order of first appearance; proper_rotation draws a random rotation; and
-ELLIPSOID_AXES scales an icosphere into the tests' non-spherical closed
-surface.
+current; constant_field is the degree-0 polynomial field; poly_eval_powers
+evaluates a polynomial field's coefficient table through complex power
+products; proper_rotation draws a random rotation; and ELLIPSOID_AXES scales
+an icosphere into the tests' non-spherical closed surface.
 """
 
 from __future__ import annotations
@@ -152,26 +148,6 @@ def constant_field(value) -> AnalyticField:
     return polynomial_field(coeffs)
 
 
-def to_text(quat) -> str:
-    """Serialize one quaternion as 8 decimal numbers: re/im of q0..q3."""
-    quat = np.asarray(quat, dtype=complex).reshape(4)
-    parts = []
-    for c in quat:
-        parts.append("%.17g" % c.real)
-        parts.append("%.17g" % c.imag)
-    return " ".join(parts)
-
-
-def from_text(text: str) -> np.ndarray:
-    """Parse the 8-number serialization produced by to_text."""
-    nums = [float(tok) for tok in text.replace(",", " ").split()]
-    if len(nums) != 8:
-        raise ValueError("expected 8 numbers (re/im of q0..q3), got %d" % len(nums))
-    return np.array(
-        [complex(nums[2 * k], nums[2 * k + 1]) for k in range(4)], dtype=complex
-    )
-
-
 def poly_eval_powers(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate a (4, 10) coefficient table at points (..., 3) -> (..., 4)
     as products of powers, made complex before one complex matrix product."""
@@ -184,18 +160,6 @@ def poly_eval_powers(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         axis=-1,
     ).astype(complex)
     return mono @ coeffs.T
-
-
-def edges_first_appearance(faces: np.ndarray):
-    """Directed edges (a, b), (b, c), (c, a) of each face, shape (F, 3, 2),
-    and the id of each one's undirected edge, shape (F, 3), numbered in
-    order of first appearance."""
-    directed = np.stack([faces, faces[:, [1, 2, 0]]], axis=-1)
-    keys = directed.min(axis=-1) * (int(faces.max()) + 1) + directed.max(axis=-1)
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return directed, rank[inverse].reshape(faces.shape)
 
 
 def proper_rotation(rng) -> np.ndarray:

@@ -426,7 +426,7 @@ def test_cli_option_surface():
     assert surface == {
         "gen-mesh": {"--radius", "--level", "--out"},
         "gen-field": {"--family", "--mesh", "--amplitudes", "--out"} | _MEDIUM_FLAGS,
-        "kernel-probe": {"--alpha", "--sign", "--rmin", "--rmax", "--count", "--out"},
+        "kernel-probe": {"--alpha", "--rmin", "--rmax", "--count", "--out"},
         "verify-bp": {"--levels", "--alpha", "--out"},
         "reconstruct": {"--mesh", "--traces", "--probes", "--out"} | _MEDIUM_FLAGS,
         "extend-check": {"--mesh", "--traces", "--extrapolation", "--threshold", "--perturb",
@@ -458,6 +458,32 @@ def test_path_that_cannot_be_opened_is_one_error_line(workspace, tmp_path, capsy
     assert not any(folder.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    "reconstruct --mesh {mesh} --traces {traces} --probes -0.3,0.1,0.2",
+    "verify-bp --alpha -1-0.5j",
+    "gen-field --family chiral-exact --mesh {mesh} --amplitudes -1,0.7,0.3",
+    "gen-field --family chiral-exact --mesh {mesh} --epsilon -2+0.1j",
+    "kernel-probe --alpha -1e-3",
+], ids=lambda argv: "%s %s" % (argv.split()[0], argv.split()[-2]))
+def test_option_value_that_begins_with_a_dash(workspace, tmp_path, argv):
+    # argparse alone takes '-1e-3' for an option and exits 2; such a value is
+    # joined to its flag, so both forms write the same artifact
+    _, mesh, traces = workspace
+    tokens = argv.format(mesh=mesh, traces=traces).split()
+    joined = tokens[:-2] + ["=".join(tokens[-2:])]
+    spaced, equals = tmp_path / "spaced", tmp_path / "equals"
+    assert main(tokens + ["--out", str(spaced)]) == 0
+    assert main(joined + ["--out", str(equals)]) == 0
+    assert spaced.read_bytes() == equals.read_bytes()
+
+
+def test_option_followed_by_an_option_still_lacks_its_value(tmp_path, capsys):
+    out = tmp_path / "kp.csv"
+    assert main(["kernel-probe", "--alpha", "--out", str(out)]) == 2
+    assert "--alpha: expected one argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_errors(tmp_path):
     out = str(tmp_path / "x.json")
     assert main(["reconstruct", "--mesh", "missing.off", "--traces", "missing.csv",
@@ -470,7 +496,7 @@ def test_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize("fault, message", [("short row", "has 7 columns"),
-                                            ("repeated triangle", "repeats triangle 1")])
+                                            ("repeated triangle", "row 6 holds triangle 1:")])
 def test_malformed_trace_file(workspace, tmp_path, capsys, fault, message):
     _, mesh_path, traces = workspace
     with open(traces, newline="") as fh:
@@ -500,20 +526,21 @@ def test_trace_file_values_and_bad_rows(workspace, tmp_path, capsys):
             csv.writer(fh).writerows([rows[0]] + body)
         return path
 
-    # rows in reverse order: each lands at its own triangle, bit for bit
-    e, h = _load_traces(write(rows[:0:-1]), n_triangles)
-    for row in rows[1:]:
+    # row i holds triangle i, read bit for bit
+    e, h = _load_traces(write(rows[1:]), n_triangles)
+    for t, row in enumerate(rows[1:]):
         v = [float(s) for s in row[1:]]
         pairs = [complex(v[2 * i], v[2 * i + 1]) for i in range(6)]
-        assert e[int(row[0])].tolist() == pairs[:3]
-        assert h[int(row[0])].tolist() == pairs[3:]
+        assert e[t].tolist() == pairs[:3]
+        assert h[t].tolist() == pairs[3:]
 
     out_of_range = [list(r) for r in rows[1:]]
     out_of_range[2][0] = str(n_triangles)
     non_numeric = [list(r) for r in rows[1:]]
     non_numeric[2][5] = "abc"
     missing = rows[1:3] + rows[4:]
-    for body, message in ((out_of_range, "out of range"),
+    for body, message in ((rows[:0:-1], "row 0 holds triangle %d:" % (n_triangles - 1)),
+                          (out_of_range, "row 2 holds triangle %d:" % n_triangles),
                           (non_numeric, "could not convert"),
                           (missing, "holds %d rows" % (n_triangles - 1))):
         assert main(["reconstruct", "--mesh", mesh_path, "--traces", write(body),

@@ -1,6 +1,6 @@
 """The array writers of the OFF, trace and kernel-probe files against
 line-by-line reference writers (byte for byte except the kernel probe's
-upsilon column), and the trace reader on their output."""
+upsilon columns), and the trace reader on their output."""
 
 import csv
 
@@ -12,8 +12,6 @@ from quatem.cli import _load_traces, _save_traces, main
 from quatem.errors import ConfigError
 from quatem.kernels import theta, upsilon
 from quatem.geometry import build_sphere_mesh, save_off
-
-from oracles import from_text, to_text
 
 
 def test_off_bytes(tmp_path):
@@ -48,18 +46,18 @@ def test_trace_csv_bytes_and_roundtrip(tmp_path):
 
 
 def test_kernel_probe_csv(tmp_path):
-    alpha, sign, count = 1.0 + 0.3j, -1, 50
+    alpha, count = 1.0 + 0.3j, 50
     direction = np.array([1.0, 0.0, 0.0])  # the +x ray
     reference = tmp_path / "reference.csv"
     with open(reference, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["r", "theta_re", "theta_im", "upsilon"])
+        writer.writerow(["r", "theta_re", "theta_im"]
+                        + ["upsilon%d_%s" % (i, p) for i in range(4) for p in ("re", "im")])
         for r in np.linspace(0.1, 2.0, count):
-            th = theta(alpha, r * direction)
-            writer.writerow(["%.17g" % r, "%.17g" % th.real, "%.17g" % th.imag,
-                             to_text(upsilon(alpha, sign, r * direction))])
+            th, ups = theta(alpha, r * direction), upsilon(alpha, 1, r * direction)
+            writer.writerow(["%.17g" % v for v in (r, th.real, th.imag, *ups.view(float))])
     path = tmp_path / "kp.csv"
-    assert main(["kernel-probe", "--alpha", "1+0.3j", "--sign", "-1", "--count", str(count),
+    assert main(["kernel-probe", "--alpha", "1+0.3j", "--count", str(count),
                  "--out", str(path)]) == 0
     with open(reference, newline="") as fh:
         expected = list(csv.reader(fh))
@@ -67,11 +65,10 @@ def test_kernel_probe_csv(tmp_path):
         got = list(csv.reader(fh))
     assert path.read_bytes().count(b"\r\n") == count + 1
     assert got[0] == expected[0] and len(got) == len(expected) == count + 1
-    assert all(len(row) == 4 and row[:3] == ref[:3] for row, ref in zip(got, expected))
+    assert all(len(row) == 11 and row[:3] == ref[:3] for row, ref in zip(got, expected))
     # the batched evaluation may round the last digit of upsilon differently
     for row, ref in zip(got[1:], expected[1:]):
-        ups, ups_ref = (from_text(text) for text in (row[3], ref[3]))
-        assert len(row[3].split(" ")) == 8
+        ups, ups_ref = (np.array(cells[3:], dtype=float).view(complex) for cells in (row, ref))
         assert q.norm(ups - ups_ref) <= 1e-14 * q.norm(ups_ref)
 
 
@@ -80,5 +77,5 @@ def test_trace_reader_rejects_fractional_triangle(tmp_path):
     _save_traces(path, np.ones((3, 3), dtype=complex), np.ones((3, 3), dtype=complex))
     text = path.read_text().replace("\n1,", "\n1.5,")
     path.write_text(text)
-    with pytest.raises(ConfigError, match="triangle 1.5 out of range"):
+    with pytest.raises(ConfigError, match="trace row 1 holds triangle 1.5: row i must hold"):
         _load_traces(path, 3)

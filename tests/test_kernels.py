@@ -70,27 +70,33 @@ def test_kernel_shapes():
 
 def test_kernel_probe_csv_layout(tmp_path):
     out = str(tmp_path / "kp.csv")
-    assert main(["kernel-probe", "--alpha", "0.8+0.3j", "--sign", "-1", "--count", "4",
+    assert main(["kernel-probe", "--alpha", "0.8+0.3j", "--count", "4",
                  "--rmin", "0.5", "--rmax", "2", "--out", out]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["r", "theta_re", "theta_im", "upsilon"]
+    assert rows[0] == ["r", "theta_re", "theta_im", "upsilon0_re", "upsilon0_im", "upsilon1_re",
+                       "upsilon1_im", "upsilon2_re", "upsilon2_im", "upsilon3_re", "upsilon3_im"]
     assert len(rows) == 5
     for row in rows[1:]:
-        assert len(row) == 4 and len(row[3].split(" ")) == 8
+        assert len(row) == 11
         r = float(row[0])
-        up = np.array([float(v) for v in row[3].split(" ")]).view(complex)
-        assert np.allclose(up, upsilon(0.8 + 0.3j, -1, [r, 0.0, 0.0]), rtol=1e-15, atol=0.0)
+        up = np.array([float(v) for v in row[3:]]).view(complex)
+        assert np.allclose(up, upsilon(0.8 + 0.3j, 1, [r, 0.0, 0.0]), rtol=1e-15, atol=0.0)
 
 
 def test_upsilon_along_any_ray_is_the_x_ray_rotated():
     # upsilon(r d) = (sign*alpha*theta(r), c(r) r d) for a unit vector d, with
-    # c(r) r the vector part along +x: kernel-probe's ray stands for every ray
+    # c(r) r the vector part along +x: kernel-probe's ray stands for every ray,
+    # and its sign +1 dump for sign -1, which negates q0 only
     rng = np.random.default_rng(41)
     d = rng.standard_normal((20, 3))
     d /= np.linalg.norm(d, axis=1)[:, None]
     r = np.linspace(0.1, 2.0, 7)
     for alpha in ALPHAS:
+        plus = upsilon(alpha, 1, r[:, None] * [1.0, 0.0, 0.0])
+        minus = upsilon(alpha, -1, r[:, None] * [1.0, 0.0, 0.0])
+        assert np.array_equal(minus[:, 0], -plus[:, 0])
+        assert np.array_equal(minus[:, 1:], plus[:, 1:])
         for s in (1, -1):
             on_x = upsilon(alpha, s, r[:, None] * [1.0, 0.0, 0.0])
             assert np.all(on_x[:, 2:] == 0)

@@ -1,13 +1,9 @@
-"""Algebra layer: Cayley table, ring axioms, conjugation, serialization."""
+"""Algebra layer: Cayley table, ring axioms, conjugation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quatem import quaternions as q
-
-from oracles import from_text, to_text
 
 # Independent multiplication oracle: structure constants of the basis,
 # written down directly from i1*i2 = i3 (cyclic) and ik^2 = -1.
@@ -115,18 +111,6 @@ def test_broadcasting():
 def test_scalar_vector_split_roundtrip():
     u = q.quat(1j, 2, 3, 4 - 1j)
     assert np.array_equal(q.scalar(q.sc(u)) + q.vector(q.vec(u)), u)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=8, max_size=8))
-def test_serialization_roundtrip(vals):
-    u = np.array(vals[:4]) + 1j * np.array(vals[4:])
-    assert np.array_equal(from_text(to_text(u)), u)
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        from_text("1 2 3")
 
 
 def test_norm_and_finiteness():
