@@ -293,19 +293,20 @@ def _parse_probes(text: str) -> np.ndarray:
 
 def cmd_reconstruct(args) -> int:
     mesh = _outward_mesh(args.mesh)
+    rule = mesh.rule
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
     probes = _parse_probes(args.probes)
     # K_0 of the constant 1: 1 inside the surface, 0 outside
-    ones = BoundaryDensity(mesh, np.broadcast_to(q.ONE, (mesh.n_triangles, 4)))
+    ones = BoundaryDensity(rule, np.broadcast_to(q.ONE, (len(rule.points), 4)))
     indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
     for x, value in zip(probes, indicator):
         if abs(value - 1.0) > 0.5:
             print("numeric precondition violated: probe %g,%g,%g is not inside the surface "
                   "(interior indicator %.4g, expected 1)" % (*x, value), file=sys.stderr)
             return EXIT_NUMERIC
-    e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, medium, probes)
-    e_k, h_k = two_kernel_eh(mesh, e_tr, h_tr, medium, probes)
+    e_x, h_x = reconstruct_eh(rule, e_tr, h_tr, medium, probes)
+    e_k, h_k = two_kernel_eh(rule, e_tr, h_tr, medium, probes)
     gaps = np.maximum(q.norm(e_x - e_k), q.norm(h_x - h_k))
     worst_gap = float(gaps.max())
     results = [
@@ -338,11 +339,12 @@ def cmd_extend_check(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer, got %d" % args.seed)
     mesh = _outward_mesh(args.mesh)
+    rule = mesh.rule
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
     if args.perturb:
-        e_tr, h_tr = perturb_traces(mesh, e_tr, h_tr, args.perturb, args.seed)
-    report = extendibility_residual(mesh, e_tr, h_tr, medium, args.extrapolation)
+        e_tr, h_tr = perturb_traces(rule, e_tr, h_tr, args.perturb, args.seed)
+    report = extendibility_residual(rule, e_tr, h_tr, medium, args.extrapolation)
     verdict_ok = report.rms <= args.threshold
     _write_json(args.out, {
         "command": "extend-check",
@@ -360,7 +362,7 @@ def cmd_extend_check(args) -> int:
         "per_point": [
             {"point": [float(v) for v in p],
              "residual_e": float(re), "residual_h": float(rh)}
-            for p, re, rh in zip(mesh.centroids, report.residual_e, report.residual_h)
+            for p, re, rh in zip(rule.points, report.residual_e, report.residual_h)
         ],
         "extendible": verdict_ok,
     })

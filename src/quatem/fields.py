@@ -49,10 +49,6 @@ class AnalyticField:
             raise ValueError("sign must be +1 or -1")
         return self.shifted(self, sign * alpha)
 
-    def vector_value(self, x) -> np.ndarray:
-        """Vector part of the field, as a C^3 evaluator."""
-        return q.vec(self.value(x))
-
 
 def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
                  c=DEFAULT_AMPLITUDES[2]) -> AnalyticField:

@@ -57,6 +57,7 @@ class SurfaceRule:
 
     @property
     def flat_points(self) -> np.ndarray:
+        """The points; the benchmark's tracer (perfbench/tracing.py) reads them."""
         return self.points
 
 
@@ -86,16 +87,6 @@ class SurfaceMesh:
     def spacing(self) -> float:
         """Characteristic mesh length, sqrt of the mean triangle area."""
         return float(np.sqrt(self.areas.mean()))
-
-    @property
-    def inradius(self) -> float:
-        """Smallest centroid distance from the vertex mean (star-shaped surfaces)."""
-        center = self.vertices.mean(axis=0)
-        return float(np.min(np.linalg.norm(self.centroids - center, axis=1)))
-
-    @property
-    def flat_points(self) -> np.ndarray:
-        return self.centroids
 
     @property
     def rule(self) -> SurfaceRule:
@@ -235,10 +226,9 @@ def polar_ball_rule(radius: float, orders=POLAR_ORDERS) -> BallRule:
 
 @dataclass(frozen=True)
 class NormalCheck:
-    """Divergence-theorem diagnostics for a closed surface mesh."""
+    """Closure and orientation diagnostics for a closed surface mesh."""
 
     flux_residual: float        # | sum_t A_t n_t |, ~0 for a closed consistent mesh
-    divergence_residual: float  # relative gap between int x.n dG and 3*Vol
     signed_volume: float        # from the vertex winding; > 0 means outward
     consistent_orientation: bool
 
@@ -258,11 +248,8 @@ def checked_normals(mesh: SurfaceMesh) -> NormalCheck:
         np.einsum("ti,ti->", corners[:, 0], np.cross(corners[:, 1], corners[:, 2])) / 6.0
     )
     flux = float(np.linalg.norm((mesh.areas[:, None] * mesh.normals).sum(axis=0)))
-    moment = float(np.sum(mesh.areas * np.einsum("ti,ti->t", mesh.centroids, mesh.normals)))
-    scale = max(abs(3.0 * signed_volume), 1e-300)
     return NormalCheck(
         flux_residual=flux,
-        divergence_residual=abs(moment - 3.0 * signed_volume) / scale,
         signed_volume=signed_volume,
         consistent_orientation=consistent,
     )

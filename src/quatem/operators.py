@@ -22,7 +22,7 @@ kernel's 1/r**2 growth.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import quaternions as q
 from .errors import NearSingularityError
 from .fields import AnalyticField
-from .geometry import BallRule, SurfaceMesh, SurfaceRule, polar_ball_rule
+from .geometry import BallRule, SurfaceRule, polar_ball_rule
 from .kernels import radial_factors
 
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
@@ -52,23 +52,21 @@ RESIDUAL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BoundaryDensity:
-    """One quaternion per node of a surface rule (or K such densities): a
-    SurfaceMesh's centroid rule, stored in `rule`, or a SurfaceRule such as
-    geometry.sphere_rule's.  The values are stored as complex."""
+    """One quaternion per node of a surface rule (or K such densities), such
+    as a mesh's centroid rule (SurfaceMesh.rule) or geometry.sphere_rule's.
+    The values are stored as complex."""
 
-    mesh: SurfaceMesh | SurfaceRule
+    # a rule, under the name that perfbench/tracing.py reads (density.mesh.flat_points)
+    mesh: SurfaceRule
     values: np.ndarray  # (N, 4) or (K, N, 4)
-    rule: SurfaceRule = field(init=False, repr=False)
 
     def __post_init__(self):
-        rule = self.mesh.rule if isinstance(self.mesh, SurfaceMesh) else self.mesh
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim not in (2, 3) or values.shape[-2:] != (len(rule.points), 4):
-            raise ValueError("values must have shape [K,] %s" % ((len(rule.points), 4),))
+        if values.ndim not in (2, 3) or values.shape[-2:] != (len(self.mesh.points), 4):
+            raise ValueError("values must have shape [K,] %s" % ((len(self.mesh.points), 4),))
         if not q.is_finite(values):
             raise ValueError("boundary density contains non-finite values")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "rule", rule)
 
 
 @dataclass(frozen=True)
@@ -199,7 +197,7 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     one thread.  Each side has its own buffers (add).  A guard error on
     either side is raised here once both have stopped, the caller's first.
     """
-    rule, y = density.rule, density.rule.points
+    rule, y = density.mesh, density.mesh.points
     x = _targets(x)
     xs = x.reshape(-1, 3)
     terms = density.values.shape[:-2]

@@ -11,25 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-ZERO = np.zeros(4, dtype=complex)
 ONE = np.array([1, 0, 0, 0], dtype=complex)
 I1 = np.array([0, 1, 0, 0], dtype=complex)
 I2 = np.array([0, 0, 1, 0], dtype=complex)
 I3 = np.array([0, 0, 0, 1], dtype=complex)
 UNITS = (ONE, I1, I2, I3)
-
-
-def quat(q0=0j, q1=0j, q2=0j, q3=0j) -> np.ndarray:
-    """Build a single quaternion from its four complex coefficients."""
-    return np.array([q0, q1, q2, q3], dtype=complex)
-
-
-def scalar(s) -> np.ndarray:
-    """Embed a complex scalar (array) as a quaternion with zero vector part."""
-    s = np.asarray(s, dtype=complex)
-    out = np.zeros(s.shape + (4,), dtype=complex)
-    out[..., 0] = s
-    return out
 
 
 def vector(v) -> np.ndarray:
@@ -66,16 +52,6 @@ def qmul(a, b) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def qconj(q) -> np.ndarray:
-    """Quaternionic conjugate: scalar part kept, vector part negated.
-
-    The complex coefficients are NOT conjugated.
-    """
-    out = np.array(q, dtype=complex, copy=True)
-    out[..., 1:] *= -1
-    return out
 
 
 def norm(q) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations and helpers that only the tests use.
 
-Finite-difference versions of the Moisil-Theodoresco operator D, of
-D +- alpha and of div/rot check the closed-form derivatives of the kernels
-and fields; grad_theta is the closed-form gradient of the Helmholtz
-fundamental solution; maxwell_residual checks the chiral curl equations,
-with or without a current, by finite differences; rot_coeffs and
+quat, scalar, qconj and ZERO build, embed and conjugate quaternions beside
+quatem.quaternions; vector_value(f) is the C^3 evaluator of a field's vector
+part; divergence_residual(mesh) checks the centroid rule against the
+divergence theorem.  Finite-difference versions of the Moisil-Theodoresco
+operator D, of D +- alpha and of div/rot check the closed-form derivatives
+of the kernels and fields; grad_theta is the closed-form gradient of the
+Helmholtz fundamental solution; maxwell_residual checks the chiral curl
+equations, with or without a current, by finite differences; rot_coeffs and
 manufactured_current_solution build a polynomial chiral solution with a
 current; constant_field is the degree-0 polynomial field; poly_eval_powers
 evaluates a polynomial field's coefficient table through complex power
@@ -18,12 +21,51 @@ import numpy as np
 
 from quatem import quaternions as q
 from quatem.fields import _DMAT, _POWERS, N_MONOMIALS, AnalyticField, polynomial_field
+from quatem.geometry import SurfaceMesh, checked_normals
 from quatem.kernels import _radii, theta
 from quatem.maxwell import ChiralMedium
 from quatem.operators import RESIDUAL_FLOOR
 
 DEFAULT_FD_STEP = 1e-4
 ELLIPSOID_AXES = np.array([1.0, 0.7, 0.4])
+ZERO = np.zeros(4, dtype=complex)
+
+
+def quat(q0=0j, q1=0j, q2=0j, q3=0j) -> np.ndarray:
+    """Build a single quaternion from its four complex coefficients."""
+    return np.array([q0, q1, q2, q3], dtype=complex)
+
+
+def scalar(s) -> np.ndarray:
+    """Embed a complex scalar (array) as a quaternion with zero vector part."""
+    s = np.asarray(s, dtype=complex)
+    out = np.zeros(s.shape + (4,), dtype=complex)
+    out[..., 0] = s
+    return out
+
+
+def qconj(u) -> np.ndarray:
+    """Quaternionic conjugate: scalar part kept, vector part negated.
+
+    The complex coefficients are NOT conjugated.
+    """
+    out = np.array(u, dtype=complex, copy=True)
+    out[..., 1:] *= -1
+    return out
+
+
+def vector_value(f: AnalyticField):
+    """The vector part of the field f, as a C^3 evaluator."""
+    return lambda x: q.vec(f.value(x))
+
+
+def divergence_residual(mesh: SurfaceMesh) -> float:
+    """Relative gap between the centroid rule's int x.n dS and 3 * volume
+    (the divergence theorem for the field x), the volume from the vertex
+    winding (checked_normals)."""
+    volume = checked_normals(mesh).signed_volume
+    moment = float(np.sum(mesh.areas * np.einsum("ti,ti->t", mesh.centroids, mesh.normals)))
+    return abs(moment - 3.0 * volume) / max(abs(3.0 * volume), 1e-300)
 
 
 def grad_theta(alpha, x) -> np.ndarray:
@@ -95,15 +137,16 @@ def maxwell_residual(e_field: AnalyticField, h_field: AnalyticField,
     """
     x = np.asarray(x, dtype=float)
     k, beta = medium.k, medium.beta
-    rot_e = fd_curl(e_field.vector_value, x)
-    rot_h = fd_curl(h_field.vector_value, x)
-    e_x = e_field.vector_value(x)
-    h_x = h_field.vector_value(x)
+    e_vec, h_vec = vector_value(e_field), vector_value(h_field)
+    rot_e = fd_curl(e_vec, x)
+    rot_h = fd_curl(h_vec, x)
+    e_x = e_vec(x)
+    h_x = h_vec(x)
 
     rhs1 = -1j * k * (h_x + beta * rot_h)
     rhs2 = 1j * k * (e_x + beta * rot_e)
     if current is not None:
-        rhs2 = rhs2 + current.vector_value(x)
+        rhs2 = rhs2 + vector_value(current)(x)
     norm = np.linalg.norm
     r1 = norm(rot_e - rhs1) / max(norm(rot_e), norm(rhs1), RESIDUAL_FLOOR)
     r2 = norm(rot_h - rhs2) / max(norm(rot_h), norm(rhs2), RESIDUAL_FLOOR)

@@ -30,7 +30,7 @@ from quatem.reconstruction import (
     two_kernel_eh,
 )
 
-from oracles import fd_d_alpha, fd_moisil_theodoresco, maxwell_residual
+from oracles import fd_d_alpha, fd_moisil_theodoresco, maxwell_residual, qconj
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 
@@ -70,7 +70,7 @@ def test_criterion_1_algebra_suite(capsys):
     u, v, w = (rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
                for _ in range(3))
     assoc = float(np.max(np.abs(q.qmul(q.qmul(u, v), w) - q.qmul(u, q.qmul(v, w)))))
-    anti = float(np.max(np.abs(q.qconj(q.qmul(u, v)) - q.qmul(q.qconj(v), q.qconj(u)))))
+    anti = float(np.max(np.abs(qconj(q.qmul(u, v)) - q.qmul(qconj(v), qconj(u)))))
     elapsed = time.perf_counter() - start
     ok = table_ok and assoc < 1e-12 and anti < 1e-12 and elapsed < 1.0
     _report(capsys, 1, ok,
@@ -146,14 +146,14 @@ def test_criterion_5_manufactured_chiral_solution(capsys):
 
 
 def _reconstruction_worst(level):
-    mesh = build_sphere_mesh(1.0, level)
+    rule = build_sphere_mesh(1.0, level).rule
     e_field, h_field = exact_chiral_solution(MEDIUM)
-    pts = mesh.centroids
+    pts = rule.points
     e_tr, h_tr = q.vec(e_field.value(pts)), q.vec(h_field.value(pts))
     probes = BP_PROBES  # all with |x| <= 0.5
     worst = gap = 0.0
-    e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, probes)
-    e_two, h_two = two_kernel_eh(mesh, e_tr, h_tr, MEDIUM, probes)
+    e_all, h_all = reconstruct_eh(rule, e_tr, h_tr, MEDIUM, probes)
+    e_two, h_two = two_kernel_eh(rule, e_tr, h_tr, MEDIUM, probes)
     for x, e1, h1, e2, h2 in zip(probes, e_all, h_all, e_two, h_two):
         exact_e, exact_h = e_field.value(x), h_field.value(x)
         worst = max(worst,
@@ -174,13 +174,13 @@ def test_criterion_6_reconstruction(capsys):
 
 
 def test_criterion_7_extendibility(capsys, tmp_path):
-    mesh = build_sphere_mesh(1.0, 3)
+    rule = build_sphere_mesh(1.0, 3).rule
     e_field, h_field = exact_chiral_solution(MEDIUM)
-    pts = mesh.centroids
+    pts = rule.points
     e_tr, h_tr = q.vec(e_field.value(pts)), q.vec(h_field.value(pts))
-    r0 = extendibility_residual(mesh, e_tr, h_tr, MEDIUM).rms
-    e_p, h_p = perturb_traces(mesh, e_tr, h_tr, 0.10, seed=42)
-    r1 = extendibility_residual(mesh, e_p, h_p, MEDIUM).rms
+    r0 = extendibility_residual(rule, e_tr, h_tr, MEDIUM).rms
+    e_p, h_p = perturb_traces(rule, e_tr, h_tr, 0.10, seed=42)
+    r1 = extendibility_residual(rule, e_p, h_p, MEDIUM).rms
 
     mesh_path = str(tmp_path / "m.off")
     traces = str(tmp_path / "t.csv")

@@ -43,7 +43,7 @@ from quatem.operators import (
     teodorescu,
 )
 
-from oracles import ELLIPSOID_AXES, constant_field, grad_theta, proper_rotation
+from oracles import ELLIPSOID_AXES, constant_field, grad_theta, proper_rotation, quat, scalar
 
 MESH2 = build_sphere_mesh(1.0, 2)
 MESH3 = build_sphere_mesh(1.0, 3)
@@ -72,9 +72,9 @@ def _polar_reference(density, x, kernel):
 
 def test_density_validation():
     with pytest.raises(ValueError):
-        BoundaryDensity(MESH2, np.zeros((3, 1, 4), dtype=complex))
+        BoundaryDensity(MESH2.rule, np.zeros((3, 1, 4), dtype=complex))
     with pytest.raises(ValueError):
-        BoundaryDensity(MESH2, np.full((MESH2.n_triangles, 4), np.nan))
+        BoundaryDensity(MESH2.rule, np.full((MESH2.n_triangles, 4), np.nan))
 
     def nan_at_first_point(pts):
         out = np.ones(pts.shape[:-1] + (4,), dtype=complex)
@@ -88,7 +88,7 @@ def test_density_validation():
 def test_panel_constant_density():
     vals = np.zeros((MESH2.n_triangles, 4))
     vals[:, 0] = 2.0
-    d = BoundaryDensity(MESH2, vals)
+    d = BoundaryDensity(MESH2.rule, vals)
     assert d.values.shape == (MESH2.n_triangles, 4)
     assert d.values.dtype == complex
     assert np.all(d.values[:, 0] == 2.0)
@@ -130,12 +130,12 @@ def test_teodorescu_sign_coherence():
     # both sign conventions share the same Helmholtz kernel; only the
     # alpha*theta scalar term flips.  Rebuild each kernel from the raw
     # closed forms and sum the polar rule with it by hand.
-    d = _const_volume(q.quat(1, 0.5, -0.25, 2j))
+    d = _const_volume(quat(1, 0.5, -0.25, 2j))
     alpha = 1.0 + 0.2j
 
     def manual(s):
         def kernel(diff):
-            out = q.scalar(s * alpha * theta(alpha, diff))
+            out = scalar(s * alpha * theta(alpha, diff))
             out[..., 1:] = -grad_theta(alpha, diff)
             return out
         return kernel
@@ -147,7 +147,7 @@ def test_teodorescu_sign_coherence():
     plus = teodorescu(alpha, 1, d, PROBE)
     minus = teodorescu(alpha, -1, d, PROBE)
     twice_scalar = _polar_reference(
-        d, PROBE, lambda diff: q.scalar(2.0 * alpha * theta(alpha, diff)))
+        d, PROBE, lambda diff: scalar(2.0 * alpha * theta(alpha, diff)))
     assert np.allclose(plus - minus, twice_scalar, atol=1e-13)
 
 
@@ -458,7 +458,7 @@ def test_borel_pompeiu_with_every_volume_term_vanishing_has_no_volume_pass(monke
 
 
 def test_cauchy_near_singularity_guard():
-    d = BoundaryDensity(MESH2, constant_field(q.ONE).value(MESH2.centroids))
+    d = BoundaryDensity(MESH2.rule, constant_field(q.ONE).value(MESH2.centroids))
     too_close = 0.999 * MESH2.centroids[0]
     with pytest.raises(NearSingularityError) as exc:
         cauchy_boundary(1.0, 1, d, too_close)
@@ -479,25 +479,25 @@ def test_cauchy_many_matches_single():
 
     def random_density(mesh):
         shape = (mesh.n_triangles, 4)
-        return BoundaryDensity(mesh, rng.standard_normal(shape)
+        return BoundaryDensity(mesh.rule, rng.standard_normal(shape)
                                + 1j * rng.standard_normal(shape))
 
     cases = [
-        (0.8, 1, BoundaryDensity(MESH2, abc_beltrami(-0.8).value(MESH2.centroids))),
+        (0.8, 1, BoundaryDensity(MESH2.rule, abc_beltrami(-0.8).value(MESH2.centroids))),
         (0.8 + 0.3j, -1, random_density(MESH2)),
         (0.8 + 0.3j, 1, random_density(build_sphere_mesh(2.0, 2))),
     ]
     for alpha, sign, d in cases:
-        mesh = d.mesh
+        rule = d.mesh
         many = cauchy_boundary(alpha, sign, d, xs)
         assert many.shape == (len(xs), 4)
         single = np.array([cauchy_boundary(alpha, sign, d, x) for x in xs])
         assert single.shape == (len(xs), 4)
         assert np.allclose(many, single, rtol=0.0, atol=1e-14)
         # reference: the triple product -w * Ups * (n * f) summed node by node
-        nf = q.qmul(q.vector(mesh.normals), d.values)
-        terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - mesh.centroids), nf)
-        reference = -np.einsum("n,mnk->mk", mesh.areas.astype(complex), terms)
+        nf = q.qmul(q.vector(rule.normals), d.values)
+        terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - rule.points), nf)
+        reference = -np.einsum("n,mnk->mk", rule.weights.astype(complex), terms)
         assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
     with pytest.raises(ValueError):
         cauchy_boundary(0.8, 1, d, xs[:, :2])
@@ -530,12 +530,12 @@ def test_cauchy_stacked_matches_single(alphas, signs):
     rng = np.random.default_rng(25)
     xs = rng.uniform(-0.3, 0.3, (TILE_ROWS + 5, 3))
     values = _random_density(MESH2, rng, len(alphas))
-    stacked = cauchy_boundary(alphas, signs, BoundaryDensity(MESH2, values), xs)
+    stacked = cauchy_boundary(alphas, signs, BoundaryDensity(MESH2.rule, values), xs)
     assert stacked.shape == (len(alphas), len(xs), 4)
-    assert cauchy_boundary(alphas, signs, BoundaryDensity(MESH2, values), xs[0]).shape == (
+    assert cauchy_boundary(alphas, signs, BoundaryDensity(MESH2.rule, values), xs[0]).shape == (
         len(alphas), 4)
     for k, (alpha, sign) in enumerate(zip(alphas, signs)):
-        single = cauchy_boundary(alpha, sign, BoundaryDensity(MESH2, values[k]), xs)
+        single = cauchy_boundary(alpha, sign, BoundaryDensity(MESH2.rule, values[k]), xs)
         assert np.abs(stacked[k] - single).max() <= 1e-14 * np.abs(single).max()
         reference = _node_by_node(alpha, sign, MESH2.rule, values[k], xs)
         assert np.allclose(stacked[k], reference, rtol=0.0,
@@ -544,7 +544,7 @@ def test_cauchy_stacked_matches_single(alphas, signs):
 
 def test_cauchy_stacked_guard_in_later_block():
     # the only too-close target sits in the last block of a stacked call
-    d = BoundaryDensity(MESH2, _random_density(MESH2, np.random.default_rng(26), 2))
+    d = BoundaryDensity(MESH2.rule, _random_density(MESH2, np.random.default_rng(26), 2))
     batch = np.vstack([np.tile(PROBE, (2 * TILE_ROWS, 1)),
                        0.999 * MESH2.centroids[7]])
     assert q.is_finite(cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, batch[:-1]))
@@ -554,8 +554,8 @@ def test_cauchy_stacked_guard_in_later_block():
 
 def test_cauchy_stacked_rejects_mismatched_terms():
     rng = np.random.default_rng(27)
-    stacked = BoundaryDensity(MESH2, _random_density(MESH2, rng, 2))
-    single = BoundaryDensity(MESH2, _random_density(MESH2, rng))
+    stacked = BoundaryDensity(MESH2.rule, _random_density(MESH2, rng, 2))
+    single = BoundaryDensity(MESH2.rule, _random_density(MESH2, rng))
     for alpha, sign, d in [
         ((0.8, 1.1, 1.2), (1, -1, 1), stacked),   # three terms, two densities
         ((0.8, 1.1), (1,), stacked),              # sign too short
@@ -566,7 +566,7 @@ def test_cauchy_stacked_rejects_mismatched_terms():
         with pytest.raises(ValueError):
             cauchy_boundary(alpha, sign, d, INNER_PROBES)
     with pytest.raises(ValueError):
-        BoundaryDensity(MESH2, np.zeros((2, 2, MESH2.n_triangles, 4)))
+        BoundaryDensity(MESH2.rule, np.zeros((2, 2, MESH2.n_triangles, 4)))
 
 
 _COEFF = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
@@ -580,7 +580,7 @@ def test_cauchy_linear_in_density(mesh, seed, a, b, alpha, sign):
     rng = np.random.default_rng(seed)
     shape = (mesh.n_triangles, 4)
     f1, f2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "12")
-    k1, k2, k12 = (cauchy_boundary(alpha, sign, BoundaryDensity(mesh, f), INNER_PROBES)
+    k1, k2, k12 = (cauchy_boundary(alpha, sign, BoundaryDensity(mesh.rule, f), INNER_PROBES)
                    for f in (f1, f2, a * f1 + b * f2))
     scale = abs(a) * np.abs(k1).max() + abs(b) * np.abs(k2).max()
     # plus 1e-300: coefficients near the subnormal range round absolutely
@@ -605,8 +605,8 @@ def test_cauchy_equivariant_under_rigid_motion_on_the_ellipsoid(seed, shift):
     values = _random_density(ELLIPSOID3, rng, 2)
     moved = mesh_from_arrays(ELLIPSOID3.vertices @ rot.T + shift, ELLIPSOID3.triangles)
     alphas, signs = (0.8, 0.8 + 0.3j), (1, -1)
-    before = cauchy_boundary(alphas, signs, BoundaryDensity(ELLIPSOID3, values), xs)
-    moved_density = BoundaryDensity(moved, _rotate_vector_part(rot, values))
+    before = cauchy_boundary(alphas, signs, BoundaryDensity(ELLIPSOID3.rule, values), xs)
+    moved_density = BoundaryDensity(moved.rule, _rotate_vector_part(rot, values))
     after = cauchy_boundary(alphas, signs, moved_density, xs @ rot.T + shift)
     expected = _rotate_vector_part(rot, before)
     assert np.abs(after - expected).max() <= 1e-12 * np.abs(before).max()
@@ -617,14 +617,14 @@ def test_cauchy_reproduces_monogenic_field():
     alpha = 1.0
     f = abc_beltrami(-alpha)
     mesh = build_sphere_mesh(1.0, 3)
-    d = BoundaryDensity(mesh, f.value(mesh.centroids))
+    d = BoundaryDensity(mesh.rule, f.value(mesh.centroids))
     val = cauchy_boundary(alpha, 1, d, PROBE)
     exact = f.value(PROBE)
     assert q.norm(val - exact) / q.norm(exact) < 2e-2
 
 
 def test_cauchy_of_zero_density_is_zero():
-    d = BoundaryDensity(MESH2, np.zeros((MESH2.n_triangles, 4)))
+    d = BoundaryDensity(MESH2.rule, np.zeros((MESH2.n_triangles, 4)))
     assert q.norm(cauchy_boundary(1.0, 1, d, PROBE)) == 0.0
 
 
@@ -671,7 +671,7 @@ def test_two_thread_boundary_sum_is_the_one_tile_loop_bit_for_bit():
     # 120 on each thread
     alphas, signs, density = _mode_terms(MESH3, np.random.default_rng(31))
     xs = _offset_targets(MESH3)
-    assert len(xs) == 3840 and len(density.rule.points) == NODE_CHUNK
+    assert len(xs) == 3840 and len(density.mesh.points) == NODE_CHUNK
     got = cauchy_boundary(alphas, signs, density, xs)
     expected = _one_row_block_at_a_time(alphas, signs, density, xs)
     assert got.tobytes() == expected.tobytes()
@@ -811,7 +811,7 @@ def test_a_rows_sum_does_not_depend_on_the_other_targets(operator, n_chunks):
     rng = np.random.default_rng(36)
     mesh = build_sphere_mesh(1.0, 4)
     alpha, sign, density = _mode_terms(mesh, rng)
-    assert len(density.rule.points) == n_chunks * NODE_CHUNK
+    assert len(density.mesh.points) == n_chunks * NODE_CHUNK
     xs = rng.uniform(-0.4, 0.4, (48, 3))
     first = cauchy_boundary(alpha, sign, density, xs[:32])
     for m in (33, 37, 48):
@@ -826,7 +826,7 @@ def _executor_workers():
 
 
 def test_guard_in_the_second_thread_raises_in_the_caller():
-    d = BoundaryDensity(MESH2, _random_density(MESH2, np.random.default_rng(35), 2))
+    d = BoundaryDensity(MESH2.rule, _random_density(MESH2, np.random.default_rng(35), 2))
     # 64 targets are 4 row tiles and one more a fifth, the last 2 on the
     # second thread
     inner = np.tile(PROBE, (TILE_ROWS * NODE_CHUNK // MESH2.n_triangles, 1))

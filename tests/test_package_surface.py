@@ -23,8 +23,7 @@ MODULE_SURFACE = {
                 "merge_values", "phi_psi_rhs", "split_values"},
     "operators": {"BoundaryDensity", "VolumeDensity", "borel_pompeiu_residual",
                   "cauchy_boundary", "teodorescu"},
-    "quaternions": {"is_finite", "norm", "qconj", "qmul", "quat", "sc", "scalar", "vec",
-                    "vector"},
+    "quaternions": {"is_finite", "norm", "qmul", "sc", "vec", "vector"},
     "reconstruction": {"ExtendibilityReport", "extendibility_residual", "perturb_traces",
                        "reconstruct_eh", "two_kernel_eh"},
 }

@@ -19,7 +19,7 @@ from quatem.reconstruction import (
     two_kernel_eh,
 )
 
-from oracles import manufactured_current_solution, proper_rotation
+from oracles import ELLIPSOID_AXES, manufactured_current_solution, proper_rotation
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 # (omega, epsilon, mu, beta) of the default medium, an achiral one and a lossy one
@@ -32,6 +32,8 @@ ELLIPSOID2 = mesh_from_arrays(SPHERE2.vertices * [1.0, 0.7, 0.4], SPHERE2.triang
 # at least 2 spacings inside both SPHERE2 and ELLIPSOID2
 INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
                          [0.1, -0.15, 0.03]])
+SPHERE3 = build_sphere_mesh(1.0, 3)
+ELLIPSOID3 = mesh_from_arrays(SPHERE3.vertices * ELLIPSOID_AXES, SPHERE3.triangles)
 
 
 def _traces(mesh, medium=MEDIUM):
@@ -47,7 +49,7 @@ def test_reconstruction_accuracy_and_convergence():
         e_tr, h_tr, e_field, h_field = _traces(mesh)
         worst = 0.0
         for x in PROBES:
-            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, x)
+            e_x, h_x = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, x)
             exact_e, exact_h = e_field.value(x), h_field.value(x)
             worst = max(
                 worst,
@@ -68,7 +70,7 @@ def test_reconstruction_is_second_order(capsys):
     for level in (3, 4, 5):
         mesh = build_sphere_mesh(1.0, level)
         e_tr, h_tr, e_field, h_field = _traces(mesh)
-        e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, _BP_PROBES)
+        e_x, h_x = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, _BP_PROBES)
         spacing.append(mesh.spacing)
         worst.append(max(float(np.max(q.norm(got - exact) / q.norm(exact)))
                          for got, exact in ((e_x, e_field.value(_BP_PROBES)),
@@ -131,10 +133,10 @@ def test_reconstruction_with_current_matches_manufactured_solution(constants, ca
         mesh = build_sphere_mesh(1.0, level)
         e_tr, h_tr = (q.vec(f.value(mesh.centroids)) for f in (e_field, h_field))
         spacing.append(mesh.spacing)
-        errors.append(worst(reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES,
+        errors.append(worst(reconstruct_eh(mesh.rule, e_tr, h_tr, medium, _BP_PROBES,
                                            current=j, radius=1.0)))
         if level == 3:
-            source_free = worst(reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES))
+            source_free = worst(reconstruct_eh(mesh.rule, e_tr, h_tr, medium, _BP_PROBES))
     order = np.polyfit(np.log(spacing), np.log(errors), 1)[0]
     with capsys.disabled():
         print("\nreconstruction with a current, k=%s, beta=%g: errors %s, fitted order "
@@ -160,10 +162,10 @@ def test_both_modes_volume_terms_in_one_call_are_the_single_mode_calls():
     psi = teodorescu(a2, -1, VolumeDensity(ball, lambda y: rhs(y)[1]), _BP_PROBES)
     assert both.tobytes() == np.stack([phi, psi]).tobytes()
     e_tr, h_tr, _, _ = _traces(mesh, medium)
-    modes = BoundaryDensity(mesh, q.vector(np.stack([e_tr + 1j * h_tr, e_tr - 1j * h_tr])))
+    modes = BoundaryDensity(mesh.rule, q.vector(np.stack([e_tr + 1j * h_tr, e_tr - 1j * h_tr])))
     boundary = cauchy_boundary((a1, a2), (1, -1), modes, _BP_PROBES)
     expected = merge_values(boundary[0] + phi, boundary[1] + psi)
-    got = reconstruct_eh(mesh, e_tr, h_tr, medium, _BP_PROBES, current=j, radius=1.0)
+    got = reconstruct_eh(mesh.rule, e_tr, h_tr, medium, _BP_PROBES, current=j, radius=1.0)
     assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
@@ -176,8 +178,8 @@ def test_assembly_paths_agree():
         for name, constants in CONSTANTS.items():
             medium = make_medium(*constants)
             e_tr, h_tr, _, _ = _traces(mesh, medium)
-            e1, h1 = reconstruct_eh(mesh, e_tr, h_tr, medium, PROBES)
-            e2, h2 = two_kernel_eh(mesh, e_tr, h_tr, medium, PROBES)
+            e1, h1 = reconstruct_eh(mesh.rule, e_tr, h_tr, medium, PROBES)
+            e2, h2 = two_kernel_eh(mesh.rule, e_tr, h_tr, medium, PROBES)
             scale = np.maximum(q.norm(e1), q.norm(h1))
             gap = np.maximum(q.norm(e1 - e2), q.norm(h1 - h2)) / scale
             assert np.all(gap < 1e-10), (level, name, gap)
@@ -190,7 +192,7 @@ def test_source_requires_quadrature():
     from quatem.fields import abc_beltrami
 
     with pytest.raises(ValueError, match="a ball radius is required"):
-        reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES[0], current=abc_beltrami(0.5))
+        reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES[0], current=abc_beltrami(0.5))
 
 
 @pytest.mark.parametrize("radius, refused", [(0.3, "0.3, 0.1, -0.2"), (0.45, "-0.2, 0.4, 0.1")])
@@ -204,7 +206,7 @@ def test_source_refuses_a_probe_not_inside_the_ball(radius, refused):
     e_tr, h_tr, _, _ = _traces(mesh)
     with pytest.raises(ValueError, match=r"volume target \[%s\] is not inside the ball of "
                                          r"radius %g$" % (refused, radius)):
-        reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES, current=abc_beltrami(0.5),
+        reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES, current=abc_beltrami(0.5),
                        radius=radius)
 
 
@@ -215,12 +217,12 @@ def test_batched_reconstruction_matches_pointwise():
 
     mesh = build_sphere_mesh(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
-    free_e, _ = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES)
+    free_e, _ = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES)
     for current, radius in ((None, None), (abc_beltrami(0.5), 1.0)):
-        e_all, h_all = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, PROBES, current, radius)
+        e_all, h_all = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES, current, radius)
         assert e_all.shape == h_all.shape == (len(PROBES), 4)
         for x, e_row, h_row in zip(PROBES, e_all, h_all):
-            e_x, h_x = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, x, current, radius)
+            e_x, h_x = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, x, current, radius)
             assert e_x.shape == (4,)
             assert np.allclose(e_row, e_x, rtol=0.0, atol=1e-14)
             assert np.allclose(h_row, h_x, rtol=0.0, atol=1e-14)
@@ -240,8 +242,8 @@ def test_reconstruction_equivariant_under_rigid_motion(mesh, seed, shift):
     e_tr, h_tr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                   for _ in "eh")
     moved = mesh_from_arrays(mesh.vertices @ rot.T + shift, mesh.triangles)
-    before = reconstruct_eh(mesh, e_tr, h_tr, MEDIUM, INNER_PROBES)
-    after = reconstruct_eh(moved, e_tr @ rot.T, h_tr @ rot.T, MEDIUM,
+    before = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, INNER_PROBES)
+    after = reconstruct_eh(moved.rule, e_tr @ rot.T, h_tr @ rot.T, MEDIUM,
                            INNER_PROBES @ rot.T + shift)
     for old, new in zip(before, after):
         expected = np.concatenate([old[:, :1], old[:, 1:] @ rot.T], axis=1)
@@ -251,7 +253,7 @@ def test_reconstruction_equivariant_under_rigid_motion(mesh, seed, shift):
 def test_extendibility_genuine_traces_pass():
     mesh = build_sphere_mesh(1.0, 3)
     e_tr, h_tr, _, _ = _traces(mesh)
-    report = extendibility_residual(mesh, e_tr, h_tr, MEDIUM)
+    report = extendibility_residual(mesh.rule, e_tr, h_tr, MEDIUM)
     assert isinstance(report, ExtendibilityReport)
     assert report.extrapolation == "quadratic"
     assert report.rms < 5e-2
@@ -262,9 +264,9 @@ def test_extendibility_genuine_traces_pass():
 def test_extendibility_discriminates_perturbation():
     mesh = build_sphere_mesh(1.0, 3)
     e_tr, h_tr, _, _ = _traces(mesh)
-    r0 = extendibility_residual(mesh, e_tr, h_tr, MEDIUM).rms
-    e_p, h_p = perturb_traces(mesh, e_tr, h_tr, 0.10, seed=42)
-    r1 = extendibility_residual(mesh, e_p, h_p, MEDIUM).rms
+    r0 = extendibility_residual(mesh.rule, e_tr, h_tr, MEDIUM).rms
+    e_p, h_p = perturb_traces(mesh.rule, e_tr, h_tr, 0.10, seed=42)
+    r1 = extendibility_residual(mesh.rule, e_p, h_p, MEDIUM).rms
     assert r1 >= 5.0 * r0
 
 
@@ -272,21 +274,21 @@ def test_extendibility_validation():
     mesh = build_sphere_mesh(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
     with pytest.raises(ValueError):
-        extendibility_residual(mesh, e_tr, h_tr, MEDIUM, extrapolation="cubic")
+        extendibility_residual(mesh.rule, e_tr, h_tr, MEDIUM, extrapolation="cubic")
     with pytest.raises(ValueError):
-        extendibility_residual(mesh, e_tr[:5], h_tr[:5], MEDIUM)
+        extendibility_residual(mesh.rule, e_tr[:5], h_tr[:5], MEDIUM)
     # level 2 is too coarse for the quadratic rule's offsets at 3 depths
     with pytest.raises(ValueError, match=r"quadratic extrapolation offsets down to 3 x "
                                          r"depth 0\.392585 = 1\.17776, .*: a finer mesh "
                                          r"would run$"):
-        extendibility_residual(mesh, e_tr, h_tr, MEDIUM)
+        extendibility_residual(mesh.rule, e_tr, h_tr, MEDIUM)
 
 
 def test_perturbation_is_tangential_and_deterministic():
     mesh = build_sphere_mesh(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
-    e1, h1 = perturb_traces(mesh, e_tr, h_tr, 0.1, seed=7)
-    e2, h2 = perturb_traces(mesh, e_tr, h_tr, 0.1, seed=7)
+    e1, h1 = perturb_traces(mesh.rule, e_tr, h_tr, 0.1, seed=7)
+    e2, h2 = perturb_traces(mesh.rule, e_tr, h_tr, 0.1, seed=7)
     assert np.array_equal(e1, e2) and np.array_equal(h1, h2)
     noise = e1 - e_tr
     normal_comp = np.abs(np.einsum("ti,ti->t", noise, mesh.normals.astype(complex)))
@@ -294,3 +296,48 @@ def test_perturbation_is_tangential_and_deterministic():
     rms = np.sqrt(np.mean(np.sum(np.abs(e_tr) ** 2, axis=1)))
     amp = np.linalg.norm(noise, axis=1)
     assert np.allclose(amp, 0.1 * rms, rtol=1e-12)
+
+
+def test_criterion_runs_on_node_data():
+    # sphere_rule's three nodes per triangle: the residuals and the noise are
+    # per node.  No verdict is gated at level 2, where genuine traces read
+    # 6.0e-2 (the centroid rule 6.6e-2), above the default threshold.
+    rule = sphere_rule(1.0, 2)
+    e_field, h_field = exact_chiral_solution(MEDIUM)
+    e_tr, h_tr = (q.vec(f.value(rule.points)) for f in (e_field, h_field))
+    report = extendibility_residual(rule, e_tr, h_tr, MEDIUM, "linear")
+    assert report.residual_e.shape == report.residual_h.shape == (960,)
+    e1, h1 = perturb_traces(rule, e_tr, h_tr, 0.1, seed=7)
+    e2, h2 = perturb_traces(rule, e_tr, h_tr, 0.1, seed=7)
+    assert np.array_equal(e1, e2) and np.array_equal(h1, h2)
+    for noisy, trace in ((e1, e_tr), (h1, h_tr)):
+        assert np.abs(np.einsum("ni,ni->n", noisy - trace, rule.normals)).max() < 1e-12
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_extendibility_residual_invariant_under_rigid_motion_on_the_ellipsoid(seed, shift):
+    # x -> R x + b moves the nodes, and random traces rotate with R: the
+    # residual at each node stays (measured at most 1.1e-14 over 6 seeds)
+    rng = np.random.default_rng(seed)
+    rot = proper_rotation(rng)
+    shape = (ELLIPSOID3.n_triangles, 3)
+    e_tr, h_tr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                  for _ in "eh")
+    moved = mesh_from_arrays(ELLIPSOID3.vertices @ rot.T + shift, ELLIPSOID3.triangles)
+    before = extendibility_residual(ELLIPSOID3.rule, e_tr, h_tr, MEDIUM, "linear")
+    after = extendibility_residual(moved.rule, e_tr @ rot.T, h_tr @ rot.T, MEDIUM, "linear")
+    assert np.abs(after.residual_e - before.residual_e).max() <= 1e-12
+    assert np.abs(after.residual_h - before.residual_h).max() <= 1e-12
+
+
+def test_extendibility_guard_on_the_ellipsoid():
+    # at level 3 the quadratic rule's deepest offset, 0.411, passes the
+    # inradius estimate 0.403 (the short semi-axis); the linear one stops at 0.274
+    rule = ELLIPSOID3.rule
+    e_tr, h_tr, _, _ = _traces(ELLIPSOID3)
+    with pytest.raises(ValueError, match="past the inradius estimate"):
+        extendibility_residual(rule, e_tr, h_tr, MEDIUM)
+    report = extendibility_residual(rule, e_tr, h_tr, MEDIUM, "linear")
+    assert report.residual_e.shape == (ELLIPSOID3.n_triangles,)
