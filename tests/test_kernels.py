@@ -49,6 +49,48 @@ def test_radial_factors_match_complex_exponential(alpha):
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double has no extra precision on this platform")
+@pytest.mark.parametrize("alpha", [1.0, 2.0, -7.3, 1.3 + 0.2j, -0.4 + 0.001j, 9.9 - 0.05j])
+def test_radial_factors_match_extended_precision(alpha):
+    # the planes against cosl/sinl/expl at the float arguments Re(alpha)*r and
+    # -Im(alpha)*r that the kernel rounds, over |Re(alpha) r| up to 1e4 and
+    # within 1e-9 of pi/2 and pi (where tan of the half argument passes 1e9):
+    # within 4 ulp of |a| exp(-Im(alpha) r), and of that times |s - i t| for c
+    ld, eps = np.longdouble, np.finfo(float).eps
+    rng = np.random.default_rng(43)
+    near = np.concatenate([np.geomspace(1e-16, 1e-9, 50), -np.geomspace(1e-16, 1e-9, 50), [0.0]])
+    args = np.concatenate([rng.uniform(0.0, 1e4, 20000), np.geomspace(1e-3, 1e4, 2000),
+                           np.pi / 2 + near, np.pi + near, 1001 * np.pi + near])
+    r = args / abs(alpha.real)
+    r = r[(r > 0) & (abs(alpha.imag) * r < 30)]  # exp(-Im(alpha) r) stays normal
+    w = rng.uniform(0.5, 2.0, r.shape)
+    out = np.empty((2, 4) + r.shape)
+    th, c = radial_factors(alpha, r, w, out=out)
+    # the prefactor plane a = -w/(4 pi r), checked above to 1e-14, times the decay
+    a_exp = ld(out[1, 1]) * np.exp(ld(-alpha.imag * r))
+    x = ld(alpha.real * r)
+    th_ref = (a_exp * np.cos(x), a_exp * np.sin(x))
+    s, t = (1 / ld(r) + ld(alpha.imag)) / ld(r), ld(alpha.real) / ld(r)
+    c_ref = (th_ref[0] * s + th_ref[1] * t, th_ref[1] * s - th_ref[0] * t)
+    scale = np.abs(a_exp)
+    for planes, ref, bound in ((th, th_ref, scale), (c, c_ref, scale * np.hypot(s, t))):
+        for got, want in zip(planes, ref):
+            assert np.all(np.abs(got - want) <= 4 * eps * bound)
+
+
+def test_radial_factors_at_zero_parameter():
+    # alpha = 0 is the Laplace kernel exactly: tan(0) = 0 leaves the
+    # prefactor a untouched, and c = a / r**2 (r a power of two, so exact)
+    r = 2.0 ** np.arange(-10, 11)
+    w = np.random.default_rng(47).uniform(0.5, 2.0, r.shape)
+    out = np.empty((2, 4) + r.shape)
+    th, c = radial_factors(0.0, r, w, out=out)
+    a = out[1, 1]
+    assert np.array_equal(th[0], a) and np.all(th[1] == 0)
+    assert np.array_equal(c[0], a / r**2) and np.all(c[1] == 0)
+
+
 def test_radial_factors_stack_parameters():
     # several parameters in one call give the single-parameter planes, the
     # shared prefactor formed once for all of them
