@@ -52,7 +52,7 @@ from .reconstruction import (
     two_kernel_eh,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -359,11 +359,9 @@ def cmd_extend_check(args) -> int:
             "rms": report.rms, "rms_e": report.rms_e, "rms_h": report.rms_h,
             "max_e": report.max_e, "max_h": report.max_h,
         },
-        "per_point": [
-            {"point": [float(v) for v in p],
-             "residual_e": float(re), "residual_h": float(rh)}
-            for p, re, rh in zip(rule.points, report.residual_e, report.residual_h)
-        ],
+        # one value per rule node, so per triangle in mesh order
+        "residual_e": report.residual_e.tolist(),
+        "residual_h": report.residual_h.tolist(),
         "extendible": verdict_ok,
     })
     print("extend-check: rms residual %.3e (threshold %g) -> %s [%s]"

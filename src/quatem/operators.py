@@ -34,11 +34,17 @@ from .geometry import BallRule, SurfaceRule, polar_ball_rule
 from .kernels import radial_factors
 
 MIN_DISTANCE_FACTOR = 2.0   # boundary rule: required distance in mesh spacings
-TILE_ROWS = 16              # targets per tile of the boundary sum (blocks of 4-32
-                            # targets cost the same per target within 10 % at
-                            # 1280 and 5120 nodes; 64 and 128 cost 1.25x and
-                            # 1.5x more at 5120, the B x N temporaries leave
-                            # cache)
+TILE_ROWS = 16              # targets per tile of the boundary sum.  A level-3
+                            # extendibility_residual on a 2-vCPU x86-64 VM
+                            # (OpenBLAS 0.3.31 at 2 threads, two row-block
+                            # threads) took 0.20-0.21 s at 16 rows, 0.15-0.16 s
+                            # at 22-24 and 0.30-0.35 s at 26-32.  At 1 OpenBLAS
+                            # thread there was no such cliff (0.15-0.19 s from
+                            # 16 to 32 rows), so larger tiles cross OpenBLAS's
+                            # threshold for threading one product, whose threads
+                            # then compete with the row-block threads.  That
+                            # threshold varies by build, and the 22-24 gain sits
+                            # too near it to take.
 NODE_CHUNK = 1280           # nodes per tile, so per matrix product, whose
                             # roundoff grows with its node count (OpenBLAS
                             # 0.3.31 sums small products in node order): on

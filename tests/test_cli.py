@@ -16,6 +16,7 @@ from quatem.fields import DEFAULT_AMPLITUDES, exact_chiral_solution
 from quatem.geometry import build_sphere_mesh, load_off, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
 from quatem.operators import NODE_CHUNK, TILE_ROWS
+from quatem.reconstruction import extendibility_residual, perturb_traces
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,7 @@ def test_verify_bp_json(tmp_path):
     out = str(tmp_path / "bp.json")
     assert main(["verify-bp", "--levels", "2,3", "--out", out]) == 0
     doc = json.loads(Path(out).read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["decreasing"] is True
     assert np.array_equal(doc["probes"], cli._BP_PROBES)  # the points evaluated
     for col in doc["residuals"].values():
@@ -327,8 +328,23 @@ def test_extend_check_exit_codes(workspace, tmp_path):
     # mesh leaves no margin for small perturbations; the level-3 acceptance
     # run exercises the 10% case)
     assert main(base + ["--threshold", "0.10", "--perturb", "0.50"]) == 3
-    doc = json.loads(Path(out).read_text())
-    assert doc["extendible"] is False
+    perturbed = json.loads(Path(out).read_text())
+    assert perturbed["extendible"] is False
+    # the residuals are two arrays in triangle order, the report's own values
+    mesh = load_off(mesh_path)
+    rule = mesh.rule
+    medium = make_medium(1.0, 1.0, 1.0, 0.25)
+    e_tr, h_tr = _load_traces(traces, mesh.n_triangles)
+    for written, (e, h) in [(doc, (e_tr, h_tr)),
+                            (perturbed, perturb_traces(rule, e_tr, h_tr, 0.50, 42))]:
+        report = extendibility_residual(rule, e, h, medium, "linear")
+        assert "per_point" not in written
+        assert len(written["residual_e"]) == len(written["residual_h"]) == mesh.n_triangles
+        assert written["residual_e"] == report.residual_e.tolist()
+        assert written["residual_h"] == report.residual_h.tolist()
+        rms_e, rms_h = (np.sqrt(np.mean(np.square(written[k])))
+                        for k in ("residual_e", "residual_h"))
+        assert written["aggregate"]["rms"] == np.sqrt(0.5 * (rms_e**2 + rms_h**2))
 
 
 def test_extend_check_json_deterministic(workspace, tmp_path):
