@@ -13,7 +13,7 @@ from .errors import (
     SingularMediumError,
     TopologyError,
 )
-from .fields import AnalyticField, abc_beltrami, exact_chiral_solution, polynomial_field
+from .fields import AnalyticField, abc_beltrami, exact_chiral_solution
 from .geometry import (
     SurfaceMesh,
     build_sphere_mesh,

@@ -42,7 +42,7 @@ from .geometry import (
     sphere_rule,
 )
 from .kernels import theta, upsilon
-from .maxwell import make_medium
+from .maxwell import ChiralMedium, make_medium
 from .operators import BoundaryDensity, borel_pompeiu_residual, cauchy_boundary
 from .reconstruction import (
     EXTRAPOLATIONS,
@@ -111,7 +111,7 @@ def _add_medium_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, default=0.25, help="chirality measure")
 
 
-def _medium_from_args(args) -> "object":
+def _medium_from_args(args) -> ChiralMedium:
     return make_medium(args.omega, args.epsilon, args.mu, args.beta)
 
 
@@ -249,9 +249,9 @@ def cmd_verify_bp(args) -> int:
                           % (MIN_BP_LEVEL, MAX_SUBDIVISION, args.levels))
     alpha = args.alpha
     table = {name: [] for name in _BP_FIELDS}
+    fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
     for level in levels:
         rule = sphere_rule(1.0, level)
-        fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
         with np.errstate(over="ignore", invalid="ignore"):  # the densities refuse what overflows
             res = borel_pompeiu_residual(fields, alpha, 1, rule, 1.0, _BP_PROBES)
         for col, field_res in zip(table.values(), res):

@@ -22,11 +22,13 @@ class SingularityError(QuatemError):
 
 
 class NearSingularityError(QuatemError):
-    """Evaluation point violates the boundary exclusion-zone rule."""
+    """Evaluation point violates the boundary exclusion-zone rule: it lies
+    closer to a node of the boundary rule than the rule allows."""
 
     def __init__(self, distance: float, min_distance: float):
         super().__init__(
-            "evaluation point is %.6e from the boundary, rule requires >= %.6e"
+            "evaluation point is %.6e from the nearest boundary rule node, "
+            "rule requires >= %.6e"
             % (distance, min_distance)
         )
         self.distance = distance

@@ -3,11 +3,14 @@
 Every field carries a batched evaluator together with the exact value of
 the Moisil-Theodoresco derivative, so discretization errors can always be
 separated from modeling errors, and the closed form of (D + s) f, which
-costs one evaluation per point.  Where that closed form vanishes
-identically, as for a Beltrami flow with rot F = -s F, it is None instead
-of an evaluator of zeros: the field is then s-monogenic, (D + s) f = 0,
-and its Borel-Pompeiu identity is the Cauchy integral formula, with no
-volume term to sum.
+costs one evaluation per point.  The fields are the linear scalar_monomial
+f = x_k and identity_vector_field f = x, whose D f is a constant quaternion
+so that (D + s) f = s f + D f; the ABC Beltrami flow, with D F = lam F; and
+the exact chiral solution built from two Beltrami modes.  Where (D + s) f
+vanishes identically, as for a Beltrami flow with rot F = -s F, it is None
+instead of an evaluator of zeros: the field is then s-monogenic,
+(D + s) f = 0, and its Borel-Pompeiu identity is the Cauchy integral
+formula, with no volume term to sum.
 """
 
 from __future__ import annotations
@@ -80,98 +83,36 @@ def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
     )
 
 
-# Monomial basis for quadratic polynomial fields:
-# 1, x1, x2, x3, x1^2, x2^2, x3^2, x1*x2, x1*x3, x2*x3
-_POWERS = np.array(
-    [
-        [0, 0, 0],
-        [1, 0, 0], [0, 1, 0], [0, 0, 1],
-        [2, 0, 0], [0, 2, 0], [0, 0, 2],
-        [1, 1, 0], [1, 0, 1], [0, 1, 1],
-    ],
-    dtype=int,
-)
-N_MONOMIALS = len(_POWERS)
-
-
-def _derivative_matrix(axis: int) -> np.ndarray:
-    """D[m, n]: coefficient of monomial n in d(monomial m)/dx_axis."""
-    out = np.zeros((N_MONOMIALS, N_MONOMIALS))
-    for m, p in enumerate(_POWERS):
-        if p[axis] == 0:
-            continue
-        dp = p.copy()
-        dp[axis] -= 1
-        n = int(np.flatnonzero((_POWERS == dp).all(axis=1))[0])
-        out[m, n] = p[axis]
-    return out
-
-
-_DMAT = [_derivative_matrix(axis) for axis in range(3)]
-
-
-def _poly_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate a (4, 10) coefficient table at points (..., 3) -> (..., 4):
-    the monomials (in _POWERS order) as real products, then one real matrix
-    product per (re, im) plane of the coefficients.  A single row of points
-    is evaluated twice over, because BLAS takes a one-row product through
-    its matrix-vector kernel, which groups the ten terms differently: so a
-    point gives the bits it gives in a batch."""
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    rows = pts.shape[-2]
-    if rows == 1:
-        pts = np.repeat(pts, 2, axis=-2)
-    x1, x2, x3 = pts[..., 0], pts[..., 1], pts[..., 2]
-    mono = np.stack([np.ones_like(x1), x1, x2, x3, x1 * x1, x2 * x2, x3 * x3,
-                     x1 * x2, x1 * x3, x2 * x3], axis=-1)
-    out = np.empty(pts.shape[:-1] + (4,), dtype=complex)
-    out.real = mono @ coeffs.real.T
-    out.imag = mono @ coeffs.imag.T
-    return out[..., :rows, :].reshape(x.shape[:-1] + (4,))
-
-
-def polynomial_field(coeffs) -> AnalyticField:
-    """Quaternion-valued polynomial of degree <= 2.
-
-    `coeffs` has shape (4, 10): rows are q0..q3, columns follow the
-    monomial order 1, x1, x2, x3, x1^2, x2^2, x3^2, x1*x2, x1*x3, x2*x3.
-    The derivative oracle is D f = sum_k i_k df/dx_k on the table;
-    (D + s) f is the polynomial with coefficients d_coeffs + s * coeffs,
-    None when all of them are zero.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (4, N_MONOMIALS):
-        raise ValueError("coefficient table must have shape (4, %d)" % N_MONOMIALS)
-    if not q.is_finite(coeffs):
-        raise ValueError("polynomial coefficients must be finite")
-
-    # each column of the table is one quaternion, so D acts column by column
-    d_coeffs = sum(q.qmul(q.UNITS[k + 1], (coeffs @ _DMAT[k]).T) for k in range(3)).T
-
-    def shifted(f, s):
-        s_coeffs = d_coeffs + s * coeffs
-        return polynomial_field(s_coeffs).value if s_coeffs.any() else None
-
+def _constant_derivative(value, d) -> AnalyticField:
+    """The field with evaluator `value` and the constant derivative D f = d,
+    broadcast to the points; (D + s) f = s f + d, which never vanishes
+    identically since d does not."""
+    d = np.asarray(d, dtype=complex)
     return AnalyticField(
-        value=lambda x: _poly_eval(coeffs, x),
-        d_value=lambda x: _poly_eval(d_coeffs, x),
-        shifted=shifted,
+        value=value,
+        d_value=lambda x: np.broadcast_to(d, np.shape(x)[:-1] + (4,)).copy(),
+        shifted=lambda f, s: lambda x: s * f.value(x) + d,
     )
 
 
 def scalar_monomial(component: int = 1) -> AnalyticField:
-    """The scalar field f = x_component (component in 1..3)."""
-    coeffs = np.zeros((4, N_MONOMIALS), dtype=complex)
-    coeffs[0, component] = 1.0
-    return polynomial_field(coeffs)
+    """The scalar field f = x_component (component in 1..3), whose D f is the
+    unit vector i_component."""
+    if component not in (1, 2, 3):
+        raise ValueError("component must be 1, 2 or 3, got %r" % (component,))
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (4,), dtype=complex)
+        out[..., 0] = x[..., component - 1]
+        return out
+
+    return _constant_derivative(value, q.UNITS[component])
 
 
 def identity_vector_field() -> AnalyticField:
-    """The purely vectorial field f(x) = x, for which D f = -3."""
-    coeffs = np.zeros((4, N_MONOMIALS), dtype=complex)
-    coeffs[1, 1] = coeffs[2, 2] = coeffs[3, 3] = 1.0
-    return polynomial_field(coeffs)
+    """The purely vectorial field f(x) = x, for which D f = -div x = -3."""
+    return _constant_derivative(lambda x: q.vector(np.asarray(x, dtype=float)), -3.0 * q.ONE)
 
 
 def exact_chiral_solution(medium, phi_amplitudes=DEFAULT_AMPLITUDES,

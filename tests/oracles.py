@@ -9,10 +9,14 @@ of the kernels and fields; grad_theta is the closed-form gradient of the
 Helmholtz fundamental solution; maxwell_residual checks the chiral curl
 equations, with or without a current, by finite differences; rot_coeffs and
 manufactured_current_solution build a polynomial chiral solution with a
-current; constant_field is the degree-0 polynomial field; poly_eval_powers
-evaluates a polynomial field's coefficient table through complex power
-products; proper_rotation draws a random rotation; and ELLIPSOID_AXES scales
+current; proper_rotation draws a random rotation; and ELLIPSOID_AXES scales
 an icosphere into the tests' non-spherical closed surface.
+
+The general polynomial fields of degree <= 2 live here too, as the reference
+for the property tests: polynomial_field takes a (4, 10) coefficient table
+over the monomials _POWERS, differentiates it exactly through the matrices
+_DMAT and evaluates it with poly_eval_powers, as complex power products;
+constant_field is its degree-0 member.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from quatem import quaternions as q
-from quatem.fields import _DMAT, _POWERS, N_MONOMIALS, AnalyticField, polynomial_field
+from quatem.fields import AnalyticField
 from quatem.geometry import SurfaceMesh, checked_normals
 from quatem.kernels import _radii, theta
 from quatem.maxwell import ChiralMedium
@@ -29,6 +33,35 @@ from quatem.operators import RESIDUAL_FLOOR
 DEFAULT_FD_STEP = 1e-4
 ELLIPSOID_AXES = np.array([1.0, 0.7, 0.4])
 ZERO = np.zeros(4, dtype=complex)
+
+# Monomial basis for quadratic polynomial fields:
+# 1, x1, x2, x3, x1^2, x2^2, x3^2, x1*x2, x1*x3, x2*x3
+_POWERS = np.array(
+    [
+        [0, 0, 0],
+        [1, 0, 0], [0, 1, 0], [0, 0, 1],
+        [2, 0, 0], [0, 2, 0], [0, 0, 2],
+        [1, 1, 0], [1, 0, 1], [0, 1, 1],
+    ],
+    dtype=int,
+)
+N_MONOMIALS = len(_POWERS)
+
+
+def _derivative_matrix(axis: int) -> np.ndarray:
+    """D[m, n]: coefficient of monomial n in d(monomial m)/dx_axis."""
+    out = np.zeros((N_MONOMIALS, N_MONOMIALS))
+    for m, p in enumerate(_POWERS):
+        if p[axis] == 0:
+            continue
+        dp = p.copy()
+        dp[axis] -= 1
+        n = int(np.flatnonzero((_POWERS == dp).all(axis=1))[0])
+        out[m, n] = p[axis]
+    return out
+
+
+_DMAT = [_derivative_matrix(axis) for axis in range(3)]
 
 
 def quat(q0=0j, q1=0j, q2=0j, q3=0j) -> np.ndarray:
@@ -155,7 +188,7 @@ def maxwell_residual(e_field: AnalyticField, h_field: AnalyticField,
 
 def rot_coeffs(coeffs) -> np.ndarray:
     """rot of the vector part of a (4, 10) coefficient table, as a table
-    with a zero scalar row; fields._DMAT differentiates each row."""
+    with a zero scalar row; _DMAT differentiates each row."""
     grad = [coeffs @ _DMAT[axis] for axis in range(3)]  # d(coeffs)/dx_axis
     out = np.zeros_like(coeffs)
     out[1] = grad[1][3] - grad[2][2]
@@ -182,6 +215,34 @@ def manufactured_current_solution(medium: ChiralMedium, seed: int):
     h = (1j / k) * (rot_e - beta * rot_coeffs(rot_e))
     j = rot_coeffs(h) - 1j * k * (e + beta * rot_e)
     return polynomial_field(e), polynomial_field(h), polynomial_field(j)
+
+
+def polynomial_field(coeffs) -> AnalyticField:
+    """Quaternion-valued polynomial of degree <= 2.
+
+    `coeffs` has shape (4, 10): rows are q0..q3, columns follow the
+    monomial order of _POWERS.  The derivative oracle is
+    D f = sum_k i_k df/dx_k on the table; (D + s) f is the polynomial with
+    coefficients d_coeffs + s * coeffs, None when all of them are zero.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (4, N_MONOMIALS):
+        raise ValueError("coefficient table must have shape (4, %d)" % N_MONOMIALS)
+    if not q.is_finite(coeffs):
+        raise ValueError("polynomial coefficients must be finite")
+
+    # each column of the table is one quaternion, so D acts column by column
+    d_coeffs = sum(q.qmul(q.UNITS[k + 1], (coeffs @ _DMAT[k]).T) for k in range(3)).T
+
+    def shifted(f, s):
+        s_coeffs = d_coeffs + s * coeffs
+        return polynomial_field(s_coeffs).value if s_coeffs.any() else None
+
+    return AnalyticField(
+        value=lambda x: poly_eval_powers(coeffs, x),
+        d_value=lambda x: poly_eval_powers(d_coeffs, x),
+        shifted=shifted,
+    )
 
 
 def constant_field(value) -> AnalyticField:

@@ -16,7 +16,6 @@ from quatem.fields import (
     abc_beltrami,
     exact_chiral_solution,
     identity_vector_field,
-    polynomial_field,
     scalar_monomial,
 )
 from quatem.geometry import build_sphere_mesh, sphere_rule
@@ -30,7 +29,7 @@ from quatem.reconstruction import (
     two_kernel_eh,
 )
 
-from oracles import fd_d_alpha, fd_moisil_theodoresco, maxwell_residual, qconj
+from oracles import fd_d_alpha, fd_moisil_theodoresco, maxwell_residual, polynomial_field, qconj
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 

@@ -1,29 +1,30 @@
 """Manufactured analytic fields and their exact derivative oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatem import quaternions as q
+from quatem.cli import _BP_FIELDS
 from quatem.fields import (
-    N_MONOMIALS,
     _mode_sum,
-    _poly_eval,
     abc_beltrami,
     exact_chiral_solution,
     identity_vector_field,
-    polynomial_field,
     scalar_monomial,
 )
 from quatem.maxwell import make_medium
 
 from oracles import (
+    N_MONOMIALS,
     constant_field,
     fd_curl,
     fd_div,
     fd_moisil_theodoresco,
-    poly_eval_powers,
+    polynomial_field,
     quat,
     vector_value,
 )
@@ -93,6 +94,10 @@ def test_named_polynomials():
     assert np.array_equal(c.value(x), quat(1, 2j, 3, 4))
     assert q.norm(c.d_value(x)) == 0
 
+    for component in (0, 4):
+        with pytest.raises(ValueError, match="component must be 1, 2 or 3"):
+            scalar_monomial(component)
+
 
 def test_d_alpha_evaluator():
     f = identity_vector_field()
@@ -104,33 +109,47 @@ def test_d_alpha_evaluator():
         f.d_alpha(1.0, 0)
 
 
-def test_poly_eval_matches_power_products():
+def _linear_table(component=None):
+    """The coefficient table of f = x_component, or of f = x when None."""
+    coeffs = np.zeros((4, N_MONOMIALS))
+    if component is None:
+        coeffs[1, 1] = coeffs[2, 2] = coeffs[3, 3] = 1.0
+    else:
+        coeffs[0, component] = 1.0
+    return coeffs
+
+
+@pytest.mark.parametrize("component", [1, 2, 3, None], ids=["x1", "x2", "x3", "x"])
+def test_linear_fields_match_the_coefficient_table_bit_for_bit(component):
+    closed = identity_vector_field() if component is None else scalar_monomial(component)
+    table = polynomial_field(_linear_table(component))
     rng = np.random.default_rng(7)
-    for shape in [(3,), (2, 3), (50, 3), (4, 30, 3), (20480, 3)]:
-        coeffs = rng.standard_normal((4, N_MONOMIALS)) + 1j * rng.standard_normal((4, N_MONOMIALS))
+    for shape in [(3,), (2, 3), (50, 3), (4, 30, 3)]:
         x = rng.uniform(-1.5, 1.5, shape)
-        got, expected = _poly_eval(coeffs, x), poly_eval_powers(coeffs, x)
-        if x.ndim == 1:
-            # one point is a matrix-vector product, whose real and complex
-            # BLAS kernels group the 10 terms differently
-            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
-        else:
-            assert np.array_equal(got, expected)
+        assert np.array_equal(closed.value(x), table.value(x))
+        assert np.array_equal(closed.d_value(x), table.d_value(x))
+        for s, sign in itertools.product((1.0, 0.8 + 0.3j, -1.0 - 0.5j), (1, -1)):
+            assert np.array_equal(closed.d_alpha(s, sign)(x), table.d_alpha(s, sign)(x))
 
 
 def test_polynomial_at_one_point_is_its_row_of_a_batch_bit_for_bit():
-    # a single point takes the batch's matrix-matrix product, not BLAS's
-    # matrix-vector kernel, which groups the ten terms differently
+    # verify-bp's fields and their (D + s) f are elementwise, so a single
+    # point gives the bits of its row in any batch (teodorescu's rows for
+    # one target rely on it); the Beltrami flow's (D + alpha) f is None
     rng = np.random.default_rng(13)
-    for _ in range(200):
-        coeffs = rng.standard_normal((4, N_MONOMIALS)) + 1j * rng.standard_normal((4, N_MONOMIALS))
-        f = polynomial_field(coeffs)
-        x = rng.uniform(-1.5, 1.5, 3)
-        one = f.value(x)
-        assert one.shape == (4,)
-        assert np.array_equal(one, f.value(np.stack([x, x]))[0])
-        assert np.array_equal(one, f.value(np.vstack([rng.uniform(-1.5, 1.5, (40, 3)), x]))[-1])
-        assert np.array_equal(f.value(x[None]), one[None])
+    for alpha, make_field in itertools.product((1.0, 0.8 + 0.3j, -1.0 - 0.5j),
+                                               _BP_FIELDS.values()):
+        f = make_field(alpha)
+        evaluators = (f.value, f.d_value, f.d_alpha(alpha, 1), f.d_alpha(alpha, -1))
+        for evaluate in (e for e in evaluators if e is not None):
+            for _ in range(20):
+                x = rng.uniform(-1.5, 1.5, 3)
+                one = evaluate(x)
+                assert one.shape == (4,)
+                assert np.array_equal(one, evaluate(np.stack([x, x]))[0])
+                assert np.array_equal(one, evaluate(np.vstack([rng.uniform(-1.5, 1.5, (40, 3)),
+                                                               x]))[-1])
+                assert np.array_equal(evaluate(x[None]), one[None])
 
 
 _COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -141,13 +160,15 @@ def _fields(kind, seed, lam):
         rng = np.random.default_rng(seed)
         return [polynomial_field(rng.uniform(-1, 1, (4, N_MONOMIALS))
                                  + 1j * rng.uniform(-1, 1, (4, N_MONOMIALS)))]
+    if kind == "linear":
+        return [scalar_monomial(k) for k in (1, 2, 3)] + [identity_vector_field()]
     if kind == "beltrami":
         return [abc_beltrami(lam, 0.9, 0.2, 0.5)]
     return list(exact_chiral_solution(make_medium(1.0, 1.0, 1.0, 0.25)))
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["polynomial", "beltrami", "chiral"]),
+@given(kind=st.sampled_from(["polynomial", "linear", "beltrami", "chiral"]),
        seed=st.integers(0, 2**32 - 1), lam=_COMPLEX, alpha=_COMPLEX,
        sign=st.sampled_from([1, -1]))
 @example(kind="beltrami", seed=0, lam=2.2250738585e-313 + 0j, alpha=2.2250738585e-313 + 0j,

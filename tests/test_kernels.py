@@ -8,7 +8,7 @@ import pytest
 from quatem import quaternions as q
 from quatem.cli import main
 from quatem.errors import SingularityError
-from quatem.fields import abc_beltrami, polynomial_field
+from quatem.fields import abc_beltrami
 from quatem.kernels import radial_factors, theta, upsilon
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     fd_moisil_theodoresco,
     fd_partial,
     grad_theta,
+    polynomial_field,
     vector_value,
 )
 

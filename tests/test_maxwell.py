@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quatem.errors import SingularMediumError
-from quatem.fields import abc_beltrami, exact_chiral_solution, polynomial_field
+from quatem.fields import abc_beltrami, exact_chiral_solution
 from quatem.maxwell import (
     continuity_rho,
     make_medium,
@@ -14,7 +14,13 @@ from quatem.maxwell import (
 )
 from quatem import quaternions as q
 
-from oracles import fd_div, manufactured_current_solution, maxwell_residual, vector_value
+from oracles import (
+    fd_div,
+    manufactured_current_solution,
+    maxwell_residual,
+    polynomial_field,
+    vector_value,
+)
 
 
 def test_canonical_medium_parameters():
@@ -111,7 +117,7 @@ def test_exact_solution_satisfies_curl_equations():
 @pytest.mark.parametrize("beta", [0.25, 0.0])
 def test_manufactured_current_solution_satisfies_curl_equations(beta):
     # the closed-form current solution checked by finite differences, which
-    # do not use fields._DMAT: both curl equations with j, div H = 0, and a
+    # do not use oracles._DMAT: both curl equations with j, div H = 0, and a
     # current that is not divergence-free
     m = make_medium(1.0, 1.0, 1.0, beta)
     e_field, h_field, j = manufactured_current_solution(m, seed=3)

@@ -18,7 +18,6 @@ from quatem.errors import NearSingularityError
 from quatem.fields import (
     abc_beltrami,
     identity_vector_field,
-    polynomial_field,
     scalar_monomial,
 )
 from quatem.geometry import (
@@ -43,7 +42,15 @@ from quatem.operators import (
     teodorescu,
 )
 
-from oracles import ELLIPSOID_AXES, constant_field, grad_theta, proper_rotation, quat, scalar
+from oracles import (
+    ELLIPSOID_AXES,
+    constant_field,
+    grad_theta,
+    polynomial_field,
+    proper_rotation,
+    quat,
+    scalar,
+)
 
 MESH2 = build_sphere_mesh(1.0, 2)
 MESH3 = build_sphere_mesh(1.0, 3)
@@ -463,6 +470,11 @@ def test_cauchy_near_singularity_guard():
     with pytest.raises(NearSingularityError) as exc:
         cauchy_boundary(1.0, 1, d, too_close)
     assert exc.value.distance < exc.value.min_distance
+    # the distance reported is the one to the nearest node of the rule
+    assert str(exc.value) == (
+        "evaluation point is %.6e from the nearest boundary rule node, rule requires >= %.6e"
+        % (exc.value.distance, exc.value.min_distance))
+    assert exc.value.distance == pytest.approx(0.001 * np.linalg.norm(MESH2.centroids[0]))
     # far enough inside is fine
     assert q.is_finite(cauchy_boundary(1.0, 1, d, PROBE))
     # a too-close target in a later block of a batch is caught as well

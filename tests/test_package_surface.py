@@ -14,7 +14,7 @@ MODULE_SURFACE = {
     "errors": {"CapacityError", "ConfigError", "NearSingularityError", "QuatemError",
                "SingularMediumError", "SingularityError", "TopologyError"},
     "fields": {"AnalyticField", "abc_beltrami", "exact_chiral_solution",
-               "identity_vector_field", "polynomial_field", "scalar_monomial"},
+               "identity_vector_field", "scalar_monomial"},
     "geometry": {"BallRule", "NormalCheck", "SurfaceMesh", "SurfaceRule", "build_sphere_mesh",
                  "checked_normals", "load_off", "mesh_from_arrays", "polar_ball_rule",
                  "save_csv", "save_off", "sphere_rule"},
@@ -34,8 +34,8 @@ EXPORTS = {
     "SingularityError", "SurfaceMesh", "TopologyError", "VolumeDensity", "abc_beltrami",
     "borel_pompeiu_residual", "build_sphere_mesh", "cauchy_boundary", "checked_normals",
     "continuity_rho", "exact_chiral_solution", "extendibility_residual", "make_medium",
-    "merge_values", "phi_psi_rhs", "polar_ball_rule", "polynomial_field", "reconstruct_eh",
-    "sphere_rule", "split_values", "teodorescu", "theta", "upsilon",
+    "merge_values", "phi_psi_rhs", "polar_ball_rule", "reconstruct_eh", "sphere_rule",
+    "split_values", "teodorescu", "theta", "upsilon",
 }
 
 
