@@ -125,7 +125,10 @@ def _write_json(path, payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     # dumped before the file is opened: a NaN or infinity leaves --out untouched
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("%s not written: a value is NaN or infinite" % path) from None
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -299,15 +302,18 @@ def cmd_reconstruct(args) -> int:
     probes = _parse_probes(args.probes)
     # K_0 of the constant 1: 1 inside the surface, 0 outside
     ones = BoundaryDensity(rule, np.broadcast_to(q.ONE, (len(rule.points), 4)))
-    indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
-    for x, value in zip(probes, indicator):
-        if abs(value - 1.0) > 0.5:
-            print("numeric precondition violated: probe %g,%g,%g is not inside the surface "
-                  "(interior indicator %.4g, expected 1)" % (*x, value), file=sys.stderr)
-            return EXIT_NUMERIC
-    e_x, h_x = reconstruct_eh(rule, e_tr, h_tr, medium, probes)
-    e_k, h_k = two_kernel_eh(rule, e_tr, h_tr, medium, probes)
-    gaps = np.maximum(q.norm(e_x - e_k), q.norm(h_x - h_k))
+    # a far probe's distance overflows to a NaN indicator, refused as well;
+    # _write_json refuses what else overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
+        for x, value in zip(probes, indicator):
+            if not abs(value - 1.0) <= 0.5:
+                print("numeric precondition violated: probe %g,%g,%g is not inside the surface "
+                      "(interior indicator %.4g, expected 1)" % (*x, value), file=sys.stderr)
+                return EXIT_NUMERIC
+        e_x, h_x = reconstruct_eh(rule, e_tr, h_tr, medium, probes)
+        e_k, h_k = two_kernel_eh(rule, e_tr, h_tr, medium, probes)
+        gaps = np.maximum(q.norm(e_x - e_k), q.norm(h_x - h_k))
     worst_gap = float(gaps.max())
     results = [
         {
@@ -342,9 +348,10 @@ def cmd_extend_check(args) -> int:
     rule = mesh.rule
     medium = _medium_from_args(args)
     e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
-    if args.perturb:
-        e_tr, h_tr = perturb_traces(rule, e_tr, h_tr, args.perturb, args.seed)
-    report = extendibility_residual(rule, e_tr, h_tr, medium, args.extrapolation)
+    with np.errstate(over="ignore", invalid="ignore"):  # _write_json refuses what overflows
+        if args.perturb:
+            e_tr, h_tr = perturb_traces(rule, e_tr, h_tr, args.perturb, args.seed)
+        report = extendibility_residual(rule, e_tr, h_tr, medium, args.extrapolation)
     verdict_ok = report.rms <= args.threshold
     _write_json(args.out, {
         "command": "extend-check",

@@ -2,15 +2,15 @@
 
 Every field carries a batched evaluator together with the exact value of
 the Moisil-Theodoresco derivative, so discretization errors can always be
-separated from modeling errors, and the closed form of (D + s) f, which
-costs one evaluation per point.  The fields are the linear scalar_monomial
-f = x_k and identity_vector_field f = x, whose D f is a constant quaternion
-so that (D + s) f = s f + D f; the ABC Beltrami flow, with D F = lam F; and
-the exact chiral solution built from two Beltrami modes.  Where (D + s) f
-vanishes identically, as for a Beltrami flow with rot F = -s F, it is None
-instead of an evaluator of zeros: the field is then s-monogenic,
-(D + s) f = 0, and its Borel-Pompeiu identity is the Cauchy integral
-formula, with no volume term to sum.
+separated from modeling errors.  Its (D + s) f is formed from those two in
+one place, AnalyticField.d_alpha, as s f + D f.  A field with D f = lam f
+also carries its eigenvalue lam, and its (D + s) f is (lam + s) f; where
+lam + s == 0 that is None instead of an evaluator of zeros: the field is
+then s-monogenic, (D + s) f = 0, and its Borel-Pompeiu identity is the
+Cauchy integral formula, with no volume term to sum.  The fields are the
+linear scalar_monomial f = x_k and identity_vector_field f = x, whose D f
+is a constant quaternion; the ABC Beltrami flow, with D F = lam F; and the
+exact chiral solution built from two Beltrami modes.
 """
 
 from __future__ import annotations
@@ -27,38 +27,35 @@ DEFAULT_AMPLITUDES = (1.0, 0.7, 0.3)
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Quaternion-valued field given by batched evaluators: its values, the
-    exact values of its derivative (the oracle), and the closed form of
-    (D + s) f.
+    """Quaternion-valued field given by batched evaluators: its values and
+    the exact values of its derivative (the oracle).
 
-    value  : (..., 3) points -> (..., 4) quaternions
-    d_value: same signature, returning the exact Moisil-Theodoresco
-             derivative D f.
-    shifted: (field, s) -> batched evaluator of the exact (D + s) f for a
-             complex s, at one closed-form evaluation per point, or None
-             when that closed form is identically zero.  It is handed the
-             field itself, so that it evaluates through field.value or
-             through a field of its own.
+    value     : (..., 3) points -> (..., 4) quaternions
+    d_value   : same signature, returning the exact Moisil-Theodoresco
+                derivative D f.
+    eigenvalue: lam when D f = lam f identically, else None.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     d_value: Callable[[np.ndarray], np.ndarray]
-    shifted: Callable[["AnalyticField", complex], Callable[[np.ndarray], np.ndarray] | None]
+    eigenvalue: complex | None = None
 
     def d_alpha(self, alpha, sign: int = 1) -> Callable[[np.ndarray], np.ndarray] | None:
-        """Exact (D + sign*alpha) f as a batched evaluator, or None when it
-        vanishes identically."""
+        """Exact (D + s) f, s = sign*alpha, as a batched evaluator: s f + D f,
+        or (lam + s) f for an eigenvalue lam, and None when lam + s == 0."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return self.shifted(self, sign * alpha)
+        s = sign * alpha
+        if self.eigenvalue is None:
+            return lambda x: s * self.value(x) + self.d_value(x)
+        shift = self.eigenvalue + s
+        return None if shift == 0 else lambda x: shift * self.value(x)
 
 
 def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
                  c=DEFAULT_AMPLITUDES[2]) -> AnalyticField:
     """Arnold-Beltrami-Childress flow: a purely vectorial field with
-    rot F = lam * F and div F = 0, hence D F = lam * F and
-    (D + s) F = (lam + s) F, which vanishes (shifted gives None) when
-    lam + s == 0.
+    rot F = lam * F and div F = 0, hence D F = lam * F, the eigenvalue.
 
     Valid for complex lam (the trigonometric form continues analytically).
     A real lam takes real sin and cos, which give the same values as the
@@ -76,23 +73,15 @@ def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
         out[..., 3] = c * np.sin(arg * x2) + b * np.cos(arg * x1)
         return out
 
-    return AnalyticField(
-        value=value,
-        d_value=lambda x: lam * value(x),
-        shifted=lambda f, s: None if lam + s == 0 else lambda x: (lam + s) * f.value(x),
-    )
+    return AnalyticField(value=value, d_value=lambda x: lam * value(x), eigenvalue=lam)
 
 
 def _constant_derivative(value, d) -> AnalyticField:
     """The field with evaluator `value` and the constant derivative D f = d,
-    broadcast to the points; (D + s) f = s f + d, which never vanishes
-    identically since d does not."""
+    broadcast to the points."""
     d = np.asarray(d, dtype=complex)
-    return AnalyticField(
-        value=value,
-        d_value=lambda x: np.broadcast_to(d, np.shape(x)[:-1] + (4,)).copy(),
-        shifted=lambda f, s: lambda x: s * f.value(x) + d,
-    )
+    return AnalyticField(value=value,
+                         d_value=lambda x: np.broadcast_to(d, np.shape(x)[:-1] + (4,)).copy())
 
 
 def scalar_monomial(component: int = 1) -> AnalyticField:
@@ -130,25 +119,10 @@ def exact_chiral_solution(medium, phi_amplitudes=DEFAULT_AMPLITUDES,
             _mode_sum(phi, psi, lambda u, v: (u - v) / 2j))
 
 
-def _zeros(x) -> np.ndarray:
-    """The vanishing (D + s) f of a mode, as quaternions at points x."""
-    return np.zeros(np.shape(x)[:-1] + (4,), dtype=complex)
-
-
 def _mode_sum(phi: AnalyticField, psi: AnalyticField, combine) -> AnalyticField:
     """The field combine(Phi, Psi) of two modes, for a linear combine; its
-    derivative and its (D + s) f combine theirs, with zeros in place of a
-    mode's (D + s) f that vanishes, and None when both vanish."""
-
-    def shifted(f, s):
-        phi_s, psi_s = phi.d_alpha(s), psi.d_alpha(s)
-        if phi_s is None and psi_s is None:
-            return None
-        phi_s, psi_s = (_zeros if d is None else d for d in (phi_s, psi_s))
-        return lambda x: combine(phi_s(x), psi_s(x))
-
+    derivative combines theirs."""
     return AnalyticField(
         value=lambda x: combine(phi.value(x), psi.value(x)),
         d_value=lambda x: combine(phi.d_value(x), psi.d_value(x)),
-        shifted=shifted,
     )

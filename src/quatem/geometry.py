@@ -137,10 +137,13 @@ def mesh_from_arrays(vertices, triangles) -> SurfaceMesh:
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=int)
     corners = vertices[triangles]  # (T, 3, 3)
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    doubled = np.linalg.norm(cross, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        doubled = np.linalg.norm(cross, axis=1)
     if np.any(doubled == 0.0):
         raise TopologyError("degenerate (zero-area) triangle in mesh")
+    if not np.all(np.isfinite(doubled)):
+        raise TopologyError("triangle area out of floating-point range in mesh")
     return SurfaceMesh(vertices, triangles, cross / doubled[:, None], 0.5 * doubled,
                        corners.mean(axis=1))
 

@@ -296,11 +296,11 @@ def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, 
     fields = f if isinstance(f, tuple) else (f,)
     trace = BoundaryDensity(rule, np.stack([g.value(rule.points) for g in fields]))
     reproduced = cauchy_boundary((alpha,) * len(fields), (sign,) * len(fields), trace, x)
-    shifted = [g.d_alpha(alpha, sign) for g in fields]
-    live = [k for k, d in enumerate(shifted) if d is not None]
+    d_alpha = [g.d_alpha(alpha, sign) for g in fields]
+    live = [k for k, d in enumerate(d_alpha) if d is not None]
     if live:
         volume = VolumeDensity(polar_ball_rule(radius),
-                               lambda y: np.stack([shifted[k](y) for k in live]))
+                               lambda y: np.stack([d_alpha[k](y) for k in live]))
         reproduced[live] += teodorescu((alpha,) * len(live), (sign,) * len(live), volume, x)
     fx = np.stack([g.value(x) for g in fields])
     res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)

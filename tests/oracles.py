@@ -222,8 +222,7 @@ def polynomial_field(coeffs) -> AnalyticField:
 
     `coeffs` has shape (4, 10): rows are q0..q3, columns follow the
     monomial order of _POWERS.  The derivative oracle is
-    D f = sum_k i_k df/dx_k on the table; (D + s) f is the polynomial with
-    coefficients d_coeffs + s * coeffs, None when all of them are zero.
+    D f = sum_k i_k df/dx_k on the table.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (4, N_MONOMIALS):
@@ -234,14 +233,9 @@ def polynomial_field(coeffs) -> AnalyticField:
     # each column of the table is one quaternion, so D acts column by column
     d_coeffs = sum(q.qmul(q.UNITS[k + 1], (coeffs @ _DMAT[k]).T) for k in range(3)).T
 
-    def shifted(f, s):
-        s_coeffs = d_coeffs + s * coeffs
-        return polynomial_field(s_coeffs).value if s_coeffs.any() else None
-
     return AnalyticField(
         value=lambda x: poly_eval_powers(coeffs, x),
         d_value=lambda x: poly_eval_powers(d_coeffs, x),
-        shifted=shifted,
     )
 
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -260,6 +261,9 @@ def _rewound(mesh_path, path, flipped):
 
 @pytest.mark.parametrize("inward, probes, code, message", [
     pytest.param(False, "0.3,0.1,-0.2;3,0,0", 4, "probe 3,0,0 ", id="exterior probe"),
+    # its distance overflows, and the NaN indicator is refused as well
+    pytest.param(False, "0.3,0.1,-0.2;1e200,0,0", 4, "(interior indicator nan, expected 1)",
+                 id="far exterior probe"),
     pytest.param(True, "0.3,0.1,-0.2", 2, "not wound consistently outward",
                  id="inward-wound mesh"),
 ])
@@ -379,12 +383,13 @@ def test_extend_check_rejects_meaningless_flags(workspace, tmp_path, capsys, fla
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_json_artifacts_hold_no_nan_or_infinity(tmp_path, value):
     out = tmp_path / "x.json"
-    with pytest.raises(ValueError):
+    message = re.escape("%s not written: a value is NaN or infinite" % out)
+    with pytest.raises(ValueError, match=message):
         _write_json(out, {"command": "test", "value": [1.0, value]})
     assert not out.exists()
     # a file already at the path is left as it was
     out.write_text("earlier run\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         _write_json(out, {"command": "test", "value": [1.0, value]})
     assert out.read_text() == "earlier run\n"
 
@@ -405,6 +410,22 @@ def test_csv_artifacts_hold_no_nan_or_infinity(workspace, tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: ") and "NaN or infinite" in err
+    assert not out.exists()
+
+
+def test_extend_check_of_overflowing_perturbation_is_one_error_line(workspace, tmp_path,
+                                                                    capsys):
+    # a 1e200 perturbation overflows the residuals: the JSON is refused with
+    # exit 2, no file is written and no NumPy warning is printed
+    _, mesh_path, traces = workspace
+    out = tmp_path / "ext.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["extend-check", "--mesh", mesh_path, "--traces", traces,
+                     "--extrapolation", "linear", "--perturb", "1e200",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: %s not written: a value is NaN or infinite" % out]
     assert not out.exists()
 
 

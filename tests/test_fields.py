@@ -192,39 +192,43 @@ def test_d_alpha_closed_form_matches_oracles(kind, seed, lam, alpha, sign):
 
 @pytest.mark.parametrize("lam", [1.0, -1.5, 0.8 + 0.3j])
 def test_vanishing_shift_is_none(lam):
-    # (D + s) F = (lam + s) F of a Beltrami flow vanishes at s = -lam
+    # (D + s) F = (lam + s) F of a Beltrami flow, with eigenvalue lam,
+    # vanishes at s = -lam
     f = abc_beltrami(lam)
+    assert f.eigenvalue == lam
     assert f.d_alpha(-lam, 1) is None
     assert f.d_alpha(lam, -1) is None
     assert f.d_alpha(lam, 1) is not None
-    # and so does that of the zero polynomial at any s, and of a constant at s = 0
+    # a field without an eigenvalue always gets the evaluator s f + D f,
+    # which returns exact zeros where (D + s) f vanishes: the zero
+    # polynomial at any s, a constant at s = 0
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 3))
     zero = polynomial_field(np.zeros((4, N_MONOMIALS)))
-    assert zero.d_alpha(lam) is None
     coeffs = np.zeros((4, N_MONOMIALS))
     coeffs[:, 0] = [1.0, 0.5, -0.2, 0.3]
     constant = polynomial_field(coeffs)
-    assert constant.d_alpha(0.0) is None
-    assert constant.d_alpha(lam) is not None
+    for field, s in ((zero, lam), (constant, 0.0)):
+        assert field.eigenvalue is None
+        assert np.array_equal(field.d_alpha(s)(x), np.zeros((len(x), 4)))
+    assert np.array_equal(constant.d_alpha(lam)(x), lam * constant.value(x))
 
 
-def test_mode_sum_with_one_vanishing_mode_combines_zeros():
-    # E = (Phi + Psi)/2 and H = (Phi - Psi)/(2i): at s = alpha1 the mode Phi
-    # has (D + s) Phi = 0, at s = -alpha2 the mode Psi, and the field's
-    # (D + s) f combines zeros with the other mode's, bit for bit
+def test_mode_sum_d_alpha_is_s_f_plus_d_f():
+    # E = (Phi + Psi)/2 and H = (Phi - Psi)/(2i) carry no eigenvalue, so
+    # their (D + s) f is s f + D f bit for bit, also at s = alpha1 and at
+    # s = -alpha2, where one mode's (D + s) vanishes
     medium = make_medium(1.0, 1.0, 1.0, 0.25)
-    e_field, h_field = exact_chiral_solution(medium)
-    phi, psi = abc_beltrami(-medium.alpha1), abc_beltrami(medium.alpha2)
     x = np.random.default_rng(13).uniform(-1.0, 1.0, (40, 3))
-    zeros = np.zeros((len(x), 4), dtype=complex)
-    psi_s, phi_s = psi.d_alpha(medium.alpha1)(x), phi.d_alpha(medium.alpha2, -1)(x)
-    for (alpha, sign), (u, v) in (((medium.alpha1, 1), (zeros, psi_s)),
-                                  ((medium.alpha2, -1), (phi_s, zeros))):
-        assert e_field.d_alpha(alpha, sign)(x).tobytes() == (0.5 * (u + v)).tobytes()
-        assert h_field.d_alpha(alpha, sign)(x).tobytes() == ((u - v) / 2j).tobytes()
-    # with both modes vanishing, so does the sum
+    for f in exact_chiral_solution(medium):
+        assert f.eigenvalue is None
+        for alpha, sign in ((medium.alpha1, 1), (medium.alpha2, -1), (0.8 + 0.3j, 1)):
+            expected = sign * alpha * f.value(x) + f.d_value(x)
+            assert f.d_alpha(alpha, sign)(x).tobytes() == expected.tobytes()
+    # two modes of one eigenvalue still sum to a field without one
     both = _mode_sum(abc_beltrami(-0.7), abc_beltrami(-0.7, 0.2, 0.5, 0.9),
                      lambda u, v: u + v)
-    assert both.d_alpha(0.7) is None
+    assert both.eigenvalue is None
+    assert np.abs(both.d_alpha(0.7)(x)).max() < 1e-15
 
 
 def test_exact_chiral_solution_mode_structure():

@@ -149,8 +149,14 @@ def test_checked_normals_on_ellipsoid():
 
 def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
     with pytest.raises(TopologyError):
-        mesh_from_arrays(verts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]))
+        mesh_from_arrays(verts, faces)
+    # a tetrahedron scaled so far that its doubled areas overflow, refused
+    # without a NumPy warning, as gen-mesh --radius 1e160 is
+    tetra = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(TopologyError, match="area out of floating-point range"):
+        mesh_from_arrays(1e160 * tetra, np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]))
 
 
 def test_capacity_limit():

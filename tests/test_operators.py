@@ -439,12 +439,15 @@ def test_borel_pompeiu_fields_in_one_call_match_one_call_each():
 def test_borel_pompeiu_without_the_vanishing_volume_term_is_bit_identical(alpha):
     # verify-bp's Beltrami field abc_beltrami(-alpha) has (D + alpha) f = 0,
     # so its volume pass is left out; summing its exact zeros instead, as a
-    # rebuilt field whose shifted evaluator returns 0 * f does, gives the
-    # same residuals bit for bit
+    # rebuilt field without an eigenvalue and with D f = -alpha f does
+    # (alpha f + D f is then zero), gives the same residuals bit for bit
     rule = sphere_rule(1.0, 3)
     fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
-    assert fields[-1].d_alpha(alpha) is None
-    zeros = dataclasses.replace(fields[-1], shifted=lambda f, s: lambda x: 0 * f.value(x))
+    beltrami = fields[-1]
+    assert beltrami.d_alpha(alpha) is None
+    zeros = dataclasses.replace(beltrami, eigenvalue=None,
+                                d_value=lambda x: -alpha * beltrami.value(x))
+    assert not zeros.d_alpha(alpha)(_BP_PROBES).any()
     summed = borel_pompeiu_residual(fields[:-1] + (zeros,), alpha, 1, rule, 1.0, _BP_PROBES)
     assert borel_pompeiu_residual(fields, alpha, 1, rule, 1.0, _BP_PROBES).tobytes() \
         == summed.tobytes()

@@ -1,12 +1,15 @@
 """Field reconstruction from traces and the extendibility criterion."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatem import quaternions as q
-from quatem.cli import _BP_PROBES
+from quatem.cli import _BP_PROBES, main
 from quatem.fields import exact_chiral_solution
 from quatem.geometry import build_sphere_mesh, mesh_from_arrays, polar_ball_rule, sphere_rule
 from quatem.maxwell import make_medium, merge_values, phi_psi_rhs
@@ -268,6 +271,68 @@ def test_extendibility_discriminates_perturbation():
     e_p, h_p = perturb_traces(mesh.rule, e_tr, h_tr, 0.10, seed=42)
     r1 = extendibility_residual(mesh.rule, e_p, h_p, MEDIUM).rms
     assert r1 >= 5.0 * r0
+
+
+# traces of the exact solution in an achiral medium (beta = 0), which are
+# not traces of a solution in MEDIUM (beta = 0.25)
+MISMATCHED = make_medium(1.0, 1.0, 1.0, 0.0)
+# 16 exterior points, |x| = 1.3, outside the sphere and the ellipsoid
+_DIRECTIONS = np.random.default_rng(16).standard_normal((16, 3))
+EXTERIOR = 1.3 * _DIRECTIONS / np.linalg.norm(_DIRECTIONS, axis=1)[:, None]
+
+
+def _exterior_value(mesh, data_medium):
+    """Max of |E| and |H| at EXTERIOR as reconstruct_eh gives them in MEDIUM
+    from data_medium's exact traces, relative to the traces' largest |(e, h)|."""
+    e_tr, h_tr, _, _ = _traces(mesh, data_medium)
+    scale = np.max(np.sqrt(np.sum(np.abs(e_tr)**2 + np.abs(h_tr)**2, axis=1)))
+    e_x, h_x = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, EXTERIOR)
+    return float(np.maximum(q.norm(e_x), q.norm(h_x)).max() / scale)
+
+
+# floor: the least exterior value that beta = 0 traces may read on the surface
+@pytest.mark.parametrize("axes, floor", [(np.ones(3), 0.05), (ELLIPSOID_AXES, 0.0)],
+                         ids=["sphere", "ellipsoid"])
+def test_exterior_field_of_extendible_traces_vanishes(axes, floor, capsys):
+    # the exterior Cauchy formula: K f = 0 outside the surface when f is
+    # extendible.  Genuine traces read 3.0e-4, 7.4e-5, 1.8e-5 on the sphere at
+    # levels 3-5 and 1.4e-5, 3.5e-6, 8.7e-7 on the ellipsoid, a fitted order
+    # of 2.0 on both; beta = 0 traces read 0.093-0.094 on the sphere and
+    # 0.0294-0.0296 on the ellipsoid, below the sphere's floor of 0.05, so
+    # there they are gated on not falling with level only
+    spacing, genuine, mismatched = [], [], []
+    for level in (3, 4, 5):
+        sphere = build_sphere_mesh(1.0, level)
+        mesh = mesh_from_arrays(sphere.vertices * axes, sphere.triangles)
+        spacing.append(mesh.spacing)
+        genuine.append(_exterior_value(mesh, MEDIUM))
+        mismatched.append(_exterior_value(mesh, MISMATCHED))
+    order = np.polyfit(np.log(spacing), np.log(genuine), 1)[0]
+    with capsys.disabled():
+        print("\nexterior field on levels 3-5: genuine %s, fitted order %.3f (gate 1.8); "
+              "beta = 0 traces %s" % (", ".join("%.2e" % v for v in genuine), order,
+                                      ", ".join("%.4f" % v for v in mismatched)), flush=True)
+    assert order >= 1.8, "fitted order %.3f from exterior values %s" % (order, genuine)
+    assert all(later >= earlier for earlier, later in zip(mismatched, mismatched[1:])), \
+        mismatched
+    assert min(mismatched) >= floor, mismatched
+
+
+def test_extend_check_refuses_traces_of_another_medium(tmp_path, capsys):
+    # beta = 0 traces checked at the default beta = 0.25 read rms 0.1114 at
+    # level 3 and 0.1107 at level 4, against the 0.05 threshold; the rms does
+    # not fall with the mesh, as a discretization error would.  (On the
+    # ellipsoid, level 4 reads 0.0549, too near the threshold to gate on.)
+    rms = []
+    for level in (3, 4):
+        mesh, traces, out = (str(tmp_path / name) for name in ("m.off", "t.csv", "e.json"))
+        assert main(["gen-mesh", "--level", str(level), "--out", mesh]) == 0
+        assert main(["gen-field", "--family", "chiral-exact", "--beta", "0", "--mesh", mesh,
+                     "--out", traces]) == 0
+        assert main(["extend-check", "--mesh", mesh, "--traces", traces, "--out", out]) == 3
+        rms.append(json.loads(Path(out).read_text())["aggregate"]["rms"])
+    capsys.readouterr()
+    assert abs(rms[1] - rms[0]) <= 0.05 * rms[0], rms
 
 
 def test_extendibility_validation():
