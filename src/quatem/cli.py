@@ -167,6 +167,10 @@ def _load_traces(path, n_triangles: int):
     if len(misplaced):
         raise ConfigError("trace row %d holds triangle %g: row i must hold triangle i"
                           % (misplaced[0], table[misplaced[0], 0]))
+    non_finite = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(non_finite):
+        raise ConfigError("trace file %s row %d holds a value that is not finite"
+                          % (path, non_finite[0]))
     # re/im pairs of e1..e3, h1..h3, read as six complex columns
     values = table[:, 1:].view(complex)
     return values[:, :3], values[:, 3:]
@@ -179,18 +183,18 @@ def _save_traces(path, e, h) -> None:
              ["%d"] + ["%.17g"] * 12, _TRACE_HEADER)
 
 
-def _outward_mesh(path):
-    """The OFF mesh at path, refused unless it is closed and wound
-    consistently outward."""
-    mesh = load_off(path)
+def _read_surface(args):
+    """The rule of the OFF mesh args.mesh, refused unless it is closed and
+    wound consistently outward, the medium, and the traces args.traces."""
+    mesh = load_off(args.mesh)
     try:
         check = checked_normals(mesh)
     except TopologyError as exc:
-        raise TopologyError("%s: %s" % (path, exc)) from None
+        raise TopologyError("%s: %s" % (args.mesh, exc)) from None
     if not check.consistent_orientation or check.signed_volume <= 0:
         raise TopologyError("mesh %s is not wound consistently outward (signed volume %g)"
-                            % (path, check.signed_volume))
-    return mesh
+                            % (args.mesh, check.signed_volume))
+    return (mesh.rule, _medium_from_args(args), *_load_traces(args.traces, mesh.n_triangles))
 
 
 def cmd_gen_mesh(args) -> int:
@@ -213,8 +217,7 @@ def cmd_gen_field(args) -> int:
                           % args.amplitudes)
     e_field, h_field = exact_chiral_solution(medium, amps, amps)
     pts = mesh.centroids
-    with np.errstate(over="ignore", invalid="ignore"):  # save_csv refuses what overflows
-        e, h = e_field.value(pts), h_field.value(pts)
+    e, h = e_field.value(pts), h_field.value(pts)
     _save_traces(args.out, q.vec(e), q.vec(h))
     print("gen-field: %s traces on %d triangles -> %s" % (args.family, len(pts), args.out))
     return EXIT_OK
@@ -231,9 +234,8 @@ def cmd_kernel_probe(args) -> int:
     # along any other ray is this one with the vector part rotated, and the
     # kernel of D - alpha is this one with q0 negated
     xs = radii[:, None] * np.array([1.0, 0.0, 0.0])
-    with np.errstate(over="ignore", invalid="ignore"):  # save_csv refuses what overflows
-        th = theta(args.alpha, xs)
-        up = upsilon(args.alpha, 1, xs)
+    th = theta(args.alpha, xs)
+    up = upsilon(args.alpha, 1, xs)
     save_csv(args.out, np.column_stack([radii, th.real, th.imag, up.view(float)]), "%.17g",
              ["r", "theta_re", "theta_im"]
              + ["upsilon%d_%s" % (i, p) for i in range(4) for p in ("re", "im")])
@@ -255,8 +257,7 @@ def cmd_verify_bp(args) -> int:
     fields = tuple(make_field(alpha) for make_field in _BP_FIELDS.values())
     for level in levels:
         rule = sphere_rule(1.0, level)
-        with np.errstate(over="ignore", invalid="ignore"):  # the densities refuse what overflows
-            res = borel_pompeiu_residual(fields, alpha, 1, rule, 1.0, _BP_PROBES)
+        res = borel_pompeiu_residual(fields, alpha, 1, rule, 1.0, _BP_PROBES)
         for col, field_res in zip(table.values(), res):
             col.append(float(field_res.max()))
     decreasing = all(
@@ -295,25 +296,20 @@ def _parse_probes(text: str) -> np.ndarray:
 
 
 def cmd_reconstruct(args) -> int:
-    mesh = _outward_mesh(args.mesh)
-    rule = mesh.rule
-    medium = _medium_from_args(args)
-    e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
+    rule, medium, e_tr, h_tr = _read_surface(args)
     probes = _parse_probes(args.probes)
-    # K_0 of the constant 1: 1 inside the surface, 0 outside
+    # K_0 of the constant 1: 1 inside the surface, 0 outside; a far probe's
+    # distance overflows to a NaN indicator, refused as well
     ones = BoundaryDensity(rule, np.broadcast_to(q.ONE, (len(rule.points), 4)))
-    # a far probe's distance overflows to a NaN indicator, refused as well;
-    # _write_json refuses what else overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
-        for x, value in zip(probes, indicator):
-            if not abs(value - 1.0) <= 0.5:
-                print("numeric precondition violated: probe %g,%g,%g is not inside the surface "
-                      "(interior indicator %.4g, expected 1)" % (*x, value), file=sys.stderr)
-                return EXIT_NUMERIC
-        e_x, h_x = reconstruct_eh(rule, e_tr, h_tr, medium, probes)
-        e_k, h_k = two_kernel_eh(rule, e_tr, h_tr, medium, probes)
-        gaps = np.maximum(q.norm(e_x - e_k), q.norm(h_x - h_k))
+    indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
+    for x, value in zip(probes, indicator):
+        if not abs(value - 1.0) <= 0.5:
+            print("numeric precondition violated: probe %g,%g,%g is not inside the surface "
+                  "(interior indicator %.4g, expected 1)" % (*x, value), file=sys.stderr)
+            return EXIT_NUMERIC
+    e_x, h_x = reconstruct_eh(rule, e_tr, h_tr, medium, probes)
+    e_k, h_k = two_kernel_eh(rule, e_tr, h_tr, medium, probes)
+    gaps = np.maximum(q.norm(e_x - e_k), q.norm(h_x - h_k))
     worst_gap = float(gaps.max())
     results = [
         {
@@ -344,14 +340,10 @@ def cmd_extend_check(args) -> int:
         raise ConfigError("--perturb must be finite and not negative, got %g" % args.perturb)
     if args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer, got %d" % args.seed)
-    mesh = _outward_mesh(args.mesh)
-    rule = mesh.rule
-    medium = _medium_from_args(args)
-    e_tr, h_tr = _load_traces(args.traces, mesh.n_triangles)
-    with np.errstate(over="ignore", invalid="ignore"):  # _write_json refuses what overflows
-        if args.perturb:
-            e_tr, h_tr = perturb_traces(rule, e_tr, h_tr, args.perturb, args.seed)
-        report = extendibility_residual(rule, e_tr, h_tr, medium, args.extrapolation)
+    rule, medium, e_tr, h_tr = _read_surface(args)
+    if args.perturb:
+        e_tr, h_tr = perturb_traces(rule, e_tr, h_tr, args.perturb, args.seed)
+    report = extendibility_residual(rule, e_tr, h_tr, medium, args.extrapolation)
     verdict_ok = report.rms <= args.threshold
     _write_json(args.out, {
         "command": "extend-check",
@@ -456,7 +448,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse reports usage errors this way
             return EXIT_OK if not exc.code else EXIT_CONFIG
-        return args.func(args)
+        # NumPy overflow stays quiet: the densities, _write_json, save_csv and
+        # reconstruct's interior indicator refuse what is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, SingularMediumError, CapacityError, TopologyError,
             OSError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -78,10 +78,9 @@ def abc_beltrami(lam, a=DEFAULT_AMPLITUDES[0], b=DEFAULT_AMPLITUDES[1],
 
 def _constant_derivative(value, d) -> AnalyticField:
     """The field with evaluator `value` and the constant derivative D f = d,
-    broadcast to the points."""
+    a read-only view broadcast to the points."""
     d = np.asarray(d, dtype=complex)
-    return AnalyticField(value=value,
-                         d_value=lambda x: np.broadcast_to(d, np.shape(x)[:-1] + (4,)).copy())
+    return AnalyticField(value, lambda x: np.broadcast_to(d, np.shape(x)[:-1] + (4,)))
 
 
 def scalar_monomial(component: int = 1) -> AnalyticField:

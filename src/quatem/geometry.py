@@ -301,7 +301,10 @@ def load_off(path) -> SurfaceMesh:
     faces = faces[:, 1:]
     if np.any((faces < 0) | (faces >= nv)):
         raise TopologyError("OFF face index out of range 0..%d in %s" % (nv - 1, path))
-    return mesh_from_arrays(vertices, faces)
+    try:
+        return mesh_from_arrays(vertices, faces)
+    except TopologyError as exc:
+        raise TopologyError("OFF file %s: %s" % (path, exc)) from None
 
 
 def save_csv(path, table, fmt, header) -> None:

@@ -200,8 +200,10 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     one worker of an executor made for the call: the caller takes the first
     half of the row blocks (rounded up) and the worker the rest, each adding
     into its own rows of the result, so every row is summed in node order on
-    one thread.  Each side has its own buffers (add).  A guard error on
-    either side is raised here once both have stopped, the caller's first.
+    one thread.  Each side has its own buffers (add).  The worker runs under
+    the caller's NumPy error state, which a new thread does not inherit.  A
+    guard error on either side is raised here once both have stopped, the
+    caller's first.
     """
     rule, y = density.mesh, density.mesh.points
     x = _targets(x)
@@ -262,7 +264,8 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     # reconstruct operations (4 targets at 5120 nodes) ran 6-12 % slower
     cut = (len(row_blocks) + 1) // 2
     with ThreadPoolExecutor(max_workers=1) as pool:  # waits for the worker on every exit
-        second = pool.submit(add, row_blocks[cut:], *buffers()) if cut < len(row_blocks) else None
+        second = (pool.submit(np.errstate(**np.geterr())(add), row_blocks[cut:], *buffers())
+                  if cut < len(row_blocks) else None)
         add(row_blocks[:cut], *buffers())
     if second is not None:
         second.result()

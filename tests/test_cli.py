@@ -264,6 +264,9 @@ def _rewound(mesh_path, path, flipped):
     # its distance overflows, and the NaN indicator is refused as well
     pytest.param(False, "0.3,0.1,-0.2;1e200,0,0", 4, "(interior indicator nan, expected 1)",
                  id="far exterior probe"),
+    # the far probe is summed on the second thread, under main's error state too
+    pytest.param(False, ";".join(["0.3,0.1,-0.2"] * (TILE_ROWS + 4) + ["1e200,0,0"]), 4,
+                 "(interior indicator nan, expected 1)", id="far probe on the second thread"),
     pytest.param(True, "0.3,0.1,-0.2", 2, "not wound consistently outward",
                  id="inward-wound mesh"),
 ])
@@ -272,9 +275,12 @@ def test_reconstruct_rejects_probes_outside_the_surface(workspace, tmp_path, cap
     _, mesh_path, traces = workspace
     if inward:
         mesh_path = _rewound(mesh_path, tmp_path / "inward.off", slice(None))
+    out = tmp_path / "rec.json"
     assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
-                 "--probes=" + probes, "--out", str(tmp_path / "rec.json")]) == code
-    assert message in capsys.readouterr().err
+                 "--probes=" + probes, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "extend-check"])
@@ -295,17 +301,30 @@ def test_commands_reject_open_mesh(workspace, tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-field", "reconstruct", "extend-check"])
-def test_commands_reject_mesh_with_non_finite_vertex(workspace, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, zero_area", [
+    pytest.param(command, zero_area, id=command + (" (zero-area face)" if zero_area else ""))
+    for zero_area in (False, True) for command in ("gen-field", "reconstruct", "extend-check")
+])
+def test_commands_reject_mesh_with_non_finite_vertex(workspace, tmp_path, capsys, command,
+                                                     zero_area):
+    # or with a zero-area face; either refusal names the file
     _, mesh_path, traces = workspace
     lines = Path(mesh_path).read_text().split("\n")
-    lines[5] = "nan 0 1"  # the fourth vertex
-    bad = tmp_path / "nan.off"
+    if zero_area:  # the first face, its third corner moved onto its first
+        first = 2 + int(lines[1].split()[0])
+        face = lines[first].split()
+        lines[first] = " ".join(face[:3] + face[1:2])
+        message = "%s: degenerate (zero-area) triangle in mesh"
+    else:
+        lines[5] = "nan 0 1"  # the fourth vertex
+        message = "%s holds a vertex coordinate that is not finite"
+    bad = tmp_path / "bad.off"
     bad.write_text("\n".join(lines))
     out = tmp_path / "out"
     inputs = ["--family", "chiral-exact"] if command == "gen-field" else ["--traces", traces]
     assert main([command, "--mesh", str(bad), "--out", str(out)] + inputs) == 2
-    assert "%s holds a vertex coordinate that is not finite" % bad in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message % bad in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -580,10 +599,19 @@ def test_trace_file_values_and_bad_rows(workspace, tmp_path, capsys):
     non_numeric = [list(r) for r in rows[1:]]
     non_numeric[2][5] = "abc"
     missing = rows[1:3] + rows[4:]
+
+    def with_cell(cell):  # in rows 3 and 5: the first is named
+        body = [list(r) for r in rows[1:]]
+        body[3][7] = body[5][2] = cell
+        return body
+
+    not_finite = "trace file %s row 3 holds a value that is not finite" % (tmp_path / "t.csv")
     for body, message in ((rows[:0:-1], "row 0 holds triangle %d:" % (n_triangles - 1)),
                           (out_of_range, "row 2 holds triangle %d:" % n_triangles),
                           (non_numeric, "could not convert"),
-                          (missing, "holds %d rows" % (n_triangles - 1))):
+                          (missing, "holds %d rows" % (n_triangles - 1)),
+                          (with_cell("nan"), not_finite),
+                          (with_cell("inf"), not_finite)):
         assert main(["reconstruct", "--mesh", mesh_path, "--traces", write(body),
                      "--out", str(tmp_path / "x.json")]) == 2
         assert message in capsys.readouterr().err

@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -838,6 +839,21 @@ def _executor_workers():
     """The live worker threads of executors, which CPython names
     ThreadPoolExecutor-<n>_<k>."""
     return [t.name for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
+
+
+def test_second_thread_runs_under_the_callers_error_state():
+    d = BoundaryDensity(MESH2.rule, _random_density(MESH2, np.random.default_rng(36), 2))
+    # 21 targets are 2 row tiles; the far one, in the second, is summed on the
+    # second thread, and its distance overflows
+    x = np.vstack([np.tile(PROBE, (TILE_ROWS + 4, 1)), [1e200, 0.0, 0.0]])
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        out = cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, x)
+    assert q.is_finite(out[:, :-1])
+    assert not np.isfinite(out[:, -1]).any()
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        cauchy_boundary((0.8, 4.0 / 3.0), (1, -1), d, x)
+    assert not _executor_workers()
 
 
 def test_guard_in_the_second_thread_raises_in_the_caller():
