@@ -18,11 +18,10 @@ import numpy as np
 
 from . import quaternions as q
 from .errors import (
-    CapacityError,
     ConfigError,
     NearSingularityError,
+    QuatemError,
     SingularityError,
-    SingularMediumError,
     TopologyError,
 )
 from .fields import (
@@ -141,36 +140,34 @@ _TRACE_HEADER = ["triangle"] + ["%s%d_%s" % (f, i, p)
                                for f in "eh" for i in (1, 2, 3) for p in ("re", "im")]
 
 
-def _check_trace_columns(path) -> None:
-    """Name the first row below the header that does not hold 13 columns."""
-    with open(path, newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            if row and len(row) != len(_TRACE_HEADER):
-                raise ConfigError("trace row %r has %d columns, expected %d"
-                                  % (row[0], len(row), len(_TRACE_HEADER)))
+def _column_fault(path):
+    """The first row below the header that does not hold 13 columns, named;
+    bytes that do not decode are replaced: _load_traces reports that refusal."""
+    with open(path, newline="", errors="replace") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    for i, row in enumerate(rows):
+        if len(row) != len(_TRACE_HEADER):
+            return "row %d has %d columns, expected %d" % (i, len(row), len(_TRACE_HEADER))
 
 
 def _load_traces(path, n_triangles: int):
-    try:
-        with warnings.catch_warnings():  # a file of no rows is refused by its row count
+    try:  # a file of no rows, of which numpy warns, is refused by its row count
+        with open(path) as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        _check_trace_columns(path)
-        raise ConfigError("trace file %s: %s" % (path, exc)) from None
-    if table.shape[1] != len(_TRACE_HEADER):
-        _check_trace_columns(path)
-    if len(table) != n_triangles:
-        raise ConfigError("trace file holds %d rows, mesh has %d triangles"
-                          % (len(table), n_triangles))
-    misplaced = np.flatnonzero(table[:, 0] != np.arange(n_triangles))
-    if len(misplaced):
-        raise ConfigError("trace row %d holds triangle %g: row i must hold triangle i"
-                          % (misplaced[0], table[misplaced[0], 0]))
-    non_finite = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if len(non_finite):
-        raise ConfigError("trace file %s row %d holds a value that is not finite"
-                          % (path, non_finite[0]))
+            if fh.readline().rstrip("\n") != ",".join(_TRACE_HEADER):
+                raise ConfigError("the first row is not the header " + ",".join(_TRACE_HEADER))
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if table.shape != (n_triangles, len(_TRACE_HEADER)):
+            raise ConfigError("%d rows, mesh has %d triangles" % (len(table), n_triangles))
+        misplaced = np.flatnonzero(table[:, 0] != np.arange(n_triangles))
+        if len(misplaced):
+            raise ConfigError("row %d holds triangle %g: row i must hold triangle i"
+                              % (misplaced[0], table[misplaced[0], 0]))
+        non_finite = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if len(non_finite):
+            raise ConfigError("row %d holds a value that is not finite" % non_finite[0])
+    except (ConfigError, ValueError) as exc:  # a row of another column count is named first
+        raise ConfigError("trace file %s: %s" % (path, _column_fault(path) or exc)) from None
     # re/im pairs of e1..e3, h1..h3, read as six complex columns
     values = table[:, 1:].view(complex)
     return values[:, :3], values[:, 3:]
@@ -189,11 +186,11 @@ def _read_surface(args):
     mesh = load_off(args.mesh)
     try:
         check = checked_normals(mesh)
+        if not check.consistent_orientation or check.signed_volume <= 0:
+            raise TopologyError("mesh is not wound consistently outward (signed volume %g)"
+                                % check.signed_volume)
     except TopologyError as exc:
         raise TopologyError("%s: %s" % (args.mesh, exc)) from None
-    if not check.consistent_orientation or check.signed_volume <= 0:
-        raise TopologyError("mesh %s is not wound consistently outward (signed volume %g)"
-                            % (args.mesh, check.signed_volume))
     return (mesh.rule, _medium_from_args(args), *_load_traces(args.traces, mesh.n_triangles))
 
 
@@ -452,13 +449,12 @@ def main(argv=None) -> int:
         # reconstruct's interior indicator refuse what is not finite
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ConfigError, SingularMediumError, CapacityError, TopologyError,
-            OSError, ValueError, MemoryError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     except (NearSingularityError, SingularityError) as exc:
         print("numeric precondition violated: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
+    except (QuatemError, OSError, ValueError, MemoryError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -270,40 +270,32 @@ def load_off(path) -> SurfaceMesh:
     """Read an ASCII OFF file (triangles only).
 
     Raises TopologyError, naming the file, on a file that is not OFF, is
-    cut short, holds a token that is not a number or a vertex coordinate
-    that is not finite, has a non-triangular face or indexes a vertex it
-    does not hold.
+    cut short or runs past the faces it declares, holds a token that is not
+    a number or a vertex coordinate that is not finite, has a non-triangular
+    face, indexes a vertex it does not hold or has a face of zero area.
     """
-    with open(path) as fh:
-        tokens = re.sub(r"#.*", "", fh.read()).split()
-    if len(tokens) < 4 or tokens[0] != "OFF":
-        raise TopologyError("not an ASCII OFF file: %s" % path)
-
-    def numbers(part, dtype):
-        try:
-            return np.array(part, dtype=dtype)
-        except (ValueError, OverflowError) as exc:
-            raise TopologyError("OFF file %s holds a token that is not a number: %s"
-                                % (path, exc)) from None
-
-    nv, nf = numbers(tokens[1:3], np.int64).tolist()
-    start = 4 + 3 * nv
-    end = start + 4 * nf
-    if min(nv, nf) < 1 or len(tokens) < end:
-        raise TopologyError("OFF file %s is empty or truncated (it declares %d vertices "
-                            "and %d faces)" % (path, nv, nf))
-    vertices = numbers(tokens[4:start], float).reshape(nv, 3)
-    if not np.all(np.isfinite(vertices)):
-        raise TopologyError("OFF file %s holds a vertex coordinate that is not finite" % path)
-    faces = numbers(tokens[start:end], np.int64).reshape(nf, 4)
-    if np.any(faces[:, 0] != 3):
-        raise TopologyError("OFF file %s holds a face that is not a triangle" % path)
-    faces = faces[:, 1:]
-    if np.any((faces < 0) | (faces >= nv)):
-        raise TopologyError("OFF face index out of range 0..%d in %s" % (nv - 1, path))
     try:
+        with open(path) as fh:
+            tokens = re.sub(r"#.*", "", fh.read()).split()
+        if len(tokens) < 4 or tokens[0] != "OFF":
+            raise TopologyError("not an ASCII OFF file")
+        nv, nf = np.array(tokens[1:3], dtype=np.int64).tolist()
+        start = 4 + 3 * nv
+        end = start + 4 * nf
+        if min(nv, nf) < 1 or len(tokens) != end:
+            raise TopologyError("empty, truncated or overlong: it declares %d vertices and "
+                                "%d faces" % (nv, nf))
+        vertices = np.array(tokens[4:start], dtype=float).reshape(nv, 3)
+        if not np.all(np.isfinite(vertices)):
+            raise TopologyError("a vertex coordinate is not finite")
+        faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)
+        if np.any(faces[:, 0] != 3):
+            raise TopologyError("a face is not a triangle")
+        faces = faces[:, 1:]
+        if np.any((faces < 0) | (faces >= nv)):
+            raise TopologyError("face index out of range 0..%d" % (nv - 1))
         return mesh_from_arrays(vertices, faces)
-    except TopologyError as exc:
+    except (TopologyError, ValueError, OverflowError) as exc:
         raise TopologyError("OFF file %s: %s" % (path, exc)) from None
 
 

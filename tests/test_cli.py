@@ -314,10 +314,10 @@ def test_commands_reject_mesh_with_non_finite_vertex(workspace, tmp_path, capsys
         first = 2 + int(lines[1].split()[0])
         face = lines[first].split()
         lines[first] = " ".join(face[:3] + face[1:2])
-        message = "%s: degenerate (zero-area) triangle in mesh"
+        message = "OFF file %s: degenerate (zero-area) triangle in mesh"
     else:
         lines[5] = "nan 0 1"  # the fourth vertex
-        message = "%s holds a vertex coordinate that is not finite"
+        message = "OFF file %s: a vertex coordinate is not finite"
     bad = tmp_path / "bad.off"
     bad.write_text("\n".join(lines))
     out = tmp_path / "out"
@@ -605,22 +605,82 @@ def test_trace_file_values_and_bad_rows(workspace, tmp_path, capsys):
         body[3][7] = body[5][2] = cell
         return body
 
-    not_finite = "trace file %s row 3 holds a value that is not finite" % (tmp_path / "t.csv")
+    not_finite = "row 3 holds a value that is not finite"
     for body, message in ((rows[:0:-1], "row 0 holds triangle %d:" % (n_triangles - 1)),
                           (out_of_range, "row 2 holds triangle %d:" % n_triangles),
                           (non_numeric, "could not convert"),
-                          (missing, "holds %d rows" % (n_triangles - 1)),
+                          (missing, "%d rows, mesh has" % (n_triangles - 1)),
                           (with_cell("nan"), not_finite),
                           (with_cell("inf"), not_finite)):
         assert main(["reconstruct", "--mesh", mesh_path, "--traces", write(body),
                      "--out", str(tmp_path / "x.json")]) == 2
-        assert message in capsys.readouterr().err
+        assert "trace file %s: %s" % (tmp_path / "t.csv", message) in capsys.readouterr().err
+
+
+def _faces(rows):  # the face lines of an OFF file split into tokens
+    return rows[2 + int(rows[1][0]):]
+
+
+def _one_face_fewer_declared(rows):
+    return rows[:1] + [[rows[1][0], str(len(_faces(rows)) - 1), "0"]] + rows[2:]
+
+
+# each edit of the level-2 workspace's OFF file (split into tokens line by
+# line) or trace file (split into cells) that reconstruct refuses, and a
+# fragment of the refusal; the file is written in Latin-1, so that "\xff" is
+# a byte that UTF-8 does not decode
+_BAD_INPUTS = {
+    "off: not OFF": (lambda r: [["NOFF"]] + r[1:], "not an ASCII OFF file"),
+    "off: not UTF-8": (lambda r: [["OFF\xff"]] + r[1:], "can't decode"),
+    "off: truncated": (lambda r: r[:-1], "declares 162 vertices and 320 faces"),
+    "off: face past those declared": (_one_face_fewer_declared, "and 319 faces"),
+    "off: count not a number": (lambda r: [r[0], ["x"] + r[1][1:]] + r[2:], "'x'"),
+    "off: vertex not a number": (lambda r: r[:2] + [["x"] + r[2][1:]] + r[3:], "'x'"),
+    "off: non-finite vertex": (lambda r: r[:2] + [["nan"] + r[2][1:]] + r[3:], "not finite"),
+    "off: face not a triangle": (lambda r: r[:-1] + [["4"] + r[-1][1:]], "not a triangle"),
+    "off: face index out of range": (lambda r: r[:-1] + [r[-1][:3] + [r[1][0]]],
+                                     "out of range 0..161"),
+    "off: zero-area face": (lambda r: r[:-1] + [r[-1][:3] + r[-1][1:2]], "zero-area"),
+    "off: open": (lambda r: _one_face_fewer_declared(r)[:-1], "not closed"),
+    "off: wound inward": (lambda r: r[:-len(_faces(r))] + [f[:1] + f[:0:-1] for f in _faces(r)],
+                          "not wound consistently outward"),
+    "traces: column count": (lambda r: r[:3] + [r[3][:7]] + r[4:], "row 2 has 7 columns"),
+    "traces: not a number": (lambda r: r[:3] + [r[3][:5] + ["abc"] + r[3][6:]] + r[4:],
+                             "could not convert"),
+    "traces: row count": (lambda r: r[:-1], "319 rows"),
+    "traces: misplaced row": (lambda r: r[:1] + r[:0:-1], "row 0 holds triangle 319"),
+    "traces: non-finite": (lambda r: r[:3] + [r[3][:5] + ["nan"] + r[3][6:]] + r[4:],
+                           "row 2 holds a value that is not finite"),
+    "traces: header": (lambda r: [["index"] + ["c%d" % i for i in range(12)]] + r[1:],
+                       "not the header"),
+    "traces: not UTF-8": (lambda r: r[:3] + [r[3][:5] + ["\xff"] + r[3][6:]] + r[4:],
+                          "can't decode"),
+}
+
+
+@pytest.mark.parametrize("fault", _BAD_INPUTS)
+def test_input_refusal_names_its_file_once(workspace, tmp_path, capsys, fault):
+    _, mesh_path, traces = workspace
+    kind = fault.split(":")[0]
+    good, sep = (mesh_path, " ") if kind == "off" else (traces, ",")
+    rows = [line.split(sep) for line in Path(good).read_text().splitlines()]
+    edit, message = _BAD_INPUTS[fault]
+    bad = tmp_path / ("bad.off" if kind == "off" else "bad.csv")
+    bad.write_text("".join(sep.join(row) + "\n" for row in edit(rows)), encoding="latin-1")
+    inputs = {"off": mesh_path, "traces": traces, kind: str(bad)}
+    out = tmp_path / "out.json"
+    assert main(["reconstruct", "--mesh", inputs["off"], "--traces", inputs["traces"],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count(str(bad)) == 1 and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("header", [True, False], ids=["header only", "empty"])
 def test_trace_file_of_no_rows_is_one_error_line(workspace, tmp_path, capsys, header):
-    # numpy warns of a file that holds no data; the trace file is refused by
-    # its row count, and the error line is all that reaches stderr
+    # numpy warns of a file that holds no data; a header-only trace file is
+    # refused by its row count, an empty one by its header, and the error
+    # line is all that reaches stderr
     _, mesh_path, traces = workspace
     with open(traces) as fh:
         first = fh.readline()
@@ -632,4 +692,6 @@ def test_trace_file_of_no_rows_is_one_error_line(workspace, tmp_path, capsys, he
             assert main([command, "--mesh", mesh_path, "--traces", str(path),
                          "--out", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == ["error: trace file holds 0 rows, mesh has 320 triangles"]
+        fault = ("0 rows, mesh has 320 triangles" if header else
+                 "the first row is not the header " + first.strip())
+        assert err.splitlines() == ["error: trace file %s: %s" % (path, fault)]

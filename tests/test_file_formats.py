@@ -3,6 +3,7 @@ line-by-line reference writers (byte for byte except the kernel probe's
 upsilon columns), and the trace reader on their output."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -77,5 +78,6 @@ def test_trace_reader_rejects_fractional_triangle(tmp_path):
     _save_traces(path, np.ones((3, 3), dtype=complex), np.ones((3, 3), dtype=complex))
     text = path.read_text().replace("\n1,", "\n1.5,")
     path.write_text(text)
-    with pytest.raises(ConfigError, match="trace row 1 holds triangle 1.5: row i must hold"):
+    message = "trace file %s: row 1 holds triangle 1.5: row i must hold" % path
+    with pytest.raises(ConfigError, match=re.escape(message)):
         _load_traces(path, 3)

@@ -299,6 +299,7 @@ def test_off_roundtrip_under_rigid_motion_and_scaling(rotation, shift, scale):
 @pytest.mark.parametrize("text", [
     pytest.param("OFF\n", id="header only"),
     pytest.param(TETRA_OFF[:TETRA_OFF.rindex("3 1 3 2")], id="truncated face list"),
+    pytest.param(TETRA_OFF.replace("4 4 0", "4 3 0"), id="face past those declared"),
     pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 4"), id="face index past the vertices"),
     pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 -1 2"), id="negative face index"),
     pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 nan -1"), id="non-finite vertex"),
