@@ -22,7 +22,6 @@ from .errors import (
     NearSingularityError,
     QuatemError,
     SingularityError,
-    TopologyError,
 )
 from .fields import (
     DEFAULT_AMPLITUDES,
@@ -84,21 +83,21 @@ _BP_PROBES = np.array(
 )
 
 
+def _numbers(text: str, kind=float):
+    """The comma-separated values of text as `kind`, or None if one is not a
+    finite number of that kind."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+    except ValueError:
+        return None
+    return values if all(abs(v) < np.inf for v in values) else None
+
+
 def _complex_arg(text: str) -> complex:
-    try:
-        value = complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError("cannot parse complex number %r" % text) from exc
-    if not np.isfinite(value):
-        raise ConfigError("complex number %r is not finite" % text)
-    return value
-
-
-def _float_or_nan(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:  # not a number: reported with the non-finite values
-        return np.nan
+    value = _numbers(text.replace(" ", ""), complex)
+    if value is None or len(value) != 1:
+        raise ConfigError("complex number %r does not parse or is not finite" % text)
+    return value[0]
 
 
 def _add_medium_args(parser: argparse.ArgumentParser) -> None:
@@ -121,8 +120,7 @@ def _medium_json(medium) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
+    payload = dict(payload, schema_version=SCHEMA_VERSION)
     # dumped before the file is opened: a NaN or infinity leaves --out untouched
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -181,16 +179,8 @@ def _save_traces(path, e, h) -> None:
 
 
 def _read_surface(args):
-    """The rule of the OFF mesh args.mesh, refused unless it is closed and
-    wound consistently outward, the medium, and the traces args.traces."""
+    """The rule of the OFF mesh args.mesh, the medium, and the traces args.traces."""
     mesh = load_off(args.mesh)
-    try:
-        check = checked_normals(mesh)
-        if not check.consistent_orientation or check.signed_volume <= 0:
-            raise TopologyError("mesh is not wound consistently outward (signed volume %g)"
-                                % check.signed_volume)
-    except TopologyError as exc:
-        raise TopologyError("%s: %s" % (args.mesh, exc)) from None
     return (mesh.rule, _medium_from_args(args), *_load_traces(args.traces, mesh.n_triangles))
 
 
@@ -198,18 +188,16 @@ def cmd_gen_mesh(args) -> int:
     mesh = build_sphere_mesh(args.radius, args.level)
     save_off(mesh, args.out)
     check = checked_normals(mesh)
-    print(
-        "gen-mesh: %d triangles, area %.6g, flux residual %.2e -> %s"
-        % (mesh.n_triangles, mesh.area, check.flux_residual, args.out)
-    )
+    print("gen-mesh: %d triangles, area %.6g, flux residual %.2e -> %s"
+          % (mesh.n_triangles, mesh.area, check.flux_residual, args.out))
     return EXIT_OK
 
 
 def cmd_gen_field(args) -> int:
     mesh = load_off(args.mesh)
     medium = _medium_from_args(args)
-    amps = tuple(_float_or_nan(v) for v in args.amplitudes.split(","))
-    if len(amps) != 3 or not np.all(np.isfinite(amps)):
+    amps = _numbers(args.amplitudes)
+    if amps is None or len(amps) != 3:
         raise ConfigError("--amplitudes must be three finite numbers 'a,b,c', got %r"
                           % args.amplitudes)
     e_field, h_field = exact_chiral_solution(medium, amps, amps)
@@ -241,10 +229,7 @@ def cmd_kernel_probe(args) -> int:
 
 
 def cmd_verify_bp(args) -> int:
-    try:
-        levels = [int(v) for v in args.levels.split(",")]
-    except ValueError:
-        levels = []
+    levels = _numbers(args.levels, int)
     if not levels or sorted(set(levels)) != levels or not (
             MIN_BP_LEVEL <= levels[0] and levels[-1] <= MAX_SUBDIVISION):
         raise ConfigError("--levels must be strictly increasing integers in %d..%d, got %r"
@@ -277,16 +262,10 @@ def cmd_verify_bp(args) -> int:
 
 def _parse_probes(text: str) -> np.ndarray:
     pts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vals = [_float_or_nan(v) for v in chunk.split(",")]
-        if len(vals) != 3:
-            raise ConfigError("--probes: probe %r is not a 3-vector" % chunk)
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("--probes: probe %r is not finite" % chunk)
-        pts.append(vals)
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        pts.append(_numbers(chunk))
+        if len(pts[-1] or ()) != 3:
+            raise ConfigError("--probes: probe %r is not three finite numbers" % chunk)
     if not pts:
         raise ConfigError("--probes: no probe points given")
     return np.array(pts)

@@ -266,35 +266,55 @@ def save_off(mesh: SurfaceMesh, path) -> None:
         np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
 
 
+def _rows(tokens, kind, width, part):
+    """The tokens as rows of `width` numbers of `kind`, float or np.int64;
+    ValueError naming the first token that is not one and its row, part.format(row)."""
+    try:
+        return np.array(tokens, dtype=kind).reshape(-1, width)
+    except ValueError:  # read again one by one, up to the first that fails
+        for i, token in enumerate(tokens):
+            try:
+                np.array(token, dtype=kind)
+            except ValueError:
+                raise ValueError("%r in %s is not %s" % (token, part.format(i // width),
+                                 "a number" if kind is float else "an integer"))
+
+
 def load_off(path) -> SurfaceMesh:
     """Read an ASCII OFF file (triangles only).
 
-    Raises TopologyError, naming the file, on a file that is not OFF, is
-    cut short or runs past the faces it declares, holds a token that is not
-    a number or a vertex coordinate that is not finite, has a non-triangular
-    face, indexes a vertex it does not hold or has a face of zero area.
+    Raises TopologyError, naming the file, on a file that is not OFF, is cut
+    short or runs past the faces it declares, holds a token that is not a
+    number (named with its vertex, face or the counts) or a vertex coordinate
+    that is not finite, has a non-triangular or zero-area face, indexes a
+    vertex it does not hold, or is not closed and wound consistently outward.
     """
     try:
         with open(path) as fh:
             tokens = re.sub(r"#.*", "", fh.read()).split()
         if len(tokens) < 4 or tokens[0] != "OFF":
             raise TopologyError("not an ASCII OFF file")
-        nv, nf = np.array(tokens[1:3], dtype=np.int64).tolist()
+        nv, nf = _rows(tokens[1:3], np.int64, 2, "the counts")[0].tolist()
         start = 4 + 3 * nv
         end = start + 4 * nf
         if min(nv, nf) < 1 or len(tokens) != end:
             raise TopologyError("empty, truncated or overlong: it declares %d vertices and "
                                 "%d faces" % (nv, nf))
-        vertices = np.array(tokens[4:start], dtype=float).reshape(nv, 3)
+        vertices = _rows(tokens[4:start], float, 3, "vertex {}")
         if not np.all(np.isfinite(vertices)):
             raise TopologyError("a vertex coordinate is not finite")
-        faces = np.array(tokens[start:end], dtype=np.int64).reshape(nf, 4)
+        faces = _rows(tokens[start:end], np.int64, 4, "face {}")
         if np.any(faces[:, 0] != 3):
             raise TopologyError("a face is not a triangle")
         faces = faces[:, 1:]
         if np.any((faces < 0) | (faces >= nv)):
             raise TopologyError("face index out of range 0..%d" % (nv - 1))
-        return mesh_from_arrays(vertices, faces)
+        mesh = mesh_from_arrays(vertices, faces)
+        check = checked_normals(mesh)  # TopologyError on an open mesh
+        if not check.consistent_orientation or check.signed_volume <= 0:
+            raise TopologyError("mesh is not wound consistently outward (signed volume %g)"
+                                % check.signed_volume)
+        return mesh
     except (TopologyError, ValueError, OverflowError) as exc:
         raise TopologyError("OFF file %s: %s" % (path, exc)) from None
 

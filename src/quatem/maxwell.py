@@ -46,11 +46,12 @@ class ChiralMedium:
     alpha2: complex = field(init=False)
 
     def __post_init__(self):
-        if not (np.all(np.isfinite([self.omega, self.epsilon, self.mu, self.beta]))
-                and self.omega > 0):
-            raise ValueError("omega, epsilon, mu and beta must be finite, omega positive")
         k = self.omega * _root(self.mu) * _root(self.epsilon)
-        kb = k * self.beta
+        kb = k * self.beta  # NaN or infinite also where k is, such as where k overflows
+        if not (np.all(np.isfinite([self.omega, self.epsilon, self.mu, self.beta, kb]))
+                and self.omega > 0):
+            raise ValueError("omega, epsilon, mu, beta and k*beta must be finite, omega "
+                             "positive: the wave number k = %s" % k)
         scale = max(1.0, abs(kb))
         for s in (1.0, -1.0):
             if abs(1.0 + s * kb) <= _SINGULAR_TOL * scale:

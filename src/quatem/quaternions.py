@@ -62,6 +62,5 @@ def norm(q) -> np.ndarray:
 
 
 def is_finite(q) -> bool:
-    q = np.asarray(q, dtype=complex)
-    return bool(np.all(np.isfinite(q.real)) and np.all(np.isfinite(q.imag)))
+    return bool(np.all(np.isfinite(np.asarray(q, dtype=complex))))
 

@@ -9,8 +9,9 @@ of the kernels and fields; grad_theta is the closed-form gradient of the
 Helmholtz fundamental solution; maxwell_residual checks the chiral curl
 equations, with or without a current, by finite differences; rot_coeffs and
 manufactured_current_solution build a polynomial chiral solution with a
-current; proper_rotation draws a random rotation; and ELLIPSOID_AXES scales
-an icosphere into the tests' non-spherical closed surface.
+current; proper_rotation draws a random rotation; ELLIPSOID_AXES scales
+an icosphere into the tests' non-spherical closed surface; and torus_mesh
+builds a closed surface that is not star-shaped either.
 
 The general polynomial fields of degree <= 2 live here too, as the reference
 for the property tests: polynomial_field takes a (4, 10) coefficient table
@@ -25,7 +26,7 @@ import numpy as np
 
 from quatem import quaternions as q
 from quatem.fields import AnalyticField
-from quatem.geometry import SurfaceMesh, checked_normals
+from quatem.geometry import SurfaceMesh, checked_normals, mesh_from_arrays
 from quatem.kernels import _radii, theta
 from quatem.maxwell import ChiralMedium
 from quatem.operators import RESIDUAL_FLOOR
@@ -265,3 +266,20 @@ def proper_rotation(rng) -> np.ndarray:
     qmat, r = np.linalg.qr(rng.standard_normal((3, 3)))
     qmat = qmat * np.sign(np.diag(r))
     return qmat if np.linalg.det(qmat) > 0 else -qmat
+
+
+def torus_mesh(nu: int, nv: int, R: float = 1.0, r: float = 0.4) -> SurfaceMesh:
+    """The torus about the x3 axis of centre-circle radius R and tube radius
+    r: the vertices of an nu x nv grid in the angles (u, v), (R + r cos v)
+    (cos u, sin u) and r sin v, each cell a (u, v), b (u + 1, v),
+    c (u + 1, v + 1), d (u, v + 1) split as [a, b, c], [a, c, d], which is
+    outward-wound: 2 nu nv triangles."""
+    u, v = np.meshgrid(2.0 * np.pi * np.arange(nu) / nu, 2.0 * np.pi * np.arange(nv) / nv,
+                       indexing="ij")
+    ring = R + r * np.cos(v)
+    vertices = np.stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)], axis=-1)
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    a, b = i * nv + j, (i + 1) % nu * nv + j
+    c, d = (i + 1) % nu * nv + (j + 1) % nv, i * nv + (j + 1) % nv
+    triangles = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return mesh_from_arrays(vertices.reshape(-1, 3), triangles)

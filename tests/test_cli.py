@@ -19,6 +19,8 @@ from quatem.maxwell import make_medium
 from quatem.operators import NODE_CHUNK, TILE_ROWS
 from quatem.reconstruction import extendibility_residual, perturb_traces
 
+from oracles import torus_mesh
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -217,14 +219,16 @@ def test_reconstruct_json(workspace, tmp_path):
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < 5e-2
 
 
-@pytest.mark.parametrize("probe", ["nan,0,0", "inf,0,0", "0.1,-inf,0", "0.1,x,0"])
+@pytest.mark.parametrize("probe", ["nan,0,0", "inf,0,0", "0.1,-inf,0", "0.1,x,0", "0.1,0",
+                                   "0.1,0,0,0"])
 def test_reconstruct_rejects_non_finite_probes(workspace, tmp_path, capsys, probe):
+    # or probes of another length: one message for both
     _, mesh_path, traces = workspace
     out = tmp_path / "rec.json"
     assert main(["reconstruct", "--mesh", mesh_path, "--traces", traces,
                  "--probes=0.3,0.1,-0.2;" + probe, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "probe %r is not finite" % probe in err and "--probes" in err
+    assert err == "error: --probes: probe %r is not three finite numbers\n" % probe
     assert not out.exists()
 
 
@@ -285,20 +289,82 @@ def test_reconstruct_rejects_probes_outside_the_surface(workspace, tmp_path, cap
 
 @pytest.mark.parametrize("command", ["reconstruct", "extend-check"])
 def test_commands_reject_open_mesh(workspace, tmp_path, capsys, command):
-    # 10 of the 320 triangles removed, and traces made for the open mesh itself
-    _, mesh_path, _ = workspace
+    # 10 of the 320 triangles removed: the mesh is refused before the traces
+    # are read, and gen-field refuses it too
+    _, mesh_path, traces = workspace
     mesh = load_off(mesh_path)
-    bad, traces = tmp_path / "open.off", tmp_path / "t.csv"
+    bad, out = tmp_path / "open.off", tmp_path / "out"
     save_off(mesh_from_arrays(mesh.vertices, mesh.triangles[10:]), bad)
-    assert main(["gen-field", "--family", "chiral-exact", "--mesh", str(bad),
-                 "--out", str(traces)]) == 0
-    out = tmp_path / "out.json"
     extra = ["--extrapolation", "linear"] if command == "extend-check" else []
-    assert main([command, "--mesh", str(bad), "--traces", str(traces),
-                 "--out", str(out)] + extra) == 2
+    for argv in ([command, "--traces", traces] + extra, ["gen-field", "--family", "chiral-exact"]):
+        assert main(argv + ["--mesh", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: OFF file %s: mesh is not closed" % bad)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flipped", [slice(None), [5]], ids=["wound inward", "one flipped"])
+def test_gen_field_rejects_mesh_not_wound_outward(workspace, tmp_path, capsys, flipped):
+    _, mesh_path, _ = workspace
+    bad = _rewound(mesh_path, tmp_path / "bad.off", flipped)
+    out = tmp_path / "t.csv"
+    assert main(["gen-field", "--family", "chiral-exact", "--mesh", bad, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "not closed" in err and str(bad) in err
+    assert err.startswith("error: OFF file %s: mesh is not wound consistently outward" % bad)
+    assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["0", "0.25"])
+def test_gen_field_rejects_medium_whose_wave_number_overflows(workspace, tmp_path, capsys,
+                                                              beta):
+    _, mesh_path, _ = workspace
+    out = tmp_path / "t.csv"
+    assert main(["gen-field", "--family", "chiral-exact", "--mesh", mesh_path, "--omega", "1e200",
+                 "--epsilon", "1e200", "--mu", "1e200", "--beta", beta, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(" must be finite, omega positive: the wave number k = (inf+0j)\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def torus(tmp_path_factory):
+    """The 40 x 16 torus (1280 triangles) and its genuine traces."""
+    root = tmp_path_factory.mktemp("torus")
+    mesh, traces = str(root / "torus.off"), str(root / "torus.csv")
+    save_off(torus_mesh(40, 16), mesh)
+    assert main(["gen-field", "--family", "chiral-exact", "--mesh", mesh, "--out", traces]) == 0
+    return mesh, traces
+
+
+def test_reconstruct_on_the_torus_refuses_the_hole_centre(torus, tmp_path, capsys):
+    # the centre circle is inside the torus, the hole's centre is not: its
+    # interior indicator reads 3e-4
+    mesh, traces = torus
+    out = tmp_path / "rec.json"
+    base = ["reconstruct", "--mesh", mesh, "--traces", traces, "--out", str(out)]
+    assert main(base + ["--probes=1,0,0;0,-1,0"]) == 0
+    assert json.loads(out.read_text())["max_assembly_gap"] < 1e-10
+    out.unlink()
+    capsys.readouterr()
+    assert main(base + ["--probes=0,0,0"]) == 4
+    err = capsys.readouterr().err
+    assert "probe 0,0,0 is not inside the surface (interior indicator 0.0003" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-field", "reconstruct"])
+def test_torus_with_a_flipped_triangle_is_refused(torus, tmp_path, capsys, command):
+    mesh, traces = torus
+    bad = _rewound(mesh, tmp_path / "flipped.off", [7])
+    out = tmp_path / "out"
+    inputs = ["--family", "chiral-exact"] if command == "gen-field" else ["--traces", traces]
+    assert main([command, "--mesh", bad, "--out", str(out)] + inputs) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: OFF file %s: mesh is not wound consistently outward" % bad)
+    assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("command, zero_area", [

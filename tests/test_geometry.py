@@ -22,7 +22,7 @@ from quatem.geometry import (
     sphere_rule,
 )
 
-from oracles import ELLIPSOID_AXES, divergence_residual
+from oracles import ELLIPSOID_AXES, divergence_residual, torus_mesh
 
 TETRA_VERTICES = np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
@@ -296,22 +296,73 @@ def test_off_roundtrip_under_rigid_motion_and_scaling(rotation, shift, scale):
         scale**3 * checked_normals(ellipsoid).signed_volume, rel=1e-9)
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param("OFF\n", id="header only"),
-    pytest.param(TETRA_OFF[:TETRA_OFF.rindex("3 1 3 2")], id="truncated face list"),
-    pytest.param(TETRA_OFF.replace("4 4 0", "4 3 0"), id="face past those declared"),
-    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 4"), id="face index past the vertices"),
-    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 -1 2"), id="negative face index"),
-    pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 nan -1"), id="non-finite vertex"),
-    pytest.param(TETRA_OFF.replace("4 4 0", "4 x 0"), id="count not a number"),
-    pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 x -1"), id="vertex not a number"),
-    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 x"), id="face index not a number"),
-    pytest.param(TETRA_OFF.replace("3 1 3 2", "4 1 3 2"), id="face not a triangle"),
+@pytest.mark.parametrize("text, message", [
+    pytest.param("OFF\n", "not an ASCII OFF file", id="header only"),
+    pytest.param(TETRA_OFF[:TETRA_OFF.rindex("3 1 3 2")], "declares 4 vertices and 4 faces",
+                 id="truncated face list"),
+    pytest.param(TETRA_OFF.replace("4 4 0", "4 3 0"), "declares 4 vertices and 3 faces",
+                 id="face past those declared"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 4"), "face index out of range 0..3",
+                 id="face index past the vertices"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 -1 2"), "face index out of range 0..3",
+                 id="negative face index"),
+    pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 nan -1"), "a vertex coordinate is not finite",
+                 id="non-finite vertex"),
+    pytest.param(TETRA_OFF.replace("4 4 0", "4 x 0"), "'x' in the counts is not an integer",
+                 id="count not a number"),
+    pytest.param(TETRA_OFF.replace("-1 1 -1", "-1 x -1"), "'x' in vertex 2 is not a number",
+                 id="vertex not a number"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 x"), "'x' in face 3 is not an integer",
+                 id="face index not a number"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 2.0"), "'2.0' in face 3 is not an integer",
+                 id="face index not an integer"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "4 1 3 2"), "a face is not a triangle",
+                 id="face not a triangle"),
+    pytest.param(TETRA_OFF.replace("4 4 0", "4 3 0")[:TETRA_OFF.rindex("3 1 3 2")],
+                 "mesh is not closed", id="open"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 2 3"),
+                 "mesh is not wound consistently outward (signed volume 1.33333)",
+                 id="one face flipped"),
+    pytest.param(TETRA_OFF.replace("3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2",
+                                   "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3"),
+                 "mesh is not wound consistently outward (signed volume -2.66667)",
+                 id="wound inward"),
 ])
-def test_off_rejects_bad_input(tmp_path, text):
+def test_off_rejects_bad_input(tmp_path, text, message):
     path = tmp_path / "bad.off"
     path.write_text(text)
-    with pytest.raises(TopologyError, match=re.escape(str(path))):
+    with pytest.raises(TopologyError) as refusal:
+        load_off(path)
+    assert str(refusal.value).startswith("OFF file %s: " % path) and message in str(refusal.value)
+
+
+def test_torus_is_closed_outward_and_its_volume_converges():
+    # the volume inside the torus is 2 pi**2 R r**2; the polyhedra's
+    # relative errors read 2.95e-2, 7.4e-3, 1.9e-3 at 40x16, 80x32, 160x64
+    spacing, errors = [], []
+    for nu, nv in ((40, 16), (80, 32), (160, 64)):
+        mesh = torus_mesh(nu, nv, R=1.0, r=0.4)
+        check = checked_normals(mesh)
+        assert mesh.n_triangles == 2 * nu * nv and check.consistent_orientation
+        assert check.flux_residual < 1e-13
+        spacing.append(mesh.spacing)
+        errors.append(abs(check.signed_volume / (2.0 * np.pi**2 * 1.0 * 0.4**2) - 1.0))
+    order = np.polyfit(np.log(spacing), np.log(errors), 1)[0]
+    assert order >= 1.8, "fitted order %.3f from errors %s" % (order, errors)
+
+
+def test_torus_off_roundtrip_and_a_flipped_triangle(tmp_path):
+    mesh = torus_mesh(40, 16)
+    path = tmp_path / "torus.off"
+    save_off(mesh, path)
+    loaded = load_off(path)
+    assert np.array_equal(loaded.triangles, mesh.triangles)
+    assert loaded.vertices.tobytes() == mesh.vertices.tobytes()
+    triangles = mesh.triangles.copy()
+    triangles[7] = triangles[7, ::-1]
+    save_off(mesh_from_arrays(mesh.vertices, triangles), path)
+    with pytest.raises(TopologyError, match=re.escape("OFF file %s: mesh is not wound "
+                                                      "consistently outward" % path)):
         load_off(path)
 
 

@@ -60,6 +60,13 @@ def test_non_finite_medium_rejected(constants):
         make_medium(*constants)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+def test_medium_whose_wave_number_overflows_rejected(beta):
+    # k = omega sqrt(mu) sqrt(epsilon) = 1e400 overflows: alpha1 and alpha2 would be NaN
+    with pytest.raises(ValueError, match=r"omega positive: the wave number k = \(inf\+0j\)$"):
+        make_medium(1e200, 1e200, 1e200, beta)
+
+
 def test_split_merge_roundtrip():
     rng = np.random.default_rng(13)
     e = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
