@@ -27,7 +27,6 @@ from .maxwell import (
     continuity_rho,
     make_medium,
     merge_values,
-    phi_psi_rhs,
     split_values,
 )
 from .operators import (

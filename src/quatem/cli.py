@@ -201,7 +201,7 @@ def cmd_gen_field(args) -> int:
         raise ConfigError("--amplitudes must be three finite numbers 'a,b,c', got %r"
                           % args.amplitudes)
     e_field, h_field = exact_chiral_solution(medium, amps, amps)
-    pts = mesh.centroids
+    pts = mesh.rule.points
     e, h = e_field.value(pts), h_field.value(pts)
     _save_traces(args.out, q.vec(e), q.vec(h))
     print("gen-field: %s traces on %d triangles -> %s" % (args.family, len(pts), args.out))
@@ -276,8 +276,8 @@ def cmd_reconstruct(args) -> int:
     probes = _parse_probes(args.probes)
     # K_0 of the constant 1: 1 inside the surface, 0 outside; a far probe's
     # distance overflows to a NaN indicator, refused as well
-    ones = BoundaryDensity(rule, np.broadcast_to(q.ONE, (len(rule.points), 4)))
-    indicator = cauchy_boundary(0.0, 1, ones, probes)[:, 0].real
+    ones = BoundaryDensity(rule, np.broadcast_to(q.ONE, (1, len(rule.points), 4)))
+    indicator = cauchy_boundary((0.0,), (1,), ones, probes)[0, :, 0].real
     for x, value in zip(probes, indicator):
         if not abs(value - 1.0) <= 0.5:
             print("numeric precondition violated: probe %g,%g,%g is not inside the surface "

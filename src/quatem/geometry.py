@@ -268,16 +268,21 @@ def save_off(mesh: SurfaceMesh, path) -> None:
 
 def _rows(tokens, kind, width, part):
     """The tokens as rows of `width` numbers of `kind`, float or np.int64;
-    ValueError naming the first token that is not one and its row, part.format(row)."""
+    ValueError naming the first token that is not one, or is an integer
+    past int64's range, and its row, part.format(row)."""
     try:
         return np.array(tokens, dtype=kind).reshape(-1, width)
-    except ValueError:  # read again one by one, up to the first that fails
+    except (ValueError, OverflowError):  # read again one by one, up to the first that fails
         for i, token in enumerate(tokens):
             try:
                 np.array(token, dtype=kind)
             except ValueError:
-                raise ValueError("%r in %s is not %s" % (token, part.format(i // width),
-                                 "a number" if kind is float else "an integer"))
+                fault = "not a number" if kind is float else "not an integer"
+            except OverflowError:
+                fault = "out of the 64-bit integer range"
+            else:
+                continue
+            raise ValueError("%r in %s is %s" % (token, part.format(i // width), fault))
 
 
 def load_off(path) -> SurfaceMesh:
@@ -285,9 +290,10 @@ def load_off(path) -> SurfaceMesh:
 
     Raises TopologyError, naming the file, on a file that is not OFF, is cut
     short or runs past the faces it declares, holds a token that is not a
-    number (named with its vertex, face or the counts) or a vertex coordinate
-    that is not finite, has a non-triangular or zero-area face, indexes a
-    vertex it does not hold, or is not closed and wound consistently outward.
+    number or an integer past int64's range (named with its vertex, face or
+    the counts) or a vertex coordinate that is not finite, has a
+    non-triangular or zero-area face, indexes a vertex it does not hold, or
+    is not closed and wound consistently outward.
     """
     try:
         with open(path) as fh:

@@ -87,32 +87,3 @@ def continuity_rho(j: AnalyticField, medium: ChiralMedium):
     from the scalar part of the current's exact derivative D j."""
     k = medium.k
     return lambda x: q.sc(j.d_value(x)) / (1j * k)
-
-
-def phi_psi_rhs(j: AnalyticField, medium: ChiralMedium):
-    """Quaternionic right-hand sides of the decoupled mode equations for the
-    current j (its vector part; -div j is the scalar part of D j).
-
-    For normalized fields with rot E = -ik (H + beta rot H) and
-    rot H = ik (E + beta rot E) + j (so div H = 0, div E = (i/k) div j):
-        (D + alpha1) Phi = (i/k) [alpha1 j - div j]
-        (D - alpha2) Psi = -(i/k) [alpha2 j + div j]
-
-    Both read (i/k) [a j - div j] with the signed wave parameter a =
-    +alpha1 or -alpha2; div j lands in the scalar part, j in the vector
-    part.  Returns one batched evaluator of both: points (..., 3) give
-    (2, ..., 4), Phi's right-hand side then Psi's, from one j.value and one
-    j.d_value per point.
-    """
-    k = medium.k
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        j_vec, div_part = q.vec(j.value(x)), (1j / k) * q.sc(j.d_value(x))
-        out = np.empty((2,) + x.shape[:-1] + (4,), dtype=complex)
-        for mode, a in zip(out, (medium.alpha1, -medium.alpha2)):
-            mode[..., 1:] = (1j * a / k) * j_vec
-            mode[..., 0] = div_part
-        return out
-
-    return evaluate

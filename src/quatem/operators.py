@@ -2,13 +2,13 @@
 
 The boundary operator, cauchy_boundary, sums the kernel
 Ups(d) = sign*alpha*theta(r) + c(r) d, d = x - y, over the nodes of a
-surface rule, for one density or for K densities with K alphas and signs,
-such as the two chiral modes or verify-bp's test fields.  It walks the
-target x node pairs in tiles of one shape, TILE_ROWS targets (a row block)
-by NODE_CHUNK nodes, one real matrix product per term and tile; a call of
-two or more row blocks runs on two threads, every row summed in node order
-on one of them, so results depend neither on scheduling nor on the other
-targets of the call.  It is only evaluated at interior points a few mesh
+surface rule, for K densities with K alphas and signs, such as the two
+chiral modes or verify-bp's test fields.  It walks the target x node pairs
+in tiles of one shape, TILE_ROWS targets (a row block) by NODE_CHUNK nodes,
+one real matrix product per term and tile; a call of two or more row
+blocks runs on two threads, every row summed in node order on one of them,
+so results depend neither on scheduling nor on the other targets of the
+call.  It is only evaluated at interior points a few mesh
 spacings away from the surface (no principal-value quadrature exists
 here); its guard reads the same r that the kernel factors use.
 
@@ -17,6 +17,9 @@ rule centred on each target (geometry.BallRule): every target has nodes of
 its own, so its sum is a direct one, O(targets x nodes), taken in blocks of
 TILE_ROWS targets, and the rule's volume element r**2 dr cancels the
 kernel's 1/r**2 growth.
+
+Both operators take one form: K alphas and signs, densities of K values per
+node, targets (M, 3), and a result of shape (K, M, 4).
 """
 
 from __future__ import annotations
@@ -58,18 +61,18 @@ RESIDUAL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BoundaryDensity:
-    """One quaternion per node of a surface rule (or K such densities), such
-    as a mesh's centroid rule (SurfaceMesh.rule) or geometry.sphere_rule's.
-    The values are stored as complex."""
+    """K quaternions per node of a surface rule, such as a mesh's centroid
+    rule (SurfaceMesh.rule) or geometry.sphere_rule's.  The values are
+    stored as complex."""
 
     # a rule, under the name that perfbench/tracing.py reads (density.mesh.flat_points)
     mesh: SurfaceRule
-    values: np.ndarray  # (N, 4) or (K, N, 4)
+    values: np.ndarray  # (K, N, 4)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.ndim not in (2, 3) or values.shape[-2:] != (len(self.mesh.points), 4):
-            raise ValueError("values must have shape [K,] %s" % ((len(self.mesh.points), 4),))
+        if values.ndim != 3 or values.shape[1:] != (len(self.mesh.points), 4):
+            raise ValueError("values must have shape (K, %d, 4)" % len(self.mesh.points))
         if not q.is_finite(values):
             raise ValueError("boundary density contains non-finite values")
         object.__setattr__(self, "values", values)
@@ -78,9 +81,9 @@ class BoundaryDensity:
 @dataclass(frozen=True)
 class VolumeDensity:
     """A batched evaluator on a ball, integrated with the polar rule
-    `quadrature`: it maps points (..., 3) to one quaternion each, (..., 4),
-    or to K, (K, ..., 4).  sample refuses values of another shape or that
-    are not finite."""
+    `quadrature`: it maps points (..., 3) to K quaternions each,
+    (K, ..., 4).  sample refuses values of another shape or that are not
+    finite."""
 
     quadrature: BallRule
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -88,31 +91,31 @@ class VolumeDensity:
     def sample(self, pts: np.ndarray) -> np.ndarray:
         values = np.asarray(self.evaluator(pts), dtype=complex)
         point_shape = np.shape(pts)[:-1] + (4,)
-        if values.ndim - len(point_shape) not in (0, 1) \
-                or values.shape[values.ndim - len(point_shape):] != point_shape:
-            raise ValueError("values must have shape [K,] %s" % (point_shape,))
+        if values.shape[1:] != point_shape:
+            raise ValueError("values must have shape (K,) + %s" % (point_shape,))
         if not q.is_finite(values):
             raise ValueError("volume density contains non-finite values")
         return values
 
 
-def _terms(alpha, sign, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The flat alphas and signs of the densities' term shape `terms`."""
+def _terms(alpha, sign, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The alphas and signs of K = k densities, each of shape (k,)."""
     alphas, signs = np.asarray(alpha, dtype=complex), np.asarray(sign)
-    if alphas.shape != terms or signs.shape != terms or not np.all(np.abs(signs) == 1):
-        raise ValueError("need one alpha and one sign (+1 or -1) per density")
-    return alphas.reshape(-1), signs.reshape(-1)
+    if alphas.shape != (k,) or signs.shape != (k,) or not np.all(np.abs(signs) == 1):
+        raise ValueError("alphas and signs (+1 or -1) must have shape (%d,), one per density"
+                         % k)
+    return alphas, signs
 
 
 def _targets(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 3:
-        raise ValueError("targets must have shape (3,) or (M, 3)")
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise ValueError("targets must have shape (M, 3)")
     return x
 
 
 def _vector_times(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-    """out = y*g for real vectors y (N, 3) and quaternions g (N, 4) or (K, N, 4):
+    """out = y*g for real vectors y (N, 3) and quaternions g (K, N, 4):
     the twelve terms of qmul(q.vector(y), g) that do not vanish, in qmul's
     order, each a real coordinate times a complex component of g, so every
     nonzero entry of the result is bit-identical to qmul's."""
@@ -137,24 +140,21 @@ def teodorescu(alpha, sign, density: VolumeDensity, x) -> np.ndarray:
     """Volume potential int_B Ups(x - y) f(y) dy over the ball of the
     density's rule, summed directly with that rule centred on each target.
 
-    x is one target (3,) or many (M, 3), each inside the ball (ValueError,
-    before the density is sampled, for one that is not); the result has
-    shape (4,) or (M, 4).  Density values (K, ..., 4) with K alphas and
-    signs give K terms and a result (K, 4) or (K, M, 4).  The targets go in
+    The targets x (M, 3) lie inside the ball (ValueError, before the
+    density is sampled, for one that is not); density values (K, ..., 4)
+    with K alphas and signs give a result (K, M, 4).  The targets go in
     blocks of TILE_ROWS, one density.sample call for all nodes of a block,
     so that memory does not grow with the number of targets; each node adds
     its weight (geometry.BallRule.nodes) times
     Ups(d) g = sign*alpha theta g + c d*g.
     """
     x = _targets(x)
-    xs = x.reshape(-1, 3)
-    density.quadrature.check(xs)
+    density.quadrature.check(x)
     sums = []
-    for block in np.split(xs, range(TILE_ROWS, len(xs), TILE_ROWS)):
+    for block in np.split(x, range(TILE_ROWS, len(x), TILE_ROWS)):
         y, w = density.quadrature.nodes(block)
         samples = density.sample(y)
-        terms = samples.shape[:-3]
-        alphas, signs = _terms(alpha, sign, terms)
+        alphas, signs = _terms(alpha, sign, len(samples))
         g = samples.reshape(len(alphas), -1, 4)
         d = (block[:, None, :] - y).reshape(-1, 3)
         dg = np.empty_like(g)
@@ -167,17 +167,14 @@ def teodorescu(alpha, sign, density: VolumeDensity, x) -> np.ndarray:
         by_node = np.ascontiguousarray(
             summand.reshape(len(alphas), len(block), y.shape[1], 4).swapaxes(-1, -2))
         sums.append(by_node.sum(axis=-1))
-    return np.concatenate(sums, axis=1).reshape(terms + x.shape[:-1] + (4,))
+    return np.concatenate(sums, axis=1)
 
 
 def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     """Boundary potential -sum_j w_j Ups(x - y_j) g_j with g_j = n_j f_j
     over the nodes y_j of the density's rule, with weights w_j and normals
-    n_j.
-
-    x is one target (3,) or many (M, 3); the result has shape (4,) or
-    (M, 4).  Density values (K, N, 4) with K alphas and signs give K terms
-    and a result (K, 4) or (K, M, 4).
+    n_j.  Density values (K, N, 4) with K alphas and signs at targets x
+    (M, 3) give a result (K, M, 4).
 
     With Ups(d) = sign*alpha*theta(r) + c(r) d, d = x - y and r = |d|
     (kernels.radial_factors), the node sum factors into two scalar
@@ -206,11 +203,9 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
     caller's first.
     """
     rule, y = density.mesh, density.mesh.points
-    x = _targets(x)
-    xs = x.reshape(-1, 3)
-    terms = density.values.shape[:-2]
-    alphas, signs = _terms(alpha, sign, terms)
-    f = density.values.reshape(-1, len(y), 4)
+    xs = _targets(x)
+    f = density.values
+    alphas, signs = _terms(alpha, sign, len(f))
     distinct, which = np.unique(alphas, return_inverse=True)
     d_min = MIN_DISTANCE_FACTOR * rule.spacing
 
@@ -269,25 +264,23 @@ def cauchy_boundary(alpha, sign, density: BoundaryDensity, x) -> np.ndarray:
         add(row_blocks[:cut], *buffers())
     if second is not None:
         second.result()
-    out = -((signs * alphas)[:, None, None] * sums[..., :4]
-            + q.qmul(q.vector(xs), sums[..., 4:8]) - sums[..., 8:])
-    return out.reshape(terms + x.shape[:-1] + (4,))
+    return -((signs * alphas)[:, None, None] * sums[..., :4]
+             + q.qmul(q.vector(xs), sums[..., 4:8]) - sums[..., 8:])
 
 
-def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, sign: int,
-                           rule: SurfaceRule, radius: float, x):
+def borel_pompeiu_residual(f: tuple[AnalyticField, ...], alpha, sign: int,
+                           rule: SurfaceRule, radius: float, x) -> np.ndarray:
     """Relative defect of the reproduction identity (K + T D) f = f at x on
     the ball of the given radius about the origin: the boundary term over
     the surface rule (geometry.sphere_rule, or a mesh's centroid rule, whose
     polyhedron misses the ball by O(h**2)), the volume term with the polar
     rule (geometry.polar_ball_rule).
 
-    f is one AnalyticField or a tuple of K, all checked at the one
-    (alpha, sign); x is one target (3,) or many (M, 3).  The result is a
-    float or an (M,) array for one field, a (K,) or (K, M) array for K.
-    The boundary trace and the exact derivative come from the fields'
-    analytic oracles, so the residual measures quadrature error only; the
-    K boundary densities are built once for all targets and summed in one
+    f is a tuple of K AnalyticFields, all checked at the one (alpha, sign)
+    and the targets x (M, 3); the result has shape (K, M).  The boundary
+    trace and the exact derivative come from the fields' analytic oracles,
+    so the residual measures quadrature error only; the K boundary
+    densities are built once for all targets and summed in one
     cauchy_boundary call.  The volume pass covers only the fields whose
     (D + sign*alpha) f does not vanish identically (d_alpha is not None):
     their volume densities are summed in one teodorescu call, and with none
@@ -295,18 +288,15 @@ def borel_pompeiu_residual(f: AnalyticField | tuple[AnalyticField, ...], alpha, 
     alone, the Cauchy integral formula: the volume pass would only add a sum
     of exact zeros to it.
     """
-    x = np.asarray(x, dtype=float)
-    fields = f if isinstance(f, tuple) else (f,)
-    trace = BoundaryDensity(rule, np.stack([g.value(rule.points) for g in fields]))
-    reproduced = cauchy_boundary((alpha,) * len(fields), (sign,) * len(fields), trace, x)
-    d_alpha = [g.d_alpha(alpha, sign) for g in fields]
+    if not isinstance(f, tuple):
+        raise ValueError("f must be a tuple of K fields, shape (K,)")
+    trace = BoundaryDensity(rule, np.stack([g.value(rule.points) for g in f]))
+    reproduced = cauchy_boundary((alpha,) * len(f), (sign,) * len(f), trace, x)
+    d_alpha = [g.d_alpha(alpha, sign) for g in f]
     live = [k for k, d in enumerate(d_alpha) if d is not None]
     if live:
         volume = VolumeDensity(polar_ball_rule(radius),
                                lambda y: np.stack([d_alpha[k](y) for k in live]))
         reproduced[live] += teodorescu((alpha,) * len(live), (sign,) * len(live), volume, x)
-    fx = np.stack([g.value(x) for g in fields])
-    res = q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)
-    if isinstance(f, tuple):
-        return res
-    return float(res[0]) if x.ndim == 1 else res[0]
+    fx = np.stack([g.value(x) for g in f])
+    return q.norm(reproduced - fx) / np.maximum(q.norm(fx), RESIDUAL_FLOOR)

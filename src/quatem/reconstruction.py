@@ -1,15 +1,15 @@
 """Field reconstruction from boundary traces and the extendibility check.
 
-E and H are assembled one way: reconstruct the modes Phi = E + iH and
-Psi = E - iH from their traces (a current j adds the volume terms of the
-representation with sources, integrated over a ball about the origin with
-the polar rule centred on each target), then merge.  The source-free two-kernel
-displays, which apply K1 = K_{+alpha1} and K2 = K_{-alpha2} to the e and h
-traces separately, sum the same quantity in a different grouping; they
-serve as an independent cross-check that must agree to roundoff.
+E and H are assembled one way: reconstruct the source-free modes
+Phi = E + iH and Psi = E - iH from their traces, then merge.  The
+two-kernel displays, which apply K1 = K_{+alpha1} and K2 = K_{-alpha2} to
+the e and h traces separately, sum the same quantity in a different
+grouping; they serve as an independent cross-check that must agree to
+roundoff.
 
 Every operator here takes a geometry.SurfaceRule, the traces given at its
-nodes: a mesh's centroid rule (SurfaceMesh.rule) or geometry.sphere_rule.
+nodes: a mesh's centroid rule (SurfaceMesh.rule) or geometry.sphere_rule,
+and evaluates at targets (M, 3).
 
 The boundary criterion ("are e, h traces of an interior solution?") is
 evaluated as an interior limit: the layer potentials are computed at
@@ -26,17 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as q
-from .fields import AnalyticField
-from .geometry import SurfaceRule, polar_ball_rule
-from .maxwell import ChiralMedium, merge_values, phi_psi_rhs, split_values
-from .operators import (
-    MIN_DISTANCE_FACTOR,
-    RESIDUAL_FLOOR,
-    BoundaryDensity,
-    VolumeDensity,
-    cauchy_boundary,
-    teodorescu,
-)
+from .geometry import SurfaceRule
+from .maxwell import ChiralMedium, merge_values, split_values
+from .operators import MIN_DISTANCE_FACTOR, RESIDUAL_FLOOR, BoundaryDensity, cauchy_boundary
 
 # Coefficients of the inward-depth extrapolation toward the surface:
 # values at depth*m are combined with weight c for each (m, c).
@@ -46,32 +38,23 @@ EXTRAPOLATIONS = {
 }
 
 
-def reconstruct_eh(rule: SurfaceRule, e_trace, h_trace, medium: ChiralMedium, x,
-                   current: AnalyticField | None = None, radius: float | None = None):
-    """E and H at interior points from traces at the nodes of a SurfaceRule.
+def reconstruct_eh(rule: SurfaceRule, e_trace, h_trace, medium: ChiralMedium, x):
+    """Source-free E and H at interior points x (M, 3) from traces at the
+    nodes of a SurfaceRule.
 
     Splits the traces into per-node densities of the modes
-    Phi = e + i h and Psi = e - i h, reconstructs both,
+    Phi = e + i h and Psi = e - i h, reconstructs both in one
+    cauchy_boundary call,
 
-    Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
-    Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
+    Phi(x) = K_{+a1} Phi(x),  Psi(x) = K_{-a2} Psi(x),
 
-    (the volume terms only with a current j, over the ball of the given
-    radius about the origin, which must hold every x; both boundary terms in
-    one cauchy_boundary call, both volume terms in one teodorescu call), and
-    merges them.  x is one point (3,) or many (M, 3); E and H have shape
-    (4,) or (M, 4).  Returns full quaternions (the scalar parts measure
-    discretization error; they vanish in the continuum).
+    and merges them.  E and H have shape (M, 4): full quaternions (the
+    scalar parts measure discretization error; they vanish in the
+    continuum).
     """
-    if current is not None and radius is None:
-        raise ValueError("a ball radius is required when a current is present")
     a1, a2 = medium.alpha1, medium.alpha2
     modes = BoundaryDensity(rule, q.vector(np.stack(split_values(e_trace, h_trace))))
-    phi_psi_x = cauchy_boundary((a1, a2), (1, -1), modes, x)
-    if current is not None:
-        rhs = VolumeDensity(polar_ball_rule(radius), phi_psi_rhs(current, medium))
-        phi_psi_x = phi_psi_x + teodorescu((a1, a2), (1, -1), rhs, x)
-    return merge_values(*phi_psi_x)
+    return merge_values(*cauchy_boundary((a1, a2), (1, -1), modes, x))
 
 
 def two_kernel_eh(rule: SurfaceRule, e_trace, h_trace, medium: ChiralMedium, x):

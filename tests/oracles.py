@@ -9,8 +9,11 @@ of the kernels and fields; grad_theta is the closed-form gradient of the
 Helmholtz fundamental solution; maxwell_residual checks the chiral curl
 equations, with or without a current, by finite differences; rot_coeffs and
 manufactured_current_solution build a polynomial chiral solution with a
-current; proper_rotation draws a random rotation; ELLIPSOID_AXES scales
-an icosphere into the tests' non-spherical closed surface; and torus_mesh
+current; phi_psi_rhs gives a current's right-hand sides of the two mode
+equations, and reconstruct_with_current the representation with sources
+that adds their volume terms to reconstruct_eh's boundary terms;
+proper_rotation draws a random rotation; ELLIPSOID_AXES scales an
+icosphere into the tests' non-spherical closed surface; and torus_mesh
 builds a closed surface that is not star-shaped either.
 
 The general polynomial fields of degree <= 2 live here too, as the reference
@@ -26,10 +29,22 @@ import numpy as np
 
 from quatem import quaternions as q
 from quatem.fields import AnalyticField
-from quatem.geometry import SurfaceMesh, checked_normals, mesh_from_arrays
+from quatem.geometry import (
+    SurfaceMesh,
+    SurfaceRule,
+    checked_normals,
+    mesh_from_arrays,
+    polar_ball_rule,
+)
 from quatem.kernels import _radii, theta
-from quatem.maxwell import ChiralMedium
-from quatem.operators import RESIDUAL_FLOOR
+from quatem.maxwell import ChiralMedium, merge_values, split_values
+from quatem.operators import (
+    RESIDUAL_FLOOR,
+    BoundaryDensity,
+    VolumeDensity,
+    cauchy_boundary,
+    teodorescu,
+)
 
 DEFAULT_FD_STEP = 1e-4
 ELLIPSOID_AXES = np.array([1.0, 0.7, 0.4])
@@ -216,6 +231,55 @@ def manufactured_current_solution(medium: ChiralMedium, seed: int):
     h = (1j / k) * (rot_e - beta * rot_coeffs(rot_e))
     j = rot_coeffs(h) - 1j * k * (e + beta * rot_e)
     return polynomial_field(e), polynomial_field(h), polynomial_field(j)
+
+
+def phi_psi_rhs(j: AnalyticField, medium: ChiralMedium):
+    """Quaternionic right-hand sides of the decoupled mode equations for the
+    current j (its vector part; -div j is the scalar part of D j).
+
+    For normalized fields with rot E = -ik (H + beta rot H) and
+    rot H = ik (E + beta rot E) + j (so div H = 0, div E = (i/k) div j):
+        (D + alpha1) Phi = (i/k) [alpha1 j - div j]
+        (D - alpha2) Psi = -(i/k) [alpha2 j + div j]
+
+    Both read (i/k) [a j - div j] with the signed wave parameter a =
+    +alpha1 or -alpha2; div j lands in the scalar part, j in the vector
+    part.  Returns one batched evaluator of both: points (..., 3) give
+    (2, ..., 4), Phi's right-hand side then Psi's, from one j.value and one
+    j.d_value per point.
+    """
+    k = medium.k
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        j_vec, div_part = q.vec(j.value(x)), (1j / k) * q.sc(j.d_value(x))
+        out = np.empty((2,) + x.shape[:-1] + (4,), dtype=complex)
+        for mode, a in zip(out, (medium.alpha1, -medium.alpha2)):
+            mode[..., 1:] = (1j * a / k) * j_vec
+            mode[..., 0] = div_part
+        return out
+
+    return evaluate
+
+
+def reconstruct_with_current(rule: SurfaceRule, e, h, medium: ChiralMedium, x,
+                             j: AnalyticField, radius: float):
+    """E and H at x (M, 3) from traces e, h at the rule's nodes and the
+    current j, by the representation with sources:
+
+    Phi(x) = T_{+a1}(rhs_phi)(x) + K_{+a1} Phi(x)
+    Psi(x) = T_{-a2}(rhs_psi)(x) + K_{-a2} Psi(x)
+
+    with the right-hand sides of phi_psi_rhs integrated over the ball of the
+    given radius about the origin, which must hold every x (both boundary
+    terms in one cauchy_boundary call, both volume terms in one teodorescu
+    call), then merged.  With j = 0 it is reconstruct_eh.
+    """
+    a1, a2 = medium.alpha1, medium.alpha2
+    modes = BoundaryDensity(rule, q.vector(np.stack(split_values(e, h))))
+    rhs = VolumeDensity(polar_ball_rule(radius), phi_psi_rhs(j, medium))
+    return merge_values(*(cauchy_boundary((a1, a2), (1, -1), modes, x)
+                          + teodorescu((a1, a2), (1, -1), rhs, x)))
 
 
 def polynomial_field(coeffs) -> AnalyticField:

@@ -706,6 +706,8 @@ _BAD_INPUTS = {
     "off: face not a triangle": (lambda r: r[:-1] + [["4"] + r[-1][1:]], "not a triangle"),
     "off: face index out of range": (lambda r: r[:-1] + [r[-1][:3] + [r[1][0]]],
                                      "out of range 0..161"),
+    "off: face index past int64": (lambda r: r[:-1] + [r[-1][:3] + ["99999999999999999999"]],
+                                   "'99999999999999999999' in face 319 is out of the 64-bit"),
     "off: zero-area face": (lambda r: r[:-1] + [r[-1][:3] + r[-1][1:2]], "zero-area"),
     "off: open": (lambda r: _one_face_fewer_declared(r)[:-1], "not closed"),
     "off: wound inward": (lambda r: r[:-len(_faces(r))] + [f[:1] + f[:0:-1] for f in _faces(r)],

@@ -316,6 +316,12 @@ def test_off_roundtrip_under_rigid_motion_and_scaling(rotation, shift, scale):
                  id="face index not a number"),
     pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 2.0"), "'2.0' in face 3 is not an integer",
                  id="face index not an integer"),
+    pytest.param(TETRA_OFF.replace("3 1 3 2", "3 1 3 99999999999999999999"),
+                 "'99999999999999999999' in face 3 is out of the 64-bit integer range",
+                 id="face index past int64"),
+    pytest.param(TETRA_OFF.replace("4 4 0", "4 -99999999999999999999 0"),
+                 "'-99999999999999999999' in the counts is out of the 64-bit integer range",
+                 id="count past int64"),
     pytest.param(TETRA_OFF.replace("3 1 3 2", "4 1 3 2"), "a face is not a triangle",
                  id="face not a triangle"),
     pytest.param(TETRA_OFF.replace("4 4 0", "4 3 0")[:TETRA_OFF.rindex("3 1 3 2")],

@@ -9,7 +9,6 @@ from quatem.maxwell import (
     continuity_rho,
     make_medium,
     merge_values,
-    phi_psi_rhs,
     split_values,
 )
 from quatem import quaternions as q
@@ -18,6 +17,7 @@ from oracles import (
     fd_div,
     manufactured_current_solution,
     maxwell_residual,
+    phi_psi_rhs,
     polynomial_field,
     vector_value,
 )

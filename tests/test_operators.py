@@ -64,51 +64,55 @@ INNER_PROBES = np.array([[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [-0.3, 0.05, 0.02],
                          [0.1, -0.15, 0.03]])
 
 
+def _volume(*fields, rule=BALL):
+    """The volume density of the fields' values, one term per field."""
+    return VolumeDensity(rule, lambda y: np.stack([f.value(y) for f in fields]))
+
+
 def _const_volume(value):
-    f = constant_field(value)
-    return VolumeDensity(BALL, f.value)
+    return _volume(constant_field(value))
 
 
 def _polar_reference(density, x, kernel):
     """The polar rule for one target, summed node by node with the given
     kernel: sum_j w_j kernel(x - y_j) f(y_j) over the rule's nodes y_j
-    centred on x."""
+    centred on x, for the density's first term."""
     y, w = density.quadrature.nodes(x[None])
     return np.einsum("n,nk->k", w[0].astype(complex),
-                     q.qmul(kernel(x - y[0]), density.evaluator(y[0])))
+                     q.qmul(kernel(x - y[0]), density.evaluator(y[0])[0]))
 
 
 def test_density_validation():
     with pytest.raises(ValueError):
         BoundaryDensity(MESH2.rule, np.zeros((3, 1, 4), dtype=complex))
     with pytest.raises(ValueError):
-        BoundaryDensity(MESH2.rule, np.full((MESH2.n_triangles, 4), np.nan))
+        BoundaryDensity(MESH2.rule, np.full((1, MESH2.n_triangles, 4), np.nan))
 
     def nan_at_first_point(pts):
-        out = np.ones(pts.shape[:-1] + (4,), dtype=complex)
-        out[0, 0] = np.nan
+        out = np.ones((1,) + pts.shape[:-1] + (4,), dtype=complex)
+        out[0, 0, 0] = np.nan
         return out
 
     with pytest.raises(ValueError, match="volume density contains non-finite values"):
-        teodorescu(1.0, 1, VolumeDensity(BALL, nan_at_first_point), PROBE)
+        teodorescu((1.0,), (1,), VolumeDensity(BALL, nan_at_first_point), PROBE[None])
 
 
 def test_panel_constant_density():
-    vals = np.zeros((MESH2.n_triangles, 4))
-    vals[:, 0] = 2.0
+    vals = np.zeros((1, MESH2.n_triangles, 4))
+    vals[..., 0] = 2.0
     d = BoundaryDensity(MESH2.rule, vals)
-    assert d.values.shape == (MESH2.n_triangles, 4)
+    assert d.values.shape == (1, MESH2.n_triangles, 4)
     assert d.values.dtype == complex
-    assert np.all(d.values[:, 0] == 2.0)
+    assert np.all(d.values[..., 0] == 2.0)
 
 
 def test_volume_density_sampling():
     f = identity_vector_field()
-    d = VolumeDensity(BALL, f.value)
+    d = _volume(f)
     pts = np.array([[[0.11, 0.22, 0.33], [-0.4, 0.1, 0.2]]])
-    assert d.sample(pts).shape == (1, 2, 4)
-    assert np.array_equal(d.sample(pts), f.value(pts))
-    stacked = VolumeDensity(BALL, lambda y: np.stack([f.value(y)] * 3))
+    assert d.sample(pts).shape == (1, 1, 2, 4)
+    assert np.array_equal(d.sample(pts)[0], f.value(pts))
+    stacked = _volume(f, f, f)
     assert stacked.sample(pts).shape == (3, 1, 2, 4)
     with pytest.raises(TypeError):
         VolumeDensity(BALL, f.value, f.value(pts))  # the values come from the evaluator
@@ -122,15 +126,14 @@ def test_teodorescu_linearity():
     rng = np.random.default_rng(21)
     f1 = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
     f2 = polynomial_field(rng.standard_normal((4, 10)))
-    d1 = VolumeDensity(BALL, f1.value)
-    d2 = VolumeDensity(BALL, f2.value)
+    d1, d2 = _volume(f1), _volume(f2)
     d12 = VolumeDensity(
-        BALL, lambda p: 2.0 * f1.value(p) + (1 - 1j) * f2.value(p))
+        BALL, lambda p: (2.0 * f1.value(p) + (1 - 1j) * f2.value(p))[None])
     xs = np.array([PROBE, [0.0, 0.0, 0.0], [-0.5, 0.4, 0.6]])
     for alpha, sign in ((1.0, 1), (0.7 + 0.2j, -1)):
-        t1 = teodorescu(alpha, sign, d1, xs)
-        t2 = teodorescu(alpha, sign, d2, xs)
-        t12 = teodorescu(alpha, sign, d12, xs)
+        t1 = teodorescu((alpha,), (sign,), d1, xs)
+        t2 = teodorescu((alpha,), (sign,), d2, xs)
+        t12 = teodorescu((alpha,), (sign,), d12, xs)
         assert np.allclose(t12, 2.0 * t1 + (1 - 1j) * t2, atol=1e-10)
 
 
@@ -149,11 +152,11 @@ def test_teodorescu_sign_coherence():
         return kernel
 
     for s in (1, -1):
-        built_in = teodorescu(alpha, s, d, PROBE)
+        built_in = teodorescu((alpha,), (s,), d, PROBE[None])[0, 0]
         assert np.allclose(built_in, _polar_reference(d, PROBE, manual(s)), atol=1e-13)
     # the two signs differ exactly by twice the scalar-kernel term
-    plus = teodorescu(alpha, 1, d, PROBE)
-    minus = teodorescu(alpha, -1, d, PROBE)
+    plus = teodorescu((alpha,), (1,), d, PROBE[None])[0, 0]
+    minus = teodorescu((alpha,), (-1,), d, PROBE[None])[0, 0]
     twice_scalar = _polar_reference(
         d, PROBE, lambda diff: scalar(2.0 * alpha * theta(alpha, diff)))
     assert np.allclose(plus - minus, twice_scalar, atol=1e-13)
@@ -166,9 +169,9 @@ def test_teodorescu_singular_point():
     # charged ball)
     d = _const_volume(q.ONE)
     xs = np.array([[0.0, 0.0, 0.0], PROBE])
-    got = teodorescu(0.0, 1, d, xs)
+    got = teodorescu((0.0,), (1,), d, xs)[0]
     assert np.abs(got - q.vector(-xs / 3.0)).max() <= 1e-13
-    assert q.is_finite(teodorescu(1.0, 1, d, xs))
+    assert q.is_finite(teodorescu((1.0,), (1,), d, xs))
 
 
 def test_teodorescu_many_matches_single():
@@ -178,20 +181,20 @@ def test_teodorescu_many_matches_single():
     xs = rng.uniform(-0.5, 0.5, (TILE_ROWS + 3, 3))
     xs[2] = 0.0
     f = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
-    d = VolumeDensity(BALL, f.value)
+    d = _volume(f)
     for alpha, sign in ((1.0, 1), (0.8 + 0.3j, -1), (0.8 + 0.3j, 1)):
-        many = teodorescu(alpha, sign, d, xs)
+        many = teodorescu((alpha,), (sign,), d, xs)[0]
         assert many.shape == (len(xs), 4)
-        single = np.array([teodorescu(alpha, sign, d, x) for x in xs])
+        single = np.array([teodorescu((alpha,), (sign,), d, x[None])[0, 0] for x in xs])
         assert single.shape == (len(xs), 4)
         assert np.allclose(many, single, rtol=0.0, atol=1e-14 * np.abs(single).max())
         reference = np.array([_polar_reference(d, x, lambda diff: upsilon(alpha, sign, diff))
                               for x in xs])
         assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
     with pytest.raises(ValueError):
-        teodorescu(0.8, 1, d, xs[:, :2])
+        teodorescu((0.8,), (1,), d, xs[:, :2])
     with pytest.raises(ValueError):
-        teodorescu(0.8, 0, d, xs)
+        teodorescu((0.8,), (0,), d, xs)
 
 
 @pytest.mark.parametrize("alphas, signs", [
@@ -207,12 +210,12 @@ def test_teodorescu_stacked_matches_single(alphas, signs):
     xs[2] = 0.0
     fields = [polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
               for _ in alphas]
-    stacked = VolumeDensity(BALL, lambda y: np.stack([f.value(y) for f in fields]))
+    stacked = _volume(*fields)
     got = teodorescu(alphas, signs, stacked, xs)
     assert got.shape == (len(alphas), len(xs), 4)
-    assert teodorescu(alphas, signs, stacked, xs[0]).shape == (len(alphas), 4)
+    assert teodorescu(alphas, signs, stacked, xs[:1]).shape == (len(alphas), 1, 4)
     for k, (alpha, sign, f) in enumerate(zip(alphas, signs, fields)):
-        single = teodorescu(alpha, sign, VolumeDensity(BALL, f.value), xs)
+        single = teodorescu((alpha,), (sign,), _volume(f), xs)
         assert got[k].tobytes() == single.tobytes()
     with pytest.raises(ValueError):
         teodorescu(alphas[:-1], signs[:-1], stacked, xs)
@@ -255,21 +258,49 @@ def test_teodorescu_rows_do_not_depend_on_the_other_targets():
     density = VolumeDensity(BALL, lambda y: np.stack([f.value(y) for f in fields]))
     got = teodorescu((0.8, 0.8 + 0.3j), (1, -1), density, xs)
     for m, x in enumerate(xs):
-        assert got[:, m].tobytes() == teodorescu((0.8, 0.8 + 0.3j), (1, -1), density, x).tobytes()
+        assert got[:, m].tobytes() == teodorescu((0.8, 0.8 + 0.3j), (1, -1), density,
+                                                 x[None]).tobytes()
 
 
 def test_operators_of_no_targets_are_empty():
-    # zero targets give an empty result of the many-target shape, one term
-    # or K, and no error
+    # zero targets give an empty result of K terms, one or three, and no error
     x = np.zeros((0, 3))
     fields = tuple(make_field(1.0) for make_field in _BP_FIELDS.values())
-    volume = VolumeDensity(BALL, lambda y: np.stack([f.value(y) for f in fields]))
     trace = BoundaryDensity(RULE2, np.stack([f.value(RULE2.points) for f in fields]))
-    assert teodorescu(1.0, 1, VolumeDensity(BALL, fields[0].value), x).shape == (0, 4)
-    assert teodorescu((1.0,) * 3, (1,) * 3, volume, x).shape == (3, 0, 4)
+    assert teodorescu((1.0,), (1,), _volume(fields[0]), x).shape == (1, 0, 4)
+    assert teodorescu((1.0,) * 3, (1,) * 3, _volume(*fields), x).shape == (3, 0, 4)
     assert cauchy_boundary((1.0,) * 3, (1,) * 3, trace, x).shape == (3, 0, 4)
-    assert borel_pompeiu_residual(fields[0], 1.0, 1, RULE2, 1.0, x).shape == (0,)
+    assert borel_pompeiu_residual(fields[:1], 1.0, 1, RULE2, 1.0, x).shape == (1, 0)
     assert borel_pompeiu_residual(fields, 1.0, 1, RULE2, 1.0, x).shape == (3, 0)
+
+
+_FIELD = abc_beltrami(0.5)
+_TRACE = BoundaryDensity(RULE2, _FIELD.value(RULE2.points)[None])
+_TARGETS = r"targets must have shape \(M, 3\)"
+_ONE_TERM = r"alphas and signs \(\+1 or -1\) must have shape \(1,\)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: teodorescu((1.0,), (1,), _volume(_FIELD), PROBE), _TARGETS),
+    (lambda: cauchy_boundary((1.0,), (1,), _TRACE, PROBE), _TARGETS),
+    (lambda: borel_pompeiu_residual((_FIELD,), 1.0, 1, RULE2, 1.0, PROBE), _TARGETS),
+    (lambda: teodorescu(1.0, 1, _volume(_FIELD), PROBE[None]), _ONE_TERM),
+    (lambda: cauchy_boundary(1.0, 1, _TRACE, PROBE[None]), _ONE_TERM),
+    (lambda: BoundaryDensity(RULE2, _TRACE.values[0]),
+     r"values must have shape \(K, %d, 4\)" % len(RULE2.points)),
+    (lambda: teodorescu((1.0,), (1,), VolumeDensity(BALL, _FIELD.value), PROBE[None]),
+     r"values must have shape \(K,\) \+ \(1, %d, 4\)" % np.prod(POLAR_ORDERS)),
+    (lambda: borel_pompeiu_residual(_FIELD, 1.0, 1, RULE2, 1.0, PROBE[None]),
+     r"f must be a tuple of K fields, shape \(K,\)"),
+], ids=["teodorescu target (3,)", "cauchy target (3,)", "residual target (3,)",
+        "teodorescu scalar alpha", "cauchy scalar alpha", "density (N, 4)",
+        "evaluator without K", "residual of one field"])
+def test_operators_refuse_every_form_but_k_terms_at_m_targets(call, message):
+    # one calling convention: K alphas and signs, densities (K, N, 4) or an
+    # evaluator of (K, ..., 4), a tuple of K fields, targets (M, 3); any other
+    # form is refused with one ValueError naming the shape expected
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("target", [[0.0, 1.0, 0.0], [0.6, 0.6, 0.6], [2.0, 0.0, 0.0]])
@@ -282,7 +313,7 @@ def test_teodorescu_refuses_a_target_not_inside_the_ball(target):
 
     with pytest.raises(ValueError, match=r"volume target \[%s, %s, %s\] is not inside the "
                                          r"ball of radius 1$" % tuple(map(float, target))):
-        teodorescu(1.0, 1, VolumeDensity(BALL, never), np.array([PROBE, target]))
+        teodorescu((1.0,), (1,), VolumeDensity(BALL, never), np.array([PROBE, target]))
 
 
 # alphas of each kind: real, negative and complex
@@ -306,11 +337,11 @@ def test_polar_volume_term_agrees_with_the_rule_of_twice_the_order(seed, alpha, 
     else:
         f = polynomial_field(rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
     direction = rng.standard_normal(3)
-    x = radius * direction / np.linalg.norm(direction)
+    x = radius * direction[None] / np.linalg.norm(direction)
     finer = polar_ball_rule(1.0, tuple(2 * n for n in POLAR_ORDERS))
-    got = teodorescu(alpha, sign, VolumeDensity(BALL, f.value), x)
-    reference = teodorescu(alpha, sign, VolumeDensity(finer, f.value), x)
-    scale = np.abs(f.value(finer.nodes(x[None])[0])).max()
+    got = teodorescu((alpha,), (sign,), _volume(f), x)
+    reference = teodorescu((alpha,), (sign,), _volume(f, rule=finer), x)
+    scale = np.abs(f.value(finer.nodes(x)[0])).max()
     bound = 1e-6 if radius <= 0.5 else 2e-4
     assert np.abs(got - reference).max() <= bound * scale
 
@@ -346,12 +377,12 @@ def test_teodorescu_equivariant_under_icosahedral_rotations(alpha, sign, word):
     for letter in word:
         rot = _ICO_ROTATIONS[letter] @ rot
     xs = np.array([PROBE, [-0.25, 0.3, 0.1]])
-    density = VolumeDensity(BALL, _ROTATION_FIELD.value)
+    density = _volume(_ROTATION_FIELD)
     rotated_rule = dataclasses.replace(BALL, points=BALL.points @ rot.T)
     rotated = VolumeDensity(
-        rotated_rule, lambda y: _rotate_vector_part(rot, _ROTATION_FIELD.value(y @ rot)))
-    expected = _rotate_vector_part(rot, teodorescu(alpha, sign, density, xs))
-    got = teodorescu(alpha, sign, rotated, xs @ rot.T)
+        rotated_rule, lambda y: _rotate_vector_part(rot, _ROTATION_FIELD.value(y @ rot))[None])
+    expected = _rotate_vector_part(rot, teodorescu((alpha,), (sign,), density, xs))
+    got = teodorescu((alpha,), (sign,), rotated, xs @ rot.T)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -362,7 +393,8 @@ def test_teodorescu_right_inverse_converges():
     f = abc_beltrami(-1.0)
     res = []
     for level in (2, 3):
-        res.append(borel_pompeiu_residual(f, 1.0, 1, sphere_rule(1.0, level), 1.0, PROBE))
+        res.append(borel_pompeiu_residual((f,), 1.0, 1, sphere_rule(1.0, level), 1.0,
+                                          PROBE[None]).item())
     assert res[1] < res[0]
     assert res[1] < 2e-2
 
@@ -371,17 +403,16 @@ def test_borel_pompeiu_both_signs():
     f = polynomial_field(np.random.default_rng(22).standard_normal((4, 10)))
     rule = sphere_rule(1.0, 3)
     for sign in (1, -1):
-        assert borel_pompeiu_residual(f, 1.0, sign, rule, 1.0, PROBE) < 2e-2
+        assert borel_pompeiu_residual((f,), 1.0, sign, rule, 1.0, PROBE[None]).item() < 2e-2
 
 
 def test_borel_pompeiu_batch_matches_pointwise():
     f = abc_beltrami(-1.0)
     xs = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
-    batch = borel_pompeiu_residual(f, 1.0, -1, RULE2, 1.0, xs)
-    assert batch.shape == (len(xs),)
-    single = [borel_pompeiu_residual(f, 1.0, -1, RULE2, 1.0, x) for x in xs]
-    assert all(isinstance(v, float) for v in single)
-    assert np.allclose(batch, single, rtol=1e-12, atol=0.0)
+    batch = borel_pompeiu_residual((f,), 1.0, -1, RULE2, 1.0, xs)
+    assert batch.shape == (1, len(xs))
+    single = [borel_pompeiu_residual((f,), 1.0, -1, RULE2, 1.0, x[None]).item() for x in xs]
+    assert np.allclose(batch[0], single, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.8 + 0.3j])
@@ -392,10 +423,10 @@ def test_borel_pompeiu_on_a_scaled_ball_is_the_unit_ball_at_scaled_alpha(radius,
     # scaled by R) is the unit-ball check at alpha * R
     rule = sphere_rule(radius, 2)
     for name, make_field in _BP_FIELDS.items():
-        scaled = borel_pompeiu_residual(make_field(alpha), alpha, 1, rule, radius,
+        scaled = borel_pompeiu_residual((make_field(alpha),), alpha, 1, rule, radius,
                                         _BP_PROBES * radius)
-        unit = borel_pompeiu_residual(make_field(alpha * radius), alpha * radius, 1, RULE2, 1.0,
-                                      _BP_PROBES)
+        unit = borel_pompeiu_residual((make_field(alpha * radius),), alpha * radius, 1, RULE2,
+                                      1.0, _BP_PROBES)
         assert np.all(np.abs(scaled - unit) <= 1e-12 * unit), name
 
 
@@ -406,13 +437,13 @@ def test_borel_pompeiu_residual_is_second_order(capsys):
     # 4.7e-2, 1.2e-2, 3.0e-3, a fitted order of 2.0 in the mesh spacing.  The gate leaves a
     # margin of 0.2 below 2, so a first-order regression fails where the
     # decrease that verify-bp checks still holds.
-    x = 0.5 * np.ones(3) / np.sqrt(3.0)
+    x = 0.5 * np.ones((1, 3)) / np.sqrt(3.0)
+    fields = tuple(make_field(1.0) for make_field in _BP_FIELDS.values())
     spacing, worst = [], []
     for level in (2, 3, 4):
         mesh = build_sphere_mesh(1.0, level)
         spacing.append(mesh.spacing)
-        worst.append(max(borel_pompeiu_residual(make_field(1.0), 1.0, 1, mesh.rule, 1.0, x)
-                         for make_field in _BP_FIELDS.values()))
+        worst.append(float(borel_pompeiu_residual(fields, 1.0, 1, mesh.rule, 1.0, x).max()))
     order = np.polyfit(np.log(spacing), np.log(worst), 1)[0]
     with capsys.disabled():
         print("\nBorel-Pompeiu residual on the polyhedron, levels 2-4: %s, fitted order "
@@ -430,10 +461,10 @@ def test_borel_pompeiu_fields_in_one_call_match_one_call_each():
         assert together.shape == (len(fields), len(_BP_PROBES))
         for f, row in zip(fields, together):
             assert row.tobytes() == borel_pompeiu_residual(
-                f, alpha, sign, rule, 1.0, _BP_PROBES).tobytes()
-        at_one = borel_pompeiu_residual(fields, alpha, sign, rule, 1.0, _BP_PROBES[0])
-        assert at_one.shape == (len(fields),)
-        assert np.allclose(at_one, together[:, 0], rtol=1e-12, atol=0.0)
+                (f,), alpha, sign, rule, 1.0, _BP_PROBES).tobytes()
+        at_one = borel_pompeiu_residual(fields, alpha, sign, rule, 1.0, _BP_PROBES[:1])
+        assert at_one.shape == (len(fields), 1)
+        assert np.allclose(at_one[:, 0], together[:, 0], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.0, -1.5, 0.8 + 0.3j])
@@ -465,14 +496,13 @@ def test_borel_pompeiu_with_every_volume_term_vanishing_has_no_volume_pass(monke
     res = borel_pompeiu_residual(fields, 1.0, 1, RULE2, 1.0, _BP_PROBES)
     assert res.shape == (2, len(_BP_PROBES))
     assert res.max() < 2e-2
-    assert isinstance(borel_pompeiu_residual(fields[0], 1.0, 1, RULE2, 1.0, PROBE), float)
 
 
 def test_cauchy_near_singularity_guard():
-    d = BoundaryDensity(MESH2.rule, constant_field(q.ONE).value(MESH2.centroids))
-    too_close = 0.999 * MESH2.centroids[0]
+    d = BoundaryDensity(MESH2.rule, constant_field(q.ONE).value(MESH2.centroids)[None])
+    too_close = 0.999 * MESH2.centroids[:1]
     with pytest.raises(NearSingularityError) as exc:
-        cauchy_boundary(1.0, 1, d, too_close)
+        cauchy_boundary((1.0,), (1,), d, too_close)
     assert exc.value.distance < exc.value.min_distance
     # the distance reported is the one to the nearest node of the rule
     assert str(exc.value) == (
@@ -480,11 +510,11 @@ def test_cauchy_near_singularity_guard():
         % (exc.value.distance, exc.value.min_distance))
     assert exc.value.distance == pytest.approx(0.001 * np.linalg.norm(MESH2.centroids[0]))
     # far enough inside is fine
-    assert q.is_finite(cauchy_boundary(1.0, 1, d, PROBE))
+    assert q.is_finite(cauchy_boundary((1.0,), (1,), d, PROBE[None]))
     # a too-close target in a later block of a batch is caught as well
     batch = np.vstack([np.tile(PROBE, (TILE_ROWS, 1)), too_close])
     with pytest.raises(NearSingularityError):
-        cauchy_boundary(1.0, 1, d, batch)
+        cauchy_boundary((1.0,), (1,), d, batch)
 
 
 def test_cauchy_many_matches_single():
@@ -494,35 +524,35 @@ def test_cauchy_many_matches_single():
     xs = rng.uniform(-0.3, 0.3, (TILE_ROWS + 5, 3))
 
     def random_density(mesh):
-        shape = (mesh.n_triangles, 4)
+        shape = (1, mesh.n_triangles, 4)
         return BoundaryDensity(mesh.rule, rng.standard_normal(shape)
                                + 1j * rng.standard_normal(shape))
 
     cases = [
-        (0.8, 1, BoundaryDensity(MESH2.rule, abc_beltrami(-0.8).value(MESH2.centroids))),
+        (0.8, 1, BoundaryDensity(MESH2.rule, abc_beltrami(-0.8).value(MESH2.centroids)[None])),
         (0.8 + 0.3j, -1, random_density(MESH2)),
         (0.8 + 0.3j, 1, random_density(build_sphere_mesh(2.0, 2))),
     ]
     for alpha, sign, d in cases:
         rule = d.mesh
-        many = cauchy_boundary(alpha, sign, d, xs)
+        many = cauchy_boundary((alpha,), (sign,), d, xs)[0]
         assert many.shape == (len(xs), 4)
-        single = np.array([cauchy_boundary(alpha, sign, d, x) for x in xs])
+        single = np.array([cauchy_boundary((alpha,), (sign,), d, x[None])[0, 0] for x in xs])
         assert single.shape == (len(xs), 4)
         assert np.allclose(many, single, rtol=0.0, atol=1e-14)
         # reference: the triple product -w * Ups * (n * f) summed node by node
-        nf = q.qmul(q.vector(rule.normals), d.values)
+        nf = q.qmul(q.vector(rule.normals), d.values[0])
         terms = q.qmul(upsilon(alpha, sign, xs[:, None, :] - rule.points), nf)
         reference = -np.einsum("n,mnk->mk", rule.weights.astype(complex), terms)
         assert np.allclose(many, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
     with pytest.raises(ValueError):
-        cauchy_boundary(0.8, 1, d, xs[:, :2])
+        cauchy_boundary((0.8,), (1,), d, xs[:, :2])
     with pytest.raises(ValueError):
-        cauchy_boundary(0.8, 2, d, xs)
+        cauchy_boundary((0.8,), (2,), d, xs)
 
 
-def _random_density(mesh, rng, k=None):
-    shape = (mesh.n_triangles, 4) if k is None else (k, mesh.n_triangles, 4)
+def _random_density(mesh, rng, k=1):
+    shape = (k, mesh.n_triangles, 4)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -548,10 +578,11 @@ def test_cauchy_stacked_matches_single(alphas, signs):
     values = _random_density(MESH2, rng, len(alphas))
     stacked = cauchy_boundary(alphas, signs, BoundaryDensity(MESH2.rule, values), xs)
     assert stacked.shape == (len(alphas), len(xs), 4)
-    assert cauchy_boundary(alphas, signs, BoundaryDensity(MESH2.rule, values), xs[0]).shape == (
-        len(alphas), 4)
+    assert cauchy_boundary(alphas, signs, BoundaryDensity(MESH2.rule, values), xs[:1]).shape == (
+        len(alphas), 1, 4)
     for k, (alpha, sign) in enumerate(zip(alphas, signs)):
-        single = cauchy_boundary(alpha, sign, BoundaryDensity(MESH2.rule, values[k]), xs)
+        single = cauchy_boundary((alpha,), (sign,), BoundaryDensity(MESH2.rule, values[k:k + 1]),
+                                 xs)[0]
         assert np.abs(stacked[k] - single).max() <= 1e-14 * np.abs(single).max()
         reference = _node_by_node(alpha, sign, MESH2.rule, values[k], xs)
         assert np.allclose(stacked[k], reference, rtol=0.0,
@@ -575,7 +606,7 @@ def test_cauchy_stacked_rejects_mismatched_terms():
     for alpha, sign, d in [
         ((0.8, 1.1, 1.2), (1, -1, 1), stacked),   # three terms, two densities
         ((0.8, 1.1), (1,), stacked),              # sign too short
-        (0.8, 1, stacked),                        # one term, two densities
+        ((0.8,), (1,), stacked),                  # one term, two densities
         ((0.8, 1.1), (1, -1), single),            # two terms, one density
         ((0.8, 1.1), (1, 0), stacked),            # invalid sign
     ]:
@@ -594,9 +625,10 @@ _COEFF = st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
        alpha=st.sampled_from([0.8, 0.8 + 0.3j]), sign=st.sampled_from([1, -1]))
 def test_cauchy_linear_in_density(mesh, seed, a, b, alpha, sign):
     rng = np.random.default_rng(seed)
-    shape = (mesh.n_triangles, 4)
+    shape = (1, mesh.n_triangles, 4)
     f1, f2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "12")
-    k1, k2, k12 = (cauchy_boundary(alpha, sign, BoundaryDensity(mesh.rule, f), INNER_PROBES)
+    k1, k2, k12 = (cauchy_boundary((alpha,), (sign,), BoundaryDensity(mesh.rule, f),
+                                   INNER_PROBES)
                    for f in (f1, f2, a * f1 + b * f2))
     scale = abs(a) * np.abs(k1).max() + abs(b) * np.abs(k2).max()
     # plus 1e-300: coefficients near the subnormal range round absolutely
@@ -633,20 +665,20 @@ def test_cauchy_reproduces_monogenic_field():
     alpha = 1.0
     f = abc_beltrami(-alpha)
     mesh = build_sphere_mesh(1.0, 3)
-    d = BoundaryDensity(mesh.rule, f.value(mesh.centroids))
-    val = cauchy_boundary(alpha, 1, d, PROBE)
-    exact = f.value(PROBE)
-    assert q.norm(val - exact) / q.norm(exact) < 2e-2
+    d = BoundaryDensity(mesh.rule, f.value(mesh.centroids)[None])
+    val = cauchy_boundary((alpha,), (1,), d, PROBE[None])[0]
+    exact = f.value(PROBE[None])
+    assert (q.norm(val - exact) / q.norm(exact)).item() < 2e-2
 
 
 def test_cauchy_of_zero_density_is_zero():
-    d = BoundaryDensity(MESH2.rule, np.zeros((MESH2.n_triangles, 4)))
-    assert q.norm(cauchy_boundary(1.0, 1, d, PROBE)) == 0.0
+    d = BoundaryDensity(MESH2.rule, np.zeros((1, MESH2.n_triangles, 4)))
+    assert q.norm(cauchy_boundary((1.0,), (1,), d, PROBE[None])).item() == 0.0
 
 
 def test_scalar_field_identity():
-    assert borel_pompeiu_residual(scalar_monomial(1), 1.0, 1, sphere_rule(1.0, 3), 1.0,
-                                  PROBE) < 2e-2
+    assert borel_pompeiu_residual((scalar_monomial(1),), 1.0, 1, sphere_rule(1.0, 3), 1.0,
+                                  PROBE[None]).item() < 2e-2
 
 
 # --- the tiled boundary sum on two threads -----------------------------------
@@ -716,11 +748,11 @@ def test_node_tiles_of_any_length():
     # one more, 2 x NODE_CHUNK + 40 nodes two full node tiles and 40 nodes
     rng = np.random.default_rng(33)
     rule = _random_rule(rng, 2 * NODE_CHUNK + 40)
-    values = rng.standard_normal((len(rule.points), 4)) + 1j * rng.standard_normal(
-        (len(rule.points), 4))
+    values = rng.standard_normal((1, len(rule.points), 4)) + 1j * rng.standard_normal(
+        (1, len(rule.points), 4))
     xs = rng.uniform(-1.0, 1.0, (TILE_ROWS + 1, 3)) + [3.0, 0.0, 0.0]
-    got = cauchy_boundary(0.7, 1, BoundaryDensity(rule, values), xs)
-    reference = _node_by_node(0.7, 1, rule, values, xs)
+    got = cauchy_boundary((0.7,), (1,), BoundaryDensity(rule, values), xs)[0]
+    reference = _node_by_node(0.7, 1, rule, values[0], xs)
     assert np.abs(got - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -788,13 +820,13 @@ def test_two_thread_sums_are_repeatable_under_contention():
     b_alphas, b_signs, b_density = _mode_terms(MESH3, rng)
     rule = sphere_rule(1.0, 4)
     s_density = BoundaryDensity(rule, _random_density(build_sphere_mesh(1.0, 4), rng, 3)
-                                .reshape(len(rule.points), 4))
+                                .reshape(1, len(rule.points), 4))
     xs_b = _offset_targets(MESH3)[::19]  # 203 targets, 13 row tiles
     xs_s = np.array([PROBE, [-0.25, 0.3, 0.1], [0.2, -0.2, 0.3]])
 
     def both():
         return (cauchy_boundary(b_alphas, b_signs, b_density, xs_b).tobytes(),
-                cauchy_boundary(0.8 + 0.3j, -1, s_density, xs_s).tobytes())
+                cauchy_boundary((0.8 + 0.3j,), (-1,), s_density, xs_s).tobytes())
 
     first = both()
     results = []

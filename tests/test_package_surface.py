@@ -19,8 +19,8 @@ MODULE_SURFACE = {
                  "checked_normals", "load_off", "mesh_from_arrays", "polar_ball_rule",
                  "save_csv", "save_off", "sphere_rule"},
     "kernels": {"radial_factors", "theta", "upsilon"},
-    "maxwell": {"ChiralMedium", "continuity_rho", "make_medium",
-                "merge_values", "phi_psi_rhs", "split_values"},
+    "maxwell": {"ChiralMedium", "continuity_rho", "make_medium", "merge_values",
+                "split_values"},
     "operators": {"BoundaryDensity", "VolumeDensity", "borel_pompeiu_residual",
                   "cauchy_boundary", "teodorescu"},
     "quaternions": {"is_finite", "norm", "qmul", "sc", "vec", "vector"},
@@ -34,7 +34,7 @@ EXPORTS = {
     "SingularityError", "SurfaceMesh", "TopologyError", "VolumeDensity", "abc_beltrami",
     "borel_pompeiu_residual", "build_sphere_mesh", "cauchy_boundary", "checked_normals",
     "continuity_rho", "exact_chiral_solution", "extendibility_residual", "make_medium",
-    "merge_values", "phi_psi_rhs", "polar_ball_rule", "reconstruct_eh", "sphere_rule",
+    "merge_values", "polar_ball_rule", "reconstruct_eh", "sphere_rule",
     "split_values", "teodorescu", "theta", "upsilon",
 }
 

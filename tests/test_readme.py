@@ -26,4 +26,4 @@ def test_readme_command_lines(tmp_path, monkeypatch):
 def test_readme_quick_start():
     namespace = {}
     exec(_code_block("Quick start"), namespace)
-    assert namespace["e_x"].shape == namespace["h_x"].shape == (4,)
+    assert namespace["e_x"].shape == namespace["h_x"].shape == (1, 4)

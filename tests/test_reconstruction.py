@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from quatem import quaternions as q
 from quatem.cli import _BP_PROBES, main
-from quatem.fields import exact_chiral_solution
+from quatem.fields import abc_beltrami, exact_chiral_solution
 from quatem.geometry import build_sphere_mesh, mesh_from_arrays, polar_ball_rule, sphere_rule
-from quatem.maxwell import make_medium, merge_values, phi_psi_rhs
+from quatem.maxwell import make_medium, merge_values
 from quatem.operators import BoundaryDensity, VolumeDensity, cauchy_boundary, teodorescu
 from quatem.reconstruction import (
     ExtendibilityReport,
@@ -22,7 +22,14 @@ from quatem.reconstruction import (
     two_kernel_eh,
 )
 
-from oracles import ELLIPSOID_AXES, manufactured_current_solution, proper_rotation, torus_mesh
+from oracles import (
+    ELLIPSOID_AXES,
+    manufactured_current_solution,
+    phi_psi_rhs,
+    proper_rotation,
+    reconstruct_with_current,
+    torus_mesh,
+)
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 # (omega, epsilon, mu, beta) of the default medium, an achiral one and a lossy one
@@ -50,16 +57,10 @@ def test_reconstruction_accuracy_and_convergence():
     for level in (2, 3):
         mesh = build_sphere_mesh(1.0, level)
         e_tr, h_tr, e_field, h_field = _traces(mesh)
-        worst = 0.0
-        for x in PROBES:
-            e_x, h_x = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, x)
-            exact_e, exact_h = e_field.value(x), h_field.value(x)
-            worst = max(
-                worst,
-                float(q.norm(e_x - exact_e) / q.norm(exact_e)),
-                float(q.norm(h_x - exact_h) / q.norm(exact_h)),
-            )
-        errs.append(worst)
+        e_x, h_x = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES)
+        errs.append(max(float(np.max(q.norm(got - exact) / q.norm(exact)))
+                        for got, exact in ((e_x, e_field.value(PROBES)),
+                                           (h_x, h_field.value(PROBES)))))
     assert errs[1] < errs[0]
     assert errs[1] < 5e-2
 
@@ -137,8 +138,8 @@ def test_reconstruction_from_node_data_is_fourth_order(constants, capsys):
 
 @MEDIA
 def test_reconstruction_with_current_matches_manufactured_solution(constants, capsys):
-    # the representation with sources, Phi = T_{+a1}[(i/k)(a1 j - div j)] +
-    # K_{+a1} Phi and likewise Psi, reproduces a polynomial solution with a
+    # the representation with sources (oracles.reconstruct_with_current),
+    # Phi = T_{+a1}[(i/k)(a1 j - div j)] + K_{+a1} Phi and likewise Psi, reproduces a polynomial solution with a
     # current of nonzero divergence at verify-bp's probes.  With seed 3 the
     # worst relative E and H error reads 6.4e-2, 1.6e-2, 4.1e-3 at levels 2-4
     # for beta = 0.25 (5.2e-2, 1.3e-2, 3.3e-3 for beta = 0; 7.3e-2, 1.9e-2,
@@ -159,8 +160,8 @@ def test_reconstruction_with_current_matches_manufactured_solution(constants, ca
         mesh = build_sphere_mesh(1.0, level)
         e_tr, h_tr = (q.vec(f.value(mesh.centroids)) for f in (e_field, h_field))
         spacing.append(mesh.spacing)
-        errors.append(worst(reconstruct_eh(mesh.rule, e_tr, h_tr, medium, _BP_PROBES,
-                                           current=j, radius=1.0)))
+        errors.append(worst(reconstruct_with_current(mesh.rule, e_tr, h_tr, medium,
+                                                     _BP_PROBES, j, 1.0)))
         if level == 3:
             source_free = worst(reconstruct_eh(mesh.rule, e_tr, h_tr, medium, _BP_PROBES))
     order = np.polyfit(np.log(spacing), np.log(errors), 1)[0]
@@ -175,23 +176,23 @@ def test_reconstruction_with_current_matches_manufactured_solution(constants, ca
 
 
 def test_both_modes_volume_terms_in_one_call_are_the_single_mode_calls():
-    # with a current, reconstruct_eh sums both modes' volume terms in one
-    # teodorescu call over one evaluation of the current; bit for bit the
-    # two single-mode calls, Phi's at +alpha1 and Psi's at -alpha2
+    # with a current, reconstruct_with_current sums both modes' volume terms
+    # in one teodorescu call over one evaluation of the current; bit for bit
+    # the two single-mode calls, Phi's at +alpha1 and Psi's at -alpha2
     medium = make_medium(1.0, 1.0 + 0.1j, 1.0, 0.25)
     _, _, j = manufactured_current_solution(medium, seed=3)
     mesh, ball = build_sphere_mesh(1.0, 3), polar_ball_rule(1.0)
     a1, a2 = medium.alpha1, medium.alpha2
     rhs = phi_psi_rhs(j, medium)
     both = teodorescu((a1, a2), (1, -1), VolumeDensity(ball, rhs), _BP_PROBES)
-    phi = teodorescu(a1, 1, VolumeDensity(ball, lambda y: rhs(y)[0]), _BP_PROBES)
-    psi = teodorescu(a2, -1, VolumeDensity(ball, lambda y: rhs(y)[1]), _BP_PROBES)
-    assert both.tobytes() == np.stack([phi, psi]).tobytes()
+    phi = teodorescu((a1,), (1,), VolumeDensity(ball, lambda y: rhs(y)[:1]), _BP_PROBES)
+    psi = teodorescu((a2,), (-1,), VolumeDensity(ball, lambda y: rhs(y)[1:]), _BP_PROBES)
+    assert both.tobytes() == np.concatenate([phi, psi]).tobytes()
     e_tr, h_tr, _, _ = _traces(mesh, medium)
     modes = BoundaryDensity(mesh.rule, q.vector(np.stack([e_tr + 1j * h_tr, e_tr - 1j * h_tr])))
     boundary = cauchy_boundary((a1, a2), (1, -1), modes, _BP_PROBES)
-    expected = merge_values(boundary[0] + phi, boundary[1] + psi)
-    got = reconstruct_eh(mesh.rule, e_tr, h_tr, medium, _BP_PROBES, current=j, radius=1.0)
+    expected = merge_values(boundary[0] + phi[0], boundary[1] + psi[0])
+    got = reconstruct_with_current(mesh.rule, e_tr, h_tr, medium, _BP_PROBES, j, 1.0)
     assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
@@ -212,44 +213,33 @@ def test_assembly_paths_agree():
             assert np.any(gap > 0.0), (level, name)
 
 
-def test_source_requires_quadrature():
-    mesh = build_sphere_mesh(1.0, 2)
-    e_tr, h_tr, _, _ = _traces(mesh)
-    from quatem.fields import abc_beltrami
-
-    with pytest.raises(ValueError, match="a ball radius is required"):
-        reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES[0], current=abc_beltrami(0.5))
-
-
 @pytest.mark.parametrize("radius, refused", [(0.3, "0.3, 0.1, -0.2"), (0.45, "-0.2, 0.4, 0.1")])
 def test_source_refuses_a_probe_not_inside_the_ball(radius, refused):
     # PROBES lie at radii 0.37, 0.27 and 0.46: inside the mesh, but the first
     # one outside the ball of the volume terms is refused, named, before the
     # current is evaluated
-    from quatem.fields import abc_beltrami
-
     mesh = build_sphere_mesh(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
     with pytest.raises(ValueError, match=r"volume target \[%s\] is not inside the ball of "
                                          r"radius %g$" % (refused, radius)):
-        reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES, current=abc_beltrami(0.5),
-                       radius=radius)
+        reconstruct_with_current(mesh.rule, e_tr, h_tr, MEDIUM, PROBES, abc_beltrami(0.5),
+                                 radius)
 
 
 def test_batched_reconstruction_matches_pointwise():
-    # one call on all probes equals one call per probe, with and without a
-    # (divergence-free) current whose volume terms contribute
-    from quatem.fields import abc_beltrami
-
+    # one call on all probes equals one call per probe, without and (through
+    # the oracle) with a divergence-free current whose volume terms contribute
     mesh = build_sphere_mesh(1.0, 2)
     e_tr, h_tr, _, _ = _traces(mesh)
     free_e, _ = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES)
-    for current, radius in ((None, None), (abc_beltrami(0.5), 1.0)):
-        e_all, h_all = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, PROBES, current, radius)
+    for reconstruct in (
+            lambda x: reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, x),
+            lambda x: reconstruct_with_current(mesh.rule, e_tr, h_tr, MEDIUM, x,
+                                               abc_beltrami(0.5), 1.0)):
+        e_all, h_all = reconstruct(PROBES)
         assert e_all.shape == h_all.shape == (len(PROBES), 4)
         for x, e_row, h_row in zip(PROBES, e_all, h_all):
-            e_x, h_x = reconstruct_eh(mesh.rule, e_tr, h_tr, MEDIUM, x, current, radius)
-            assert e_x.shape == (4,)
+            (e_x,), (h_x,) = reconstruct(x[None])
             assert np.allclose(e_row, e_x, rtol=0.0, atol=1e-14)
             assert np.allclose(h_row, h_x, rtol=0.0, atol=1e-14)
     assert q.is_finite(e_all) and q.norm(e_all - free_e).max() > 1e-3
