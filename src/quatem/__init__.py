@@ -24,7 +24,6 @@ from .geometry import (
 from .kernels import theta, upsilon
 from .maxwell import (
     ChiralMedium,
-    continuity_rho,
     make_medium,
     merge_values,
     split_values,

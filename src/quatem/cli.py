@@ -9,10 +9,8 @@ deterministically (stable key order, explicit seeds).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -35,8 +33,10 @@ from .geometry import (
     build_sphere_mesh,
     checked_normals,
     load_off,
+    load_traces,
     save_csv,
     save_off,
+    save_traces,
     sphere_rule,
 )
 from .kernels import theta, upsilon
@@ -134,54 +134,10 @@ def _c(z) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-_TRACE_HEADER = ["triangle"] + ["%s%d_%s" % (f, i, p)
-                               for f in "eh" for i in (1, 2, 3) for p in ("re", "im")]
-
-
-def _column_fault(path):
-    """The first row below the header that does not hold 13 columns, named;
-    bytes that do not decode are replaced: _load_traces reports that refusal."""
-    with open(path, newline="", errors="replace") as fh:
-        rows = [row for row in csv.reader(fh) if row][1:]
-    for i, row in enumerate(rows):
-        if len(row) != len(_TRACE_HEADER):
-            return "row %d has %d columns, expected %d" % (i, len(row), len(_TRACE_HEADER))
-
-
-def _load_traces(path, n_triangles: int):
-    try:  # a file of no rows, of which numpy warns, is refused by its row count
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            if fh.readline().rstrip("\n") != ",".join(_TRACE_HEADER):
-                raise ConfigError("the first row is not the header " + ",".join(_TRACE_HEADER))
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if table.shape != (n_triangles, len(_TRACE_HEADER)):
-            raise ConfigError("%d rows, mesh has %d triangles" % (len(table), n_triangles))
-        misplaced = np.flatnonzero(table[:, 0] != np.arange(n_triangles))
-        if len(misplaced):
-            raise ConfigError("row %d holds triangle %g: row i must hold triangle i"
-                              % (misplaced[0], table[misplaced[0], 0]))
-        non_finite = np.flatnonzero(~np.isfinite(table).all(axis=1))
-        if len(non_finite):
-            raise ConfigError("row %d holds a value that is not finite" % non_finite[0])
-    except (ConfigError, ValueError) as exc:  # a row of another column count is named first
-        raise ConfigError("trace file %s: %s" % (path, _column_fault(path) or exc)) from None
-    # re/im pairs of e1..e3, h1..h3, read as six complex columns
-    values = table[:, 1:].view(complex)
-    return values[:, :3], values[:, 3:]
-
-
-def _save_traces(path, e, h) -> None:
-    """One row per triangle: its index, then re/im of e1..e3 and h1..h3."""
-    pairs = np.concatenate([e, h], axis=1).view(float)
-    save_csv(path, np.column_stack([np.arange(len(pairs)), pairs]),
-             ["%d"] + ["%.17g"] * 12, _TRACE_HEADER)
-
-
 def _read_surface(args):
     """The rule of the OFF mesh args.mesh, the medium, and the traces args.traces."""
-    mesh = load_off(args.mesh)
-    return (mesh.rule, _medium_from_args(args), *_load_traces(args.traces, mesh.n_triangles))
+    rule = load_off(args.mesh).rule
+    return (rule, _medium_from_args(args), *load_traces(args.traces, rule))
 
 
 def cmd_gen_mesh(args) -> int:
@@ -203,7 +159,7 @@ def cmd_gen_field(args) -> int:
     e_field, h_field = exact_chiral_solution(medium, amps, amps)
     pts = mesh.rule.points
     e, h = e_field.value(pts), h_field.value(pts)
-    _save_traces(args.out, q.vec(e), q.vec(h))
+    save_traces(args.out, q.vec(e), q.vec(h))
     print("gen-field: %s traces on %d triangles -> %s" % (args.family, len(pts), args.out))
     return EXIT_OK
 

@@ -7,16 +7,19 @@ rule, for any closed surface).  On the sphere itself sphere_rule places
 three nodes per icosphere triangle on the exact surface, a fourth-order
 rule.  Volume integrals over the ball use a polar rule centred on each
 target (BallRule), whose volume element cancels the kernel's growth.
+OFF mesh files and the trace files of a rule's nodes are read and written here.
 """
 
 from __future__ import annotations
 
+import csv
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, TopologyError
+from .errors import CapacityError, ConfigError, TopologyError
 
 MAX_SUBDIVISION = 7  # 20 * 4**7 = 327680 triangles, the desk-scale budget
 POLAR_ORDERS = (8, 8, 16)  # BallRule: Gauss-Legendre r and cos(theta), trapezoid phi
@@ -336,3 +339,53 @@ def save_csv(path, table, fmt, header) -> None:
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n",
                    header=",".join(header), comments="")
+
+
+_TRACE_HEADER = ["triangle"] + ["%s%d_%s" % (f, i, p)
+                               for f in "eh" for i in (1, 2, 3) for p in ("re", "im")]
+
+
+def _column_fault(path):
+    """The first row below the header that does not hold 13 columns, named;
+    bytes that do not decode are replaced: load_traces reports that refusal."""
+    with open(path, newline="", errors="replace") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    for i, row in enumerate(rows):
+        if len(row) != len(_TRACE_HEADER):
+            return "row %d has %d columns, expected %d" % (i, len(row), len(_TRACE_HEADER))
+
+
+def load_traces(path, rule: SurfaceRule):
+    """The traces e and h, (N, 3) complex each, at the N nodes of the rule,
+    from a trace file as save_traces writes it.  ConfigError, naming the
+    file, if the first row is not the header, a row does not hold 13
+    columns, the rows are not one per node in node order, or a value is not
+    finite."""
+    n_nodes = len(rule.points)
+    try:  # a file of no rows, of which numpy warns, is refused by its row count
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            if fh.readline().rstrip("\n") != ",".join(_TRACE_HEADER):
+                raise ConfigError("the first row is not the header " + ",".join(_TRACE_HEADER))
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if table.shape != (n_nodes, len(_TRACE_HEADER)):
+            raise ConfigError("%d rows, the rule has %d nodes" % (len(table), n_nodes))
+        misplaced = np.flatnonzero(table[:, 0] != np.arange(n_nodes))
+        if len(misplaced):
+            raise ConfigError("row %d holds triangle %g: row i must hold triangle i"
+                              % (misplaced[0], table[misplaced[0], 0]))
+        non_finite = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if len(non_finite):
+            raise ConfigError("row %d holds a value that is not finite" % non_finite[0])
+    except (ConfigError, ValueError) as exc:  # a row of another column count is named first
+        raise ConfigError("trace file %s: %s" % (path, _column_fault(path) or exc)) from None
+    # re/im pairs of e1..e3, h1..h3, read as six complex columns
+    values = table[:, 1:].view(complex)
+    return values[:, :3], values[:, 3:]
+
+
+def save_traces(path, e, h) -> None:
+    """One row per node, after the header: its index, then re/im of e1..e3 and h1..h3."""
+    pairs = np.concatenate([e, h], axis=1).view(float)
+    save_csv(path, np.column_stack([np.arange(len(pairs)), pairs]),
+             ["%d"] + ["%.17g"] * 12, _TRACE_HEADER)

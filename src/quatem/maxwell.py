@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quaternions as q
 from .errors import SingularMediumError
-from .fields import AnalyticField
 
 _SINGULAR_TOL = 1e-9
 
@@ -81,9 +79,3 @@ def merge_values(phi, psi):
     psi = np.asarray(psi, dtype=complex)
     return 0.5 * (phi + psi), (phi - psi) / 2j
 
-
-def continuity_rho(j: AnalyticField, medium: ChiralMedium):
-    """rho/eps = -(1/(i*k)) div j as a scalar evaluator, with -div j read
-    from the scalar part of the current's exact derivative D j."""
-    k = medium.k
-    return lambda x: q.sc(j.d_value(x)) / (1j * k)

@@ -9,9 +9,10 @@ of the kernels and fields; grad_theta is the closed-form gradient of the
 Helmholtz fundamental solution; maxwell_residual checks the chiral curl
 equations, with or without a current, by finite differences; rot_coeffs and
 manufactured_current_solution build a polynomial chiral solution with a
-current; phi_psi_rhs gives a current's right-hand sides of the two mode
-equations, and reconstruct_with_current the representation with sources
-that adds their volume terms to reconstruct_eh's boundary terms;
+current; continuity_rho gives the charge rho/eps that the continuity
+relation ties to a current, phi_psi_rhs a current's right-hand sides of the
+two mode equations, and reconstruct_with_current the representation with
+sources that adds their volume terms to reconstruct_eh's boundary terms;
 proper_rotation draws a random rotation; ELLIPSOID_AXES scales an
 icosphere into the tests' non-spherical closed surface; and torus_mesh
 builds a closed surface that is not star-shaped either.
@@ -233,6 +234,13 @@ def manufactured_current_solution(medium: ChiralMedium, seed: int):
     return polynomial_field(e), polynomial_field(h), polynomial_field(j)
 
 
+def continuity_rho(j: AnalyticField, medium: ChiralMedium):
+    """rho/eps = -(1/(i*k)) div j as a scalar evaluator, with -div j read
+    from the scalar part of the current's exact derivative D j."""
+    k = medium.k
+    return lambda x: q.sc(j.d_value(x)) / (1j * k)
+
+
 def phi_psi_rhs(j: AnalyticField, medium: ChiralMedium):
     """Quaternionic right-hand sides of the decoupled mode equations for the
     current j (its vector part; -div j is the scalar part of D j).
@@ -243,16 +251,16 @@ def phi_psi_rhs(j: AnalyticField, medium: ChiralMedium):
         (D - alpha2) Psi = -(i/k) [alpha2 j + div j]
 
     Both read (i/k) [a j - div j] with the signed wave parameter a =
-    +alpha1 or -alpha2; div j lands in the scalar part, j in the vector
-    part.  Returns one batched evaluator of both: points (..., 3) give
-    (2, ..., 4), Phi's right-hand side then Psi's, from one j.value and one
-    j.d_value per point.
+    +alpha1 or -alpha2; div j lands in the scalar part, as -continuity_rho,
+    j in the vector part.  Returns one batched evaluator of both: points
+    (..., 3) give (2, ..., 4), Phi's right-hand side then Psi's, from one
+    j.value and one j.d_value per point.
     """
-    k = medium.k
+    k, rho = medium.k, continuity_rho(j, medium)
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        j_vec, div_part = q.vec(j.value(x)), (1j / k) * q.sc(j.d_value(x))
+        j_vec, div_part = q.vec(j.value(x)), -rho(x)
         out = np.empty((2,) + x.shape[:-1] + (4,), dtype=complex)
         for mode, a in zip(out, (medium.alpha1, -medium.alpha2)):
             mode[..., 1:] = (1j * a / k) * j_vec

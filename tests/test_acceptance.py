@@ -20,7 +20,7 @@ from quatem.fields import (
 )
 from quatem.geometry import build_sphere_mesh, sphere_rule
 from quatem.kernels import upsilon
-from quatem.maxwell import continuity_rho, make_medium
+from quatem.maxwell import make_medium
 from quatem.operators import borel_pompeiu_residual
 from quatem.reconstruction import (
     extendibility_residual,
@@ -29,7 +29,14 @@ from quatem.reconstruction import (
     two_kernel_eh,
 )
 
-from oracles import fd_d_alpha, fd_moisil_theodoresco, maxwell_residual, polynomial_field, qconj
+from oracles import (
+    continuity_rho,
+    fd_d_alpha,
+    fd_moisil_theodoresco,
+    maxwell_residual,
+    polynomial_field,
+    qconj,
+)
 
 MEDIUM = make_medium(1.0, 1.0, 1.0, 0.25)
 

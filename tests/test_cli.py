@@ -12,9 +12,9 @@ import pytest
 
 from quatem import cli
 from quatem import quaternions as q
-from quatem.cli import _load_traces, _write_json, build_parser, main
+from quatem.cli import _write_json, build_parser, main
 from quatem.fields import DEFAULT_AMPLITUDES, exact_chiral_solution
-from quatem.geometry import build_sphere_mesh, load_off, mesh_from_arrays, save_off
+from quatem.geometry import build_sphere_mesh, load_off, load_traces, mesh_from_arrays, save_off
 from quatem.maxwell import make_medium
 from quatem.operators import NODE_CHUNK, TILE_ROWS
 from quatem.reconstruction import extendibility_residual, perturb_traces
@@ -55,6 +55,26 @@ def test_gen_mesh_rejects_radius_that_is_not_finite_and_positive(tmp_path, capsy
     assert main(["gen-mesh", "--radius", radius, "--level", "1", "--out", str(out)]) == 2
     assert "radius must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_mesh_refuses_radius_whose_areas_overflow(tmp_path, capsys):
+    out = tmp_path / "big.off"
+    assert main(["gen-mesh", "--radius", "1e160", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: triangle area out of floating-point range in mesh"]
+    assert not out.exists()
+
+
+def test_verify_bp_refuses_the_working_directory_as_out(tmp_path, capsys, monkeypatch):
+    # the current directory, which holds a file, given as --out: exit 2, one
+    # error line, and the directory holds what it held
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept.txt").write_text("kept\n")
+    assert main(["verify-bp", "--levels", "2,3", "--out", "."]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
 
 
 def test_gen_field_trace_values(workspace):
@@ -423,7 +443,7 @@ def test_extend_check_exit_codes(workspace, tmp_path):
     mesh = load_off(mesh_path)
     rule = mesh.rule
     medium = make_medium(1.0, 1.0, 1.0, 0.25)
-    e_tr, h_tr = _load_traces(traces, mesh.n_triangles)
+    e_tr, h_tr = load_traces(traces, rule)
     for written, (e, h) in [(doc, (e_tr, h_tr)),
                             (perturbed, perturb_traces(rule, e_tr, h_tr, 0.50, 42))]:
         report = extendibility_residual(rule, e, h, medium, "linear")
@@ -653,7 +673,7 @@ def test_trace_file_values_and_bad_rows(workspace, tmp_path, capsys):
         return path
 
     # row i holds triangle i, read bit for bit
-    e, h = _load_traces(write(rows[1:]), n_triangles)
+    e, h = load_traces(write(rows[1:]), load_off(mesh_path).rule)
     for t, row in enumerate(rows[1:]):
         v = [float(s) for s in row[1:]]
         pairs = [complex(v[2 * i], v[2 * i + 1]) for i in range(6)]
@@ -675,7 +695,7 @@ def test_trace_file_values_and_bad_rows(workspace, tmp_path, capsys):
     for body, message in ((rows[:0:-1], "row 0 holds triangle %d:" % (n_triangles - 1)),
                           (out_of_range, "row 2 holds triangle %d:" % n_triangles),
                           (non_numeric, "could not convert"),
-                          (missing, "%d rows, mesh has" % (n_triangles - 1)),
+                          (missing, "%d rows, the rule has" % (n_triangles - 1)),
                           (with_cell("nan"), not_finite),
                           (with_cell("inf"), not_finite)):
         assert main(["reconstruct", "--mesh", mesh_path, "--traces", write(body),
@@ -760,6 +780,6 @@ def test_trace_file_of_no_rows_is_one_error_line(workspace, tmp_path, capsys, he
             assert main([command, "--mesh", mesh_path, "--traces", str(path),
                          "--out", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
-        fault = ("0 rows, mesh has 320 triangles" if header else
+        fault = ("0 rows, the rule has 320 nodes" if header else
                  "the first row is not the header " + first.strip())
         assert err.splitlines() == ["error: trace file %s: %s" % (path, fault)]

@@ -1,6 +1,7 @@
 """The array writers of the OFF, trace and kernel-probe files against
 line-by-line reference writers (byte for byte except the kernel probe's
-upsilon columns), and the trace reader on their output."""
+upsilon columns), and the trace reader on their output: one row per node of
+the rule it is given."""
 
 import csv
 import re
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from quatem import quaternions as q
-from quatem.cli import _load_traces, _save_traces, main
+from quatem.cli import main
 from quatem.errors import ConfigError
+from quatem.fields import exact_chiral_solution
 from quatem.kernels import theta, upsilon
-from quatem.geometry import build_sphere_mesh, save_off
+from quatem.geometry import build_sphere_mesh, load_traces, save_off, save_traces, sphere_rule
+from quatem.maxwell import make_medium
 
 
 def test_off_bytes(tmp_path):
@@ -26,7 +29,8 @@ def test_off_bytes(tmp_path):
 
 def test_trace_csv_bytes_and_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
-    n = 37
+    rule = sphere_rule(1.0, 0)
+    n = len(rule.points)
     scale = 10.0 ** rng.integers(-30, 30, size=(2, n, 3))
     e, h = (rng.normal(size=(2, n, 3)) + 1j * rng.normal(size=(2, n, 3))) * scale
     e[0, 0] = -0.0
@@ -39,9 +43,9 @@ def test_trace_csv_bytes_and_roundtrip(tmp_path):
             writer.writerow([t] + ["%.17g" % part for z in (*e[t], *h[t])
                                    for part in (z.real, z.imag)])
     path = tmp_path / "t.csv"
-    _save_traces(path, e, h)
+    save_traces(path, e, h)
     assert path.read_bytes() == reference.read_bytes()
-    e_back, h_back = _load_traces(path, n)
+    e_back, h_back = load_traces(path, rule)
     assert e_back.tobytes() == e.tobytes()
     assert h_back.tobytes() == h.tobytes()
 
@@ -75,9 +79,29 @@ def test_kernel_probe_csv(tmp_path):
 
 def test_trace_reader_rejects_fractional_triangle(tmp_path):
     path = tmp_path / "t.csv"
-    _save_traces(path, np.ones((3, 3), dtype=complex), np.ones((3, 3), dtype=complex))
+    rule = build_sphere_mesh(1.0, 0).rule
+    ones = np.ones((len(rule.points), 3), dtype=complex)
+    save_traces(path, ones, ones)
     text = path.read_text().replace("\n1,", "\n1.5,")
     path.write_text(text)
     message = "trace file %s: row 1 holds triangle 1.5: row i must hold" % path
     with pytest.raises(ConfigError, match=re.escape(message)):
-        _load_traces(path, 3)
+        load_traces(path, rule)
+
+
+def test_trace_rows_follow_the_rule(tmp_path):
+    # three nodes per triangle on the sphere: 960 rows at level 2, read back
+    # bit for bit; a file of the centroid rule's 320 rows is refused for it
+    rule = sphere_rule(1.0, 2)
+    e_field, h_field = exact_chiral_solution(make_medium(1.0, 1.0, 1.0, 0.25))
+    path = tmp_path / "t.csv"
+    e, h = (q.vec(f.value(rule.points)) for f in (e_field, h_field))
+    save_traces(path, e, h)
+    e_back, h_back = load_traces(path, rule)
+    assert e_back.shape == h_back.shape == (960, 3)
+    assert e_back.tobytes() == e.tobytes() and h_back.tobytes() == h.tobytes()
+    centroids = build_sphere_mesh(1.0, 2).rule.points
+    save_traces(path, *(q.vec(f.value(centroids)) for f in (e_field, h_field)))
+    message = "trace file %s: 320 rows, the rule has 960 nodes" % path
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_traces(path, rule)

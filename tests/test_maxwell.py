@@ -5,15 +5,11 @@ import pytest
 
 from quatem.errors import SingularMediumError
 from quatem.fields import abc_beltrami, exact_chiral_solution
-from quatem.maxwell import (
-    continuity_rho,
-    make_medium,
-    merge_values,
-    split_values,
-)
+from quatem.maxwell import make_medium, merge_values, split_values
 from quatem import quaternions as q
 
 from oracles import (
+    continuity_rho,
     fd_div,
     manufactured_current_solution,
     maxwell_residual,

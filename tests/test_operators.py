@@ -569,10 +569,14 @@ def _node_by_node(alpha, sign, rule, values, xs):
     ((0.8 + 0.3j, 0.8 - 0.3j), (1, -1)),          # complex, conjugate pair
     ((0.0, 0.8 + 0.3j, 0.0), (1, 1, -1)),         # alpha = 0 twice
     ((0.8, 0.8, 1.1, 0.8), (1, -1, -1, 1)),       # one alpha repeated, both signs
-], ids=["modes", "conjugates", "zero", "repeated"])
+    # reconstruct's three passes as one call: the interior indicator, the
+    # two modes, and the two-kernel cross-check's four terms
+    ((0.0, 0.8, 4.0 / 3.0, 0.8, 0.8, 4.0 / 3.0, 4.0 / 3.0), (1, 1, -1, 1, 1, -1, -1)),
+], ids=["modes", "conjugates", "zero", "repeated", "reconstruct"])
 def test_cauchy_stacked_matches_single(alphas, signs):
     # one call for K (alpha, sign, density) terms, on more targets than one
-    # block holds, against K single calls and the node-by-node sum
+    # block holds: each term is its one-term call bit for bit, so no term
+    # depends on the others, and it is the node-by-node sum to roundoff
     rng = np.random.default_rng(25)
     xs = rng.uniform(-0.3, 0.3, (TILE_ROWS + 5, 3))
     values = _random_density(MESH2, rng, len(alphas))
@@ -583,7 +587,7 @@ def test_cauchy_stacked_matches_single(alphas, signs):
     for k, (alpha, sign) in enumerate(zip(alphas, signs)):
         single = cauchy_boundary((alpha,), (sign,), BoundaryDensity(MESH2.rule, values[k:k + 1]),
                                  xs)[0]
-        assert np.abs(stacked[k] - single).max() <= 1e-14 * np.abs(single).max()
+        assert stacked[k].tobytes() == single.tobytes()
         reference = _node_by_node(alpha, sign, MESH2.rule, values[k], xs)
         assert np.allclose(stacked[k], reference, rtol=0.0,
                            atol=1e-12 * np.abs(reference).max())

@@ -16,11 +16,10 @@ MODULE_SURFACE = {
     "fields": {"AnalyticField", "abc_beltrami", "exact_chiral_solution",
                "identity_vector_field", "scalar_monomial"},
     "geometry": {"BallRule", "NormalCheck", "SurfaceMesh", "SurfaceRule", "build_sphere_mesh",
-                 "checked_normals", "load_off", "mesh_from_arrays", "polar_ball_rule",
-                 "save_csv", "save_off", "sphere_rule"},
+                 "checked_normals", "load_off", "load_traces", "mesh_from_arrays",
+                 "polar_ball_rule", "save_csv", "save_off", "save_traces", "sphere_rule"},
     "kernels": {"radial_factors", "theta", "upsilon"},
-    "maxwell": {"ChiralMedium", "continuity_rho", "make_medium", "merge_values",
-                "split_values"},
+    "maxwell": {"ChiralMedium", "make_medium", "merge_values", "split_values"},
     "operators": {"BoundaryDensity", "VolumeDensity", "borel_pompeiu_residual",
                   "cauchy_boundary", "teodorescu"},
     "quaternions": {"is_finite", "norm", "qmul", "sc", "vec", "vector"},
@@ -33,7 +32,7 @@ EXPORTS = {
     "ExtendibilityReport", "NearSingularityError", "QuatemError", "SingularMediumError",
     "SingularityError", "SurfaceMesh", "TopologyError", "VolumeDensity", "abc_beltrami",
     "borel_pompeiu_residual", "build_sphere_mesh", "cauchy_boundary", "checked_normals",
-    "continuity_rho", "exact_chiral_solution", "extendibility_residual", "make_medium",
+    "exact_chiral_solution", "extendibility_residual", "make_medium",
     "merge_values", "polar_ball_rule", "reconstruct_eh", "sphere_rule",
     "split_values", "teodorescu", "theta", "upsilon",
 }
